@@ -2,7 +2,9 @@
 //!
 //! The paper's run-time discussion (and our own [`RunProfile`]) shows the
 //! per-path probabilistic analysis dominating the flow: κ near-critical
-//! paths each pay an `O(QUALITYinter³)` inter-die kernel. Yet by eq. (13)
+//! paths each pay an inter-die kernel of 2·Q² `voltage_kernel` calls, an
+//! `O(Q²)` range pass and `Q³` multiply-add-bin steps
+//! (`Q = QUALITYinter`; see [`inter`](crate::inter)). Yet by eq. (13)
 //! the inter-die delay of a path depends **only** on its summed
 //! coefficients `A = Σαᵢ, B = Σβᵢ`, and by eq. (14) the closed-form intra
 //! PDF depends only on the path variance — so structurally similar paths

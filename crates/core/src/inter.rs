@@ -12,8 +12,12 @@
 //! enumeration costs `O(QUALITYinter^R)` with `R = 5`; following the
 //! paper's separability advice (§2.5) we factor the expression into the
 //! geometry product `tox·Leff` (a 2-D kernel) and the voltage term (a 3-D
-//! kernel), then combine the two factors — `O(Q³)` total. The direct
-//! `O(Q⁵)` enumeration is retained for validation (ablation 2).
+//! kernel), then combine the two factors. With `Q = QUALITYinter`, the
+//! voltage term costs 2·Q² `voltage_kernel` calls (the tables
+//! `f(Vddᵢ, VTnⱼ)` and `f(Vddᵢ, |VTp|ₖ)`), an `O(Q²)` range pass over the
+//! tables' per-row extremes and `Q³` multiply-add-bin steps; the other
+//! factors are `O(Q²)`. The direct `O(Q⁵)` enumeration is retained for
+//! validation (ablation 2).
 
 #![warn(clippy::unwrap_used)]
 
@@ -23,7 +27,7 @@ use statim_process::delay::voltage_kernel;
 use statim_process::param::Variations;
 use statim_process::tech::{AlphaBeta, Technology, ELMORE_K};
 use statim_process::Param;
-use statim_stats::combine::{map2, map3, product_pdf};
+use statim_stats::combine::{center_table, map2, map3_tabulated, product_pdf};
 use statim_stats::{Grid, Marginal, Pdf};
 
 /// The marginal PDF of one inter-die parameter: a Gaussian centred on the
@@ -93,15 +97,12 @@ pub fn inter_pdf(
     let pdf = |p: Param| inter_param_pdf(p, tech, vars, layers, marginal, quality);
     // Geometry factor: W = tox · Leff (2-D kernel).
     let w = product_pdf(&pdf(Param::Tox)?, &pdf(Param::Leff)?, quality)?;
-    // Voltage factor: Z = A·f(Vdd,VTn) + B·f(Vdd,|VTp|) (3-D kernel).
-    let (a, b) = (ab.alpha, ab.beta);
-    let z = map3(
-        &pdf(Param::Vdd)?,
-        &pdf(Param::Vtn)?,
-        &pdf(Param::Vtp)?,
-        quality,
-        |vdd, vtn, vtp| a * voltage_kernel(vdd, vtn) + b * voltage_kernel(vdd, vtp),
-    )?;
+    // Voltage factor: Z = A·f(Vdd,VTn) + B·f(Vdd,|VTp|) (3-D kernel over
+    // Q×Q tables of f).
+    let (vdd, vtn, vtp) = (pdf(Param::Vdd)?, pdf(Param::Vtn)?, pdf(Param::Vtp)?);
+    let tn = center_table(&vdd, &vtn, voltage_kernel);
+    let tp = center_table(&vdd, &vtp, voltage_kernel);
+    let z = map3_tabulated(&vdd, &vtn, &vtp, quality, (ab.alpha, &tn), (ab.beta, &tp))?;
     // Combine: delay = K · W · Z.
     Ok(map2(&w, &z, quality, |wv, zv| k * wv * zv)?)
 }

@@ -39,14 +39,6 @@ pub fn gate_delay(tech: &Technology, ab: &AlphaBeta, pt: &OperatingPoint) -> f64
     ELMORE_K * geom * h
 }
 
-/// The voltage-dependent factor `α·f(Vdd,VTn) + β·f(Vdd,|VTp|)` alone.
-/// The inter-die path delay factorizes as
-/// `0.345/εox · tox·Leff · Σᵢ[αᵢ·f + βᵢ·f]`, and the separable inter-PDF
-/// computation needs this factor independently of the geometry product.
-pub fn voltage_factor(ab: &AlphaBeta, vdd: f64, vtn: f64, vtp: f64) -> f64 {
-    ab.alpha * voltage_kernel(vdd, vtn) + ab.beta * voltage_kernel(vdd, vtp)
-}
-
 /// A deterministic analysis corner: each parameter offset from nominal by
 /// `k` standard deviations in a chosen direction.
 #[derive(Debug, Clone, Copy, PartialEq)]

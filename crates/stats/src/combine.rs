@@ -115,8 +115,10 @@ pub fn map2(a: &Pdf, b: &Pdf, quality: usize, mut f: impl FnMut(f64, f64) -> f64
 }
 
 /// Density of `W = f(X, Y, Z)` for three independent inputs.
-/// Complexity `O(nₐ·n_b·n_c)` — the paper's `QUALITYinter³` kernel for the
-/// voltage-dependent part of the inter-die delay.
+/// Complexity `O(nₐ·n_b·n_c)`; `f` is evaluated twice per grid point
+/// (range pass, then binning pass). This is the generic reference that
+/// [`map3_tabulated`], the kernel of the inter-die voltage factor, is
+/// tested against.
 ///
 /// # Errors
 ///
@@ -163,6 +165,114 @@ pub fn map3(
             for (k, &z) in zs.iter().enumerate() {
                 let w = wxy * c.density()[k] * mc;
                 density[grid.clamp_cell_of(f(x, y, z))] += w;
+            }
+        }
+    }
+    let density = density.iter().map(|m| m / grid.step()).collect();
+    Pdf::new(grid, density)
+}
+
+/// `f(xᵢ, yⱼ)` at every pair of cell centers of `x` and `y`, row-major
+/// in `x` (entry `i·n_y + j`): a table for [`map3_tabulated`].
+pub fn center_table(x: &Pdf, y: &Pdf, mut f: impl FnMut(f64, f64) -> f64) -> Vec<f64> {
+    let ys: Vec<f64> = y.grid().centers().collect();
+    let mut table = Vec::with_capacity(x.grid().len() * ys.len());
+    for xv in x.grid().centers() {
+        table.extend(ys.iter().map(|&yv| f(xv, yv)));
+    }
+    table
+}
+
+/// The entries of a table row at which `c·t` is smallest and largest.
+/// Rounding is monotone, so `fl(c·t)` moves with `t` in the direction of
+/// `c`'s sign.
+fn scaled_extremes(c: f64, row: &[f64]) -> (f64, f64) {
+    let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if c < 0.0 {
+        (max, min)
+    } else {
+        (min, max)
+    }
+}
+
+/// Density of `W = α·g(X, Y) + β·h(X, Z)` for three independent inputs,
+/// with `g` and `h` given as [`center_table`]s over the cell centers:
+/// `gy[i·n_y + j] = g(xᵢ, yⱼ)` and `hz[i·n_z + k] = h(xᵢ, z_k)`. This is
+/// the voltage factor `A·f(Vdd,VTn) + B·f(Vdd,|VTp|)` of the inter-die
+/// delay.
+///
+/// The result is bitwise equal to [`map3`] with the closure
+/// `|x, y, z| α·g(x, y) + β·h(x, z)`: every grid point evaluates the same
+/// f64 operations on the same operands, in the same order. [`map3`]
+/// evaluates that closure, and so `g` and `h`, twice per grid point; here
+/// the caller evaluates them `nₓ·(n_y + n_z)` times in all, the range pass
+/// reads only per-row table extremes — `fl(u + v)` is non-decreasing in
+/// each argument, so a row's extreme values come from its extreme
+/// entries — and a single `nₓ·n_y·n_z` pass multiplies, adds and bins.
+///
+/// # Errors
+///
+/// Returns [`StatsError::NonFinite`] naming `"map3 output"`, as [`map3`]
+/// does, if any table entry or any `α·g + β·h` is non-finite, and an
+/// error if `quality == 0`.
+///
+/// # Panics
+///
+/// Panics if a table's length is not `nₓ·n_y` (resp. `nₓ·n_z`).
+pub fn map3_tabulated(
+    x: &Pdf,
+    y: &Pdf,
+    z: &Pdf,
+    quality: usize,
+    (alpha, gy): (f64, &[f64]),
+    (beta, hz): (f64, &[f64]),
+) -> Result<Pdf> {
+    let (nx, ny, nz) = (x.grid().len(), y.grid().len(), z.grid().len());
+    assert_eq!(gy.len(), nx * ny, "g table is not {nx}×{ny}");
+    assert_eq!(hz.len(), nx * nz, "h table is not {nx}×{nz}");
+    let non_finite = StatsError::NonFinite {
+        what: "map3 output",
+    };
+    // A non-finite entry makes every grid point of its row non-finite
+    // (0·∞ is NaN), and `f64::min`/`max` would skip a NaN below.
+    if gy.iter().chain(hz).any(|t| !t.is_finite()) {
+        return Err(non_finite);
+    }
+    // Range pass. Any non-finite grid point of a row shows up in one of
+    // the row's two extreme sums, so checking those before folding
+    // catches every overflow the full pass would.
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (g_row, h_row) in gy.chunks_exact(ny).zip(hz.chunks_exact(nz)) {
+        let (g_lo, g_hi) = scaled_extremes(alpha, g_row);
+        let (h_lo, h_hi) = scaled_extremes(beta, h_row);
+        let (row_lo, row_hi) = (alpha * g_lo + beta * h_lo, alpha * g_hi + beta * h_hi);
+        if !row_lo.is_finite() || !row_hi.is_finite() {
+            return Err(non_finite);
+        }
+        lo = lo.min(row_lo);
+        hi = hi.max(row_hi);
+    }
+    let grid = output_grid(lo, hi, quality)?;
+    let mut density = vec![0.0f64; grid.len()];
+    let (mx, my, mz) = (x.grid().step(), y.grid().step(), z.grid().step());
+    let mut h_scaled = vec![0.0f64; nz];
+    for (i, (g_row, h_row)) in gy.chunks_exact(ny).zip(hz.chunks_exact(nz)).enumerate() {
+        let wx = x.density()[i] * mx;
+        if wx == 0.0 {
+            continue;
+        }
+        for (hs, &t) in h_scaled.iter_mut().zip(h_row) {
+            *hs = beta * t;
+        }
+        for (&g, &dy) in g_row.iter().zip(y.density()) {
+            let wxy = wx * dy * my;
+            if wxy == 0.0 {
+                continue;
+            }
+            let gs = alpha * g;
+            for (&hs, &dz) in h_scaled.iter().zip(z.density()) {
+                density[grid.clamp_cell_of(gs + hs)] += wxy * dz * mz;
             }
         }
     }
@@ -279,6 +389,50 @@ mod tests {
         let s = map3(&g(1.0), &g(2.0), &g(3.0), 120, |x, y, z| x + y + z).unwrap();
         assert!((s.mean() - 6.0).abs() < 0.05);
         assert!((s.variance() - 3.0).abs() < 0.15);
+    }
+
+    #[test]
+    fn map3_tabulated_is_bitwise_map3() {
+        let g = |x: f64, y: f64| x / (x - y).powf(1.3) + 1.0 / (1.5 * x - 2.0 * y);
+        let h = |x: f64, z: f64| (x * z).sqrt();
+        let x = gaussian_pdf(1.2, 0.05, 3.0, 9);
+        let y = gaussian_pdf(0.3, 0.02, 3.0, 7);
+        let z = Pdf::new(
+            Grid::over(0.2, 0.4, 5).unwrap(),
+            vec![1.0, 0.0, 2.0, 1.0, 3.0],
+        )
+        .unwrap();
+        let (gy, hz) = (center_table(&x, &y, g), center_table(&x, &z, h));
+        for (alpha, beta) in [
+            (2.0, 3.0),
+            (-2.0, 3.0),
+            (2.0, -3.5),
+            (0.0, -1.0),
+            (-0.0, 1.0),
+            (f64::MAX, 1.0),
+        ] {
+            for quality in [0, 1, 13] {
+                let want = map3(&x, &y, &z, quality, |x, y, z| {
+                    alpha * g(x, y) + beta * h(x, z)
+                });
+                let got = map3_tabulated(&x, &y, &z, quality, (alpha, &gy), (beta, &hz));
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "α={alpha} β={beta} Q={quality}"
+                );
+            }
+        }
+        // A NaN entry fails the way the full pass does.
+        let mut nan = gy.clone();
+        nan[10] = f64::NAN;
+        let got = map3_tabulated(&x, &y, &z, 13, (0.0, &nan), (1.0, &hz));
+        assert!(matches!(
+            got,
+            Err(StatsError::NonFinite {
+                what: "map3 output"
+            })
+        ));
     }
 
     #[test]

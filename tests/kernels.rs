@@ -6,17 +6,28 @@
 //! moments and quantiles within 1e-9 relative), against closed-form
 //! moment addition, and against the exact Monte-Carlo model — while
 //! remaining run-to-run and thread-count deterministic on its own.
+//!
+//! The second half pins the inter-die kernel: `inter_pdf` against a
+//! copy of its `map3` formulation, bit for bit, and against a digest of
+//! its output bits.
 
 use statim::core::analyze::{analyze_path, AnalysisSettings};
 use statim::core::characterize::characterize_placed;
+use statim::core::correlation::LayerModel;
 use statim::core::engine::{SstaConfig, SstaEngine, SstaReport};
+use statim::core::enumerate::near_critical_paths;
+use statim::core::inter::{inter_param_pdf, inter_pdf};
 use statim::core::longest_path::{critical_path, topo_labels};
 use statim::core::monte_carlo::mc_path_distribution;
 use statim::core::report::deterministic_report;
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::{Placement, PlacementStyle};
-use statim::process::Technology;
-use statim::stats::ConvolveBackend;
+use statim::process::delay::voltage_kernel;
+use statim::process::param::Variations;
+use statim::process::tech::{AlphaBeta, ELMORE_K};
+use statim::process::{GateKind, Load, Param, Technology};
+use statim::stats::combine::{map2, map3, product_pdf};
+use statim::stats::{ConvolveBackend, Grid, Marginal, Pdf};
 
 /// The benchmarks the suite sweeps (the smallest built-ins).
 const BENCHES: &[Benchmark] = &[Benchmark::C432, Benchmark::C499, Benchmark::C880];
@@ -154,4 +165,262 @@ fn both_backends_are_thread_count_invariant() {
             assert_eq!(got, reference, "{backend} at {threads} threads");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Inter-die kernel: differential against `map3`, and pinned output bits.
+// ---------------------------------------------------------------------
+
+const MARGINALS: [Marginal; 3] = [Marginal::Gaussian, Marginal::Uniform, Marginal::Triangular];
+
+/// `inter_pdf` as formulated on `map3`: the voltage factor evaluates the
+/// kernel at every grid point through a closure. Every other step is a
+/// copy of `inter_pdf`, so any output difference is the voltage factor's.
+fn reference_inter_pdf(
+    ab: &AlphaBeta,
+    tech: &Technology,
+    vars: &Variations,
+    layers: &LayerModel,
+    marginal: Marginal,
+    quality: usize,
+) -> statim::core::Result<Pdf> {
+    let w0 = layers.weights()?[0];
+    let k = ELMORE_K / tech.eps_ox;
+    if ab.alpha == 0.0 && ab.beta == 0.0 {
+        let grid = Grid::over(-1e-16, 1e-16, quality)?;
+        return Ok(Pdf::delta(grid, 0.0)?);
+    }
+    if w0 <= 0.0 {
+        let pt = tech.nominal_point();
+        let d = k
+            * pt.tox()
+            * pt.leff()
+            * (ab.alpha * voltage_kernel(pt.vdd(), pt.vtn())
+                + ab.beta * voltage_kernel(pt.vdd(), pt.vtp()));
+        let span = d.abs().max(1e-22) * 1e-6;
+        let grid = Grid::over(d - span, d + span, quality)?;
+        return Ok(Pdf::delta(grid, d)?);
+    }
+    let pdf = |p: Param| inter_param_pdf(p, tech, vars, layers, marginal, quality);
+    let w = product_pdf(&pdf(Param::Tox)?, &pdf(Param::Leff)?, quality)?;
+    let (a, b) = (ab.alpha, ab.beta);
+    let z = map3(
+        &pdf(Param::Vdd)?,
+        &pdf(Param::Vtn)?,
+        &pdf(Param::Vtp)?,
+        quality,
+        |vdd, vtn, vtp| a * voltage_kernel(vdd, vtn) + b * voltage_kernel(vdd, vtp),
+    )?;
+    Ok(map2(&w, &z, quality, |wv, zv| k * wv * zv)?)
+}
+
+/// A kernel outcome as exact bits: grid lo, step and length plus every
+/// density, or the error's `Display` text.
+type Bits = Result<(u64, u64, usize, Vec<u64>), String>;
+
+fn bits(r: statim::core::Result<Pdf>) -> Bits {
+    r.map(|p| {
+        let g = p.grid();
+        let d = p.density().iter().map(|d| d.to_bits()).collect();
+        (g.lo().to_bits(), g.step().to_bits(), g.len(), d)
+    })
+    .map_err(|e| e.to_string())
+}
+
+/// Asserts `inter_pdf` and the `map3` reference agree bit for bit, and
+/// returns the agreed outcome.
+fn assert_matches_reference(
+    ab: &AlphaBeta,
+    tech: &Technology,
+    layers: &LayerModel,
+    marginal: Marginal,
+    quality: usize,
+) -> Bits {
+    let vars = Variations::date05();
+    let got = bits(inter_pdf(ab, tech, &vars, layers, marginal, quality));
+    let want = bits(reference_inter_pdf(
+        ab, tech, &vars, layers, marginal, quality,
+    ));
+    assert_eq!(got, want, "{ab:?} {marginal:?} Q={quality} {layers:?}");
+    got
+}
+
+/// The distinct placed `(A, B)` sums of a benchmark's near-critical paths
+/// at the paper's C = 0.05, in enumeration order.
+fn near_critical_keys(bench: Benchmark) -> Vec<AlphaBeta> {
+    let circuit = iscas85::generate(bench);
+    let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+    let tech = Technology::cmos130();
+    let timing = characterize_placed(&circuit, &tech, &placement).expect("characterize");
+    let labels = topo_labels(&circuit, &timing).expect("labels");
+    let det = critical_path(&circuit, &timing, &labels).expect("critical path");
+    let settings = AnalysisSettings::date05();
+    let sigma_c = analyze_path(&det, &timing, &placement, &tech, &settings)
+        .expect("analyze")
+        .sigma;
+    let threshold = labels.critical_delay(&circuit).expect("delay") - 0.05 * sigma_c;
+    let set =
+        near_critical_paths(&circuit, &timing, &labels, threshold, 1_000_000).expect("enumerate");
+    let mut seen = std::collections::HashSet::new();
+    set.paths
+        .iter()
+        .map(|p| timing.path_alpha_beta(p))
+        .filter(|ab| seen.insert((ab.alpha.to_bits(), ab.beta.to_bits())))
+        .collect()
+}
+
+#[test]
+fn inter_kernel_matches_map3_on_near_critical_keys() {
+    let tech = Technology::cmos130();
+    let layers = LayerModel::date05();
+    for bench in [Benchmark::C1355, Benchmark::C7552] {
+        let keys = near_critical_keys(bench);
+        assert!(
+            keys.len() > 1,
+            "{bench:?}: placed sums must tell paths apart"
+        );
+        for ab in &keys {
+            let out = assert_matches_reference(ab, &tech, &layers, Marginal::Gaussian, 50);
+            assert!(out.is_ok(), "{ab:?}: {:?}", out.err());
+        }
+    }
+}
+
+/// Coefficient sums covering every sign pattern, zeros of both signs,
+/// and an overflowing coefficient.
+fn synthetic_keys() -> Vec<AlphaBeta> {
+    let tech = Technology::cmos130();
+    let one = tech.alpha_beta(GateKind::Nand(2), &Load::fanout(2));
+    let (a, b) = (one.alpha * 9.0, one.beta * 9.0);
+    [
+        (a, b),
+        (-a, -b),
+        (a, -b),
+        (-a, b),
+        (a, -b * 1.2),
+        (0.0, b),
+        (a, 0.0),
+        (-0.0, b),
+        (a, -0.0),
+        (0.0, -b),
+        (-0.0, -b),
+        (-a, 0.0),
+        (0.0, 0.0),
+        (-0.0, -0.0),
+        (f64::MAX, b),
+        (a, -f64::MAX),
+    ]
+    .into_iter()
+    .map(|(alpha, beta)| AlphaBeta { alpha, beta })
+    .collect()
+}
+
+#[test]
+fn inter_kernel_matches_map3_on_synthetic_keys() {
+    let tech = Technology::cmos130();
+    for share in [0.2, 0.5, 0.75, 0.0] {
+        let layers = LayerModel::with_inter_share(share);
+        for ab in &synthetic_keys() {
+            for marginal in MARGINALS {
+                for quality in [0, 1, 2, 7, 24] {
+                    let out = assert_matches_reference(ab, &tech, &layers, marginal, quality);
+                    let overflows = ab.alpha.abs() == f64::MAX || ab.beta.abs() == f64::MAX;
+                    assert_eq!(
+                        out.is_err(),
+                        quality == 0 || overflows,
+                        "{ab:?} Q={quality}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn inter_kernel_matches_map3_past_the_voltage_cutoff() {
+    // A supply so low that the truncated Vdd range crosses the kernel's
+    // cut-off: some kernel values are infinite and both routes must
+    // fail with the same typed error.
+    let mut tech = Technology::cmos130();
+    tech.vdd = 2.0 * tech.vtn.max(tech.vtp) / 1.5 + 0.01;
+    let one = tech.alpha_beta(GateKind::Inv, &Load::fanout(1));
+    for ab in [
+        one,
+        AlphaBeta {
+            alpha: 0.0,
+            beta: one.beta,
+        },
+    ] {
+        for marginal in MARGINALS {
+            let out = assert_matches_reference(&ab, &tech, &LayerModel::date05(), marginal, 24);
+            assert!(
+                matches!(&out, Err(text) if text.contains("map3 output")),
+                "{out:?}"
+            );
+        }
+    }
+}
+
+/// FNV-1a over 64-bit words, little-endian.
+fn fnv1a(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of `inter_pdf`'s output bits over [`pinned_keys`] × the three
+/// marginals at QUALITYinter = 50, computed with the `map3` formulation
+/// of the voltage factor. A change here means the inter-die PDFs changed.
+const PINNED_INTER_DIGEST: u64 = 0x24ee_a967_5f3c_8390;
+
+/// About twenty coefficient sums: multiples of real gates, mixtures,
+/// negative and mixed signs, and zeros.
+fn pinned_keys() -> Vec<AlphaBeta> {
+    let tech = Technology::cmos130();
+    let nand = tech.alpha_beta(GateKind::Nand(2), &Load::fanout(2));
+    let inv = tech.alpha_beta(GateKind::Inv, &Load::fanout(1));
+    let nor = tech.alpha_beta(GateKind::Nor(3), &Load::fanout(4));
+    let ab = |alpha: f64, beta: f64| AlphaBeta { alpha, beta };
+    let mut keys: Vec<AlphaBeta> = [1.0, 2.0, 5.0, 12.0, 31.0, 77.0]
+        .into_iter()
+        .map(|n| ab(nand.alpha * n, nand.beta * n))
+        .collect();
+    keys.extend([
+        ab(inv.alpha * 3.0, inv.beta * 3.0),
+        ab(inv.alpha * 40.0, inv.beta * 40.0),
+        ab(nor.alpha * 9.0, nor.beta * 9.0),
+        ab(
+            nand.alpha * 7.0 + inv.alpha * 4.0 + nor.alpha * 2.0,
+            nand.beta * 7.0 + inv.beta * 4.0 + nor.beta * 2.0,
+        ),
+        ab(-nand.alpha * 3.0, -nand.beta * 3.0),
+        ab(-nor.alpha * 5.0, -nor.beta * 5.0),
+        ab(nand.alpha * 6.0, -inv.beta * 4.0),
+        ab(-nor.alpha * 2.0, nand.beta * 9.0),
+        ab(nand.alpha * 3.0, -nand.beta * 3.0 * 0.999),
+        ab(0.0, nand.beta * 5.0),
+        ab(nand.alpha * 5.0, 0.0),
+        ab(-0.0, -inv.beta * 3.0),
+        ab(nand.alpha * 5.0, -0.0),
+        ab(0.0, 0.0),
+    ]);
+    keys
+}
+
+#[test]
+fn inter_pdf_output_bits_are_pinned() {
+    let tech = Technology::cmos130();
+    let vars = Variations::date05();
+    let layers = LayerModel::date05();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for ab in &pinned_keys() {
+        for marginal in MARGINALS {
+            let (lo, step, len, density) = bits(inter_pdf(ab, &tech, &vars, &layers, marginal, 50))
+                .unwrap_or_else(|text| panic!("{ab:?} {marginal:?}: {text}"));
+            for w in [lo, step, len as u64].into_iter().chain(density) {
+                h = fnv1a(h, w);
+            }
+        }
+    }
+    assert_eq!(h, PINNED_INTER_DIGEST, "digest {h:#018x}");
 }
