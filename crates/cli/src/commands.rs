@@ -83,13 +83,21 @@ fn unknown_benchmark(name: &str) -> StatimError {
     )
 }
 
+/// Generates a sequential built-in (`s27`, `pipe<S>x<W>`); a pipeline
+/// the generator refuses, such as one over its register bound, is a
+/// config error naming the reason.
+fn sequential_builtin(name: &str) -> Result<Circuit, StatimError> {
+    statim_netlist::generators::sequential::try_from_name(name)
+        .ok_or_else(|| unknown_benchmark(name))?
+        .map_err(StatimError::from)
+}
+
 fn load_circuit(a: &AnalyzeArgs) -> Result<Circuit, StatimError> {
     if let Some(name) = &a.benchmark {
         if let Some(bench) = Benchmark::from_name(name) {
             return Ok(iscas85::generate(bench));
         }
-        statim_netlist::generators::sequential::from_name(name)
-            .ok_or_else(|| unknown_benchmark(name))
+        sequential_builtin(name)
     } else {
         let path = a.bench_file.as_deref().expect("validated by the parser");
         let text = fs::read_to_string(path).map_err(|e| StatimError::from(e).with_file(path))?;
@@ -591,8 +599,7 @@ fn client(addr: &str, action: ClientAction) -> DynResult {
 fn generate(name: &str, out_bench: Option<String>, out_def: Option<String>) -> DynResult {
     let circuit = match Benchmark::from_name(name) {
         Some(bench) => iscas85::generate(bench),
-        None => statim_netlist::generators::sequential::from_name(name)
-            .ok_or_else(|| unknown_benchmark(name))?,
+        None => sequential_builtin(name)?,
     };
     let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
     match &out_bench {

@@ -188,24 +188,60 @@ impl fmt::Display for JobState {
 
 /// Everything one job needs: the placed circuit and the run
 /// configuration.
+///
+/// The netlist part is computed once: the circuit and placement sit
+/// behind `Arc`s, and their content digest (FNV-1a over the `.bench`
+/// text, then the DEF text) is taken at construction.
+/// [`JobSpec::fingerprint`] folds the settings onto that digest, and
+/// [`JobSpec::with_config`] shares all three under other settings, so a
+/// front end that keeps a template spec per fixed circuit builds each
+/// job without regenerating or re-serializing its netlist.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// The circuit to analyze.
-    pub circuit: Circuit,
-    /// Its placement.
-    pub placement: Placement,
+    circuit: Arc<Circuit>,
+    placement: Arc<Placement>,
+    /// FNV-1a over `bench_format::write(circuit)` then
+    /// `def_lite::write(circuit, placement)`.
+    netlist_digest: u64,
     /// The run configuration.
     pub config: SstaConfig,
 }
 
 impl JobSpec {
-    /// Builds a job spec.
+    /// Builds a job spec, digesting its netlist and placement.
     pub fn new(circuit: Circuit, placement: Placement, config: SstaConfig) -> Self {
+        let mut netlist_digest = fnv1a(0, bench_format::write(&circuit).as_bytes());
+        netlist_digest = fnv1a(
+            netlist_digest,
+            def_lite::write(&circuit, &placement).as_bytes(),
+        );
         JobSpec {
-            circuit,
-            placement,
+            circuit: Arc::new(circuit),
+            placement: Arc::new(placement),
+            netlist_digest,
             config,
         }
+    }
+
+    /// The same circuit and placement (shared, not copied) under another
+    /// configuration.
+    pub fn with_config(&self, config: SstaConfig) -> JobSpec {
+        JobSpec {
+            circuit: Arc::clone(&self.circuit),
+            placement: Arc::clone(&self.placement),
+            netlist_digest: self.netlist_digest,
+            config,
+        }
+    }
+
+    /// The circuit to analyze.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// Its placement.
+    pub fn placement(&self) -> &Placement {
+        &self.placement
     }
 
     /// FNV fingerprint over everything that determines report content:
@@ -214,13 +250,8 @@ impl JobSpec {
     /// cache, retries, run budgets) are excluded so equivalent
     /// submissions share a result-store entry.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(0, bench_format::write(&self.circuit).as_bytes());
-        h = fnv1a(
-            h,
-            def_lite::write(&self.circuit, &self.placement).as_bytes(),
-        );
-        h = fold_u64(
-            h,
+        let mut h = fold_u64(
+            self.netlist_digest,
             settings_fingerprint(&self.config.tech, &self.config.settings()),
         );
         h = fold_f64(h, self.config.confidence);
@@ -879,7 +910,7 @@ impl AnalysisService {
             id,
             Job {
                 state: JobState::Queued,
-                circuit: spec.circuit.name().to_string(),
+                circuit: spec.circuit().name().to_string(),
                 fingerprint,
                 from_store: false,
                 client: client.clone(),
@@ -1218,17 +1249,17 @@ fn run_executor(shared: &Shared) {
             supervisor: Some(&sup),
         };
         let outcome = isolate(|| {
-            if spec.circuit.is_sequential() {
+            if spec.circuit().is_sequential() {
                 let config = SequentialConfig {
                     ssta: spec.config.clone(),
                     ..SequentialConfig::date05()
                 };
                 SequentialEngine::new(config)
-                    .run_with(&spec.circuit, &spec.placement, context())
+                    .run_with(spec.circuit(), spec.placement(), context())
                     .map(|report| JobReport::Sequential(Arc::new(report)))
             } else {
                 SstaEngine::new(spec.config.clone())
-                    .run_with(&spec.circuit, &spec.placement, context())
+                    .run_with(spec.circuit(), spec.placement(), context())
                     .map(|report| JobReport::Analyze(Arc::new(report)))
             }
         });
@@ -1537,6 +1568,60 @@ mod tests {
         assert_eq!("job-42".parse::<JobId>().expect("parses"), id);
         assert_eq!("42".parse::<JobId>().expect("parses"), id);
         assert!("job-x".parse::<JobId>().is_err());
+    }
+
+    /// Fingerprints key the persistent result store, so moving one
+    /// orphans every report a `--store-dir` already holds. These values
+    /// come from the formula that serialized and hashed the netlist on
+    /// every call; the digest taken once in `JobSpec::new` must
+    /// reproduce them bit for bit.
+    #[test]
+    fn fingerprints_are_pinned() {
+        assert_eq!(
+            spec(Benchmark::C432, SstaConfig::date05()).fingerprint(),
+            0x09b4_5f6b_be15_4884
+        );
+        assert_eq!(
+            seq_spec(SstaConfig::date05()).fingerprint(),
+            0xf397_6af5_5ebd_48b7
+        );
+        assert_eq!(
+            spec(Benchmark::C432, SstaConfig::date05().with_confidence(0.2)).fingerprint(),
+            0xd4fa_3928_90ea_de24
+        );
+    }
+
+    #[test]
+    fn with_config_shares_the_netlist_and_fingerprints_like_a_fresh_spec() {
+        let circuit = iscas85::generate(Benchmark::C432);
+        let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+        let template = JobSpec::new(circuit.clone(), placement.clone(), SstaConfig::date05());
+        let mut quality = SstaConfig::date05();
+        quality.quality_inter = 30;
+        let budget = RunBudget {
+            max_paths: Some(3),
+            ..RunBudget::none()
+        };
+        let configs = [
+            SstaConfig::date05(),
+            SstaConfig::date05().with_confidence(0.2),
+            quality,
+            SstaConfig::date05().with_backend(statim_stats::ConvolveBackend::Fft),
+            SstaConfig::date05().with_threads(3),
+            SstaConfig::date05().with_budget(budget),
+        ];
+        let mut distinct = std::collections::HashSet::new();
+        for config in configs {
+            let shared = template.with_config(config.clone());
+            assert!(Arc::ptr_eq(&shared.circuit, &template.circuit));
+            assert!(Arc::ptr_eq(&shared.placement, &template.placement));
+            let fresh = JobSpec::new(circuit.clone(), placement.clone(), config);
+            assert_eq!(shared.fingerprint(), fresh.fingerprint());
+            distinct.insert(fresh.fingerprint());
+        }
+        // Confidence, quality and backend key the store; threads and
+        // budgets are wall-time-only and fold onto the default's key.
+        assert_eq!(distinct.len(), 4);
     }
 
     #[test]

@@ -22,6 +22,11 @@ pub const DEFAULT_PERIOD: f64 = 1e-9;
 pub const DEFAULT_SETUP: f64 = 2e-11;
 /// Default hold margin stamped on generated circuits.
 pub const DEFAULT_HOLD: f64 = 2e-12;
+/// Most registers (`stages × width`) [`pipeline`] will generate: 256×
+/// `pipe8x32`. A `pipe<S>x<W>` name arrives from CLI flags and daemon
+/// `SUBMIT` lines, and each register costs its netlist about 0.7 KB, so
+/// an unbounded name could allocate until the process aborts.
+pub const MAX_PIPELINE_REGISTERS: usize = 65_536;
 
 /// The s27-class benchmark: 4 true inputs, 3 registers, 10 gates, one
 /// primary output.
@@ -68,11 +73,24 @@ fn try_s27() -> Result<Circuit> {
 /// # Errors
 ///
 /// Returns [`crate::error::NetlistError::InvalidConfig`] when `stages`
-/// or `width` is zero or the circuit would be degenerate (width < 2).
+/// or `width` is zero, the circuit would be degenerate (width < 2), or
+/// it would hold more than [`MAX_PIPELINE_REGISTERS`] registers.
 pub fn pipeline(stages: usize, width: usize) -> Result<Circuit> {
     if stages == 0 || width < 2 {
         return Err(crate::error::NetlistError::InvalidConfig {
             message: format!("pipeline needs stages >= 1 and width >= 2, got {stages}x{width}"),
+        });
+    }
+    if stages
+        .checked_mul(width)
+        .filter(|&registers| registers <= MAX_PIPELINE_REGISTERS)
+        .is_none()
+    {
+        return Err(crate::error::NetlistError::InvalidConfig {
+            message: format!(
+                "pipeline {stages}x{width} exceeds the {MAX_PIPELINE_REGISTERS}-register bound \
+                 (stages x width)"
+            ),
         });
     }
     let mut c = Circuit::new(format!("pipe{stages}x{width}"));
@@ -113,16 +131,26 @@ pub fn pipeline(stages: usize, width: usize) -> Result<Circuit> {
 }
 
 /// Resolves a sequential generator by name: `s27` or `pipe{S}x{W}`
-/// (e.g. `pipe4x8`). Returns `None` for unknown names.
+/// (e.g. `pipe4x8`). Returns `None` for unknown names and for pipelines
+/// [`pipeline`] refuses; [`try_from_name`] keeps the refusal.
 pub fn from_name(name: &str) -> Option<Circuit> {
+    try_from_name(name)?.ok()
+}
+
+/// Like [`from_name`], but a name of the `pipe{S}x{W}` form that
+/// [`pipeline`] refuses (zero stages, width below 2, more than
+/// [`MAX_PIPELINE_REGISTERS`] registers) comes back as `Some(Err(..))`,
+/// so callers can report why. `None` means the name is not a sequential
+/// generator.
+pub fn try_from_name(name: &str) -> Option<Result<Circuit>> {
     if name.eq_ignore_ascii_case("s27") {
-        return Some(s27());
+        return Some(Ok(s27()));
     }
     let rest = name.strip_prefix("pipe")?;
     let (s, w) = rest.split_once('x')?;
     let stages: usize = s.parse().ok()?;
     let width: usize = w.parse().ok()?;
-    pipeline(stages, width).ok()
+    Some(pipeline(stages, width))
 }
 
 #[cfg(test)]
@@ -175,5 +203,34 @@ mod tests {
         assert!(from_name("c432").is_none());
         assert!(from_name("pipe0x8").is_none());
         assert!(from_name("pipexx").is_none());
+        assert!(try_from_name("pipexx").is_none());
+        assert!(matches!(try_from_name("pipe0x8"), Some(Err(_))));
+    }
+
+    #[test]
+    fn pipeline_register_count_is_bounded() {
+        // One register past the bound, a product that overflows usize
+        // and a wire-sized name are refused before anything is allocated.
+        for (stages, width) in [
+            (1, MAX_PIPELINE_REGISTERS + 1),
+            (MAX_PIPELINE_REGISTERS / 2 + 1, 2),
+            (usize::MAX, 2),
+            (100_000_000, 100_000_000),
+        ] {
+            match pipeline(stages, width) {
+                Err(crate::error::NetlistError::InvalidConfig { message }) => {
+                    assert!(message.contains("register bound"), "{message}")
+                }
+                other => panic!("{stages}x{width}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        assert!(from_name("pipe100000000x100000000").is_none());
+        assert!(matches!(
+            try_from_name("pipe100000000x100000000"),
+            Some(Err(crate::error::NetlistError::InvalidConfig { .. }))
+        ));
+        // The benchmark menus' pipelines sit far below it.
+        assert!(from_name("pipe8x32").is_some());
+        assert!(from_name("pipe4x16").is_some());
     }
 }

@@ -57,13 +57,14 @@ use statim_core::service::{
 };
 use statim_core::{apply_edits, EcoScript, ErrorClass, JobId, RunBudget, StatimError};
 use statim_netlist::generators::iscas85::{self, Benchmark};
+use statim_netlist::generators::sequential;
 use statim_netlist::{bench_format, def_lite, Circuit, Placement, PlacementStyle};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -134,6 +135,36 @@ struct Counters {
     reaped: AtomicU64,
 }
 
+/// Template job specs for the fixed built-in circuits — the ten ISCAS85
+/// benchmarks, then s27 — at the default levelized placement, each
+/// built on first use. A `SUBMIT @name` at that placement takes
+/// [`JobSpec::with_config`] of its template, sharing the netlist and its
+/// digest instead of regenerating, serializing and hashing them per
+/// job. `pipe<S>x<W>` is a parametric namespace no table can bound, so
+/// it stays out.
+#[derive(Default)]
+struct Builtins {
+    slots: [OnceLock<JobSpec>; Benchmark::ALL.len() + 1],
+}
+
+impl Builtins {
+    /// The template for a fixed built-in name (case-insensitive, like
+    /// every `@name`), or `None` for any other name.
+    fn template(&self, name: &str) -> Option<&JobSpec> {
+        let bench = Benchmark::from_name(name);
+        let slot = match bench {
+            Some(b) => Benchmark::ALL.iter().position(|&x| x == b)?,
+            None if name.eq_ignore_ascii_case("s27") => Benchmark::ALL.len(),
+            None => return None,
+        };
+        Some(self.slots[slot].get_or_init(|| {
+            let circuit = bench.map_or_else(sequential::s27, iscas85::generate);
+            let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+            JobSpec::new(circuit, placement, SstaConfig::date05())
+        }))
+    }
+}
+
 /// The sharded connection registry. Each worker owns shard `[worker
 /// index]`; cross-shard access happens only for the global bound check
 /// and [`Registry::open_connections`].
@@ -143,6 +174,7 @@ struct Registry {
     io_timeout: Option<Duration>,
     max_client_buffered: usize,
     counters: Counters,
+    builtins: Builtins,
     /// Aggregate buffered bytes per client lane, across shards. Updated
     /// by delta accounting from each connection's progress turn — never
     /// by cross-shard walks, which could deadlock two workers.
@@ -159,6 +191,7 @@ impl Registry {
             io_timeout: tuning.io_timeout,
             max_client_buffered: tuning.max_client_buffered,
             counters: Counters::default(),
+            builtins: Builtins::default(),
             lane_bytes: Mutex::new(HashMap::new()),
         }
     }
@@ -497,7 +530,7 @@ impl Conn {
         while !self.closing && self.pending.is_none() {
             let Some(line) = self.take_line() else { break };
             busy = true;
-            self.execute(&line, service, stop, &registry.counters);
+            self.execute(&line, service, stop, registry);
         }
         // Half-close drained: every complete line the peer pipelined
         // before its FIN has executed (a trailing partial line is torn
@@ -703,7 +736,7 @@ impl Conn {
         line: &str,
         service: &AnalysisService,
         stop: &AtomicBool,
-        counters: &Counters,
+        registry: &Registry,
     ) {
         if line.is_empty() {
             return;
@@ -775,7 +808,7 @@ impl Conn {
             &mut self.minor,
             &mut self.lane,
             service,
-            counters,
+            registry,
         );
         if matches!(reply, Response::ShuttingDown) {
             stop.store(true, Ordering::SeqCst);
@@ -829,7 +862,7 @@ fn respond(
     minor: &mut u32,
     lane: &mut String,
     service: &AnalysisService,
-    counters: &Counters,
+    registry: &Registry,
 ) -> (Response, Vec<String>) {
     match request {
         Request::Hello {
@@ -863,7 +896,12 @@ fn respond(
         }
         Request::Wait { .. } => unreachable!("WAIT is handled by the connection"),
         Request::Submit { source, options } => {
-            match build_spec(&source, &options, service.default_backend()) {
+            match build_spec(
+                &source,
+                &options,
+                service.default_backend(),
+                &registry.builtins,
+            ) {
                 Ok((spec, deadline_ms)) => {
                     let options = SubmitOptions {
                         client: Some(lane.clone()),
@@ -968,7 +1006,7 @@ fn respond(
             Err(e) => (error_reply(&e), Vec::new()),
         },
         Request::Stats => {
-            let payload = render_stats(&service.stats(), counters);
+            let payload = render_stats(&service.stats(), &registry.counters);
             (
                 Response::Stats {
                     lines: payload.len(),
@@ -1016,16 +1054,36 @@ fn render_stats(stats: &ServiceStats, counters: &Counters) -> Vec<String> {
     ]
 }
 
+/// Where a `SUBMIT`'s netlist comes from.
+enum Netlist<'a> {
+    /// A fixed built-in: the daemon's template spec.
+    Template(&'a JobSpec),
+    /// A file or a parametric pipeline, loaded for this request.
+    Loaded(Box<Circuit>),
+}
+
 /// Builds the job spec a `SUBMIT` line describes: resolve the netlist
 /// source, the placement and the run options. Also returns the queue
 /// deadline (`deadline=<ms>`), which is admission metadata — it lives
 /// *outside* the spec so it never perturbs the result-store fingerprint.
+///
+/// A fixed built-in resolves to its template in `builtins`; at the
+/// default placement the job shares the template's netlist and digest.
+/// Every other source loads before the options are parsed, so a request
+/// with both a bad source and a bad option reports the source.
 fn build_spec(
     source: &str,
     options: &[(String, String)],
     default_backend: statim_core::ConvolveBackend,
+    builtins: &Builtins,
 ) -> Result<(JobSpec, Option<u64>), StatimError> {
-    let circuit = load_source(source)?;
+    let netlist = match source
+        .strip_prefix('@')
+        .and_then(|name| builtins.template(name))
+    {
+        Some(template) => Netlist::Template(template),
+        None => Netlist::Loaded(Box::new(load_source(source)?)),
+    };
     let mut config = SstaConfig::date05();
     // Seeded before the option scan so an explicit `backend=` wins and
     // the daemon-wide default still lands in the job fingerprint.
@@ -1102,6 +1160,15 @@ fn build_spec(
             }
         }
     }
+    let circuit = match netlist {
+        Netlist::Template(template)
+            if def_path.is_none() && placement_style == PlacementStyle::Levelized =>
+        {
+            return Ok((template.with_config(config), deadline_ms));
+        }
+        Netlist::Template(template) => template.circuit().clone(),
+        Netlist::Loaded(circuit) => *circuit,
+    };
     let placement = match def_path {
         Some(path) => {
             let text =
@@ -1122,29 +1189,29 @@ fn build_spec(
 /// daemon's warm kernel store and path-identical kernels hit the cache.
 fn edited_spec(base: &JobSpec, script: &str) -> Result<JobSpec, StatimError> {
     let script = EcoScript::parse_compact(script).map_err(StatimError::from)?;
-    let mut circuit = base.circuit.clone();
+    let mut circuit = base.circuit().clone();
     apply_edits(&mut circuit, &script).map_err(StatimError::from)?;
     Ok(JobSpec::new(
         circuit,
-        base.placement.clone(),
+        base.placement().clone(),
         base.config.clone(),
     ))
 }
 
+/// Loads a source that is not a fixed built-in: a `.bench` file path or
+/// a parametric `@pipe<S>x<W>` pipeline.
 fn load_source(source: &str) -> Result<Circuit, StatimError> {
     if let Some(name) = source.strip_prefix('@') {
-        if let Some(bench) = Benchmark::from_name(name) {
-            return Ok(iscas85::generate(bench));
-        }
-        // Sequential built-ins (s27, pipe<stages>x<width>) share the
-        // `@name` namespace; the executor routes them to the
-        // sequential flow from the registers in the netlist.
-        return statim_netlist::generators::sequential::from_name(name).ok_or_else(|| {
-            StatimError::new(
+        // Sequential built-ins share the `@name` namespace; the executor
+        // routes them to the sequential flow from the registers in the
+        // netlist. An oversized pipeline is a typed refusal.
+        return match sequential::try_from_name(name) {
+            Some(generated) => generated.map_err(StatimError::from),
+            None => Err(StatimError::new(
                 ErrorClass::Config,
                 format!("unknown built-in benchmark `@{name}`"),
-            )
-        });
+            )),
+        };
     }
     let text =
         std::fs::read_to_string(source).map_err(|e| StatimError::from(e).with_file(source))?;

@@ -67,8 +67,13 @@ fn opts(extra: &[(&str, &str)]) -> Vec<(String, String)> {
 /// The one-shot reference: the same engine run the daemon performs,
 /// rendered through the same deterministic report.
 fn batch_report(bench: Benchmark, top: usize) -> String {
+    batch_report_placed(bench, PlacementStyle::Levelized, top)
+}
+
+/// [`batch_report`] at a given placement style.
+fn batch_report_placed(bench: Benchmark, style: PlacementStyle, top: usize) -> String {
     let circuit = iscas85::generate(bench);
-    let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+    let placement = Placement::generate(&circuit, style);
     let mut config = SstaConfig::date05();
     config.quality_intra = 40;
     config.quality_inter = 20;
@@ -264,6 +269,97 @@ fn daemon_default_backend_applies_to_bare_submissions() {
         .expect("submit backend=grid");
     assert!(!from_store, "grid must not reuse the fft default's result");
     client.wait(grid, WAIT).expect("wait");
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn builtin_names_fingerprint_like_their_netlist_files() {
+    let dir = tmp_store("builtin-file-route");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bench_file = dir.join("c432.bench");
+    std::fs::write(
+        &bench_file,
+        statim::netlist::bench_format::write(&iscas85::generate(Benchmark::C432)),
+    )
+    .expect("write c432.bench");
+    let handle = spawn_daemon(ServiceConfig::default());
+    let mut client = connect(&handle);
+
+    let (first, _) = client.submit("@c432", &opts(&[])).expect("submit");
+    assert_eq!(client.wait(first, WAIT).expect("wait"), "done");
+    let fresh = client.result(first, None).expect("result");
+
+    // Built-in names match case-insensitively onto one template, so the
+    // upper-case spelling is the same job.
+    let (upper, from_store) = client.submit("@C432", &opts(&[])).expect("submit @C432");
+    assert!(from_store, "@C432 must hit the entry @c432 stored");
+    assert_eq!(client.result(upper, None).expect("result"), fresh);
+
+    // A file holding the same netlist is the same job too: the template
+    // digests exactly the bytes a loaded file does.
+    let source = bench_file.to_str().expect("utf-8 temp path");
+    let (file, from_store) = client.submit(source, &opts(&[])).expect("submit file");
+    assert!(from_store, "c432.bench must hit the entry @c432 stored");
+    assert_eq!(client.result(file, None).expect("result"), fresh);
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn random_placement_of_a_builtin_is_its_own_job() {
+    let handle = spawn_daemon(ServiceConfig::default());
+    let mut client = connect(&handle);
+
+    let (levelized, _) = client.submit("@c432", &opts(&[])).expect("submit");
+    assert_eq!(client.wait(levelized, WAIT).expect("wait"), "done");
+
+    // Another placement is another netlist digest: no store hit, and the
+    // report is the one-shot run at that placement.
+    let (random, from_store) = client
+        .submit("@c432", &opts(&[("random-place", "3")]))
+        .expect("submit random-place=3");
+    assert!(
+        !from_store,
+        "random-place=3 must not reuse the levelized result"
+    );
+    assert_eq!(client.wait(random, WAIT).expect("wait"), "done");
+    assert_eq!(
+        client.result(random, Some(5)).expect("result"),
+        batch_report_placed(Benchmark::C432, PlacementStyle::Random(3), 5)
+    );
+    assert_ne!(
+        client.result(random, Some(5)).expect("result"),
+        client.result(levelized, Some(5)).expect("result"),
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn oversized_pipelines_are_refused_and_the_daemon_keeps_serving() {
+    let handle = spawn_daemon(ServiceConfig::default());
+    let mut client = connect(&handle);
+
+    // Unbounded, this name would allocate 10^16 registers.
+    match client.submit("@pipe100000000x100000000", &opts(&[])) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Config);
+            assert!(message.contains("register bound"), "{message}");
+        }
+        other => panic!("expected ERR CONFIG, got {other:?}"),
+    }
+    // The connection and the daemon keep serving pipelines in bounds.
+    let (id, _) = client
+        .submit("@pipe2x4", &opts(&[]))
+        .expect("submit pipe2x4");
+    assert_eq!(client.wait(id, WAIT).expect("wait"), "done");
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("submitted: 1"), "stats:\n{stats}");
 
     client.shutdown().expect("shutdown");
     handle.join();
@@ -478,7 +574,12 @@ fn shutdown_drains_queued_work_and_closes() {
     let handle = spawn_daemon(ServiceConfig::default());
     let mut client = connect(&handle);
 
-    let (id, _) = client.submit("@c432", &opts(&[])).expect("submit");
+    // A heavy job (as in the cancel test) keeps the drain open past the
+    // next submission: once the drain completes the daemon closes the
+    // connection, and a quick job could finish before the SUBMIT below
+    // arrives.
+    let heavy = opts(&[("confidence", "0.3")]);
+    let (id, _) = client.submit("@c1355", &heavy).expect("submit");
     client.shutdown().expect("shutdown");
 
     // Draining: new submissions bounce with a typed SHUTDOWN error.
