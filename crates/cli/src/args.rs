@@ -10,7 +10,7 @@ USAGE:
     statim analyze --benchmark <name> [OPTIONS] analyze a built-in ISCAS85 equivalent
     statim eco --benchmark <name> --script <file> [OPTIONS]
                                                incremental ECO re-analysis: apply an
-                                               edit script, re-run only the dirty cone
+                                               edit script, reuse paths it cannot reach
     statim yield --benchmark <name> [--target <y>] [OPTIONS]
                                                timing-yield curve and clock constraint
     statim seq <circuit.bench> [SEQ OPTIONS]   sequential setup/hold SSTA on a

@@ -5,6 +5,7 @@ use crate::cache::AnalysisCache;
 use crate::characterize::CircuitTiming;
 use crate::correlation::LayerModel;
 use crate::intra::{intra_pdf, intra_pdf_numerical, intra_variance, path_coefficients};
+use crate::supervise::KernelResult;
 use crate::worst_case::worst_case_path_delay_at;
 use crate::{inter, Result};
 use statim_netlist::{GateId, Placement};
@@ -119,6 +120,14 @@ impl PathAnalysis {
             && [&self.total_pdf, &self.intra_pdf, &self.inter_pdf]
                 .iter()
                 .all(|p| p.density().iter().all(|d| d.is_finite()))
+    }
+}
+
+impl KernelResult for PathAnalysis {
+    const NOUN: &'static str = "path";
+    const NON_FINITE: &'static str = "non-finite kernel result (mean, σ or confidence point)";
+    fn is_finite(&self) -> bool {
+        self.kernel_is_finite()
     }
 }
 

@@ -12,13 +12,13 @@
 
 use crate::analyze::{analyze_path_cached, AnalysisSettings, PathAnalysis};
 use crate::cache::{AnalysisCache, CacheStats, KernelStore};
-use crate::characterize::characterize_placed;
+use crate::characterize::{characterize_placed, CircuitTiming};
 use crate::correlation::LayerModel;
 use crate::enumerate::near_critical_paths;
 use crate::error::ErrorClass;
 use crate::longest_path::{bellman_ford, critical_path, topo_labels};
 use crate::rank::{rank_paths, RankedPath};
-use crate::supervise::{supervised_map, BudgetKind, ItemOutcome, RunBudget, Supervisor};
+use crate::supervise::{fan_out, BudgetKind, RunBudget, Supervisor};
 use crate::worst_case::worst_case_critical_delay;
 use crate::{CoreError, Result};
 use statim_netlist::GateId;
@@ -257,7 +257,7 @@ pub struct StageProfile {
 
 impl StageProfile {
     /// A stage that ran on the calling thread only.
-    fn serial(wall: f64) -> Self {
+    pub(crate) fn serial(wall: f64) -> Self {
         StageProfile {
             wall,
             threads: 1,
@@ -423,6 +423,10 @@ pub struct RunContext<'a> {
     pub supervisor: Option<&'a Supervisor>,
 }
 
+/// A per-path reuse oracle for [`SstaEngine::run_characterized`]: the
+/// retained analysis of a path's gates, or `None` to compute it.
+pub(crate) type Reuse<'a> = &'a (dyn Fn(&[GateId]) -> Option<PathAnalysis> + Sync);
+
 /// The statistical timing engine.
 #[derive(Debug, Clone)]
 pub struct SstaEngine {
@@ -466,7 +470,43 @@ impl SstaEngine {
         placement: &Placement,
         ctx: RunContext<'_>,
     ) -> Result<SstaReport> {
+        self.run_with_timing(circuit, placement, ctx)
+            .map(|(_, report)| report)
+    }
+
+    /// [`SstaEngine::run_with`], also returning the gate timing it
+    /// characterized.
+    pub(crate) fn run_with_timing(
+        &self,
+        circuit: &Circuit,
+        placement: &Placement,
+        ctx: RunContext<'_>,
+    ) -> Result<(CircuitTiming, SstaReport)> {
         let start = Instant::now();
+        self.check(circuit, placement)?;
+        // The supervisor's wall clock starts with the run, so serial
+        // stages count against --max-wall-secs even though only the
+        // fan-out has cancellation points. An external supervisor keeps
+        // its caller's clock (the service starts it at dequeue time, so
+        // queue wait does not eat a job's wall budget).
+        let local_sup = Supervisor::new(self.config.budget, self.config.retries);
+        let sup = ctx.supervisor.unwrap_or(&local_sup);
+
+        // 1. One-time gate characterization (placement-aware wire loads,
+        //    as a DEF-driven flow sees them).
+        let t0 = Instant::now();
+        let timing = characterize_placed(circuit, &self.config.tech, placement)?;
+        let characterize = StageProfile::serial(t0.elapsed().as_secs_f64());
+        let mut report =
+            self.run_characterized(circuit, placement, &timing, ctx.store, sup, None)?;
+        report.profile.characterize = characterize;
+        report.runtime = start.elapsed().as_secs_f64();
+        Ok((timing, report))
+    }
+
+    /// Refuses what no stage can time: an invalid config, a register
+    /// netlist, or a placement of the wrong length.
+    fn check(&self, circuit: &Circuit, placement: &Placement) -> Result<()> {
         self.config.validate()?;
         // Combinational SSTA has no notion of a clock edge: a register Q
         // would be treated as a free input and every register-to-register
@@ -484,19 +524,6 @@ impl SstaEngine {
                 ),
             });
         }
-        // The supervisor's wall clock starts with the run, so serial
-        // stages count against --max-wall-secs even though only the
-        // fan-out has cancellation points. An external supervisor keeps
-        // its caller's clock (the service starts it at dequeue time, so
-        // queue wait does not eat a job's wall budget).
-        let local_sup;
-        let sup = match ctx.supervisor {
-            Some(s) => s,
-            None => {
-                local_sup = Supervisor::new(self.config.budget, self.config.retries);
-                &local_sup
-            }
-        };
         if placement.len() != circuit.gate_count() {
             return Err(CoreError::Netlist(
                 statim_netlist::NetlistError::PlacementMismatch {
@@ -505,23 +532,36 @@ impl SstaEngine {
                 },
             ));
         }
+        Ok(())
+    }
+
+    /// Stages 2–6 on a characterized circuit: labels, σ_C, enumeration,
+    /// the supervised per-path fan-out and ranking. `reuse` may stand in
+    /// for the per-path kernel: it returns a retained analysis that is
+    /// bitwise what [`analyze_path_cached`] would compute now, or `None`
+    /// to compute it. The report's `runtime` covers these stages only and
+    /// `profile.characterize` is left to the caller, which timed it.
+    pub(crate) fn run_characterized(
+        &self,
+        circuit: &Circuit,
+        placement: &Placement,
+        timing: &CircuitTiming,
+        store: Option<Arc<KernelStore>>,
+        sup: &Supervisor,
+        reuse: Option<Reuse<'_>>,
+    ) -> Result<SstaReport> {
+        let start = Instant::now();
         let settings = self.config.settings();
         let mut profile = RunProfile::default();
-
-        // 1. One-time gate characterization (placement-aware wire loads,
-        //    as a DEF-driven flow sees them).
-        let t0 = Instant::now();
-        let timing = characterize_placed(circuit, &self.config.tech, placement)?;
-        profile.characterize = StageProfile::serial(t0.elapsed().as_secs_f64());
 
         // 2. Deterministic analysis.
         let t0 = Instant::now();
         let labels = match self.config.solver {
-            LabelSolver::BellmanFord => bellman_ford(circuit, &timing)?,
-            LabelSolver::Topological => topo_labels(circuit, &timing)?,
+            LabelSolver::BellmanFord => bellman_ford(circuit, timing)?,
+            LabelSolver::Topological => topo_labels(circuit, timing)?,
         };
         let det_critical_delay = labels.critical_delay(circuit)?;
-        let det_path = critical_path(circuit, &timing, &labels)?;
+        let det_path = critical_path(circuit, timing, &labels)?;
         profile.labels = StageProfile::serial(t0.elapsed().as_secs_f64());
 
         // 3. Probabilistic analysis of the deterministic critical path
@@ -529,24 +569,27 @@ impl SstaEngine {
         //    the step-5 fan-out, so anything computed here is a hit there.
         let t0 = Instant::now();
         let cache = self.config.cache.then(|| {
-            let store = match &ctx.store {
-                Some(store) => Arc::clone(store),
-                None => Arc::new(KernelStore::with_capacity(self.config.cache_capacity)),
-            };
+            let store = store.unwrap_or_else(|| {
+                Arc::new(KernelStore::with_capacity(self.config.cache_capacity))
+            });
             AnalysisCache::with_store(store, &self.config.tech, &settings)
         });
         // Snapshot the (possibly shared, already-warm) store so the
         // profile reports this run's own hits/misses/evictions, not the
         // store's lifetime totals. Occupancy stays absolute.
         let cache_before = cache.as_ref().map(AnalysisCache::stats);
-        let det_analysis = analyze_path_cached(
-            &det_path,
-            &timing,
-            placement,
-            &self.config.tech,
-            &settings,
-            cache.as_ref(),
-        )?;
+        let analyze = |path: &[GateId]| match reuse.and_then(|r| r(path)) {
+            Some(retained) => Ok(retained),
+            None => analyze_path_cached(
+                path,
+                timing,
+                placement,
+                &self.config.tech,
+                &settings,
+                cache.as_ref(),
+            ),
+        };
+        let det_analysis = analyze(&det_path)?;
         let sigma_c = det_analysis.sigma;
         let det_wall = t0.elapsed().as_secs_f64();
 
@@ -564,7 +607,7 @@ impl SstaEngine {
         // 4. Enumerate paths within C·σ_C.
         let t0 = Instant::now();
         let threshold = det_critical_delay - self.config.confidence * sigma_c;
-        let set = near_critical_paths(circuit, &timing, &labels, threshold, self.config.max_paths)?;
+        let set = near_critical_paths(circuit, timing, &labels, threshold, self.config.max_paths)?;
         profile.enumerate = StageProfile::serial(t0.elapsed().as_secs_f64());
 
         // 5. Analyze every near-critical path on the worker pool,
@@ -573,18 +616,18 @@ impl SstaEngine {
         //    report is bit-identical for any thread count. The det path's
         //    position is found once (lengths-first comparison) so the
         //    per-path closure compares indices, not O(|path|) gate lists.
+        //    A path whose kernel errored, went non-finite or panicked
+        //    (after exhausting its retries) is quarantined, not fatal.
         let det_idx = set
             .paths
             .iter()
             .position(|p| p.len() == det_path.len() && *p == det_path);
         let t0 = Instant::now();
         let threads = crate::parallel::effective_threads(self.config.threads);
-        let path_cap = sup.budget().max_paths.map(|m| (m, BudgetKind::Paths));
-        let pool = supervised_map(
+        let pool = fan_out(
             &set.paths,
             threads,
             sup,
-            path_cap,
             |i, p| -> Result<PathAnalysis> {
                 #[cfg(any(test, feature = "fault-injection"))]
                 if let Some(plan) = &self.config.faults {
@@ -595,14 +638,7 @@ impl SstaEngine {
                 let analysis = if Some(i) == det_idx {
                     det_analysis.clone()
                 } else {
-                    analyze_path_cached(
-                        p,
-                        &timing,
-                        placement,
-                        &self.config.tech,
-                        &settings,
-                        cache.as_ref(),
-                    )?
+                    analyze(p)?
                 };
                 #[cfg(any(test, feature = "fault-injection"))]
                 let analysis = match &self.config.faults {
@@ -611,41 +647,13 @@ impl SstaEngine {
                 };
                 Ok(analysis)
             },
-        );
-        // Graceful degradation: a path whose kernel errored, went
-        // non-finite or panicked (after exhausting its retries) is
-        // quarantined, not fatal — the run completes on the surviving
-        // paths. Quarantine order follows enumeration order, so it is
-        // bit-identical for any thread count. Budget-skipped paths are
-        // counted, not quarantined: nothing is wrong with them.
-        let budget_exhausted = pool.exhausted;
-        let mut analyses: Vec<PathAnalysis> = Vec::with_capacity(pool.outcomes.len());
-        let mut degraded: Vec<DegradedPath> = Vec::new();
-        let mut skipped_paths = 0usize;
-        for (i, outcome) in pool.outcomes.into_iter().enumerate() {
-            match outcome {
-                ItemOutcome::Done(Ok(a)) if a.kernel_is_finite() => analyses.push(a),
-                ItemOutcome::Done(Ok(a)) => degraded.push(DegradedPath {
-                    index: i,
-                    gates: a.gates,
-                    class: ErrorClass::Numeric,
-                    reason: "non-finite kernel result (mean, σ or confidence point)".into(),
-                }),
-                ItemOutcome::Done(Err(e)) => degraded.push(DegradedPath {
-                    index: i,
-                    gates: set.paths[i].clone(),
-                    class: e.classify(),
-                    reason: e.to_string(),
-                }),
-                ItemOutcome::Panicked { reason } => degraded.push(DegradedPath {
-                    index: i,
-                    gates: set.paths[i].clone(),
-                    class: ErrorClass::Numeric,
-                    reason: format!("panic in path analysis: {reason}"),
-                }),
-                ItemOutcome::Skipped => skipped_paths += 1,
-            }
-        }
+            |index, gates, class, reason| DegradedPath {
+                index,
+                gates: gates.clone(),
+                class,
+                reason,
+            },
+        )?;
         let fan_wall = t0.elapsed().as_secs_f64();
         // Step 3 (σ_C) is the same per-path kernel, so it books into the
         // analyze stage as a serial prefix (1-thread capacity) ahead of
@@ -656,27 +664,13 @@ impl SstaEngine {
             .as_ref()
             .zip(cache_before.as_ref())
             .map(|(c, before)| c.stats().since(before));
-        profile.degraded = degraded.len();
+        profile.degraded = pool.degraded.len();
         profile.retries = pool.retries;
         profile.panics = pool.panics;
-        if analyses.is_empty() {
-            if let Some(kind) = budget_exhausted {
-                // The budget tripped before a single path was analyzed:
-                // there is no partial report to emit.
-                return Err(CoreError::BudgetExhausted {
-                    budget: kind.to_string(),
-                });
-            }
-            if !degraded.is_empty() {
-                return Err(CoreError::AllPathsDegraded {
-                    total: degraded.len(),
-                });
-            }
-        }
 
         // 6. Rank by the confidence point.
         let t0 = Instant::now();
-        let ranked = rank_paths(analyses);
+        let ranked = rank_paths(pool.survivors);
         profile.rank = StageProfile::serial(t0.elapsed().as_secs_f64());
         if ranked.is_empty() {
             return Err(CoreError::EmptyCircuit);
@@ -685,7 +679,7 @@ impl SstaEngine {
         // Worst-case analysis over the whole circuit (corner STA).
         let worst_case_delay = worst_case_critical_delay(
             circuit,
-            &timing,
+            timing,
             &self.config.tech,
             &self.config.vars,
             self.config.corner,
@@ -706,9 +700,9 @@ impl SstaEngine {
             label_sweeps: labels.sweeps,
             runtime: start.elapsed().as_secs_f64(),
             profile,
-            degraded,
-            budget_exhausted,
-            skipped_paths,
+            degraded: pool.degraded,
+            budget_exhausted: pool.exhausted,
+            skipped_paths: pool.skipped,
         })
     }
 }

@@ -16,16 +16,18 @@
 //!   and the mean-wirelength normalization that couples all placed
 //!   gates through a wire edit — without modeling any of it.
 //! * **Dirty cone** — the IR's [`TimingGraph::fanout_cone`] of the dirty
-//!   set bounds the region whose arrival models can change; only those
-//!   node models are recomputed ([`IncrementalEngine::models`]).
+//!   and edited gates is the region the edit can reach. It is only a
+//!   counter ([`IncrementalStats::cone_gates`]): reuse is decided per path.
 //! * **Path reuse** — a near-critical path of the edited circuit whose
 //!   gate sequence was analyzed in the base run *and* contains no dirty
 //!   gate has a bit-identical [`PathAnalysis`] (path analysis is a pure
-//!   function of gate sequence, timing bits, placement and settings),
-//!   so the retained result is cloned instead of recomputed. Everything
-//!   else recomputes against the still-warm [`KernelStore`] — whose
-//!   exact-bits keys need no invalidation: stale entries can never be
-//!   hit by new values.
+//!   function of gate sequence, timing bits, placement and settings).
+//!   The edited circuit runs through the engine's own stages with a
+//!   reuse oracle that hands back the retained result in place of the
+//!   per-path kernel. Everything else recomputes against the still-warm
+//!   [`KernelStore`] — whose exact-bits keys need no invalidation: stale
+//!   entries can never be hit by new values. Budgets and fault plans
+//!   behave as in a full run.
 //!
 //! The merged [`SstaReport`] is **byte-identical** to a from-scratch run
 //! of the edited netlist at any thread count, cache state and backend —
@@ -34,19 +36,13 @@
 
 #![warn(clippy::unwrap_used)]
 
-use crate::analyze::{analyze_path_cached, PathAnalysis};
-use crate::cache::{AnalysisCache, KernelStore};
+use crate::analyze::PathAnalysis;
+use crate::cache::KernelStore;
 use crate::characterize::{characterize_placed, CircuitTiming};
-use crate::engine::{LabelSolver, RunContext, RunProfile, SstaEngine, SstaReport, StageProfile};
-use crate::enumerate::near_critical_paths;
-use crate::error::ErrorClass;
-use crate::graph::{ArrivalModel, TimingGraph};
-use crate::intra::{intra_variance, path_coefficients};
-use crate::longest_path::{bellman_ford, critical_path, topo_labels};
-use crate::rank::rank_paths;
-use crate::supervise::{supervised_map, ItemOutcome, Supervisor};
-use crate::worst_case::worst_case_critical_delay;
-use crate::{CoreError, DegradedPath, Result};
+use crate::engine::{RunContext, SstaEngine, SstaReport, StageProfile};
+use crate::graph::TimingGraph;
+use crate::supervise::Supervisor;
+use crate::{CoreError, Result};
 use statim_netlist::{Circuit, GateId, Placement, Signal};
 use statim_process::GateKind;
 use std::collections::HashMap;
@@ -413,8 +409,8 @@ pub struct IncrementalStats {
     pub edits_applied: usize,
     /// Gates whose [`crate::GateTiming`] changed bitwise.
     pub dirty_gates: usize,
-    /// Gates in the fanout cone of the dirty set (arrival models
-    /// recomputed for exactly these).
+    /// Gates in the fanout cone of the dirty and edited gates: the
+    /// region the edit can reach.
     pub cone_gates: usize,
     /// Near-critical paths whose retained analysis was reused.
     pub reused_paths: usize,
@@ -448,21 +444,15 @@ pub struct EcoOutcome {
     pub stats: IncrementalStats,
 }
 
-/// A resident analysis that re-runs only the dirty cone of each ECO
-/// edit script, merging retained per-path results into a report that is
-/// byte-identical to a from-scratch run of the edited netlist.
+/// A resident analysis that re-runs the engine's own stages on each ECO
+/// edit script, reusing every retained path the edit cannot reach, into
+/// a report byte-identical to a from-scratch run of the edited netlist.
 pub struct IncrementalEngine {
     engine: SstaEngine,
     circuit: Circuit,
     placement: Placement,
     timing: CircuitTiming,
-    graph: TimingGraph,
-    models: Vec<ArrivalModel>,
     store: Arc<KernelStore>,
-    /// Retained analyses keyed by gate sequence; empty after a run with
-    /// quarantined or skipped paths (reuse then needs per-path failure
-    /// provenance the report does not retain, so everything recomputes).
-    analyses: HashMap<Vec<GateId>, PathAnalysis>,
     report: SstaReport,
 }
 
@@ -471,19 +461,10 @@ impl IncrementalEngine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for a config with run budgets (a
-    /// partial base would poison every later merge); otherwise any
-    /// base-run failure.
+    /// Any base-run failure.
     pub fn new(engine: SstaEngine, circuit: Circuit, placement: Placement) -> Result<Self> {
-        if !engine.config().budget.is_unlimited() {
-            return Err(CoreError::InvalidConfig {
-                message: "incremental re-analysis requires an unlimited run budget \
-                          (a partial base report cannot seed path reuse)"
-                    .into(),
-            });
-        }
         let store = Arc::new(KernelStore::with_capacity(engine.config().cache_capacity));
-        let report = engine.run_with(
+        let (timing, report) = engine.run_with_timing(
             &circuit,
             &placement,
             RunContext {
@@ -491,24 +472,12 @@ impl IncrementalEngine {
                 supervisor: None,
             },
         )?;
-        let timing = characterize_placed(&circuit, &engine.config().tech, &placement)?;
-        let graph = TimingGraph::build(&circuit)?;
-        let models = graph.arrival_models(
-            &timing,
-            &placement,
-            &engine.config().layers,
-            &engine.config().vars,
-        )?;
-        let analyses = harvest(&report);
         Ok(IncrementalEngine {
             engine,
             circuit,
             placement,
             timing,
-            graph,
-            models,
             store,
-            analyses,
             report,
         })
     }
@@ -528,25 +497,15 @@ impl IncrementalEngine {
         &self.report
     }
 
-    /// The timing-graph IR of the current circuit.
-    pub fn graph(&self) -> &TimingGraph {
-        &self.graph
-    }
-
-    /// Per-node arrival models of the current circuit (only dirty-cone
-    /// nodes are recomputed on [`IncrementalEngine::apply`]).
-    pub fn models(&self) -> &[ArrivalModel] {
-        &self.models
-    }
-
     /// The shared kernel store (warm across passes).
     pub fn store(&self) -> &Arc<KernelStore> {
         &self.store
     }
 
-    /// Applies an edit script, re-analyzes the dirty cone and merges
-    /// with retained results. On success the engine re-bases onto the
-    /// edited circuit; on error its state is unchanged.
+    /// Applies an edit script and re-analyzes the edited circuit through
+    /// the engine's own stages, reusing retained paths. On success the
+    /// engine re-bases onto the edited circuit; on error its state is
+    /// unchanged.
     ///
     /// # Errors
     ///
@@ -555,6 +514,7 @@ impl IncrementalEngine {
     pub fn apply(&mut self, script: &EcoScript) -> Result<EcoOutcome> {
         let start = Instant::now();
         let config = self.engine.config();
+        let sup = Supervisor::new(config.budget, config.retries);
         let mut circuit = self.circuit.clone();
         let touched = apply_edits(&mut circuit, script)?;
 
@@ -562,328 +522,78 @@ impl IncrementalEngine {
         // the gates whose timing bits moved, however indirectly.
         let t0 = Instant::now();
         let timing = characterize_placed(&circuit, &config.tech, &self.placement)?;
-        let mut dirty = vec![false; circuit.gate_count()];
-        let mut dirty_gates = 0usize;
-        for (i, (new, old)) in timing.gates().iter().zip(self.timing.gates()).enumerate() {
-            if new != old {
-                dirty[i] = true;
-                dirty_gates += 1;
-            }
-        }
-        let characterize_profile = StageProfile {
-            wall: t0.elapsed().as_secs_f64(),
-            threads: 1,
-            utilization: 1.0,
-        };
-
-        // Rebuild the IR (structure may have changed) and refresh the
-        // arrival models of the dirty cone only: a node outside the
-        // fanout cone of every dirty or touched gate has a fanin cone
-        // with unchanged structure and timing, so its model is current.
-        let graph = TimingGraph::build(&circuit)?;
+        let characterize = StageProfile::serial(t0.elapsed().as_secs_f64());
+        let dirty: Vec<bool> = timing
+            .gates()
+            .iter()
+            .zip(self.timing.gates())
+            .map(|(new, old)| new != old)
+            .collect();
+        let dirty_gates = dirty.iter().filter(|&&d| d).count();
         let seeds = dirty
             .iter()
             .enumerate()
             .filter(|(_, &d)| d)
             .map(|(i, _)| GateId(i as u32))
             .chain(touched.iter().copied());
-        let cone = graph.fanout_cone(seeds);
-        let cone_gates = cone.iter().filter(|&&c| c).count();
-        let models = refresh_models(
-            &self.models,
-            &graph,
-            &cone,
-            &timing,
-            &self.placement,
-            config,
-        )?;
+        let cone_gates = TimingGraph::build(&circuit)?
+            .fanout_cone(seeds)
+            .iter()
+            .filter(|&&c| c)
+            .count();
 
-        // From here the flow mirrors `SstaEngine::run_with` stage for
-        // stage — same label solver, same enumeration, same merge order
-        // — except that clean retained paths short-circuit the per-path
-        // kernel. Every reused analysis is bitwise what a recompute
-        // would produce, so the report matches a fresh run byte for
-        // byte.
-        let t0 = Instant::now();
-        let sup = Supervisor::new(config.budget, config.retries);
-        let settings = config.settings();
-        let labels = match config.solver {
-            LabelSolver::BellmanFord => bellman_ford(&circuit, &timing)?,
-            LabelSolver::Topological => topo_labels(&circuit, &timing)?,
-        };
-        let det_critical_delay = labels.critical_delay(&circuit)?;
-        let det_path = critical_path(&circuit, &timing, &labels)?;
-        let labels_profile = StageProfile {
-            wall: t0.elapsed().as_secs_f64(),
-            threads: 1,
-            utilization: 1.0,
-        };
-
-        let reusable = |path: &[GateId]| -> Option<&PathAnalysis> {
-            if path.iter().any(|g| dirty[g.index()]) {
-                return None;
-            }
-            self.analyses.get(path)
-        };
-        let reused = AtomicUsize::new(0);
-        let recomputed = AtomicUsize::new(0);
-
-        let t0 = Instant::now();
-        let cache = config
-            .cache
-            .then(|| AnalysisCache::with_store(Arc::clone(&self.store), &config.tech, &settings));
-        let cache_before = cache.as_ref().map(AnalysisCache::stats);
-        let det_analysis = match reusable(&det_path) {
-            Some(a) => {
-                reused.fetch_add(1, Ordering::Relaxed);
-                a.clone()
-            }
-            None => {
-                recomputed.fetch_add(1, Ordering::Relaxed);
-                analyze_path_cached(
-                    &det_path,
-                    &timing,
-                    &self.placement,
-                    &config.tech,
-                    &settings,
-                    cache.as_ref(),
-                )?
-            }
-        };
-        let sigma_c = det_analysis.sigma;
-        let det_wall = t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        let threshold = det_critical_delay - config.confidence * sigma_c;
-        let set = near_critical_paths(&circuit, &timing, &labels, threshold, config.max_paths)?;
-        let enumerate_profile = StageProfile {
-            wall: t0.elapsed().as_secs_f64(),
-            threads: 1,
-            utilization: 1.0,
-        };
-
-        let det_idx = set
+        // Path analysis is a pure function of gate sequence, timing bits,
+        // placement and settings, so a retained path that crosses no
+        // dirty gate is bitwise what a recompute would give. Only a clean
+        // report seeds reuse: around quarantined or skipped paths it
+        // would need per-path provenance the report does not keep.
+        let base = &self.report;
+        let clean =
+            base.degraded.is_empty() && base.budget_exhausted.is_none() && base.skipped_paths == 0;
+        let retained: HashMap<&[GateId], &PathAnalysis> = base
             .paths
             .iter()
-            .position(|p| p.len() == det_path.len() && *p == det_path);
-        let t0 = Instant::now();
-        let threads = crate::parallel::effective_threads(config.threads);
-        let pool = supervised_map(
-            &set.paths,
-            threads,
-            &sup,
-            None,
-            |i, p| -> Result<PathAnalysis> {
-                if Some(i) == det_idx {
-                    return Ok(det_analysis.clone());
-                }
-                match reusable(p) {
-                    Some(a) => {
-                        reused.fetch_add(1, Ordering::Relaxed);
-                        Ok(a.clone())
-                    }
-                    None => {
-                        recomputed.fetch_add(1, Ordering::Relaxed);
-                        analyze_path_cached(
-                            p,
-                            &timing,
-                            &self.placement,
-                            &config.tech,
-                            &settings,
-                            cache.as_ref(),
-                        )
-                    }
-                }
-            },
-        );
-        // Identical quarantine merge to the full engine: enumeration
-        // order, same classes, same reasons.
-        let budget_exhausted = pool.exhausted;
-        let mut analyses: Vec<PathAnalysis> = Vec::with_capacity(pool.outcomes.len());
-        let mut degraded: Vec<DegradedPath> = Vec::new();
-        let mut skipped_paths = 0usize;
-        for (i, outcome) in pool.outcomes.into_iter().enumerate() {
-            match outcome {
-                ItemOutcome::Done(Ok(a)) if a.kernel_is_finite() => analyses.push(a),
-                ItemOutcome::Done(Ok(a)) => degraded.push(DegradedPath {
-                    index: i,
-                    gates: a.gates,
-                    class: ErrorClass::Numeric,
-                    reason: "non-finite kernel result (mean, σ or confidence point)".into(),
-                }),
-                ItemOutcome::Done(Err(e)) => degraded.push(DegradedPath {
-                    index: i,
-                    gates: set.paths[i].clone(),
-                    class: e.classify(),
-                    reason: e.to_string(),
-                }),
-                ItemOutcome::Panicked { reason } => degraded.push(DegradedPath {
-                    index: i,
-                    gates: set.paths[i].clone(),
-                    class: ErrorClass::Numeric,
-                    reason: format!("panic in path analysis: {reason}"),
-                }),
-                ItemOutcome::Skipped => skipped_paths += 1,
-            }
-        }
-        let fan_wall = t0.elapsed().as_secs_f64();
-        let capacity = det_wall + fan_wall * threads as f64;
-        let busy = det_wall + pool.busy;
-        let analyze_profile = StageProfile {
-            wall: det_wall + fan_wall,
-            threads,
-            utilization: if capacity > 0.0 {
-                (busy / capacity).min(1.0)
+            .filter(|_| clean)
+            .map(|p| (p.analysis.gates.as_slice(), &p.analysis))
+            .collect();
+        let reused = AtomicUsize::new(0);
+        let recomputed = AtomicUsize::new(0);
+        let oracle = |path: &[GateId]| -> Option<PathAnalysis> {
+            let hit = if path.iter().any(|g| dirty[g.index()]) {
+                None
             } else {
-                1.0
-            },
+                retained.get(path).map(|&a| a.clone())
+            };
+            let counter = if hit.is_some() { &reused } else { &recomputed };
+            counter.fetch_add(1, Ordering::Relaxed);
+            hit
         };
-        if analyses.is_empty() {
-            if let Some(kind) = budget_exhausted {
-                return Err(CoreError::BudgetExhausted {
-                    budget: kind.to_string(),
-                });
-            }
-            if !degraded.is_empty() {
-                return Err(CoreError::AllPathsDegraded {
-                    total: degraded.len(),
-                });
-            }
-        }
-
-        let t0 = Instant::now();
-        let ranked = rank_paths(analyses);
-        let rank_profile = StageProfile {
-            wall: t0.elapsed().as_secs_f64(),
-            threads: 1,
-            utilization: 1.0,
-        };
-        if ranked.is_empty() {
-            return Err(CoreError::EmptyCircuit);
-        }
-
-        let worst_case_delay = worst_case_critical_delay(
+        let mut report = self.engine.run_characterized(
             &circuit,
+            &self.placement,
             &timing,
-            &config.tech,
-            &config.vars,
-            config.corner,
+            Some(Arc::clone(&self.store)),
+            &sup,
+            Some(&oracle),
         )?;
-        let crit_point = ranked[0].analysis.confidence_point;
-        let overestimation_pct = (worst_case_delay - crit_point) / crit_point * 100.0;
-
-        let profile = RunProfile {
-            characterize: characterize_profile,
-            labels: labels_profile,
-            enumerate: enumerate_profile,
-            analyze: analyze_profile,
-            rank: rank_profile,
-            cache: cache
-                .as_ref()
-                .zip(cache_before.as_ref())
-                .map(|(c, before)| c.stats().since(before)),
-            degraded: degraded.len(),
-            retries: pool.retries,
-            panics: pool.panics,
-        };
-        let report = SstaReport {
-            circuit: circuit.name().to_string(),
-            gate_count: circuit.gate_count(),
-            det_critical_delay,
-            worst_case_delay,
-            overestimation_pct,
-            confidence: config.confidence,
-            sigma_c,
-            num_paths: ranked.len(),
-            paths: ranked,
-            label_sweeps: labels.sweeps,
-            runtime: start.elapsed().as_secs_f64(),
-            profile,
-            degraded,
-            budget_exhausted,
-            skipped_paths,
-        };
+        report.profile.characterize = characterize;
+        report.runtime = start.elapsed().as_secs_f64();
 
         let stats = IncrementalStats {
             edits_applied: script.edits.len(),
             dirty_gates,
             cone_gates,
-            reused_paths: reused.load(Ordering::Relaxed),
-            recomputed_paths: recomputed.load(Ordering::Relaxed),
+            reused_paths: reused.into_inner(),
+            recomputed_paths: recomputed.into_inner(),
         };
 
         // Re-base so the next script edits the edited circuit.
         self.circuit = circuit;
         self.timing = timing;
-        self.graph = graph;
-        self.models = models;
-        self.analyses = harvest(&report);
         self.report = report.clone();
 
         Ok(EcoOutcome { report, stats })
     }
-}
-
-/// Retains every ranked path's analysis, keyed by gate sequence — but
-/// only from a clean run; a degraded/partial run seeds nothing (reusing
-/// around quarantined paths would need provenance the report lacks).
-fn harvest(report: &SstaReport) -> HashMap<Vec<GateId>, PathAnalysis> {
-    if !report.degraded.is_empty() || report.budget_exhausted.is_some() || report.skipped_paths > 0
-    {
-        return HashMap::new();
-    }
-    report
-        .paths
-        .iter()
-        .map(|p| (p.analysis.gates.clone(), p.analysis.clone()))
-        .collect()
-}
-
-/// Recomputes the arrival models of the cone nodes in level order,
-/// carrying over every other node's model unchanged.
-fn refresh_models(
-    base: &[ArrivalModel],
-    graph: &TimingGraph,
-    cone: &[bool],
-    timing: &CircuitTiming,
-    placement: &Placement,
-    config: &crate::engine::SstaConfig,
-) -> Result<Vec<ArrivalModel>> {
-    let mut models = base.to_vec();
-    for level in graph.levels() {
-        for &g in level {
-            if !cone[g.index()] {
-                continue;
-            }
-            let node = graph.node(g);
-            let mut best = 0.0f64;
-            let mut best_pred = None;
-            for &src in &node.fanin {
-                let a = models[src.index()].arrival;
-                if a > best {
-                    best = a;
-                    best_pred = Some(src);
-                }
-            }
-            // Back-walk the worst path (possibly through clean nodes,
-            // whose back-pointers are already current).
-            let mut path = vec![g];
-            let mut at = best_pred;
-            while let Some(p) = at {
-                path.push(p);
-                at = models[p.index()].worst_pred;
-            }
-            path.reverse();
-            let coeffs = path_coefficients(&path, timing, placement, &config.layers);
-            models[g.index()] = ArrivalModel {
-                arrival: best + timing.gate(g).nominal,
-                ab: timing.path_alpha_beta(&path),
-                var_intra: intra_variance(&coeffs, &config.layers, &config.vars)?,
-                worst_pred: best_pred,
-            };
-        }
-    }
-    Ok(models)
 }
 
 #[cfg(test)]
@@ -1021,34 +731,32 @@ rmwire g5 0
     }
 
     #[test]
-    fn refreshed_models_match_full_rebuild() {
+    fn budgeted_applies_match_fresh_budgeted_runs() {
+        use crate::supervise::{BudgetKind, RunBudget};
         let (circuit, placement) = c432();
-        let engine = SstaEngine::new(eco_config());
-        let mut inc = IncrementalEngine::new(engine, circuit, placement).expect("base");
-        let name = inc.circuit().gates()[40].name.clone();
-        let script = EcoScript::parse(&format!("resize {name} 2.0\n")).expect("script");
-        inc.apply(&script).expect("apply");
-        let config = eco_config();
-        let timing = characterize_placed(inc.circuit(), &config.tech, inc.placement())
-            .expect("characterize");
-        let full = inc
-            .graph()
-            .arrival_models(&timing, inc.placement(), &config.layers, &config.vars)
-            .expect("models");
-        assert_eq!(inc.models(), full.as_slice());
-    }
-
-    #[test]
-    fn budgeted_config_rejected() {
-        let (circuit, placement) = c432();
-        let config = eco_config().with_budget(crate::supervise::RunBudget {
-            max_wall_secs: None,
-            max_paths: Some(3),
-            max_mc_samples: None,
-        });
-        match IncrementalEngine::new(SstaEngine::new(config), circuit, placement) {
-            Err(err) => assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err}"),
-            Ok(_) => panic!("budgeted config accepted"),
+        let engine = SstaEngine::new(SstaConfig::date05().with_confidence(0.5).with_budget(
+            RunBudget {
+                max_paths: Some(3),
+                ..RunBudget::none()
+            },
+        ));
+        let mut inc = IncrementalEngine::new(engine.clone(), circuit.clone(), placement.clone())
+            .expect("budgeted base");
+        let mut edited = circuit;
+        for gate in [40, 41] {
+            let name = edited.gates()[gate].name.clone();
+            let script = EcoScript::parse(&format!("resize {name} 2.0\n")).expect("script");
+            let outcome = inc.apply(&script).expect("budgeted apply");
+            apply_edits(&mut edited, &script).expect("edit");
+            let fresh = engine.run(&edited, &placement).expect("fresh budgeted run");
+            assert_eq!(
+                deterministic_report(&outcome.report, usize::MAX),
+                deterministic_report(&fresh, usize::MAX)
+            );
+            assert_eq!(outcome.report.budget_exhausted, Some(BudgetKind::Paths));
+            assert_eq!(outcome.report.skipped_paths, 7);
+            // A partial report seeds no reuse.
+            assert_eq!(outcome.stats.reused_paths, 0);
         }
     }
 

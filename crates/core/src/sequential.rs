@@ -49,7 +49,7 @@ use crate::error::ErrorClass;
 use crate::graph::TimingGraph;
 use crate::inter;
 use crate::intra::{intra_pdf, intra_variance, path_coefficients};
-use crate::supervise::{supervised_map, BudgetKind, ItemOutcome, Supervisor};
+use crate::supervise::{fan_out, BudgetKind, KernelResult, Supervisor};
 use crate::{CoreError, Result};
 use statim_netlist::{Circuit, GateId, Placement, Signal};
 use statim_process::deriv::delay_gradient;
@@ -288,6 +288,14 @@ impl SequentialCheck {
             CheckKind::Setup => self.x_pdf.cdf(period - self.margin),
             CheckKind::Hold => 1.0 - self.x_pdf.cdf(self.margin),
         }
+    }
+}
+
+impl KernelResult for SequentialCheck {
+    const NOUN: &'static str = "check";
+    const NON_FINITE: &'static str = "non-finite kernel result (slack moments or PDF cells)";
+    fn is_finite(&self) -> bool {
+        self.kernel_is_finite()
     }
 }
 
@@ -667,63 +675,31 @@ impl SequentialEngine {
             AnalysisCache::with_store(store, &cfg.tech, &settings)
         });
         let threads = crate::parallel::effective_threads(cfg.threads);
-        let check_cap = sup.budget().max_paths.map(|m| (m, BudgetKind::Paths));
         let derates = self.config.derates;
-        let pool = supervised_map(&specs, threads, sup, check_cap, |_, s| {
-            analyze_check(
-                s,
-                &tree,
-                period,
-                derates,
-                &cfg.tech,
-                &settings,
-                cache.as_ref(),
-            )
-        });
-
-        let budget_exhausted = pool.exhausted;
-        let mut checks: Vec<SequentialCheck> = Vec::with_capacity(pool.outcomes.len());
-        let mut degraded: Vec<DegradedCheck> = Vec::new();
-        let mut skipped_checks = 0usize;
-        for (i, outcome) in pool.outcomes.into_iter().enumerate() {
-            match outcome {
-                ItemOutcome::Done(Ok(c)) if c.kernel_is_finite() => checks.push(c),
-                ItemOutcome::Done(Ok(_)) => degraded.push(DegradedCheck {
-                    index: i,
-                    kind: specs[i].kind,
-                    capture: specs[i].capture,
-                    class: ErrorClass::Numeric,
-                    reason: "non-finite kernel result (slack moments or PDF cells)".into(),
-                }),
-                ItemOutcome::Done(Err(e)) => degraded.push(DegradedCheck {
-                    index: i,
-                    kind: specs[i].kind,
-                    capture: specs[i].capture,
-                    class: e.classify(),
-                    reason: e.to_string(),
-                }),
-                ItemOutcome::Panicked { reason } => degraded.push(DegradedCheck {
-                    index: i,
-                    kind: specs[i].kind,
-                    capture: specs[i].capture,
-                    class: ErrorClass::Numeric,
-                    reason: format!("panic in check analysis: {reason}"),
-                }),
-                ItemOutcome::Skipped => skipped_checks += 1,
-            }
-        }
-        if checks.is_empty() {
-            if let Some(kind) = budget_exhausted {
-                return Err(CoreError::BudgetExhausted {
-                    budget: kind.to_string(),
-                });
-            }
-            if !degraded.is_empty() {
-                return Err(CoreError::AllPathsDegraded {
-                    total: degraded.len(),
-                });
-            }
-        }
+        let pool = fan_out(
+            &specs,
+            threads,
+            sup,
+            |_, s| {
+                analyze_check(
+                    s,
+                    &tree,
+                    period,
+                    derates,
+                    &cfg.tech,
+                    &settings,
+                    cache.as_ref(),
+                )
+            },
+            |index, s, class, reason| DegradedCheck {
+                index,
+                kind: s.kind,
+                capture: s.capture,
+                class,
+                reason,
+            },
+        )?;
+        let checks = pool.survivors;
 
         let setup_yield = setup_yield_at(&checks, period);
         let hold = hold_yield(&checks);
@@ -746,9 +722,9 @@ impl SequentialEngine {
             target_yield: self.config.target_yield,
             min_period,
             curve,
-            degraded,
-            budget_exhausted,
-            skipped_checks,
+            degraded: pool.degraded,
+            budget_exhausted: pool.exhausted,
+            skipped_checks: pool.skipped,
             runtime: start.elapsed().as_secs_f64(),
         })
     }

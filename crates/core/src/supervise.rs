@@ -42,7 +42,7 @@
 //! [`SstaReport::degraded`]: crate::engine::SstaReport::degraded
 
 use crate::parallel;
-use crate::{CoreError, Result};
+use crate::{CoreError, ErrorClass, Result};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -391,6 +391,109 @@ where
     }
 }
 
+/// A per-item kernel result that [`fan_out`] can quarantine.
+pub(crate) trait KernelResult {
+    /// The item noun in panic reasons (`panic in <noun> analysis: …`).
+    const NOUN: &'static str;
+    /// The quarantine reason for a result that is not finite.
+    const NON_FINITE: &'static str;
+    /// Whether every kernel value is finite.
+    fn is_finite(&self) -> bool;
+}
+
+/// What a [`fan_out`] stage leaves after quarantine.
+pub(crate) struct FanOut<U, D> {
+    /// Finite results, in input order.
+    pub survivors: Vec<U>,
+    /// Quarantined items, in input order.
+    pub degraded: Vec<D>,
+    /// Items a tripped budget skipped (counted, not quarantined: nothing
+    /// is wrong with them).
+    pub skipped: usize,
+    /// The budget that cut the stage short, if any.
+    pub exhausted: Option<BudgetKind>,
+    /// Total worker busy time, seconds.
+    pub busy: f64,
+    /// Workers actually spawned.
+    pub threads: usize,
+    /// Panic-retries performed.
+    pub retries: u64,
+    /// Panics caught (retried or quarantined).
+    pub panics: u64,
+}
+
+/// The per-item analysis stage of every flow: maps `f` over `items`
+/// under [`supervised_map`], capped at the budget's `max_paths`, and
+/// quarantines instead of failing. An item that returns `Err`, a
+/// non-finite result, or panics past its retries becomes
+/// `degrade(index, item, class, reason)`, in input order, so the split
+/// is bit-identical for any thread count.
+///
+/// # Errors
+///
+/// When nothing survives: [`CoreError::BudgetExhausted`] if a budget
+/// tripped (an empty report must not look like a healthy one), else
+/// [`CoreError::AllPathsDegraded`] if anything was quarantined. With no
+/// items at all the stage succeeds empty.
+pub(crate) fn fan_out<T, U, D>(
+    items: &[T],
+    threads: usize,
+    sup: &Supervisor,
+    f: impl Fn(usize, &T) -> Result<U> + Sync,
+    degrade: impl Fn(usize, &T, ErrorClass, String) -> D,
+) -> Result<FanOut<U, D>>
+where
+    T: Sync,
+    U: KernelResult + Send,
+{
+    let cap = sup.budget.max_paths.map(|m| (m, BudgetKind::Paths));
+    let pool = supervised_map(items, threads, sup, cap, f);
+    let mut survivors = Vec::with_capacity(pool.outcomes.len());
+    let mut degraded = Vec::new();
+    let mut skipped = 0usize;
+    for (i, outcome) in pool.outcomes.into_iter().enumerate() {
+        let (class, reason) = match outcome {
+            ItemOutcome::Done(Ok(u)) if u.is_finite() => {
+                survivors.push(u);
+                continue;
+            }
+            ItemOutcome::Done(Ok(_)) => (ErrorClass::Numeric, U::NON_FINITE.to_string()),
+            ItemOutcome::Done(Err(e)) => (e.classify(), e.to_string()),
+            ItemOutcome::Panicked { reason } => (
+                ErrorClass::Numeric,
+                format!("panic in {} analysis: {reason}", U::NOUN),
+            ),
+            ItemOutcome::Skipped => {
+                skipped += 1;
+                continue;
+            }
+        };
+        degraded.push(degrade(i, &items[i], class, reason));
+    }
+    if survivors.is_empty() {
+        if let Some(kind) = pool.exhausted {
+            return Err(CoreError::BudgetExhausted {
+                budget: kind.to_string(),
+            });
+        }
+        if !degraded.is_empty() {
+            return Err(CoreError::AllPathsDegraded {
+                total: degraded.len(),
+            });
+        }
+    }
+    Ok(FanOut {
+        survivors,
+        degraded,
+        skipped,
+        exhausted: pool.exhausted,
+        busy: pool.busy,
+        threads: pool.threads,
+        retries: pool.retries,
+        panics: pool.panics,
+    })
+}
+
 // ---------------------------------------------------------------------
 // Monte-Carlo checkpoint format
 // ---------------------------------------------------------------------
@@ -679,6 +782,7 @@ impl McCheckpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::marker::PhantomData;
 
     #[test]
     fn token_first_trip_wins() {
@@ -780,6 +884,112 @@ mod tests {
         let run = supervised_map(&items, 4, &sup, None, |_, &x| x);
         assert_eq!(run.exhausted, Some(BudgetKind::Wall));
         assert_eq!(run.done_count(), 0);
+    }
+
+    /// A stand-in result borrowing `K`'s reason vocabulary.
+    struct Probe<K>(f64, PhantomData<K>);
+
+    impl<K: KernelResult> KernelResult for Probe<K> {
+        const NOUN: &'static str = K::NOUN;
+        const NON_FINITE: &'static str = K::NON_FINITE;
+        fn is_finite(&self) -> bool {
+            self.0.is_finite()
+        }
+    }
+
+    #[test]
+    fn fan_out_splits_survivors_degraded_and_skipped() {
+        use crate::analyze::PathAnalysis;
+        use crate::sequential::SequentialCheck;
+        // Of items 10..18, index 1 errs, index 2 goes non-finite, index
+        // 4 panics on every attempt, and the cap skips indices 6 and 7.
+        fn check<K: KernelResult + Send>(noun: &str, non_finite: &str) {
+            let items: Vec<usize> = (10..18).collect();
+            let budget = RunBudget {
+                max_paths: Some(6),
+                ..RunBudget::none()
+            };
+            for threads in [1, 3] {
+                let sup = Supervisor::new(budget, 1);
+                let out = fan_out(
+                    &items,
+                    threads,
+                    &sup,
+                    |i, &x| match i {
+                        1 => Err(CoreError::InvalidConfig {
+                            message: "bad item".into(),
+                        }),
+                        2 => Ok(Probe::<K>(f64::NAN, PhantomData)),
+                        4 => panic!("boom"),
+                        _ => Ok(Probe(x as f64, PhantomData)),
+                    },
+                    |index, &item, class, reason| (index, item, class, reason),
+                )
+                .expect("survivors");
+                let values: Vec<f64> = out.survivors.iter().map(|p| p.0).collect();
+                assert_eq!(values, [10.0, 13.0, 15.0], "input order");
+                assert_eq!(
+                    out.degraded,
+                    [
+                        (1, 11, ErrorClass::Config, "invalid config: bad item".into()),
+                        (2, 12, ErrorClass::Numeric, non_finite.to_string()),
+                        (
+                            4,
+                            14,
+                            ErrorClass::Numeric,
+                            format!("panic in {noun} analysis: boom")
+                        ),
+                    ]
+                );
+                assert_eq!(out.skipped, 2);
+                assert_eq!(out.exhausted, Some(BudgetKind::Paths));
+                assert_eq!((out.retries, out.panics), (1, 2));
+            }
+        }
+        check::<PathAnalysis>(
+            "path",
+            "non-finite kernel result (mean, σ or confidence point)",
+        );
+        check::<SequentialCheck>(
+            "check",
+            "non-finite kernel result (slack moments or PDF cells)",
+        );
+    }
+
+    #[test]
+    fn fan_out_types_an_empty_survivor_set() {
+        use crate::analyze::PathAnalysis;
+        let run = |cap: Option<usize>, items: &[usize]| {
+            let budget = RunBudget {
+                max_paths: cap,
+                ..RunBudget::none()
+            };
+            let sup = Supervisor::new(budget, 0);
+            fan_out(
+                items,
+                2,
+                &sup,
+                |_, &x| match x {
+                    0 => Err(CoreError::EmptyCircuit),
+                    _ => Ok(Probe::<PathAnalysis>(f64::INFINITY, PhantomData)),
+                },
+                |index, _, _, _| index,
+            )
+        };
+        // Everything quarantined, no budget.
+        assert!(matches!(
+            run(None, &[0, 1, 2]),
+            Err(CoreError::AllPathsDegraded { total: 3 })
+        ));
+        // The first item is quarantined and the cap skips the rest: the
+        // tripped budget is reported ahead of the quarantine.
+        assert!(matches!(
+            run(Some(1), &[0, 1, 2]),
+            Err(CoreError::BudgetExhausted { ref budget }) if budget == "paths"
+        ));
+        // No items at all is an empty success, not an error.
+        let empty = run(None, &[]).expect("no items");
+        assert!(empty.survivors.is_empty() && empty.degraded.is_empty());
     }
 
     #[test]

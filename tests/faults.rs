@@ -9,7 +9,8 @@
 #![cfg(feature = "fault-injection")]
 
 use statim::core::engine::{SstaConfig, SstaEngine, SstaReport};
-use statim::core::{CoreError, ErrorClass, FaultPlan};
+use statim::core::report::deterministic_report;
+use statim::core::{apply_edits, CoreError, EcoScript, ErrorClass, FaultPlan, IncrementalEngine};
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::{bench_format, GateId, Placement, PlacementStyle};
 use std::collections::HashMap;
@@ -227,4 +228,29 @@ fn fire_counters_record_each_injection() {
     let _ = run(Benchmark::C432, 1, Some(Arc::clone(&p))).expect("degraded run");
     // One fault clause, fired once per targeted path.
     assert_eq!(p.fired(), vec![2]);
+}
+
+#[test]
+fn eco_applies_honour_the_fault_plan_like_a_fresh_run() {
+    let circuit = iscas85::generate(Benchmark::C432);
+    let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+    let name = &circuit.gates()[40].name;
+    let script = EcoScript::parse(&format!("resize {name} 2.0\n")).expect("script");
+    let mut edited = circuit.clone();
+    apply_edits(&mut edited, &script).expect("edit");
+    for spec in ["nan-path@1", "panic-path@1", "zero-variance@0"] {
+        let mut config = SstaConfig::date05().with_confidence(C);
+        config.faults = Some(plan(spec));
+        let engine = SstaEngine::new(config);
+        let mut inc = IncrementalEngine::new(engine.clone(), circuit.clone(), placement.clone())
+            .expect("faulted base run completes");
+        let eco = inc.apply(&script).expect("faulted apply completes");
+        let fresh = engine.run(&edited, &placement).expect("faulted fresh run");
+        assert_eq!(fresh.degraded.len(), 1, "{spec}");
+        assert_eq!(
+            deterministic_report(&eco.report, usize::MAX),
+            deterministic_report(&fresh, usize::MAX),
+            "{spec}"
+        );
+    }
 }
