@@ -17,6 +17,7 @@ use statim_core::monte_carlo::mc_circuit_distribution;
 use statim_netlist::generators::iscas85::Benchmark;
 use statim_process::{Technology, Variations};
 use statim_stats::tabulate::format_table;
+use statim_stats::Marginal;
 
 fn main() {
     let tech = Technology::cmos130();
@@ -48,9 +49,11 @@ fn main() {
             &tech,
             &vars,
             &statim_core::LayerModel::date05(),
+            Marginal::Gaussian,
             20_000,
             150,
             777,
+            0,
         )
         .expect("full-chip MC");
         let path_3s = run.report.critical().analysis.confidence_point;

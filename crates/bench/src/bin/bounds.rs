@@ -19,6 +19,7 @@ use statim_core::monte_carlo::mc_circuit_distribution;
 use statim_netlist::generators::iscas85::Benchmark;
 use statim_process::{Technology, Variations};
 use statim_stats::tabulate::format_table;
+use statim_stats::Marginal;
 
 fn main() {
     let tech = Technology::cmos130();
@@ -38,9 +39,11 @@ fn main() {
         &tech,
         &vars,
         &statim_core::LayerModel::date05(),
+        Marginal::Gaussian,
         30_000,
         200,
         55,
+        0,
     )
     .expect("MC");
     println!(

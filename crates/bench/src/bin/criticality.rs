@@ -41,6 +41,7 @@ fn main() {
             &statim_core::LayerModel::date05(),
             20_000,
             1234,
+            0,
         )
         .expect("criticality");
         println!(

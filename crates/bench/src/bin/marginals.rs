@@ -12,7 +12,7 @@
 use statim_core::analyze::{analyze_path, AnalysisSettings, IntraModel};
 use statim_core::characterize::characterize_placed;
 use statim_core::longest_path::{critical_path, topo_labels};
-use statim_core::monte_carlo::mc_path_distribution_with;
+use statim_core::monte_carlo::mc_path_distribution;
 use statim_netlist::generators::iscas85::{self, Benchmark};
 use statim_netlist::{Placement, PlacementStyle};
 use statim_process::Technology;
@@ -41,7 +41,7 @@ fn main() {
         settings.marginal = marginal;
         settings.intra_model = IntraModel::Numerical;
         let a = analyze_path(&path, &timing, &placement, &tech, &settings).expect("analyze");
-        let mc = mc_path_distribution_with(
+        let mc = mc_path_distribution(
             &path,
             &timing,
             &placement,
@@ -52,6 +52,7 @@ fn main() {
             40_000,
             150,
             31,
+            0,
         )
         .expect("MC");
         let err = (a.confidence_point - mc.sigma_point(3.0)) / mc.sigma_point(3.0) * 100.0;

@@ -12,7 +12,7 @@ use statim_bench::runner::threads_from_args;
 use statim_core::analyze::{analyze_path, AnalysisSettings};
 use statim_core::characterize::characterize_placed;
 use statim_core::longest_path::{critical_path, topo_labels};
-use statim_core::monte_carlo::mc_path_distribution_threaded;
+use statim_core::monte_carlo::mc_path_distribution;
 use statim_core::parallel;
 use statim_netlist::generators::iscas85::{self, Benchmark};
 use statim_netlist::{Placement, PlacementStyle};
@@ -41,7 +41,7 @@ fn main() {
         let labels = topo_labels(&circuit, &timing).expect("labels");
         let path = critical_path(&circuit, &timing, &labels).expect("critical path");
         let analytic = analyze_path(&path, &timing, &placement, &tech, &settings).expect("analyze");
-        let mc = mc_path_distribution_threaded(
+        let mc = mc_path_distribution(
             &path,
             &timing,
             &placement,

@@ -356,15 +356,21 @@ fn monte_carlo(a: AnalyzeArgs, samples: usize) -> DynResult {
     engine_args.max_mc_samples = None;
     engine_args.checkpoint = None;
     engine_args.resume = None;
-    let (circuit, placement, report) = run_engine(&engine_args)?;
-    let tech = Technology::cmos130();
-    let timing = characterize_placed(&circuit, &tech, &placement)?;
+    // The sampler sees the analysis configuration itself, so the two
+    // columns always compare the same technology, split and marginal.
+    let (circuit, placement, config) = build_setup(&engine_args)?;
+    let engine = SstaEngine::new(config);
+    let report = engine.run(&circuit, &placement)?;
+    let SstaConfig {
+        tech,
+        vars,
+        layers,
+        marginal,
+        ..
+    } = engine.config();
+    let timing = characterize_placed(&circuit, tech, &placement)?;
     let crit = &report.critical().analysis;
-
-    let vars = statim_process::Variations::date05();
-    let layers = LayerModel::date05();
-    let marginal = statim_stats::Marginal::Gaussian;
-    let fingerprint = mc_fingerprint(&crit.gates, &vars, &layers, marginal, MC_QUALITY)?;
+    let fingerprint = mc_fingerprint(&crit.gates, vars, layers, *marginal, MC_QUALITY)?;
 
     let budget = RunBudget {
         max_wall_secs: a.max_wall_secs,
@@ -415,10 +421,10 @@ fn monte_carlo(a: AnalyzeArgs, samples: usize) -> DynResult {
         &crit.gates,
         &timing,
         &placement,
-        &tech,
-        &vars,
-        &layers,
-        marginal,
+        tech,
+        vars,
+        layers,
+        *marginal,
         samples,
         MC_QUALITY,
         MC_SEED,

@@ -214,3 +214,49 @@ fn mc_command_reports_errors() {
     assert!(text.contains("monte-carlo"));
     assert!(text.contains("3σ point"));
 }
+
+#[test]
+fn mc_samples_the_analysis_configuration() {
+    // With all variance inter-die, the Monte-Carlo column must sample
+    // that split too: its σ then agrees with the analytic σ, instead of
+    // matching a default-split run.
+    let out = statim()
+        .args([
+            "mc",
+            "--benchmark",
+            "c432",
+            "--samples",
+            "8192",
+            "--inter-share",
+            "1.0",
+        ])
+        .output()
+        .expect("run mc");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let row = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("sigma"))
+        .expect("sigma row");
+    let error: f64 = row
+        .split_whitespace()
+        .last()
+        .and_then(|e| e.trim_end_matches('%').parse().ok())
+        .expect("sigma error column");
+    assert!(error.abs() < 10.0, "{row}");
+}
+
+#[test]
+fn mc_zero_samples_is_a_config_error() {
+    let out = statim()
+        .args(["mc", "--benchmark", "c432", "--samples", "0"])
+        .output()
+        .expect("run mc");
+    assert_eq!(out.status.code(), Some(3), "{:?}", out);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("sample count, got 0"), "{err}");
+}

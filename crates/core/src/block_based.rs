@@ -161,6 +161,7 @@ mod tests {
     use statim_netlist::generators::iscas85::{self, Benchmark};
     use statim_netlist::{Placement, PlacementStyle};
     use statim_process::{GateKind, Technology, Variations};
+    use statim_stats::Marginal;
 
     #[test]
     fn chain_matches_independent_sum() {
@@ -207,9 +208,11 @@ mod tests {
             &tech,
             &vars,
             &LayerModel::date05(),
+            Marginal::Gaussian,
             10_000,
             100,
             9,
+            0,
         )
         .unwrap();
         assert!(

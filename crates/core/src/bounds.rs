@@ -100,6 +100,7 @@ mod tests {
     use statim_netlist::generators::iscas85::{self, Benchmark};
     use statim_netlist::{Placement, PlacementStyle};
     use statim_process::{Technology, Variations};
+    use statim_stats::Marginal;
 
     fn analyzed_paths(
         bench: Benchmark,
@@ -169,9 +170,11 @@ mod tests {
             &tech,
             &vars,
             &crate::correlation::LayerModel::date05(),
+            Marginal::Gaussian,
             20_000,
             150,
             77,
+            0,
         )
         .unwrap();
         // Compare CDFs at several epochs around the mean. Note the MC max

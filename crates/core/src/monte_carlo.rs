@@ -7,6 +7,11 @@
 //! *exactly* (eq. (8) — the full non-linear expression at that gate's own
 //! parameter values), and histogram the resulting path delays.
 //!
+//! One sampler serves every estimator. It draws the layer RVs of a
+//! sample and evaluates the exact delay of each gate on its list: a path
+//! in path order for the path estimators, every gate in id order for
+//! the full-chip and criticality estimators.
+//!
 //! # Parallelism and seeding
 //!
 //! The sample budget is split into fixed-size chunks of
@@ -14,8 +19,8 @@
 //! `StdRng` seeded with `seed + i` ([`crate::parallel::chunk_seed`]) and
 //! chunk results are concatenated in chunk order, so every estimate is
 //! **bit-identical for any thread count** — parallelism only changes
-//! wall time. The `*_threaded` variants take an explicit worker count
-//! (0 ⇒ all cores); the plain variants use every available core.
+//! wall time. Every estimator takes its worker count as `threads`
+//! (0 ⇒ every available core).
 
 #![warn(clippy::unwrap_used)]
 
@@ -24,12 +29,12 @@ use crate::correlation::LayerModel;
 use crate::supervise::{
     fnv1a64, supervised_map, BudgetKind, ItemOutcome, McCheckpoint, McCheckpointer, Supervisor,
 };
-use crate::Result;
+use crate::{CoreError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use statim_netlist::{GateId, Placement};
+use statim_netlist::{Circuit, GateId, Placement, Signal};
 use statim_process::param::{PerParam, Variations};
-use statim_process::tech::OperatingPoint;
+use statim_process::tech::{AlphaBeta, OperatingPoint};
 use statim_process::{gate_delay, Technology};
 use statim_stats::{Grid, Marginal, Pdf};
 use std::collections::HashMap;
@@ -64,66 +69,10 @@ impl McResult {
 ///
 /// # Errors
 ///
-/// Propagates configuration errors (invalid layer weights, empty sample
+/// Propagates configuration errors (invalid layer weights, a zero sample
 /// count or histogram construction).
 #[allow(clippy::too_many_arguments)]
 pub fn mc_path_distribution(
-    path: &[GateId],
-    timing: &CircuitTiming,
-    placement: &Placement,
-    tech: &Technology,
-    vars: &Variations,
-    layers: &LayerModel,
-    samples: usize,
-    quality: usize,
-    seed: u64,
-) -> Result<McResult> {
-    mc_path_distribution_with(
-        path,
-        timing,
-        placement,
-        tech,
-        vars,
-        layers,
-        Marginal::Gaussian,
-        samples,
-        quality,
-        seed,
-    )
-}
-
-/// [`mc_path_distribution`] with an explicit input [`Marginal`] shape.
-///
-/// # Errors
-///
-/// Same as [`mc_path_distribution`].
-#[allow(clippy::too_many_arguments)]
-pub fn mc_path_distribution_with(
-    path: &[GateId],
-    timing: &CircuitTiming,
-    placement: &Placement,
-    tech: &Technology,
-    vars: &Variations,
-    layers: &LayerModel,
-    marginal: Marginal,
-    samples: usize,
-    quality: usize,
-    seed: u64,
-) -> Result<McResult> {
-    mc_path_distribution_threaded(
-        path, timing, placement, tech, vars, layers, marginal, samples, quality, seed, 0,
-    )
-}
-
-/// [`mc_path_distribution_with`] on an explicit number of worker threads
-/// (0 ⇒ every available core). The result is bit-identical for any
-/// `threads` value — see the module docs on chunked seeding.
-///
-/// # Errors
-///
-/// Same as [`mc_path_distribution`].
-#[allow(clippy::too_many_arguments)]
-pub fn mc_path_distribution_threaded(
     path: &[GateId],
     timing: &CircuitTiming,
     placement: &Placement,
@@ -136,124 +85,162 @@ pub fn mc_path_distribution_threaded(
     seed: u64,
     threads: usize,
 ) -> Result<McResult> {
-    let sampler = PathSampler::new(path, timing, placement, tech, vars, layers, marginal)?;
-    let chunks = crate::parallel::mc_chunks(samples);
-    let workers = crate::parallel::effective_threads(Some(threads));
-    let runs = crate::parallel::parallel_map(&chunks, workers, |_, &(ci, n)| {
-        sampler.sample_chunk(seed, ci, n)
-    });
-    let delays: Vec<f64> = runs.into_iter().flatten().collect();
+    let gates = path.iter().copied();
+    let sampler = GateSampler::new(gates, timing, placement, tech, vars, layers, marginal)?;
+    let delays = sampler.sample_all(samples, seed, threads, path_delay)?;
     summarize(delays, quality)
 }
 
-/// Per-sample drawing of every layer RV along one path, evaluating each
-/// gate's exact delay — the state shared by the plain and supervised
-/// path drivers. A chunk is a pure function of `(seed, chunk_index)`
-/// through [`PathSampler::sample_chunk`], which is what makes retries
-/// and resumes bit-identical.
-struct PathSampler<'a> {
-    path: &'a [GateId],
-    timing: &'a CircuitTiming,
-    tech: &'a Technology,
-    vars: &'a Variations,
-    layers: &'a LayerModel,
-    weights: Vec<f64>,
-    /// Per path gate, per intra spatial layer (1..L): partition index.
-    gate_partitions: Vec<Vec<usize>>,
-    marginal: Marginal,
+/// A path's delay: its gate delays summed in path order.
+fn path_delay(delays: &mut [f64]) -> f64 {
+    delays.iter().fold(0.0, |total, d| total + d)
 }
 
-impl<'a> PathSampler<'a> {
+/// The chunk grid of a `samples`-sample run. An empty run is a
+/// configuration error: it has nothing to summarize.
+fn chunk_grid(samples: usize) -> Result<Vec<(u64, usize)>> {
+    if samples == 0 {
+        return Err(CoreError::InvalidConfig {
+            message: format!("Monte-Carlo needs a positive sample count, got {samples}"),
+        });
+    }
+    Ok(crate::parallel::mc_chunks(samples))
+}
+
+/// Per-sample drawing of every layer RV, evaluating the exact delay of
+/// each gate on a list — a path in path order, or every gate in id
+/// order. A chunk is a pure function of `(seed, chunk_index)` through
+/// [`GateSampler::sample_chunk`], which is what makes retries and
+/// resumes bit-identical.
+struct GateSampler<'a> {
+    tech: &'a Technology,
+    vars: &'a Variations,
+    marginal: Marginal,
+    weights: Vec<f64>,
+    /// The random layer's weight slot, when the model has one.
+    random_slot: Option<usize>,
+    /// Per listed gate: its α/β coefficients and its partition index in
+    /// each intra spatial layer (1..L).
+    gates: Vec<(AlphaBeta, Vec<usize>)>,
+}
+
+impl<'a> GateSampler<'a> {
     fn new(
-        path: &'a [GateId],
-        timing: &'a CircuitTiming,
+        gates: impl IntoIterator<Item = GateId>,
+        timing: &CircuitTiming,
         placement: &Placement,
         tech: &'a Technology,
         vars: &'a Variations,
-        layers: &'a LayerModel,
+        layers: &LayerModel,
         marginal: Marginal,
     ) -> Result<Self> {
         let weights = layers.weights()?;
-        // Per-gate partition index for each intra spatial layer (1..L).
-        let gate_partitions = path
-            .iter()
-            .map(|&g| {
+        let gates = gates
+            .into_iter()
+            .map(|g| {
                 let xy = placement.normalized(g);
-                (1..layers.spatial_layers)
+                let partitions = (1..layers.spatial_layers)
                     .map(|l| layers.partition_of(l, xy))
-                    .collect()
+                    .collect();
+                (timing.gate(g).ab, partitions)
             })
             .collect();
-        Ok(PathSampler {
-            path,
-            timing,
+        Ok(GateSampler {
             tech,
             vars,
-            layers,
-            weights,
-            gate_partitions,
             marginal,
+            weights,
+            random_slot: layers.random_slot(),
+            gates,
         })
     }
 
-    /// Draws one exact path-delay sample.
-    fn sample_once(
+    /// One draw of the marginal around `mean`, or `mean` itself when
+    /// the layer carries no variance.
+    fn draw(&self, rng: &mut StdRng, mean: f64, sigma: f64) -> f64 {
+        if sigma > 0.0 {
+            self.marginal.sample(rng, mean, sigma, self.vars.trunc_k)
+        } else {
+            mean
+        }
+    }
+
+    /// Draws one sample into `delays`, the exact delay of each listed
+    /// gate in list order. The draws come in a fixed order: one
+    /// inter-die value per parameter; then, per gate and parameter, one
+    /// value per spatial layer, drawn the first time its partition is
+    /// met and shared through `draws`; then one random-layer value.
+    fn sample(
         &self,
         rng: &mut StdRng,
         draws: &mut HashMap<(usize, usize, usize), f64>,
-    ) -> f64 {
-        let trunc = self.vars.trunc_k;
+        delays: &mut Vec<f64>,
+    ) {
         // Layer 0: the shared inter-die operating point.
         let inter = PerParam::from_fn(|p| {
             let sigma = self.vars.sigma.get(p) * self.weights[0].sqrt();
-            if sigma > 0.0 {
-                self.marginal
-                    .sample(rng, self.tech.nominal(p), sigma, trunc)
-            } else {
-                self.tech.nominal(p)
-            }
+            self.draw(rng, self.tech.nominal(p), sigma)
         });
         draws.clear();
-        let mut total = 0.0;
-        for (gi, &g) in self.path.iter().enumerate() {
+        delays.clear();
+        for (ab, partitions) in &self.gates {
             let values = PerParam::from_fn(|p| {
                 let sigma_total = self.vars.sigma.get(p);
                 let mut v = inter.get(p);
-                for (li, &part) in self.gate_partitions[gi].iter().enumerate() {
+                for (li, &part) in partitions.iter().enumerate() {
                     let layer = li + 1;
                     let sigma = sigma_total * self.weights[layer].sqrt();
-                    v += *draws.entry((p.index(), layer, part)).or_insert_with(|| {
-                        if sigma > 0.0 {
-                            self.marginal.sample(rng, 0.0, sigma, trunc)
-                        } else {
-                            0.0
-                        }
-                    });
+                    v += *draws
+                        .entry((p.index(), layer, part))
+                        .or_insert_with(|| self.draw(rng, 0.0, sigma));
                 }
-                if let Some(slot) = self.layers.random_slot() {
-                    let sigma = sigma_total * self.weights[slot].sqrt();
-                    if sigma > 0.0 {
-                        v += self.marginal.sample(rng, 0.0, sigma, trunc);
-                    }
+                if let Some(slot) = self.random_slot {
+                    v += self.draw(rng, 0.0, sigma_total * self.weights[slot].sqrt());
                 }
                 v
             });
-            let pt = OperatingPoint { values };
-            total += gate_delay(self.tech, &self.timing.gate(g).ab, &pt);
+            delays.push(gate_delay(self.tech, ab, &OperatingPoint { values }));
         }
-        total
     }
 
-    /// Draws one whole chunk from scratch: a fresh `StdRng` seeded with
-    /// `chunk_seed(seed, ci)` and fresh shared-draw state. Calling this
-    /// twice for the same `(seed, ci, n)` returns bit-identical samples
-    /// — the retry/resume determinism anchor.
-    fn sample_chunk(&self, seed: u64, ci: u64, n: usize) -> Vec<f64> {
+    /// Draws chunk `ci` of `n` samples from scratch — a fresh `StdRng`
+    /// seeded with `chunk_seed(seed, ci)` and fresh shared-draw state —
+    /// and maps each sample's gate delays through `f`. The same
+    /// arguments always return the same bits: the retry/resume
+    /// determinism anchor.
+    fn sample_chunk<U>(
+        &self,
+        seed: u64,
+        ci: u64,
+        n: usize,
+        mut f: impl FnMut(&mut [f64]) -> U,
+    ) -> Vec<U> {
         let mut rng = StdRng::seed_from_u64(crate::parallel::chunk_seed(seed, ci));
-        let mut draws: HashMap<(usize, usize, usize), f64> = HashMap::new();
+        let mut draws = HashMap::new();
+        let mut delays = Vec::with_capacity(self.gates.len());
         (0..n)
-            .map(|_| self.sample_once(&mut rng, &mut draws))
+            .map(|_| {
+                self.sample(&mut rng, &mut draws, &mut delays);
+                f(&mut delays)
+            })
             .collect()
+    }
+
+    /// Every chunk of a `samples`-sample run on `threads` workers, each
+    /// sample mapped through `f`, concatenated in chunk order.
+    fn sample_all<U: Send>(
+        &self,
+        samples: usize,
+        seed: u64,
+        threads: usize,
+        f: impl Fn(&mut [f64]) -> U + Sync,
+    ) -> Result<Vec<U>> {
+        let chunks = chunk_grid(samples)?;
+        let workers = crate::parallel::effective_threads(Some(threads));
+        let runs = crate::parallel::parallel_map(&chunks, workers, |_, &(ci, n)| {
+            self.sample_chunk(seed, ci, n, &f)
+        });
+        Ok(runs.into_iter().flatten().collect())
     }
 }
 
@@ -365,7 +352,7 @@ pub struct McOutcome {
     pub chunks_resumed: usize,
 }
 
-/// [`mc_path_distribution_threaded`] under supervision: panic-isolated
+/// [`mc_path_distribution`] under supervision: panic-isolated
 /// chunks with bounded deterministic retry, budget checks at every chunk
 /// boundary, periodic checkpointing and bit-identical resume.
 ///
@@ -376,9 +363,9 @@ pub struct McOutcome {
 ///
 /// # Errors
 ///
-/// Propagates configuration errors, histogram failures and
-/// [`crate::CoreError::CheckpointIo`] from a failing checkpoint writer.
-/// A tripped budget is *not* an error: it is reported in
+/// Propagates configuration errors (a zero sample count among them),
+/// histogram failures and [`crate::CoreError::CheckpointIo`] from a
+/// failing checkpoint writer. A tripped budget is *not* an error: it is reported in
 /// [`McOutcome::exhausted`] with `result: None` when nothing completed.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_path_distribution_supervised(
@@ -395,8 +382,9 @@ pub fn mc_path_distribution_supervised(
     threads: usize,
     ctx: McSupervision<'_>,
 ) -> Result<McOutcome> {
-    let sampler = PathSampler::new(path, timing, placement, tech, vars, layers, marginal)?;
-    let chunks = crate::parallel::mc_chunks(samples);
+    let gates = path.iter().copied();
+    let sampler = GateSampler::new(gates, timing, placement, tech, vars, layers, marginal)?;
+    let chunks = chunk_grid(samples)?;
     let workers = crate::parallel::effective_threads(Some(threads));
     // The sample budget is chunk-aligned (checked at chunk boundaries),
     // so the cap rounds up to whole chunks — a deterministic prefix of
@@ -421,7 +409,7 @@ pub fn mc_path_distribution_supervised(
                 panic!("{}", msg);
             }
         }
-        sampler.sample_chunk(seed, ci, n)
+        sampler.sample_chunk(seed, ci, n, path_delay)
     });
 
     let mut delays: Vec<f64> = Vec::new();
@@ -463,105 +451,6 @@ pub fn mc_path_distribution_supervised(
     })
 }
 
-/// Per-sample drawing of every layer RV for a whole circuit, evaluating
-/// each gate's exact delay. Shared by the full-chip baseline and the
-/// criticality estimator.
-struct CircuitSampler<'a> {
-    timing: &'a CircuitTiming,
-    tech: &'a Technology,
-    vars: &'a Variations,
-    weights: Vec<f64>,
-    /// Per gate, per intra spatial layer (1..L): partition index.
-    gate_partitions: Vec<Vec<usize>>,
-    /// Number of spatial layers (layer 0 = inter-die).
-    spatial_layers: usize,
-    random_layer: bool,
-    marginal: Marginal,
-}
-
-impl<'a> CircuitSampler<'a> {
-    fn new(
-        circuit: &statim_netlist::Circuit,
-        timing: &'a CircuitTiming,
-        placement: &Placement,
-        tech: &'a Technology,
-        vars: &'a Variations,
-        layers: &LayerModel,
-        marginal: Marginal,
-    ) -> Result<Self> {
-        let weights = layers.weights()?;
-        let gate_partitions = circuit
-            .gate_ids()
-            .map(|g| {
-                let xy = placement.normalized(g);
-                (1..layers.spatial_layers)
-                    .map(|l| layers.partition_of(l, xy))
-                    .collect()
-            })
-            .collect();
-        Ok(CircuitSampler {
-            timing,
-            tech,
-            vars,
-            weights,
-            gate_partitions,
-            spatial_layers: layers.spatial_layers,
-            random_layer: layers.random_layer,
-            marginal,
-        })
-    }
-
-    /// Draws one full-circuit sample: the exact delay of every gate.
-    fn sample_gate_delays(
-        &self,
-        rng: &mut StdRng,
-        draws: &mut HashMap<(usize, usize, usize), f64>,
-    ) -> Vec<f64> {
-        let trunc = self.vars.trunc_k;
-        let inter = PerParam::from_fn(|p| {
-            let sigma = self.vars.sigma.get(p) * self.weights[0].sqrt();
-            if sigma > 0.0 {
-                self.marginal
-                    .sample(rng, self.tech.nominal(p), sigma, trunc)
-            } else {
-                self.tech.nominal(p)
-            }
-        });
-        draws.clear();
-        let random_slot = self.random_layer.then_some(self.spatial_layers);
-        self.gate_partitions
-            .iter()
-            .enumerate()
-            .map(|(gi, parts)| {
-                let values = PerParam::from_fn(|p| {
-                    let sigma_total = self.vars.sigma.get(p);
-                    let mut v = inter.get(p);
-                    for (li, &part) in parts.iter().enumerate() {
-                        let layer = li + 1;
-                        let sigma = sigma_total * self.weights[layer].sqrt();
-                        v += *draws.entry((p.index(), layer, part)).or_insert_with(|| {
-                            if sigma > 0.0 {
-                                self.marginal.sample(rng, 0.0, sigma, trunc)
-                            } else {
-                                0.0
-                            }
-                        });
-                    }
-                    if let Some(slot) = random_slot {
-                        let sigma = sigma_total * self.weights[slot].sqrt();
-                        if sigma > 0.0 {
-                            v += self.marginal.sample(rng, 0.0, sigma, trunc);
-                        }
-                    }
-                    v
-                });
-                let pt = OperatingPoint { values };
-                gate_delay(self.tech, &self.timing.gates()[gi].ab, &pt)
-            })
-            .collect()
-    }
-}
-
 /// **Full-chip Monte-Carlo baseline**: the competing analysis style the
 /// paper contrasts with. Per sample, every layer RV is drawn, every gate
 /// delay evaluated exactly, and the circuit delay obtained by propagating
@@ -575,66 +464,11 @@ impl<'a> CircuitSampler<'a> {
 ///
 /// # Errors
 ///
-/// Propagates configuration errors; returns [`crate::CoreError`] wrapping
-/// histogram failures.
+/// Propagates configuration errors (a zero sample count among them);
+/// returns [`crate::CoreError`] wrapping histogram failures.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_circuit_distribution(
-    circuit: &statim_netlist::Circuit,
-    timing: &CircuitTiming,
-    placement: &Placement,
-    tech: &Technology,
-    vars: &Variations,
-    layers: &LayerModel,
-    samples: usize,
-    quality: usize,
-    seed: u64,
-) -> Result<McResult> {
-    mc_circuit_distribution_with(
-        circuit,
-        timing,
-        placement,
-        tech,
-        vars,
-        layers,
-        Marginal::Gaussian,
-        samples,
-        quality,
-        seed,
-    )
-}
-
-/// [`mc_circuit_distribution`] with an explicit input [`Marginal`] shape.
-///
-/// # Errors
-///
-/// Same as [`mc_circuit_distribution`].
-#[allow(clippy::too_many_arguments)]
-pub fn mc_circuit_distribution_with(
-    circuit: &statim_netlist::Circuit,
-    timing: &CircuitTiming,
-    placement: &Placement,
-    tech: &Technology,
-    vars: &Variations,
-    layers: &LayerModel,
-    marginal: Marginal,
-    samples: usize,
-    quality: usize,
-    seed: u64,
-) -> Result<McResult> {
-    mc_circuit_distribution_threaded(
-        circuit, timing, placement, tech, vars, layers, marginal, samples, quality, seed, 0,
-    )
-}
-
-/// [`mc_circuit_distribution_with`] on an explicit number of worker
-/// threads (0 ⇒ every available core); bit-identical for any `threads`.
-///
-/// # Errors
-///
-/// Same as [`mc_circuit_distribution`].
-#[allow(clippy::too_many_arguments)]
-pub fn mc_circuit_distribution_threaded(
-    circuit: &statim_netlist::Circuit,
+    circuit: &Circuit,
     timing: &CircuitTiming,
     placement: &Placement,
     tech: &Technology,
@@ -646,46 +480,35 @@ pub fn mc_circuit_distribution_threaded(
     seed: u64,
     threads: usize,
 ) -> Result<McResult> {
-    let sampler = CircuitSampler::new(circuit, timing, placement, tech, vars, layers, marginal)?;
-    let n = circuit.gate_count();
-    let chunks = crate::parallel::mc_chunks(samples);
-    let workers = crate::parallel::effective_threads(Some(threads));
-    let runs = crate::parallel::parallel_map(&chunks, workers, |_, &(ci, count)| {
-        let mut rng = StdRng::seed_from_u64(crate::parallel::chunk_seed(seed, ci));
-        let mut draws = HashMap::new();
-        let mut arrival = vec![0.0f64; n];
-        (0..count)
-            .map(|_| {
-                let gate_delays = sampler.sample_gate_delays(&mut rng, &mut draws);
-                // Topological arrival propagation (gates are stored in
-                // topo order).
-                for (i, g) in circuit.gates().iter().enumerate() {
-                    let mut incoming: f64 = 0.0;
-                    for s in &g.inputs {
-                        if let statim_netlist::Signal::Gate(src) = s {
-                            incoming = incoming.max(arrival[src.index()]);
-                        }
-                    }
-                    arrival[i] = incoming + gate_delays[i];
+    let gates = circuit.gate_ids();
+    let sampler = GateSampler::new(gates, timing, placement, tech, vars, layers, marginal)?;
+    let delays = sampler.sample_all(samples, seed, threads, |arrival| {
+        // Gates are stored in topological order, so each gate delay
+        // becomes the gate's arrival time in place.
+        for (i, g) in circuit.gates().iter().enumerate() {
+            let mut incoming: f64 = 0.0;
+            for s in &g.inputs {
+                if let Signal::Gate(src) = s {
+                    incoming = incoming.max(arrival[src.index()]);
                 }
-                let mut worst: f64 = 0.0;
-                for &(_, s) in circuit.outputs() {
-                    if let statim_netlist::Signal::Gate(g) = s {
-                        worst = worst.max(arrival[g.index()]);
-                    }
-                }
-                worst
-            })
-            .collect::<Vec<f64>>()
-    });
-    let delays: Vec<f64> = runs.into_iter().flatten().collect();
+            }
+            arrival[i] += incoming;
+        }
+        let mut worst: f64 = 0.0;
+        for &(_, s) in circuit.outputs() {
+            if let Signal::Gate(g) = s {
+                worst = worst.max(arrival[g.index()]);
+            }
+        }
+        worst
+    })?;
     summarize(delays, quality)
 }
 
 /// **Path criticality**: the probability that each of `paths` is the
 /// slowest, estimated by correlated sampling — one set of layer RVs per
 /// trial, every path evaluated under it. Returns one probability per
-/// path (summing to 1).
+/// path (summing to 1). The input marginals are Gaussian.
 ///
 /// This is the natural "which path limits my clock?" question the
 /// confidence-point ranking approximates; ranking by criticality and by
@@ -693,34 +516,11 @@ pub fn mc_circuit_distribution_threaded(
 ///
 /// # Errors
 ///
-/// Propagates configuration errors. Returns an empty vector for an empty
-/// path set.
+/// Propagates configuration errors (a zero sample count among them).
+/// Returns an empty vector for an empty path set.
 #[allow(clippy::too_many_arguments)]
 pub fn mc_path_criticality(
-    circuit: &statim_netlist::Circuit,
-    paths: &[Vec<GateId>],
-    timing: &CircuitTiming,
-    placement: &Placement,
-    tech: &Technology,
-    vars: &Variations,
-    layers: &LayerModel,
-    samples: usize,
-    seed: u64,
-) -> Result<Vec<f64>> {
-    mc_path_criticality_threaded(
-        circuit, paths, timing, placement, tech, vars, layers, samples, seed, 0,
-    )
-}
-
-/// [`mc_path_criticality`] on an explicit number of worker threads
-/// (0 ⇒ every available core); bit-identical for any `threads`.
-///
-/// # Errors
-///
-/// Same as [`mc_path_criticality`].
-#[allow(clippy::too_many_arguments)]
-pub fn mc_path_criticality_threaded(
-    circuit: &statim_netlist::Circuit,
+    circuit: &Circuit,
     paths: &[Vec<GateId>],
     timing: &CircuitTiming,
     placement: &Placement,
@@ -734,43 +534,25 @@ pub fn mc_path_criticality_threaded(
     if paths.is_empty() {
         return Ok(Vec::new());
     }
-    let sampler = CircuitSampler::new(
-        circuit,
-        timing,
-        placement,
-        tech,
-        vars,
-        layers,
-        Marginal::Gaussian,
-    )?;
-    let chunks = crate::parallel::mc_chunks(samples);
-    let workers = crate::parallel::effective_threads(Some(threads));
-    let runs = crate::parallel::parallel_map(&chunks, workers, |_, &(ci, count)| {
-        let mut rng = StdRng::seed_from_u64(crate::parallel::chunk_seed(seed, ci));
-        let mut draws = HashMap::new();
-        let mut wins = vec![0usize; paths.len()];
-        for _ in 0..count {
-            let gate_delays = sampler.sample_gate_delays(&mut rng, &mut draws);
-            let mut best = f64::NEG_INFINITY;
-            let mut argmax = 0;
-            for (pi, path) in paths.iter().enumerate() {
-                let d: f64 = path.iter().map(|g| gate_delays[g.index()]).sum();
-                if d > best {
-                    best = d;
-                    argmax = pi;
-                }
+    let gates = circuit.gate_ids();
+    let marginal = Marginal::Gaussian;
+    let sampler = GateSampler::new(gates, timing, placement, tech, vars, layers, marginal)?;
+    let winners = sampler.sample_all(samples, seed, threads, |delays| {
+        let mut best = f64::NEG_INFINITY;
+        let mut argmax = 0;
+        for (pi, path) in paths.iter().enumerate() {
+            let d: f64 = path.iter().map(|g| delays[g.index()]).sum();
+            if d > best {
+                best = d;
+                argmax = pi;
             }
-            wins[argmax] += 1;
         }
-        wins
-    });
-    // Win counts are integers, so the chunk-order sum is exact and
-    // independent of the thread count.
+        argmax
+    })?;
+    // Win counts are integers, so they do not depend on the thread count.
     let mut wins = vec![0usize; paths.len()];
-    for chunk_wins in runs {
-        for (total, w) in wins.iter_mut().zip(chunk_wins) {
-            *total += w;
-        }
+    for w in winners {
+        wins[w] += 1;
     }
     Ok(wins
         .into_iter()
@@ -831,9 +613,11 @@ mod tests {
             &tech,
             &settings.vars,
             &settings.layers,
+            Marginal::Gaussian,
             30_000,
             100,
             42,
+            0,
         )
         .expect("test setup succeeds");
         let rel = |a: f64, b: f64| (a - b).abs() / b;
@@ -862,13 +646,49 @@ mod tests {
         let (t, p, cp, tech) = setup(Benchmark::C499);
         let vars = statim_process::Variations::date05();
         let layers = crate::correlation::LayerModel::date05();
-        let a = mc_path_distribution(&cp, &t, &p, &tech, &vars, &layers, 2000, 50, 7)
-            .expect("mc run succeeds");
-        let b = mc_path_distribution(&cp, &t, &p, &tech, &vars, &layers, 2000, 50, 7)
-            .expect("mc run succeeds");
+        let a = mc_path_distribution(
+            &cp,
+            &t,
+            &p,
+            &tech,
+            &vars,
+            &layers,
+            Marginal::Gaussian,
+            2000,
+            50,
+            7,
+            0,
+        )
+        .expect("mc run succeeds");
+        let b = mc_path_distribution(
+            &cp,
+            &t,
+            &p,
+            &tech,
+            &vars,
+            &layers,
+            Marginal::Gaussian,
+            2000,
+            50,
+            7,
+            0,
+        )
+        .expect("mc run succeeds");
         assert_eq!(a.mean, b.mean);
-        let c = mc_path_distribution(&cp, &t, &p, &tech, &vars, &layers, 2000, 50, 8)
-            .expect("mc run succeeds");
+        let c = mc_path_distribution(
+            &cp,
+            &t,
+            &p,
+            &tech,
+            &vars,
+            &layers,
+            Marginal::Gaussian,
+            2000,
+            50,
+            8,
+            0,
+        )
+        .expect("mc run succeeds");
         assert_ne!(a.mean, c.mean);
     }
 
@@ -879,8 +699,20 @@ mod tests {
         let (t, p, cp, tech) = setup(Benchmark::C432);
         let vars = statim_process::Variations::date05();
         let layers = crate::correlation::LayerModel::with_inter_share(1.0);
-        let mc = mc_path_distribution(&cp, &t, &p, &tech, &vars, &layers, 30_000, 100, 3)
-            .expect("mc run succeeds");
+        let mc = mc_path_distribution(
+            &cp,
+            &t,
+            &p,
+            &tech,
+            &vars,
+            &layers,
+            Marginal::Gaussian,
+            30_000,
+            100,
+            3,
+            0,
+        )
+        .expect("mc run succeeds");
         let ab = t.path_alpha_beta(&cp);
         let analytic = crate::inter::inter_pdf(&ab, &tech, &vars, &layers, Marginal::Gaussian, 50)
             .expect("inter pdf computed");
@@ -901,10 +733,34 @@ mod tests {
         let cp = critical_path(&c, &t, &labels).expect("critical path exists");
         let vars = statim_process::Variations::date05();
         let layers = crate::correlation::LayerModel::date05();
-        let chip = mc_circuit_distribution(&c, &t, &p, &tech, &vars, &layers, 8000, 100, 5)
-            .expect("mc run succeeds");
-        let path = mc_path_distribution(&cp, &t, &p, &tech, &vars, &layers, 8000, 100, 5)
-            .expect("mc run succeeds");
+        let chip = mc_circuit_distribution(
+            &c,
+            &t,
+            &p,
+            &tech,
+            &vars,
+            &layers,
+            Marginal::Gaussian,
+            8000,
+            100,
+            5,
+            0,
+        )
+        .expect("mc run succeeds");
+        let path = mc_path_distribution(
+            &cp,
+            &t,
+            &p,
+            &tech,
+            &vars,
+            &layers,
+            Marginal::Gaussian,
+            8000,
+            100,
+            5,
+            0,
+        )
+        .expect("mc run succeeds");
         assert!(
             chip.mean >= path.mean * 0.999,
             "{} vs {}",
@@ -934,7 +790,7 @@ mod tests {
             .expect("critical path exists");
         let vars = statim_process::Variations::date05();
         let layers = crate::correlation::LayerModel::date05();
-        let crit = mc_path_criticality(&c, &set.paths, &t, &p, &tech, &vars, &layers, 4000, 11)
+        let crit = mc_path_criticality(&c, &set.paths, &t, &p, &tech, &vars, &layers, 4000, 11, 0)
             .expect("mc run succeeds");
         assert_eq!(crit.len(), set.paths.len());
         let total: f64 = crit.iter().sum();
@@ -944,7 +800,7 @@ mod tests {
         assert!(max > 0.05, "max criticality {max}");
         // Empty path set: empty result.
         assert!(
-            mc_path_criticality(&c, &[], &t, &p, &tech, &vars, &layers, 10, 1)
+            mc_path_criticality(&c, &[], &t, &p, &tech, &vars, &layers, 10, 1, 0)
                 .expect("mc run succeeds")
                 .is_empty()
         );
@@ -955,8 +811,20 @@ mod tests {
         let (t, p, cp, tech) = setup(Benchmark::C499);
         let vars = statim_process::Variations::date05();
         let layers = crate::correlation::LayerModel::date05();
-        let plain = mc_path_distribution(&cp, &t, &p, &tech, &vars, &layers, 2000, 50, 7)
-            .expect("plain run");
+        let plain = mc_path_distribution(
+            &cp,
+            &t,
+            &p,
+            &tech,
+            &vars,
+            &layers,
+            Marginal::Gaussian,
+            2000,
+            50,
+            7,
+            0,
+        )
+        .expect("plain run");
         for threads in [1, 4] {
             let sup = Supervisor::unlimited();
             let out = mc_path_distribution_supervised(
@@ -1025,9 +893,11 @@ mod tests {
             &tech,
             &vars,
             &layers,
+            Marginal::Gaussian,
             crate::parallel::MC_CHUNK,
             50,
             3,
+            0,
         )
         .expect("prefix run");
         assert_eq!(partial.mean.to_bits(), prefix.mean.to_bits());
@@ -1056,11 +926,85 @@ mod tests {
         let (t, p, cp, tech) = setup(Benchmark::C432);
         let vars = statim_process::Variations::date05();
         let layers = crate::correlation::LayerModel::date05();
-        let mc = mc_path_distribution(&cp, &t, &p, &tech, &vars, &layers, 500, 30, 1)
-            .expect("mc run succeeds");
+        let mc = mc_path_distribution(
+            &cp,
+            &t,
+            &p,
+            &tech,
+            &vars,
+            &layers,
+            Marginal::Gaussian,
+            500,
+            30,
+            1,
+            0,
+        )
+        .expect("mc run succeeds");
         assert_eq!(mc.samples, 500);
         assert_eq!(mc.pdf.len(), 30);
         assert!((mc.pdf.mass() - 1.0).abs() < 1e-9);
         assert!((mc.pdf.mean() - mc.mean).abs() / mc.mean < 0.01);
+    }
+
+    /// Asserts that `out` is the typed zero-sample configuration error.
+    fn assert_zero_samples_rejected<T: std::fmt::Debug>(out: Result<T>) {
+        match out {
+            Err(CoreError::InvalidConfig { message }) => {
+                assert!(message.contains("sample count, got 0"), "{message}");
+            }
+            other => panic!("expected a zero-sample config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_samples_rejected_by_path_estimator() {
+        let (t, p, cp, tech) = setup(Benchmark::C432);
+        let vars = Variations::date05();
+        let layers = LayerModel::date05();
+        let gauss = Marginal::Gaussian;
+        let out = mc_path_distribution(&cp, &t, &p, &tech, &vars, &layers, gauss, 0, 30, 1, 0);
+        assert_zero_samples_rejected(out);
+    }
+
+    #[test]
+    fn zero_samples_rejected_by_supervised_path_estimator() {
+        let (t, p, cp, tech) = setup(Benchmark::C432);
+        let sup = Supervisor::unlimited();
+        let out = mc_path_distribution_supervised(
+            &cp,
+            &t,
+            &p,
+            &tech,
+            &Variations::date05(),
+            &LayerModel::date05(),
+            Marginal::Gaussian,
+            0,
+            30,
+            1,
+            0,
+            McSupervision::new(&sup),
+        );
+        assert_zero_samples_rejected(out);
+    }
+
+    #[test]
+    fn zero_samples_rejected_by_full_chip_estimator() {
+        let c = iscas85::generate(Benchmark::C432);
+        let (t, p, _, tech) = setup(Benchmark::C432);
+        let vars = Variations::date05();
+        let layers = LayerModel::date05();
+        let gauss = Marginal::Gaussian;
+        let out = mc_circuit_distribution(&c, &t, &p, &tech, &vars, &layers, gauss, 0, 30, 1, 0);
+        assert_zero_samples_rejected(out);
+    }
+
+    #[test]
+    fn zero_samples_rejected_by_criticality_estimator() {
+        let c = iscas85::generate(Benchmark::C432);
+        let (t, p, cp, tech) = setup(Benchmark::C432);
+        let vars = Variations::date05();
+        let layers = LayerModel::date05();
+        let out = mc_path_criticality(&c, &[cp], &t, &p, &tech, &vars, &layers, 0, 1, 0);
+        assert_zero_samples_rejected(out);
     }
 }

@@ -951,33 +951,6 @@ impl AnalysisService {
         })
     }
 
-    /// The finished job's combinational report. Sequential jobs answer
-    /// with a typed `Config` failure pointing at
-    /// [`AnalysisService::result_any`] — front-ends that serve both
-    /// flows should call that instead.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownJob`], [`ServiceError::NotFinished`] while
-    /// queued/running, [`ServiceError::JobFailed`] for failed or
-    /// cancelled jobs (carrying the run's typed error) and for
-    /// sequential jobs fetched through this combinational accessor.
-    pub fn result(&self, id: JobId) -> std::result::Result<Arc<SstaReport>, ServiceError> {
-        match self.result_any(id)? {
-            JobReport::Analyze(report) => Ok(report),
-            JobReport::Sequential(report) => Err(ServiceError::JobFailed {
-                id,
-                error: StatimError::new(
-                    ErrorClass::Config,
-                    format!(
-                        "job analyzed sequential circuit `{}`; fetch its report with result_any",
-                        report.circuit
-                    ),
-                ),
-            }),
-        }
-    }
-
     /// The finished job's report, whichever flow produced it.
     ///
     /// # Errors
@@ -1361,6 +1334,12 @@ mod tests {
         JobSpec::new(circuit, placement, config)
     }
 
+    /// The finished job's combinational report.
+    fn analyze_result(service: &AnalysisService, id: JobId) -> Arc<SstaReport> {
+        let report = service.result_any(id).expect("report available");
+        Arc::clone(report.as_analyze().expect("combinational report"))
+    }
+
     fn wait_terminal(service: &AnalysisService, id: JobId) -> JobStatus {
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
@@ -1382,7 +1361,7 @@ mod tests {
         assert!(!receipt.from_store);
         let status = wait_terminal(&service, receipt.id);
         assert_eq!(status.state, JobState::Done);
-        let report = service.result(receipt.id).expect("report available");
+        let report = analyze_result(&service, receipt.id);
         assert_eq!(report.circuit, "c432");
         assert!(report.num_paths >= 1);
         let stats = service.stats();
@@ -1399,14 +1378,14 @@ mod tests {
             .submit(spec(Benchmark::C432, SstaConfig::date05()))
             .expect("admitted");
         wait_terminal(&service, first.id);
-        let fresh = service.result(first.id).expect("first report");
+        let fresh = analyze_result(&service, first.id);
         // Different thread count, same fingerprint: the knob is
         // wall-time-only, so the store must hit.
         let second = service
             .submit(spec(Benchmark::C432, SstaConfig::date05().with_threads(1)))
             .expect("admitted");
         assert!(second.from_store);
-        let served = service.result(second.id).expect("served report");
+        let served = analyze_result(&service, second.id);
         assert!(Arc::ptr_eq(&fresh, &served), "served from the store");
         let rendered_fresh = crate::report::deterministic_report(&fresh, 5);
         let rendered_served = crate::report::deterministic_report(&served, 5);
@@ -1448,7 +1427,7 @@ mod tests {
         assert_eq!(outcome, CancelOutcome::Immediate);
         let status = service.status(victim.id).expect("job exists");
         assert_eq!(status.state, JobState::Cancelled);
-        match service.result(victim.id) {
+        match service.result_any(victim.id) {
             Err(ServiceError::JobFailed { error, .. }) => {
                 assert_eq!(error.class, ErrorClass::Resource);
                 assert!(error.message.contains("cancelled"));
@@ -1477,7 +1456,7 @@ mod tests {
             .expect("admitted");
         let status = wait_terminal(&service, failed.id);
         assert_eq!(status.state, JobState::Failed);
-        match service.result(failed.id) {
+        match service.result_any(failed.id) {
             Err(ServiceError::JobFailed { error, .. }) => {
                 assert_eq!(error.class, ErrorClass::Config)
             }
@@ -1509,7 +1488,7 @@ mod tests {
             .expect("admitted");
         let status = wait_terminal(&service, partial.id);
         assert_eq!(status.state, JobState::Degraded);
-        let report = service.result(partial.id).expect("partial report served");
+        let report = analyze_result(&service, partial.id);
         assert_eq!(report.budget_exhausted, Some(BudgetKind::Paths));
         assert_eq!(service.stats().store_entries, 0, "partials never cached");
         service.join();
@@ -1544,7 +1523,7 @@ mod tests {
             Err(ServiceError::UnknownJob(_))
         ));
         assert!(matches!(
-            service.result(missing),
+            service.result_any(missing),
             Err(ServiceError::UnknownJob(_))
         ));
         let receipt = service
@@ -1552,7 +1531,7 @@ mod tests {
             .expect("admitted");
         // Immediately after submit the job is queued or running — its
         // result is a NotFinished error either way.
-        match service.result(receipt.id) {
+        match service.result_any(receipt.id) {
             Err(ServiceError::NotFinished { .. }) => {}
             Ok(_) => panic!("result before completion"),
             Err(other) => panic!("expected NotFinished, got {other}"),
@@ -1641,7 +1620,7 @@ mod tests {
                 .expect("admitted");
             assert!(!receipt.from_store);
             assert_eq!(wait_terminal(&service, receipt.id).state, JobState::Done);
-            let report = service.result(receipt.id).expect("report");
+            let report = analyze_result(&service, receipt.id);
             rendered_fresh = crate::report::deterministic_report(&report, 10);
             service.join();
         }
@@ -1655,7 +1634,7 @@ mod tests {
             .submit(spec(Benchmark::C432, SstaConfig::date05()))
             .expect("admitted");
         assert!(receipt.from_store, "restart must serve from the store");
-        let served = service.result(receipt.id).expect("served report");
+        let served = analyze_result(&service, receipt.id);
         assert_eq!(
             crate::report::deterministic_report(&served, 10),
             rendered_fresh
@@ -1840,7 +1819,7 @@ mod tests {
         ticks.store(51, Ordering::SeqCst);
         let status = wait_terminal(&service, victim.id);
         assert_eq!(status.state, JobState::Expired);
-        match service.result(victim.id) {
+        match service.result_any(victim.id) {
             Err(ServiceError::JobFailed { error, .. }) => {
                 assert_eq!(error.class, ErrorClass::Resource);
                 assert!(error.message.contains("expired"), "{error}");
@@ -1876,15 +1855,6 @@ mod tests {
         assert_eq!(served.circuit, "s27");
         assert!(!served.checks.is_empty());
         assert!(served.min_period.is_some());
-        // The combinational accessor refuses with a typed Config error
-        // pointing at result_any.
-        match service.result(receipt.id) {
-            Err(ServiceError::JobFailed { error, .. }) => {
-                assert_eq!(error.class, ErrorClass::Config);
-                assert!(error.message.contains("result_any"), "{error}");
-            }
-            other => panic!("expected JobFailed, got {other:?}"),
-        }
         // The served rendering is byte-identical to a fresh direct run
         // with the same configuration.
         let fresh = crate::sequential::SequentialEngine::new(crate::sequential::SequentialConfig {

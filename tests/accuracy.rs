@@ -10,6 +10,7 @@ use statim::core::monte_carlo::mc_path_distribution;
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::{Placement, PlacementStyle};
 use statim::process::Technology;
+use statim::stats::Marginal;
 
 #[test]
 fn analytic_matches_monte_carlo_on_c499() {
@@ -28,9 +29,11 @@ fn analytic_matches_monte_carlo_on_c499() {
         &tech,
         &settings.vars,
         &settings.layers,
+        Marginal::Gaussian,
         15_000,
         100,
         99,
+        0,
     )
     .expect("mc");
     let rel = |a: f64, b: f64| (a - b).abs() / b;

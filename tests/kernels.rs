@@ -125,9 +125,11 @@ fn fft_backend_matches_monte_carlo_on_c499() {
         &tech,
         &settings.vars,
         &settings.layers,
+        Marginal::Gaussian,
         15_000,
         100,
         99,
+        0,
     )
     .expect("mc");
     assert!(rel(analytic.mean, mc.mean) < 0.01);
