@@ -73,17 +73,18 @@ pub fn attribute_variance(
     // Per-parameter split: recompute eq. (14) per parameter.
     let mut by_param = [0.0f64; Param::COUNT];
     for p in Param::ALL {
+        let i = p.index();
         let sigma2 = vars.sigma.get(p) * vars.sigma.get(p);
         let mut v = 0.0;
-        for (&(layer, _), &a) in &coeffs.spatial[p.index()] {
-            v += a * a * weights[layer] * sigma2;
+        for &((layer, _), a) in &coeffs.spatial {
+            v += a[i] * a[i] * weights[layer] * sigma2;
         }
         if let Some(slot) = layers.random_slot() {
-            for &a in &coeffs.random[p.index()] {
-                v += a * a * weights[slot] * sigma2;
+            for a in &coeffs.random {
+                v += a[i] * a[i] * weights[slot] * sigma2;
             }
         }
-        by_param[p.index()] = v;
+        by_param[i] = v;
     }
 
     // Per-gate split. For a shared coefficient a = Σ_g d_g, apportion

@@ -413,12 +413,6 @@ pub struct KernelStore {
     /// Total capacity per kernel map, as configured (`None` =
     /// unbounded).
     capacity: Option<usize>,
-    /// Fault-injection: inter-map shard index whose lookups fail
-    /// (`usize::MAX` = none). Checked before the lock, unconditionally on
-    /// every lookup of that shard, so behavior is key-derived and
-    /// deterministic for any thread count.
-    #[cfg(any(test, feature = "fault-injection"))]
-    poisoned_inter: std::sync::atomic::AtomicUsize,
 }
 
 impl std::fmt::Debug for KernelStore {
@@ -456,8 +450,6 @@ impl KernelStore {
             corner_hits: AtomicU64::new(0),
             corner_misses: AtomicU64::new(0),
             capacity,
-            #[cfg(any(test, feature = "fault-injection"))]
-            poisoned_inter: std::sync::atomic::AtomicUsize::new(usize::MAX),
         }
     }
 
@@ -480,16 +472,6 @@ impl KernelStore {
             entries: self.inter.len() + self.intra.len(),
         }
     }
-
-    /// Fault-injection: makes every inter-PDF lookup that maps to
-    /// `shard` fail with a `Numeric` error, simulating a corrupted cache
-    /// stripe. Keys select shards deterministically, so the same paths
-    /// degrade for any thread count.
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub fn poison_inter_shard(&self, shard: usize) {
-        self.poisoned_inter
-            .store(shard % SHARD_COUNT, std::sync::atomic::Ordering::Relaxed);
-    }
 }
 
 /// A per-settings view of a [`KernelStore`]: the store plus the
@@ -502,6 +484,14 @@ impl KernelStore {
 pub struct AnalysisCache {
     fingerprint: u64,
     store: Arc<KernelStore>,
+    /// Fault-injection: inter-map shard index whose lookups fail
+    /// (`usize::MAX` = none). It lives on the view, so the poison ends
+    /// with the run that armed it and never reaches another view of the
+    /// same store. Checked before the lock, unconditionally on every
+    /// lookup of that shard, so behavior is key-derived and deterministic
+    /// for any thread count.
+    #[cfg(any(test, feature = "fault-injection"))]
+    poisoned_inter: std::sync::atomic::AtomicUsize,
 }
 
 impl std::fmt::Debug for AnalysisCache {
@@ -531,20 +521,26 @@ impl AnalysisCache {
         AnalysisCache {
             fingerprint: settings_fingerprint(tech, settings),
             store,
+            #[cfg(any(test, feature = "fault-injection"))]
+            poisoned_inter: std::sync::atomic::AtomicUsize::new(usize::MAX),
         }
     }
 
     /// Number of lock stripes per kernel map (the valid range for
-    /// [`KernelStore::poison_inter_shard`] is `0..shard_count()`).
+    /// [`AnalysisCache::poison_inter_shard`] is `0..shard_count()`).
     pub fn shard_count() -> usize {
         SHARD_COUNT
     }
 
-    /// Fault-injection: poisons an inter-map shard of the underlying
-    /// store (see [`KernelStore::poison_inter_shard`]).
+    /// Fault-injection: makes every inter-PDF lookup through this view
+    /// that maps to `shard` fail with a `Numeric` error, simulating a
+    /// corrupted cache stripe. Keys select shards deterministically, so
+    /// the same paths degrade for any thread count. Other views of the
+    /// store, and so later runs on it, are unaffected.
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn poison_inter_shard(&self, shard: usize) {
-        self.store.poison_inter_shard(shard);
+        self.poisoned_inter
+            .store(shard % SHARD_COUNT, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// The settings fingerprint baked into every key.
@@ -572,7 +568,6 @@ impl AnalysisCache {
         #[cfg(any(test, feature = "fault-injection"))]
         if key.shard()
             == self
-                .store
                 .poisoned_inter
                 .load(std::sync::atomic::Ordering::Relaxed)
         {

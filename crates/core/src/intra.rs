@@ -8,6 +8,12 @@
 //! sharing a partition share its RV, which is exactly how spatial
 //! correlation enters. With Gaussian inputs the intra PDF is the
 //! zero-mean Gaussian of variance (14), discretized at `QUALITYintra`.
+//!
+//! A gate lies in the same partition for every parameter, so the five
+//! parameters touch the same (layer, partition) RVs. [`PathCoefficients`]
+//! therefore keeps one flat, ascending list of the touched RVs with all
+//! five coefficients per entry, sized by the path rather than by the
+//! `4^layer` partitions of the model.
 
 #![warn(clippy::unwrap_used)]
 
@@ -19,20 +25,22 @@ use statim_process::param::Variations;
 use statim_process::Param;
 use statim_stats::gaussian::try_gaussian_pdf;
 use statim_stats::{ConvolveBackend, Marginal, Pdf};
-use std::collections::BTreeMap;
 
 /// The per-(layer, partition) Taylor coefficients of one path, per
 /// parameter (the `a_{u,w} … e_{u,w}` of eq. (13)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathCoefficients {
-    /// `coeffs[param][(layer, partition)]` = Σ over the path's gates in
-    /// that partition of ∂tp/∂χ. Spatial layers 1.. only (layer 0 is the
-    /// inter-die operating point, handled non-linearly).
-    pub spatial: [BTreeMap<(usize, usize), f64>; Param::COUNT],
-    /// Per-gate derivative for the random layer (one independent RV per
-    /// gate), parallel to the path's gate order; empty when the model has
-    /// no random layer.
-    pub random: [Vec<f64>; Param::COUNT],
+    /// The `(layer, partition)` RVs the path touches, in ascending
+    /// order, each with its coefficient per parameter in [`Param::index`]
+    /// order: the sum of ∂tp/∂χ over the path's gates in that partition,
+    /// added in path order from `0.0`. Spatial layers 1.. only (layer 0
+    /// is the inter-die operating point, handled non-linearly). At most
+    /// `path.len()` entries per layer, however many partitions it has.
+    pub spatial: Vec<((usize, usize), [f64; Param::COUNT])>,
+    /// Per-gate derivatives for the random layer (one independent RV per
+    /// gate and parameter), in the path's gate order; empty when the
+    /// model has no random layer.
+    pub random: Vec<[f64; Param::COUNT]>,
 }
 
 /// Aggregates the coefficients of `path` under `layers`, using gate
@@ -43,23 +51,36 @@ pub fn path_coefficients(
     placement: &Placement,
     layers: &LayerModel,
 ) -> PathCoefficients {
-    let mut spatial: [BTreeMap<(usize, usize), f64>; Param::COUNT] = Default::default();
-    let mut random: [Vec<f64>; Param::COUNT] = Default::default();
-    for &g in path {
-        let grad = &timing.gate(g).gradient;
-        let xy = placement.normalized(g);
-        for p in Param::ALL {
-            let d = grad.get(p);
-            // Layers 1..L share RVs spatially (layer 0 is inter-die).
-            for layer in 1..layers.spatial_layers {
-                let w = layers.partition_of(layer, xy);
-                *spatial[p.index()].entry((layer, w)).or_insert(0.0) += d;
+    let grads: Vec<[f64; Param::COUNT]> = path.iter().map(|&g| timing.gate(g).gradient.0).collect();
+    let xys: Vec<(f64, f64)> = path.iter().map(|&g| placement.normalized(g)).collect();
+    let mut spatial: Vec<((usize, usize), [f64; Param::COUNT])> = Vec::new();
+    // (partition, gate position) per layer: sorting groups each
+    // partition's gates and keeps them in path order within it.
+    let mut members: Vec<(usize, usize)> = Vec::with_capacity(path.len());
+    // Layers 1..L share RVs spatially (layer 0 is inter-die).
+    for layer in 1..layers.spatial_layers {
+        members.clear();
+        members.extend(
+            xys.iter()
+                .enumerate()
+                .map(|(i, &xy)| (layers.partition_of(layer, xy), i)),
+        );
+        members.sort_unstable();
+        for &(w, i) in &members {
+            if spatial.last().map(|&(key, _)| key) != Some((layer, w)) {
+                spatial.push(((layer, w), [0.0; Param::COUNT]));
             }
-            if layers.random_layer {
-                random[p.index()].push(d);
+            let (_, sum) = spatial.last_mut().expect("the slot exists");
+            for (s, d) in sum.iter_mut().zip(grads[i]) {
+                *s += d;
             }
         }
     }
+    let random = if layers.random_layer {
+        grads
+    } else {
+        Vec::new()
+    };
     PathCoefficients { spatial, random }
 }
 
@@ -78,13 +99,14 @@ pub fn intra_variance(
     let weights = layers.weights()?;
     let mut var = 0.0;
     for p in Param::ALL {
+        let i = p.index();
         let sigma2 = vars.sigma.get(p) * vars.sigma.get(p);
-        for (&(layer, _), &a) in &coeffs.spatial[p.index()] {
-            var += a * a * weights[layer] * sigma2;
+        for &((layer, _), a) in &coeffs.spatial {
+            var += a[i] * a[i] * weights[layer] * sigma2;
         }
         if let Some(slot) = layers.random_slot() {
-            for &a in &coeffs.random[p.index()] {
-                var += a * a * weights[slot] * sigma2;
+            for a in &coeffs.random {
+                var += a[i] * a[i] * weights[slot] * sigma2;
             }
         }
     }
@@ -158,14 +180,15 @@ pub fn intra_pdf_numerical(
     // symmetric and zero-mean, so the coefficient sign is irrelevant).
     let mut term_sigmas: Vec<f64> = Vec::new();
     for p in Param::ALL {
+        let i = p.index();
         let sigma_p = vars.sigma.get(p);
-        for (&(layer, _), &a) in &coeffs.spatial[p.index()] {
-            term_sigmas.push(a.abs() * sigma_p * weights[layer].sqrt());
+        for &((layer, _), a) in &coeffs.spatial {
+            term_sigmas.push(a[i].abs() * sigma_p * weights[layer].sqrt());
         }
         if let Some(slot) = layers.random_slot() {
             let w = weights[slot].sqrt();
-            for &a in &coeffs.random[p.index()] {
-                term_sigmas.push(a.abs() * sigma_p * w);
+            for a in &coeffs.random {
+                term_sigmas.push(a[i].abs() * sigma_p * w);
             }
         }
     }
@@ -228,23 +251,33 @@ mod tests {
         let (_, t, p, path) = chain(8);
         let layers = LayerModel::date05();
         let co = path_coefficients(&path, &t, &p, &layers);
-        // Layer 1 has at most 4 partitions; with 8 gates the map for any
-        // param has ≤ 4 entries on layer 1, and the coefficient sums must
+        // One slot per touched (layer, partition), strictly ascending.
+        assert!(co.spatial.windows(2).all(|w| w[0].0 < w[1].0));
+        // Layer 1 has at most 4 partitions; with 8 gates the list has
+        // ≤ 4 entries on layer 1, and every layer's coefficient sums must
         // equal the total gradient sum.
+        assert!(co.spatial.iter().filter(|((l, _), _)| *l == 1).count() <= 4);
         let leff = Param::Leff.index();
         let total: f64 = path
             .iter()
             .map(|&g| t.gate(g).gradient.get(Param::Leff))
             .sum();
         for layer in 1..layers.spatial_layers {
-            let s: f64 = co.spatial[leff]
+            let s: f64 = co
+                .spatial
                 .iter()
-                .filter(|(&(l, _), _)| l == layer)
-                .map(|(_, &v)| v)
+                .filter(|((l, _), _)| *l == layer)
+                .map(|(_, a)| a[leff])
                 .sum();
             assert!((s - total).abs() < 1e-9 * total.abs(), "layer {layer}");
         }
-        assert_eq!(co.random[leff].len(), 8);
+        assert_eq!(co.random.len(), 8);
+        for (a, &g) in co.random.iter().zip(&path) {
+            assert_eq!(
+                a[leff].to_bits(),
+                t.gate(g).gradient.get(Param::Leff).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -436,6 +469,23 @@ mod tests {
     }
 
     #[test]
+    fn deep_layer_models_stay_path_sized() {
+        // Layer 23 alone has 4^23 partitions; the slot list must not care.
+        let (_, t, p, path) = chain(12);
+        let deep = LayerModel {
+            spatial_layers: 24,
+            random_layer: true,
+            split: VarianceSplit::Equal,
+        };
+        let co = path_coefficients(&path, &t, &p, &deep);
+        assert!(co.spatial.len() <= 23 * path.len());
+        assert!(co.spatial.windows(2).all(|w| w[0].0 < w[1].0));
+        let vars = Variations::date05();
+        let v = intra_variance(&co, &deep, &vars).expect("variance");
+        assert!(v.is_finite() && v > 0.0);
+    }
+
+    #[test]
     fn no_random_layer_means_no_random_coeffs() {
         let (_, t, p, path) = chain(4);
         let m = LayerModel {
@@ -444,8 +494,9 @@ mod tests {
             split: VarianceSplit::Equal,
         };
         let co = path_coefficients(&path, &t, &p, &m);
-        for param in Param::ALL {
-            assert!(co.random[param.index()].is_empty());
-        }
+        assert!(co.random.is_empty());
+        // Layers 1 and 2 only, at most one slot per gate on each.
+        assert!(co.spatial.iter().all(|((l, _), _)| (1..3).contains(l)));
+        assert!(co.spatial.len() <= 2 * path.len());
     }
 }

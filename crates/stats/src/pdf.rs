@@ -2,6 +2,7 @@
 
 use crate::grid::{steps_compatible, Grid};
 use crate::{Result, StatsError};
+use std::sync::Arc;
 
 /// A probability density function discretized on a [`Grid`].
 ///
@@ -11,10 +12,14 @@ use crate::{Result, StatsError};
 ///
 /// This is the numerical object the DATE'05 paper calls a "PDF with
 /// QUALITY discretization points".
+///
+/// The density is immutable and shared: a clone points at the same
+/// cells, so it costs O(1) however large the grid. Equality compares the
+/// cells, never the storage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pdf {
     grid: Grid,
-    density: Vec<f64>,
+    density: Arc<[f64]>,
 }
 
 impl Pdf {
@@ -36,8 +41,8 @@ impl Pdf {
     /// assert!((p.density()[1] - 0.75).abs() < 1e-12);
     /// ```
     pub fn new(grid: Grid, density: Vec<f64>) -> Result<Self> {
-        let pdf = Pdf::unnormalized(grid, density)?;
-        pdf.normalized()
+        check_density(&grid, &density)?;
+        Pdf::normalize(grid, &density)
     }
 
     /// Creates a PDF without normalizing. The caller is responsible for
@@ -47,21 +52,11 @@ impl Pdf {
     ///
     /// Returns an error on length mismatch, negative or non-finite density.
     pub fn unnormalized(grid: Grid, density: Vec<f64>) -> Result<Self> {
-        if density.len() != grid.len() {
-            return Err(StatsError::LengthMismatch {
-                grid: grid.len(),
-                density: density.len(),
-            });
-        }
-        for (i, &d) in density.iter().enumerate() {
-            if !d.is_finite() {
-                return Err(StatsError::NonFinite { what: "density" });
-            }
-            if d < 0.0 {
-                return Err(StatsError::NegativeDensity { index: i, value: d });
-            }
-        }
-        Ok(Pdf { grid, density })
+        check_density(&grid, &density)?;
+        Ok(Pdf {
+            grid,
+            density: density.into(),
+        })
     }
 
     /// Creates a PDF by evaluating `f` at each cell center, then
@@ -124,15 +119,21 @@ impl Pdf {
     /// Deliberately corrupts cell `i % len` of the density with a NaN —
     /// the fault-injection port proving that no public constructor path
     /// can produce such a PDF and that downstream consumers quarantine
-    /// it. Compiled only with the `fault-injection` feature.
+    /// it. The poisoned cells are a private copy: every other handle to
+    /// the density keeps the finite cells. Compiled only with the
+    /// `fault-injection` feature.
     #[cfg(feature = "fault-injection")]
     #[must_use]
-    pub fn with_poisoned_cell(mut self, i: usize) -> Pdf {
-        let n = self.density.len();
+    pub fn with_poisoned_cell(self, i: usize) -> Pdf {
+        let mut density = self.density.to_vec();
+        let n = density.len();
         if n > 0 {
-            self.density[i % n] = f64::NAN;
+            density[i % n] = f64::NAN;
         }
-        self
+        Pdf {
+            grid: self.grid,
+            density: density.into(),
+        }
     }
 
     /// Per-cell density values.
@@ -164,14 +165,18 @@ impl Pdf {
     ///
     /// Returns [`StatsError::ZeroMass`] if the total mass is zero.
     pub fn normalized(&self) -> Result<Self> {
-        let m = self.mass();
+        Pdf::normalize(self.grid, &self.density)
+    }
+
+    /// The PDF of `density` over `grid`, scaled to total mass 1.
+    fn normalize(grid: Grid, density: &[f64]) -> Result<Self> {
+        let m = density.iter().sum::<f64>() * grid.step();
         if m <= 0.0 || !m.is_finite() {
             return Err(StatsError::ZeroMass);
         }
-        let density = self.density.iter().map(|d| d / m).collect();
         Ok(Pdf {
-            grid: self.grid,
-            density,
+            grid,
+            density: density.iter().map(|d| d / m).collect(),
         })
     }
 
@@ -394,7 +399,7 @@ impl Pdf {
         }
         Pdf {
             grid: target,
-            density,
+            density: density.into(),
         }
     }
 
@@ -462,11 +467,31 @@ impl Pdf {
         let density = a
             .density
             .iter()
-            .zip(&b.density)
+            .zip(b.density.iter())
             .map(|(x, y)| w * x + (1.0 - w) * y)
             .collect();
         Pdf::new(g, density)
     }
+}
+
+/// Rejects a density whose length differs from the grid's, or with a
+/// negative or non-finite cell.
+fn check_density(grid: &Grid, density: &[f64]) -> Result<()> {
+    if density.len() != grid.len() {
+        return Err(StatsError::LengthMismatch {
+            grid: grid.len(),
+            density: density.len(),
+        });
+    }
+    for (i, &d) in density.iter().enumerate() {
+        if !d.is_finite() {
+            return Err(StatsError::NonFinite { what: "density" });
+        }
+        if d < 0.0 {
+            return Err(StatsError::NegativeDensity { index: i, value: d });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -634,6 +659,28 @@ mod tests {
         assert!((a.ks_distance(&c) - 1.0).abs() < 1e-9);
         // Bounded in [0, 1].
         assert!(a.ks_distance(&b) <= 1.0);
+    }
+
+    #[test]
+    fn clones_share_the_density() {
+        let p = uniform(0.0, 1.0, 64);
+        let q = p.clone();
+        assert_eq!(q.density().as_ptr(), p.density().as_ptr());
+        assert_eq!(q, p);
+        // Equal cells in separate storage still compare equal.
+        let r = uniform(0.0, 1.0, 64);
+        assert_ne!(r.density().as_ptr(), p.density().as_ptr());
+        assert_eq!(r, p);
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn poisoning_a_clone_leaves_the_original_finite() {
+        let p = uniform(0.0, 1.0, 64);
+        let poisoned = p.clone().with_poisoned_cell(17);
+        assert!(poisoned.density()[17].is_nan());
+        assert!(p.density().iter().all(|d| d.is_finite()));
+        assert_ne!(poisoned.density().as_ptr(), p.density().as_ptr());
     }
 
     #[test]

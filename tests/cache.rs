@@ -5,14 +5,16 @@
 
 use proptest::prelude::*;
 use statim::core::analyze::AnalysisSettings;
-use statim::core::cache::AnalysisCache;
-use statim::core::engine::{SstaConfig, SstaEngine, SstaReport};
+use statim::core::cache::{AnalysisCache, KernelStore};
+use statim::core::characterize::characterize_placed;
+use statim::core::engine::{RunContext, SstaConfig, SstaEngine, SstaReport};
 use statim::core::{inter, intra};
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::{Placement, PlacementStyle};
 use statim::process::tech::AlphaBeta;
 use statim::process::Technology;
 use statim::stats::Pdf;
+use std::sync::Arc;
 
 fn assert_bits_identical(a: &Pdf, b: &Pdf, label: &str) {
     assert_eq!(
@@ -201,5 +203,70 @@ fn c499_report_identical_with_cache_off() {
             b.analysis.confidence_point.to_bits()
         );
         assert_bits_identical(&a.analysis.total_pdf, &b.analysis.total_pdf, "total pdf");
+    }
+}
+
+#[test]
+fn repeat_inter_lookups_share_one_density() {
+    let tech = Technology::cmos130();
+    let s = fast_settings();
+    let one = tech.alpha_beta(
+        statim::process::GateKind::Nand(2),
+        &statim::process::Load::fanout(2),
+    );
+    let ab = AlphaBeta {
+        alpha: one.alpha * 7.0,
+        beta: one.beta * 7.0,
+    };
+    let cache = AnalysisCache::new(&tech, &s);
+    let first = cache
+        .inter_pdf(&ab, || {
+            inter::inter_pdf(&ab, &tech, &s.vars, &s.layers, s.marginal, s.quality_inter)
+        })
+        .unwrap();
+    let hit = cache
+        .inter_pdf(&ab, || panic!("hit must not recompute"))
+        .unwrap();
+    let again = cache
+        .inter_pdf(&ab, || panic!("hit must not recompute"))
+        .unwrap();
+    // A hit hands back the stored density itself, not a copy of it.
+    assert_eq!(hit.density().as_ptr(), first.density().as_ptr());
+    assert_eq!(again.density().as_ptr(), hit.density().as_ptr());
+}
+
+#[test]
+fn retained_reports_share_densities_with_the_store() {
+    let circuit = iscas85::generate(Benchmark::C432);
+    let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+    let config = SstaConfig::date05();
+    let store = Arc::new(KernelStore::unbounded());
+    let report = SstaEngine::new(config.clone())
+        .run_with(
+            &circuit,
+            &placement,
+            RunContext {
+                store: Some(Arc::clone(&store)),
+                supervisor: None,
+            },
+        )
+        .expect("SSTA flow");
+    let settings = AnalysisSettings::date05();
+    let view = AnalysisCache::with_store(store, &config.tech, &settings);
+    let timing = characterize_placed(&circuit, &config.tech, &placement).expect("characterize");
+    assert!(report.num_paths > 1);
+    for p in &report.paths {
+        let a = &p.analysis;
+        let ab = timing.path_alpha_beta(&a.gates);
+        let inter = view
+            .inter_pdf(&ab, || panic!("the run stored this inter PDF"))
+            .unwrap();
+        assert_eq!(inter.density().as_ptr(), a.inter_pdf.density().as_ptr());
+        let coeffs = intra::path_coefficients(&a.gates, &timing, &placement, &settings.layers);
+        let var = intra::intra_variance(&coeffs, &settings.layers, &settings.vars).unwrap();
+        let intra = view
+            .intra_pdf(var, || panic!("the run stored this intra PDF"))
+            .unwrap();
+        assert_eq!(intra.density().as_ptr(), a.intra_pdf.density().as_ptr());
     }
 }

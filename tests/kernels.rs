@@ -9,19 +9,23 @@
 //!
 //! The second half pins the inter-die kernel: `inter_pdf` against a
 //! copy of its `map3` formulation, bit for bit, and against a digest of
-//! its output bits.
+//! its output bits. A last digest pins the eq. (14) intra-die variance
+//! of near-critical paths and of the sequential flow's arrival models.
 
 use statim::core::analyze::{analyze_path, AnalysisSettings};
-use statim::core::characterize::characterize_placed;
-use statim::core::correlation::LayerModel;
+use statim::core::characterize::{characterize_placed, CircuitTiming};
+use statim::core::correlation::{LayerModel, VarianceSplit};
 use statim::core::engine::{SstaConfig, SstaEngine, SstaReport};
 use statim::core::enumerate::near_critical_paths;
+use statim::core::graph::TimingGraph;
 use statim::core::inter::{inter_param_pdf, inter_pdf};
+use statim::core::intra::{intra_variance, path_coefficients};
 use statim::core::longest_path::{critical_path, topo_labels};
 use statim::core::monte_carlo::mc_path_distribution;
 use statim::core::report::deterministic_report;
 use statim::netlist::generators::iscas85::{self, Benchmark};
-use statim::netlist::{Placement, PlacementStyle};
+use statim::netlist::generators::sequential;
+use statim::netlist::{Circuit, GateId, Placement, PlacementStyle};
 use statim::process::delay::voltage_kernel;
 use statim::process::param::Variations;
 use statim::process::tech::{AlphaBeta, ELMORE_K};
@@ -247,9 +251,12 @@ fn assert_matches_reference(
     got
 }
 
-/// The distinct placed `(A, B)` sums of a benchmark's near-critical paths
-/// at the paper's C = 0.05, in enumeration order.
-fn near_critical_keys(bench: Benchmark) -> Vec<AlphaBeta> {
+/// A levelized-placed benchmark, its placed timing and its near-critical
+/// paths within `confidence`·σ_C, in enumeration order.
+fn near_critical(
+    bench: Benchmark,
+    confidence: f64,
+) -> (Placement, CircuitTiming, Vec<Vec<GateId>>) {
     let circuit = iscas85::generate(bench);
     let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
     let tech = Technology::cmos130();
@@ -260,11 +267,18 @@ fn near_critical_keys(bench: Benchmark) -> Vec<AlphaBeta> {
     let sigma_c = analyze_path(&det, &timing, &placement, &tech, &settings)
         .expect("analyze")
         .sigma;
-    let threshold = labels.critical_delay(&circuit).expect("delay") - 0.05 * sigma_c;
+    let threshold = labels.critical_delay(&circuit).expect("delay") - confidence * sigma_c;
     let set =
         near_critical_paths(&circuit, &timing, &labels, threshold, 1_000_000).expect("enumerate");
+    (placement, timing, set.paths)
+}
+
+/// The distinct placed `(A, B)` sums of a benchmark's near-critical paths
+/// at the paper's C = 0.05, in enumeration order.
+fn near_critical_keys(bench: Benchmark) -> Vec<AlphaBeta> {
+    let (_, timing, paths) = near_critical(bench, 0.05);
     let mut seen = std::collections::HashSet::new();
-    set.paths
+    paths
         .iter()
         .map(|p| timing.path_alpha_beta(p))
         .filter(|ab| seen.insert((ab.alpha.to_bits(), ab.beta.to_bits())))
@@ -425,4 +439,78 @@ fn inter_pdf_output_bits_are_pinned() {
         }
     }
     assert_eq!(h, PINNED_INTER_DIGEST, "digest {h:#018x}");
+}
+
+/// Digest of the eq. (14) intra-die variance bits over
+/// [`variance_models`] × the near-critical paths of the ten Table 2
+/// circuits, then of the `var_intra` of every arrival model of `s27` and
+/// `pipe8x32`. Taken with the per-parameter coefficient maps; a change
+/// here means the intra-die variances changed.
+const PINNED_INTRA_VARIANCE_DIGEST: u64 = 0xdb6c_7b53_2513_fa9d;
+
+/// The paper's per-circuit C (Table 2): c2670 at 0.1, c6288 at 0.001,
+/// every other circuit at 0.05.
+fn paper_confidence(bench: Benchmark) -> f64 {
+    match bench {
+        Benchmark::C2670 => 0.1,
+        Benchmark::C6288 => 0.001,
+        _ => 0.05,
+    }
+}
+
+/// The paper's layer model, a half inter-die split, six spatial layers
+/// without a random layer, and a random layer beside the inter-die layer
+/// alone.
+fn variance_models() -> [LayerModel; 4] {
+    [
+        LayerModel::date05(),
+        LayerModel::with_inter_share(0.5),
+        LayerModel {
+            spatial_layers: 6,
+            random_layer: false,
+            split: VarianceSplit::Equal,
+        },
+        LayerModel {
+            spatial_layers: 1,
+            random_layer: true,
+            split: VarianceSplit::Equal,
+        },
+    ]
+}
+
+#[test]
+fn intra_variance_bits_are_pinned() {
+    let vars = Variations::date05();
+    let models = variance_models();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut pairs = 0usize;
+    for bench in Benchmark::ALL {
+        let (placement, timing, paths) = near_critical(bench, paper_confidence(bench));
+        for layers in &models {
+            for path in &paths {
+                let coeffs = path_coefficients(path, &timing, &placement, layers);
+                let var = intra_variance(&coeffs, layers, &vars).expect("variance");
+                h = fnv1a(h, var.to_bits());
+                pairs += 1;
+            }
+        }
+    }
+    let tech = Technology::cmos130();
+    let sequential: [Circuit; 2] = [
+        sequential::s27(),
+        sequential::pipeline(8, 32).expect("pipe8x32"),
+    ];
+    for circuit in &sequential {
+        let placement = Placement::generate(circuit, PlacementStyle::Levelized);
+        let timing = characterize_placed(circuit, &tech, &placement).expect("characterize");
+        let models = TimingGraph::build(circuit)
+            .expect("graph")
+            .arrival_models(&timing, &placement, &LayerModel::date05(), &vars)
+            .expect("arrival models");
+        for m in &models {
+            h = fnv1a(h, m.var_intra.to_bits());
+        }
+    }
+    assert_eq!(pairs, 4 * 2_074, "(path, layer model) pairs");
+    assert_eq!(h, PINNED_INTRA_VARIANCE_DIGEST, "digest {h:#018x}");
 }
