@@ -60,6 +60,9 @@ fn bench_inter_kernel(c: &mut Criterion) {
         alpha: one.alpha * 20.0,
         beta: one.beta * 20.0,
     };
+    // `inter_pdf` keeps its settings-only basis (marginals, W = tox·Leff,
+    // the voltage tables) per thread, so past the first iteration this
+    // group times a warm basis: the range pass, the Q³ binning and W·Z.
     let mut group = c.benchmark_group("inter_pdf_separable");
     group.sample_size(20);
     for &quality in &[25usize, 50, 80] {

@@ -18,6 +18,14 @@
 //! tables' per-row extremes and `Q³` multiply-add-bin steps; the other
 //! factors are `O(Q²)`. The direct `O(Q⁵)` enumeration is retained for
 //! validation (ablation 2).
+//!
+//! Only the range pass, the binning and the final `W·Z` product depend on
+//! `(A, B)`. The rest — the five marginals, `W` and the two tables — is a
+//! settings-only *basis* that each thread builds once and keeps in a
+//! one-entry memo keyed by the exact bits of every input it reads, so a
+//! sweep at fixed settings pays it once per thread. The binning divides
+//! only where a value leaves its output cell ([`map3_tabulated`]). Both
+//! are bitwise equal to building everything per call.
 
 #![warn(clippy::unwrap_used)]
 
@@ -29,6 +37,8 @@ use statim_process::tech::{AlphaBeta, Technology, ELMORE_K};
 use statim_process::Param;
 use statim_stats::combine::{center_table, map2, map3_tabulated, product_pdf};
 use statim_stats::{Grid, Marginal, Pdf};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// The marginal PDF of one inter-die parameter: a Gaussian centred on the
 /// nominal with the layer-0 share of the total variance, truncated at the
@@ -48,8 +58,7 @@ pub fn inter_param_pdf(
     quality: usize,
 ) -> Result<Pdf> {
     let w0 = layers.weights()?[0];
-    let sigma = vars.sigma.get(p) * w0.sqrt();
-    Ok(marginal.pdf(tech.nominal(p), sigma, vars.trunc_k, quality)?)
+    BasisKey::new(tech, vars, w0, marginal, quality).pdf(p)
 }
 
 /// Computes the inter-die delay PDF of a path with coefficient sums `ab`,
@@ -94,17 +103,128 @@ pub fn inter_pdf(
         let grid = Grid::over(d - span, d + span, quality)?;
         return Ok(Pdf::delta(grid, d)?);
     }
-    let pdf = |p: Param| inter_param_pdf(p, tech, vars, layers, marginal, quality);
-    // Geometry factor: W = tox · Leff (2-D kernel).
-    let w = product_pdf(&pdf(Param::Tox)?, &pdf(Param::Leff)?, quality)?;
+    let basis = Basis::of(BasisKey::new(tech, vars, w0, marginal, quality))?;
     // Voltage factor: Z = A·f(Vdd,VTn) + B·f(Vdd,|VTp|) (3-D kernel over
-    // Q×Q tables of f).
-    let (vdd, vtn, vtp) = (pdf(Param::Vdd)?, pdf(Param::Vtn)?, pdf(Param::Vtp)?);
-    let tn = center_table(&vdd, &vtn, voltage_kernel);
-    let tp = center_table(&vdd, &vtp, voltage_kernel);
-    let z = map3_tabulated(&vdd, &vtn, &vtp, quality, (ab.alpha, &tn), (ab.beta, &tp))?;
+    // the basis's Q×Q tables of f).
+    let z = map3_tabulated(
+        &basis.vdd,
+        &basis.vtn,
+        &basis.vtp,
+        quality,
+        (ab.alpha, &basis.tn),
+        (ab.beta, &basis.tp),
+    )?;
     // Combine: delay = K · W · Z.
-    Ok(map2(&w, &z, quality, |wv, zv| k * wv * zv)?)
+    Ok(map2(&basis.w, &z, quality, |wv, zv| k * wv * zv)?)
+}
+
+/// Every input the [`Basis`] reads: the five nominals and total σs, the
+/// truncation, the inter-die layer weight, the marginal and the quality.
+/// Two keys are equal when every field has the same bits.
+struct BasisKey {
+    nominal: [f64; Param::COUNT],
+    sigma: [f64; Param::COUNT],
+    trunc_k: f64,
+    w0: f64,
+    marginal: Marginal,
+    quality: usize,
+}
+
+impl BasisKey {
+    fn new(
+        tech: &Technology,
+        vars: &Variations,
+        w0: f64,
+        marginal: Marginal,
+        quality: usize,
+    ) -> Self {
+        BasisKey {
+            nominal: Param::ALL.map(|p| tech.nominal(p)),
+            sigma: Param::ALL.map(|p| vars.sigma.get(p)),
+            trunc_k: vars.trunc_k,
+            w0,
+            marginal,
+            quality,
+        }
+    }
+
+    /// The marginal PDF of `p` ([`inter_param_pdf`]).
+    fn pdf(&self, p: Param) -> Result<Pdf> {
+        let (mean, sigma) = (self.nominal[p.index()], self.sigma[p.index()]);
+        Ok(self
+            .marginal
+            .pdf(mean, sigma * self.w0.sqrt(), self.trunc_k, self.quality)?)
+    }
+}
+
+impl PartialEq for BasisKey {
+    fn eq(&self, other: &Self) -> bool {
+        fn bits(k: &BasisKey) -> impl Iterator<Item = u64> + '_ {
+            let reals = k.nominal.iter().chain(&k.sigma).chain([&k.trunc_k, &k.w0]);
+            reals.map(|v| v.to_bits())
+        }
+        bits(self).eq(bits(other))
+            && (self.marginal, self.quality) == (other.marginal, other.quality)
+    }
+}
+
+/// The settings-only half of [`inter_pdf`]: everything but the `(A, B)`
+/// binning. A basis is a pure function of its [`BasisKey`].
+struct Basis {
+    /// The geometry factor `W = tox·Leff` (2-D kernel).
+    w: Pdf,
+    vdd: Pdf,
+    vtn: Pdf,
+    vtp: Pdf,
+    /// `f(Vddᵢ, VTnⱼ)` and `f(Vddᵢ, |VTp|ₖ)` at the cell centers.
+    tn: Vec<f64>,
+    tp: Vec<f64>,
+}
+
+thread_local! {
+    /// The last basis this thread built, under its key. Reusing it cannot
+    /// change a bit, and the slot belongs to one thread, so the lookup
+    /// takes no lock (the idiom of `statim_stats::fft`'s twiddle tables).
+    /// A sweep at fixed settings builds one basis per thread.
+    static BASIS: RefCell<Option<(BasisKey, Rc<Basis>)>> = const { RefCell::new(None) };
+}
+
+impl Basis {
+    /// This thread's basis for `key`, built on a miss. A failed build is
+    /// returned as is and not remembered.
+    fn of(key: BasisKey) -> Result<Rc<Basis>> {
+        BASIS.with(|slot| {
+            if let Some((held, basis)) = &*slot.borrow() {
+                if *held == key {
+                    return Ok(Rc::clone(basis));
+                }
+            }
+            let basis = Rc::new(Basis::build(&key)?);
+            *slot.borrow_mut() = Some((key, Rc::clone(&basis)));
+            Ok(basis)
+        })
+    }
+
+    /// Builds the basis in the order `inter_pdf` always has, so a failure
+    /// is the same error: Tox, Leff, W, then Vdd, VTn, VTp.
+    fn build(key: &BasisKey) -> Result<Basis> {
+        let w = product_pdf(&key.pdf(Param::Tox)?, &key.pdf(Param::Leff)?, key.quality)?;
+        let (vdd, vtn, vtp) = (
+            key.pdf(Param::Vdd)?,
+            key.pdf(Param::Vtn)?,
+            key.pdf(Param::Vtp)?,
+        );
+        let tn = center_table(&vdd, &vtn, voltage_kernel);
+        let tp = center_table(&vdd, &vtp, voltage_kernel);
+        Ok(Basis {
+            w,
+            vdd,
+            vtn,
+            vtp,
+            tn,
+            tp,
+        })
+    }
 }
 
 /// Direct `O(quality⁵)` enumeration of the same distribution — the
@@ -302,6 +422,92 @@ mod tests {
         .expect("test setup succeeds");
         assert!(s50.std_dev() > s20.std_dev());
         assert!(s75.std_dev() > s50.std_dev());
+    }
+
+    /// One kernel call's settings.
+    type Settings = (Technology, Variations, LayerModel, Marginal, usize);
+
+    /// An outcome as exact bits: grid lo, step, length and densities, or
+    /// the error text.
+    fn outcome(ab: &AlphaBeta, (tech, vars, layers, marginal, q): &Settings) -> String {
+        match inter_pdf(ab, tech, vars, layers, *marginal, *q) {
+            Ok(p) => {
+                let g = p.grid();
+                let cells: Vec<u64> = p.density().iter().map(|d| d.to_bits()).collect();
+                format!(
+                    "{:x} {:x} {} {cells:x?}",
+                    g.lo().to_bits(),
+                    g.step().to_bits(),
+                    g.len()
+                )
+            }
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn basis_memo_key_is_complete() {
+        // The paper's settings, then settings that each change exactly one
+        // input the basis reads: every nominal, every σ, the truncation,
+        // the inter-die share, the marginal and the quality.
+        let (tech, ab) = path_ab(12);
+        let base: Settings = (
+            tech,
+            Variations::date05(),
+            LayerModel::date05(),
+            Marginal::Gaussian,
+            24,
+        );
+        let mut variants = Vec::new();
+        for p in Param::ALL {
+            let mut s = base.clone();
+            match p {
+                Param::Tox => s.0.tox *= 1.01,
+                Param::Leff => s.0.leff *= 1.01,
+                Param::Vdd => s.0.vdd *= 1.01,
+                Param::Vtn => s.0.vtn *= 1.01,
+                Param::Vtp => s.0.vtp *= 1.01,
+            }
+            variants.push(s);
+            let mut s = base.clone();
+            s.1.sigma.set(p, s.1.sigma.get(p) * 1.5);
+            variants.push(s);
+        }
+        let mut s = base.clone();
+        s.1.trunc_k = 4.0;
+        variants.push(s);
+        let mut s = base.clone();
+        s.2 = LayerModel::with_inter_share(0.5);
+        variants.push(s);
+        let mut s = base.clone();
+        s.3 = Marginal::Uniform;
+        variants.push(s);
+        let mut s = base.clone();
+        s.4 = 25;
+        variants.push(s);
+        // On one thread, every variant follows a call at the base
+        // settings, so a key missing its input would reuse that basis.
+        // A fresh thread starts with an empty memo.
+        for s in &variants {
+            let want = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| outcome(&ab, s))
+                    .join()
+                    .expect("fresh thread")
+            });
+            assert_ne!(outcome(&ab, &base), want, "the variant must matter");
+            assert_eq!(outcome(&ab, s), want, "{s:?}");
+        }
+        // A failed build is not remembered: the same call fails again,
+        // and the next good call is unaffected.
+        let mut bad = base.clone();
+        bad.1.sigma.set(Param::Vdd, -1.0);
+        let (tech, vars, layers, marginal, q) = &bad;
+        assert!(inter_pdf(&ab, tech, vars, layers, *marginal, *q).is_err());
+        let failed = outcome(&ab, &bad);
+        assert_eq!(outcome(&ab, &bad), failed);
+        let want = std::thread::scope(|scope| scope.spawn(|| outcome(&ab, &base)).join());
+        assert_eq!(outcome(&ab, &base), want.expect("fresh thread"));
     }
 
     #[test]

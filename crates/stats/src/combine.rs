@@ -36,6 +36,141 @@ fn output_grid(lo: f64, hi: f64, quality: usize) -> Result<Grid> {
     Grid::over(lo, hi + span * 1e-12 + f64::MIN_POSITIVE, quality)
 }
 
+/// A histogram on a grid that bins each finite value into
+/// [`Grid::clamp_cell_of`]'s cell, adding the masses of every cell in
+/// call order, and keeps the open cell's running sum in a register.
+///
+/// `clamp_cell_of` is non-decreasing in its argument (rounded
+/// subtraction, division by a positive step, truncation and `min` are
+/// each monotone, and the two clamps agree with them), so the values it
+/// sends to cell `c` are exactly `[bounds[c], bounds[c + 1])`. A value
+/// inside the open cell's bounds is added without a division or a store;
+/// only a value that leaves them pays for `clamp_cell_of`. Each cell
+/// receives the same additions in the same order as
+/// `density[grid.clamp_cell_of(v)] += m`, so the sums are bitwise equal.
+struct Bins {
+    grid: Grid,
+    bounds: Vec<f64>,
+    mass: Vec<f64>,
+    /// The open cell, its bounds `[floor, ceil)` and its running sum.
+    cell: usize,
+    floor: f64,
+    ceil: f64,
+    sum: f64,
+}
+
+impl Bins {
+    fn new(grid: Grid) -> Self {
+        let bounds = cell_bounds(&grid);
+        let (floor, ceil) = (bounds[0], bounds[1]);
+        Bins {
+            grid,
+            bounds,
+            mass: vec![0.0; grid.len()],
+            cell: 0,
+            floor,
+            ceil,
+            sum: 0.0,
+        }
+    }
+
+    /// Adds `m` to the cell of the finite value `v`.
+    #[inline(always)]
+    fn add(&mut self, v: f64, m: f64) {
+        if v < self.floor || v >= self.ceil {
+            self.mass[self.cell] = self.sum;
+            self.cell = self.grid.clamp_cell_of(v);
+            self.floor = self.bounds[self.cell];
+            self.ceil = self.bounds[self.cell + 1];
+            self.sum = self.mass[self.cell];
+        }
+        self.sum += m;
+    }
+
+    /// The densities: each cell's mass over the step.
+    fn into_density(mut self) -> Vec<f64> {
+        self.mass[self.cell] = self.sum;
+        let step = self.grid.step();
+        self.mass.iter().map(|m| m / step).collect()
+    }
+}
+
+/// The `n + 1` cell thresholds of an `n`-cell grid: `bounds[0] = −∞`,
+/// `bounds[c]` is the least f64 whose [`Grid::clamp_cell_of`] is at least
+/// `c`, and `bounds[n] = +∞`. A cell no value reaches has equal bounds.
+fn cell_bounds(grid: &Grid) -> Vec<f64> {
+    let n = grid.len();
+    let mut bounds = Vec::with_capacity(n + 1);
+    bounds.push(f64::NEG_INFINITY);
+    bounds.extend((1..n).map(|c| least_at_or_above(grid, c)));
+    bounds.push(f64::INFINITY);
+    bounds
+}
+
+/// Representable values walked from a cell's left edge before bisecting:
+/// the threshold is almost always within an ulp or two of the edge.
+const EDGE_WALK: usize = 8;
+
+/// The least f64 whose `clamp_cell_of` is at least `c`, for
+/// `0 < c < grid.len()`.
+///
+/// The search runs over [`order_key`]s and keeps `below` in a cell under
+/// `c` and `above` in a cell at or over `c`: `lo` lies in cell 0, and
+/// every value at or over `hi` that is also over `lo` lies in cell
+/// `n − 1`. It first steps one representable value at a time from
+/// `lo + c·step`, then bisects whatever gap is left, so it ends on any
+/// valid grid. Every probe lies strictly between the bracket's ends, the
+/// lower of which is finite, so it is finite.
+fn least_at_or_above(grid: &Grid, c: usize) -> f64 {
+    let at_or_above = |key: u64| grid.clamp_cell_of(from_order_key(key)) >= c;
+    let below = order_key(grid.lo());
+    let (mut below, mut above) = (below, order_key(grid.hi()).max(below + 1));
+    let mut probe = order_key(grid.edge(c));
+    for _ in 0..EDGE_WALK {
+        if probe <= below || probe >= above {
+            break;
+        }
+        if at_or_above(probe) {
+            above = probe;
+            probe -= 1;
+        } else {
+            below = probe;
+            probe += 1;
+        }
+    }
+    while above - below > 1 {
+        let mid = below + (above - below) / 2;
+        if at_or_above(mid) {
+            above = mid;
+        } else {
+            below = mid;
+        }
+    }
+    from_order_key(above)
+}
+
+/// `x`'s position among the f64 values as an unsigned integer: keys
+/// ascend with the values they encode, and neighbouring keys are
+/// neighbouring representable values (`−0.0` sits just below `+0.0`).
+/// (`f64::next_up` would need Rust 1.86.)
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The f64 with the given [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
 /// Density of `Y = f(X)` for `X ~ p`. `f` need not be monotone.
 ///
 /// # Errors
@@ -73,7 +208,10 @@ pub fn map1(p: &Pdf, quality: usize, mut f: impl FnMut(f64) -> f64) -> Result<Pd
 }
 
 /// Density of `Z = f(X, Y)` for independent `X ~ a`, `Y ~ b`.
-/// Complexity `O(nₐ·n_b)`.
+/// Complexity `O(nₐ·n_b)`. The binning pass compares each value with the
+/// exact bounds of the cell it is filling and finds a new cell only when
+/// a value leaves them; the result is bitwise that of binning every value
+/// through [`Grid::clamp_cell_of`].
 ///
 /// # Errors
 ///
@@ -97,21 +235,16 @@ pub fn map2(a: &Pdf, b: &Pdf, quality: usize, mut f: impl FnMut(f64, f64) -> f64
         }
     }
     let grid = output_grid(lo, hi, quality)?;
-    let mut density = vec![0.0f64; grid.len()];
+    let mut bins = Bins::new(grid);
     let ma = a.grid().step();
     let mb = b.grid().step();
-    let da = a.density();
-    let db = b.density();
-    let mut k = 0;
-    for &dx in da.iter() {
+    for (&dx, row) in a.density().iter().zip(vals.chunks_exact(ys.len())) {
         let wx = dx * ma;
-        for &dy in db.iter() {
-            density[grid.clamp_cell_of(vals[k])] += wx * dy * mb;
-            k += 1;
+        for (&v, &dy) in row.iter().zip(b.density()) {
+            bins.add(v, wx * dy * mb);
         }
     }
-    let density = density.iter().map(|m| m / grid.step()).collect();
-    Pdf::new(grid, density)
+    Pdf::new(grid, bins.into_density())
 }
 
 /// Density of `W = f(X, Y, Z)` for three independent inputs.
@@ -210,6 +343,10 @@ fn scaled_extremes(c: f64, row: &[f64]) -> (f64, f64) {
 /// reads only per-row table extremes — `fl(u + v)` is non-decreasing in
 /// each argument, so a row's extreme values come from its extreme
 /// entries — and a single `nₓ·n_y·n_z` pass multiplies, adds and bins.
+/// That pass keeps the open cell's sum in a register and divides only
+/// when a value leaves the cell's exact bounds, the least value
+/// `clamp_cell_of` sends to each cell: at QUALITYinter = 50 a row of 50
+/// values crosses about four cells.
 ///
 /// # Errors
 ///
@@ -254,7 +391,7 @@ pub fn map3_tabulated(
         hi = hi.max(row_hi);
     }
     let grid = output_grid(lo, hi, quality)?;
-    let mut density = vec![0.0f64; grid.len()];
+    let mut bins = Bins::new(grid);
     let (mx, my, mz) = (x.grid().step(), y.grid().step(), z.grid().step());
     let mut h_scaled = vec![0.0f64; nz];
     for (i, (g_row, h_row)) in gy.chunks_exact(ny).zip(hz.chunks_exact(nz)).enumerate() {
@@ -272,12 +409,11 @@ pub fn map3_tabulated(
             }
             let gs = alpha * g;
             for (&hs, &dz) in h_scaled.iter().zip(z.density()) {
-                density[grid.clamp_cell_of(gs + hs)] += wxy * dz * mz;
+                bins.add(gs + hs, wxy * dz * mz);
             }
         }
     }
-    let density = density.iter().map(|m| m / grid.step()).collect();
-    Pdf::new(grid, density)
+    Pdf::new(grid, bins.into_density())
 }
 
 /// Density of the product `X·Y` of independent variables — the
@@ -393,8 +529,8 @@ mod tests {
 
     #[test]
     fn map3_tabulated_is_bitwise_map3() {
-        let g = |x: f64, y: f64| x / (x - y).powf(1.3) + 1.0 / (1.5 * x - 2.0 * y);
-        let h = |x: f64, z: f64| (x * z).sqrt();
+        let g0 = |x: f64, y: f64| x / (x - y).powf(1.3) + 1.0 / (1.5 * x - 2.0 * y);
+        let h0 = |x: f64, z: f64| (x * z).sqrt();
         let x = gaussian_pdf(1.2, 0.05, 3.0, 9);
         let y = gaussian_pdf(0.3, 0.02, 3.0, 7);
         let z = Pdf::new(
@@ -402,28 +538,43 @@ mod tests {
             vec![1.0, 0.0, 2.0, 1.0, 3.0],
         )
         .unwrap();
-        let (gy, hz) = (center_table(&x, &y, g), center_table(&x, &z, h));
-        for (alpha, beta) in [
-            (2.0, 3.0),
-            (-2.0, 3.0),
-            (2.0, -3.5),
-            (0.0, -1.0),
-            (-0.0, 1.0),
-            (f64::MAX, 1.0),
-        ] {
-            for quality in [0, 1, 13] {
-                let want = map3(&x, &y, &z, quality, |x, y, z| {
-                    alpha * g(x, y) + beta * h(x, z)
-                });
-                let got = map3_tabulated(&x, &y, &z, quality, (alpha, &gy), (beta, &hz));
-                assert_eq!(
-                    format!("{got:?}"),
-                    format!("{want:?}"),
-                    "α={alpha} β={beta} Q={quality}"
-                );
+        // The tables as given, shifted far below zero (a negative `lo`),
+        // and squeezed onto a huge offset (an `lo` so much larger than the
+        // step that most output cells are empty).
+        for (shift, scale) in [(0.0, 1.0), (-50.0, 1.0), (1e9, 1e-6)] {
+            let g = |x: f64, y: f64| shift + scale * g0(x, y);
+            let h = |x: f64, z: f64| shift + scale * h0(x, z);
+            let (gy, hz) = (center_table(&x, &y, g), center_table(&x, &z, h));
+            for (alpha, beta) in [
+                (2.0, 3.0),
+                (-2.0, 3.0),
+                (2.0, -3.5),
+                (0.0, -1.0),
+                (-0.0, 1.0),
+                (f64::MAX, 1.0),
+            ] {
+                for quality in [0, 1, 13, 50] {
+                    let want = map3(&x, &y, &z, quality, |x, y, z| {
+                        alpha * g(x, y) + beta * h(x, z)
+                    });
+                    let got = map3_tabulated(&x, &y, &z, quality, (alpha, &gy), (beta, &hz));
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "shift={shift} α={alpha} β={beta} Q={quality}"
+                    );
+                    // The squeezed tables do leave most cells empty.
+                    let squeezed = scale < 1.0 && quality == 50;
+                    if let (Ok(pdf), true) = (&got, squeezed) {
+                        let b = cell_bounds(pdf.grid());
+                        let empty = (0..quality).filter(|&c| b[c] == b[c + 1]).count();
+                        assert!(empty > quality / 2, "α={alpha} β={beta}: {empty} empty");
+                    }
+                }
             }
         }
         // A NaN entry fails the way the full pass does.
+        let (gy, hz) = (center_table(&x, &y, g0), center_table(&x, &z, h0));
         let mut nan = gy.clone();
         nan[10] = f64::NAN;
         let got = map3_tabulated(&x, &y, &z, 13, (0.0, &nan), (1.0, &hz));
@@ -433,6 +584,67 @@ mod tests {
                 what: "map3 output"
             })
         ));
+    }
+
+    #[test]
+    fn cell_bounds_are_each_cells_least_value() {
+        let next_down = |v: f64| from_order_key(order_key(v) - 1);
+        let next_up = |v: f64| from_order_key(order_key(v) + 1);
+        let grids = [
+            Grid::new(0.0, 1.0, 4).unwrap(),
+            Grid::over(-1.0, 1.0, 200).unwrap(),
+            // A negative `lo`.
+            Grid::new(-3.7, 0.1, 50).unwrap(),
+            // `lo` ≫ step: one ulp of `lo` spans many cells, so most
+            // cells are empty.
+            Grid::new(1e9, 1e-8, 13).unwrap(),
+            // A single cell.
+            Grid::new(0.25, 0.5, 1).unwrap(),
+            // Subnormal cells across zero.
+            Grid::new(-1e-309, 3e-310, 7).unwrap(),
+            // `lo + n·step` rounds back to `lo`.
+            Grid::new(1e20, 1e-10, 3).unwrap(),
+        ];
+        for grid in &grids {
+            let n = grid.len();
+            let b = cell_bounds(grid);
+            assert_eq!(b.len(), n + 1, "{grid:?}");
+            assert_eq!((b[0], b[n]), (f64::NEG_INFINITY, f64::INFINITY));
+            for c in 1..n {
+                assert!(b[c - 1] <= b[c], "{grid:?} c={c}");
+                assert!(grid.clamp_cell_of(b[c]) >= c, "{grid:?} c={c}");
+                assert!(grid.clamp_cell_of(next_down(b[c])) < c, "{grid:?} c={c}");
+            }
+            // Values around every edge land in the cell whose bounds
+            // hold them.
+            for i in 0..=n {
+                let mut v = grid.edge(i);
+                for _ in 0..4 {
+                    v = next_down(v);
+                }
+                for _ in 0..9 {
+                    let c = grid.clamp_cell_of(v);
+                    assert!(b[c] <= v && v < b[c + 1], "{grid:?} v={v:e} c={c}");
+                    v = next_up(v);
+                }
+            }
+        }
+        // The one-ulp grid leaves cells 1..=11 empty.
+        let b = cell_bounds(&grids[3]);
+        assert!(b[1..=12].iter().all(|&t| t == next_up(1e9)), "{b:?}");
+    }
+
+    #[test]
+    fn order_keys_step_through_adjacent_values() {
+        for v in [-2.5, -f64::MIN_POSITIVE, -0.0, 0.0, 1e-310, 1.0, f64::MAX] {
+            assert_eq!(from_order_key(order_key(v)).to_bits(), v.to_bits());
+        }
+        assert_eq!(order_key(0.0) - order_key(-0.0), 1);
+        assert_eq!(from_order_key(order_key(0.0) + 1), 5e-324);
+        assert_eq!(from_order_key(order_key(-0.0) - 1), -5e-324);
+        assert_eq!(from_order_key(order_key(1.0) + 1), 1.0 + f64::EPSILON);
+        assert_eq!(from_order_key(order_key(f64::MAX) + 1), f64::INFINITY);
+        assert!(order_key(-1.0) < order_key(-0.5) && order_key(0.5) < order_key(1.0));
     }
 
     #[test]

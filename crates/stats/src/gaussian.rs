@@ -193,7 +193,8 @@ impl Gaussian {
 /// grid of `quality` cells, normalized. The paper uses `trunc_k = 6`.
 ///
 /// Cell densities use exact CDF differences so the grid mass is correct to
-/// machine precision regardless of `quality`.
+/// machine precision regardless of `quality`. Each of the `quality + 1`
+/// edge CDFs is evaluated once and shared by the two cells it bounds.
 ///
 /// # Panics
 ///
@@ -218,9 +219,11 @@ pub fn try_gaussian_pdf(mean: f64, sigma: f64, trunc_k: f64, quality: usize) -> 
     let grid = Grid::over(mean - trunc_k * sigma, mean + trunc_k * sigma, quality)?;
     let mut density = Vec::with_capacity(quality);
     let step = grid.step();
+    let mut below = g.cdf(grid.edge(0));
     for i in 0..quality {
-        let m = g.cdf(grid.edge(i + 1)) - g.cdf(grid.edge(i));
-        density.push((m / step).max(0.0));
+        let above = g.cdf(grid.edge(i + 1));
+        density.push(((above - below) / step).max(0.0));
+        below = above;
     }
     Pdf::new(grid, density)
 }

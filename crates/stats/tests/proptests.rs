@@ -1,11 +1,11 @@
 //! Property-based tests for the PDF engine's core invariants.
 
 use proptest::prelude::*;
-use statim_stats::combine::{map1, map2};
+use statim_stats::combine::{map1, map2, map3_tabulated};
 use statim_stats::convolve::{sum_pdf, sum_pdf_resampled, sum_pdf_with, ConvolveBackend};
 use statim_stats::gaussian::{big_phi, erf, gaussian_pdf, inv_phi, try_gaussian_pdf, Gaussian};
 use statim_stats::sample::PdfSampler;
-use statim_stats::{Grid, Pdf};
+use statim_stats::{Grid, Pdf, StatsError};
 
 /// Strategy: a valid normalized PDF on a random grid with random
 /// (non-degenerate) densities.
@@ -303,5 +303,144 @@ proptest! {
         for (x, y) in pdf.density().iter().zip(out.density()) {
             prop_assert!((x - y).abs() <= 1e-12 * (1.0 + x.abs()));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Threshold binning: `map2` and `map3_tabulated` against the plain
+// per-value `clamp_cell_of` loop they binned with before, bit for bit.
+// ---------------------------------------------------------------------
+
+/// A PDF on a random grid of fewer than `cells` cells, about a quarter
+/// of whose densities are exact zeros (the kernels skip zero weights).
+fn arb_sparse_pdf(cells: usize) -> impl Strategy<Value = Pdf> {
+    (
+        -1e3..1e3f64,
+        0.01..10.0f64,
+        1..cells,
+        proptest::collection::vec(-300.0..1e3f64, cells),
+    )
+        .prop_filter_map("needs positive mass", |(lo, step, n, raw)| {
+            let density = raw[..n].iter().map(|d| d.max(0.0)).collect();
+            Pdf::new(Grid::new(lo, step, n).ok()?, density).ok()
+        })
+}
+
+/// Output grids worth binning onto: values as drawn, shifted far below
+/// zero (a negative `lo`), squeezed onto a huge offset (an `lo` so much
+/// larger than the step that most cells are empty), and constant (a
+/// padded single value).
+fn arb_shape() -> impl Strategy<Value = (f64, f64)> {
+    prop::sample::select(vec![(0.0, 1.0), (-1e4, 1.0), (1e9, 1e-7), (3.0, 0.0)])
+}
+
+fn arb_quality() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![1, 2, 13, 50, 200])
+}
+
+/// `combine`'s output grid for values in `[lo, hi]`.
+fn plain_output_grid(lo: f64, hi: f64, quality: usize) -> Result<Grid, StatsError> {
+    let (lo, hi) = if hi - lo > 0.0 {
+        (lo, hi)
+    } else {
+        let pad = lo.abs().max(1.0) * 1e-9;
+        (lo - pad, hi + pad)
+    };
+    let span = hi - lo;
+    Grid::over(lo, hi + span * 1e-12 + f64::MIN_POSITIVE, quality)
+}
+
+/// Ranges `(value, mass)` points onto their output grid and adds every
+/// mass into `clamp_cell_of`'s cell in order.
+fn plain_binned(points: &[(f64, Option<f64>)], quality: usize) -> Result<Pdf, StatsError> {
+    let lo = points.iter().fold(f64::INFINITY, |m, p| m.min(p.0));
+    let hi = points.iter().fold(f64::NEG_INFINITY, |m, p| m.max(p.0));
+    let grid = plain_output_grid(lo, hi, quality)?;
+    let mut density = vec![0.0f64; grid.len()];
+    for &(v, mass) in points {
+        if let Some(mass) = mass {
+            density[grid.clamp_cell_of(v)] += mass;
+        }
+    }
+    let density = density.iter().map(|m| m / grid.step()).collect();
+    Pdf::new(grid, density)
+}
+
+/// `map2` binned point by point.
+fn plain_map2(
+    a: &Pdf,
+    b: &Pdf,
+    quality: usize,
+    f: impl Fn(f64, f64) -> f64,
+) -> Result<Pdf, StatsError> {
+    let (ma, mb) = (a.grid().step(), b.grid().step());
+    let mut points = Vec::new();
+    for (x, &dx) in a.grid().centers().zip(a.density()) {
+        let wx = dx * ma;
+        for (y, &dy) in b.grid().centers().zip(b.density()) {
+            points.push((f(x, y), Some(wx * dy * mb)));
+        }
+    }
+    plain_binned(&points, quality)
+}
+
+/// `map3_tabulated` binned point by point, in its (i, j, k) order; a
+/// zero-weight row or column ranges but never bins.
+fn plain_map3_tabulated(
+    (x, y, z): (&Pdf, &Pdf, &Pdf),
+    quality: usize,
+    (alpha, gy): (f64, &[f64]),
+    (beta, hz): (f64, &[f64]),
+) -> Result<Pdf, StatsError> {
+    let (ny, nz) = (y.grid().len(), z.grid().len());
+    let (mx, my, mz) = (x.grid().step(), y.grid().step(), z.grid().step());
+    let mut points = Vec::new();
+    for (i, &dx) in x.density().iter().enumerate() {
+        let wx = dx * mx;
+        for (j, &dy) in y.density().iter().enumerate() {
+            let wxy = wx * dy * my;
+            for (k, &dz) in z.density().iter().enumerate() {
+                let v = alpha * gy[i * ny + j] + beta * hz[i * nz + k];
+                let binned = wx != 0.0 && wxy != 0.0;
+                points.push((v, binned.then_some(wxy * dz * mz)));
+            }
+        }
+    }
+    plain_binned(&points, quality)
+}
+
+proptest! {
+    #[test]
+    fn map2_bins_bitwise_like_the_plain_loop(
+        a in arb_sparse_pdf(40),
+        b in arb_sparse_pdf(40),
+        shape in arb_shape(),
+        quality in arb_quality(),
+    ) {
+        let (shift, scale) = shape;
+        let f = |x: f64, y: f64| shift + scale * 10.0 * (x * 12.9898 + y * 78.233).sin();
+        let got = map2(&a, &b, quality, f);
+        let want = plain_map2(&a, &b, quality, f);
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    #[test]
+    fn map3_tabulated_bins_bitwise_like_the_plain_loop(
+        xyz in (arb_sparse_pdf(12), arb_sparse_pdf(12), arb_sparse_pdf(12)),
+        tables in (proptest::collection::vec(-10.0..10.0f64, 144), proptest::collection::vec(-10.0..10.0f64, 144)),
+        shape in arb_shape(),
+        alpha in prop::sample::select(vec![-2.5, -1.0, -0.0, 0.0, 0.75, 3.0]),
+        beta in -4.0..4.0f64,
+        quality in arb_quality(),
+    ) {
+        let ((x, y, z), (shift, scale)) = (xyz, shape);
+        let (nx, ny, nz) = (x.grid().len(), y.grid().len(), z.grid().len());
+        let table = |raw: &[f64], n: usize| -> Vec<f64> {
+            raw[..nx * n].iter().map(|t| shift + scale * t).collect()
+        };
+        let (gy, hz) = (table(&tables.0, ny), table(&tables.1, nz));
+        let got = map3_tabulated(&x, &y, &z, quality, (alpha, &gy), (beta, &hz));
+        let want = plain_map3_tabulated((&x, &y, &z), quality, (alpha, &gy), (beta, &hz));
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 }

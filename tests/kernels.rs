@@ -19,7 +19,7 @@ use statim::core::engine::{SstaConfig, SstaEngine, SstaReport};
 use statim::core::enumerate::near_critical_paths;
 use statim::core::graph::TimingGraph;
 use statim::core::inter::{inter_param_pdf, inter_pdf};
-use statim::core::intra::{intra_variance, path_coefficients};
+use statim::core::intra::{intra_pdf, intra_variance, path_coefficients};
 use statim::core::longest_path::{critical_path, topo_labels};
 use statim::core::monte_carlo::mc_path_distribution;
 use statim::core::report::deterministic_report;
@@ -513,4 +513,96 @@ fn intra_variance_bits_are_pinned() {
     }
     assert_eq!(pairs, 4 * 2_074, "(path, layer model) pairs");
     assert_eq!(h, PINNED_INTRA_VARIANCE_DIGEST, "digest {h:#018x}");
+}
+
+// ---------------------------------------------------------------------
+// Cold kernels: one digest over the inter- and intra-die PDF bits of
+// real near-critical paths under the settings the kernels branch on.
+// ---------------------------------------------------------------------
+
+/// Digest of the grid `lo`/`step` bits and the density bits of
+/// `inter_pdf` over [`cold_kernel_settings`] × the distinct near-critical
+/// `(A, B)` of c432, c499, c880 and c1355 plus a zero key, then of
+/// `intra_pdf` at those paths' eq. (14) variances at Q = 100 and Q = 37.
+/// Taken before the per-thread inter-die basis, the threshold binning and
+/// the shared Gaussian edge CDFs; a change here means a kernel's output
+/// bits changed.
+const PINNED_COLD_KERNEL_DIGEST: u64 = 0x5411_544e_b811_1d3f;
+
+/// The inter-die settings the digest sweeps: the paper's model at
+/// QUALITYinter = 50, a half inter-die share, a uniform marginal, a
+/// coarser and a finer grid, and a zero inter-die share (the nominal
+/// delta).
+fn cold_kernel_settings() -> [(LayerModel, Marginal, usize); 6] {
+    [
+        (LayerModel::date05(), Marginal::Gaussian, 50),
+        (LayerModel::with_inter_share(0.5), Marginal::Gaussian, 50),
+        (LayerModel::date05(), Marginal::Uniform, 50),
+        (LayerModel::date05(), Marginal::Gaussian, 24),
+        (LayerModel::date05(), Marginal::Gaussian, 80),
+        (LayerModel::with_inter_share(0.0), Marginal::Gaussian, 50),
+    ]
+}
+
+#[test]
+fn cold_kernel_output_bits_are_pinned() {
+    let tech = Technology::cmos130();
+    let vars = Variations::date05();
+    let layers = LayerModel::date05();
+    let mut keys = Vec::new();
+    let mut variances = Vec::new();
+    let (mut seen_ab, mut seen_var) = (
+        std::collections::HashSet::new(),
+        std::collections::HashSet::new(),
+    );
+    for bench in [
+        Benchmark::C432,
+        Benchmark::C499,
+        Benchmark::C880,
+        Benchmark::C1355,
+    ] {
+        let (placement, timing, paths) = near_critical(bench, 0.05);
+        for path in &paths {
+            let ab = timing.path_alpha_beta(path);
+            if seen_ab.insert((ab.alpha.to_bits(), ab.beta.to_bits())) {
+                keys.push(ab);
+            }
+            let coeffs = path_coefficients(path, &timing, &placement, &layers);
+            let var = intra_variance(&coeffs, &layers, &vars).expect("variance");
+            if seen_var.insert(var.to_bits()) {
+                variances.push(var);
+            }
+        }
+    }
+    keys.push(AlphaBeta {
+        alpha: 0.0,
+        beta: 0.0,
+    });
+    let fold = |h: u64, pdf: Pdf| {
+        let g = pdf.grid();
+        let words = [g.lo().to_bits(), g.step().to_bits()];
+        words
+            .into_iter()
+            .chain(pdf.density().iter().map(|d| d.to_bits()))
+            .fold(h, fnv1a)
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (layers, marginal, quality) in &cold_kernel_settings() {
+        for ab in &keys {
+            let pdf = inter_pdf(ab, &tech, &vars, layers, *marginal, *quality)
+                .unwrap_or_else(|e| panic!("{ab:?} {marginal:?} Q={quality}: {e}"));
+            h = fold(h, pdf);
+        }
+    }
+    for quality in [100, 37] {
+        for &var in &variances {
+            h = fold(h, intra_pdf(var, vars.trunc_k, quality).expect("intra pdf"));
+        }
+    }
+    assert_eq!(
+        (keys.len(), variances.len()),
+        (80, 79),
+        "distinct keys, variances"
+    );
+    assert_eq!(h, PINNED_COLD_KERNEL_DIGEST, "digest {h:#018x}");
 }

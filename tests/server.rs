@@ -688,8 +688,10 @@ fn wait_timeouts_are_typed_and_huge_timeouts_do_not_panic() {
     let handle = spawn_daemon(ServiceConfig::default());
     let mut client = connect(&handle);
 
-    // A heavy job so the short wait below reliably expires first.
-    let heavy = opts(&[("confidence", "0.3")]);
+    // A heavy job so the short wait below reliably expires first, in
+    // release builds too: at QUALITYinter = 100 each inter-die kernel
+    // costs about eight times the default's (it grows as Q³).
+    let heavy = opts(&[("confidence", "0.3"), ("quality-inter", "100")]);
     let (slow, _) = client.submit("@c1355", &heavy).expect("submit heavy");
     match client.wait(slow, Duration::from_millis(50)) {
         Err(ClientError::Timeout { id, last_state }) => {
