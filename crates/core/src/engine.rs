@@ -16,7 +16,7 @@ use crate::characterize::{characterize_placed, CircuitTiming};
 use crate::correlation::LayerModel;
 use crate::enumerate::near_critical_paths;
 use crate::error::ErrorClass;
-use crate::longest_path::{bellman_ford, critical_path, topo_labels};
+use crate::longest_path::{bellman_ford, critical_path, topo_labels, Labels};
 use crate::rank::{rank_paths, RankedPath};
 use crate::supervise::{fan_out, BudgetKind, RunBudget, Supervisor};
 use crate::worst_case::worst_case_critical_delay;
@@ -403,6 +403,12 @@ impl SstaReport {
     pub fn critical(&self) -> &RankedPath {
         &self.paths[0]
     }
+
+    /// Whether the run completed without quarantine, budget trips or
+    /// skipped paths.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.degraded.is_empty() && self.budget_exhausted.is_none() && self.skipped_paths == 0
+    }
 }
 
 /// External resources a caller can thread into a run. A one-shot CLI
@@ -426,6 +432,75 @@ pub struct RunContext<'a> {
 /// A per-path reuse oracle for [`SstaEngine::run_characterized`]: the
 /// retained analysis of a path's gates, or `None` to compute it.
 pub(crate) type Reuse<'a> = &'a (dyn Fn(&[GateId]) -> Option<PathAnalysis> + Sync);
+
+/// What a run computes before σ_C: the gate timing, the longest-path
+/// labels, the deterministic critical delay and the critical path. None
+/// of it depends on `C`, which only sets the enumeration threshold, so
+/// one front serves a run at any `C` of the same netlist and settings.
+#[derive(Debug)]
+pub(crate) struct Front {
+    pub(crate) timing: CircuitTiming,
+    labels: Labels,
+    critical_delay: f64,
+    critical_path: Vec<GateId>,
+}
+
+/// A clean report's path analyses, looked up by gate sequence: what a
+/// reuse oracle hands back in place of a recompute. A report with
+/// quarantined or skipped paths retains nothing, since reuse around them
+/// would need per-path provenance the report does not keep.
+pub(crate) struct RetainedPaths {
+    report: Arc<SstaReport>,
+    /// `(gate-sequence hash, index into report.paths)`, sorted by hash
+    /// and then by gate sequence. The hash is unkeyed and netlists come
+    /// from outside, so colliding paths must not cost a scan: a lookup
+    /// is one binary search on (hash, gates) however many collide.
+    index: Vec<(u64, u32)>,
+}
+
+impl RetainedPaths {
+    /// Indexes `report`'s paths (none unless it is clean).
+    pub(crate) fn new(report: Arc<SstaReport>) -> Self {
+        let paths = &report.paths;
+        let mut index: Vec<(u64, u32)> = if report.is_clean() {
+            paths
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (path_hash(&p.analysis.gates), i as u32))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        index.sort_unstable_by(|a, b| index_key(paths, a).cmp(&index_key(paths, b)));
+        RetainedPaths { report, index }
+    }
+
+    /// The indexed report.
+    pub(crate) fn report(&self) -> &Arc<SstaReport> {
+        &self.report
+    }
+
+    /// The retained analysis of exactly this gate sequence.
+    pub(crate) fn get(&self, gates: &[GateId]) -> Option<&PathAnalysis> {
+        let paths = &self.report.paths;
+        let want = (path_hash(gates), gates);
+        let at = self.index.partition_point(|e| index_key(paths, e) < want);
+        let &(_, i) = self.index.get(at).filter(|e| index_key(paths, e) == want)?;
+        Some(&paths[i as usize].analysis)
+    }
+}
+
+/// The sort key of an index entry: its hash, then its gate sequence.
+fn index_key<'a>(paths: &'a [RankedPath], &(hash, i): &(u64, u32)) -> (u64, &'a [GateId]) {
+    (hash, &paths[i as usize].analysis.gates)
+}
+
+/// A fast multiplicative hash of a gate sequence.
+fn path_hash(gates: &[GateId]) -> u64 {
+    gates.iter().fold(gates.len() as u64, |h, g| {
+        (h.rotate_left(5) ^ u64::from(g.0)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
 
 /// The statistical timing engine.
 #[derive(Debug, Clone)]
@@ -470,18 +545,17 @@ impl SstaEngine {
         placement: &Placement,
         ctx: RunContext<'_>,
     ) -> Result<SstaReport> {
-        self.run_with_timing(circuit, placement, ctx)
+        self.run_with_front(circuit, placement, ctx)
             .map(|(_, report)| report)
     }
 
-    /// [`SstaEngine::run_with`], also returning the gate timing it
-    /// characterized.
-    pub(crate) fn run_with_timing(
+    /// [`SstaEngine::run_with`], also returning the front it built.
+    pub(crate) fn run_with_front(
         &self,
         circuit: &Circuit,
         placement: &Placement,
         ctx: RunContext<'_>,
-    ) -> Result<(CircuitTiming, SstaReport)> {
+    ) -> Result<(Front, SstaReport)> {
         let start = Instant::now();
         self.check(circuit, placement)?;
         // The supervisor's wall clock starts with the run, so serial
@@ -493,20 +567,46 @@ impl SstaEngine {
         let sup = ctx.supervisor.unwrap_or(&local_sup);
 
         // 1. One-time gate characterization (placement-aware wire loads,
-        //    as a DEF-driven flow sees them).
+        //    as a DEF-driven flow sees them), then the front.
         let t0 = Instant::now();
         let timing = characterize_placed(circuit, &self.config.tech, placement)?;
         let characterize = StageProfile::serial(t0.elapsed().as_secs_f64());
+        let (front, labels) = self.front(circuit, timing)?;
         let mut report =
-            self.run_characterized(circuit, placement, &timing, ctx.store, sup, None)?;
+            self.run_characterized(circuit, placement, &front, ctx.store, sup, None)?;
         report.profile.characterize = characterize;
+        report.profile.labels = labels;
         report.runtime = start.elapsed().as_secs_f64();
-        Ok((timing, report))
+        Ok((front, report))
+    }
+
+    /// Stage 2, the deterministic analysis of a characterized circuit:
+    /// labels by the configured solver, the critical delay and the
+    /// critical path. Returns the front and the stage's wall time.
+    pub(crate) fn front(
+        &self,
+        circuit: &Circuit,
+        timing: CircuitTiming,
+    ) -> Result<(Front, StageProfile)> {
+        let t0 = Instant::now();
+        let labels = match self.config.solver {
+            LabelSolver::BellmanFord => bellman_ford(circuit, &timing)?,
+            LabelSolver::Topological => topo_labels(circuit, &timing)?,
+        };
+        let critical_delay = labels.critical_delay(circuit)?;
+        let critical_path = critical_path(circuit, &timing, &labels)?;
+        let front = Front {
+            timing,
+            labels,
+            critical_delay,
+            critical_path,
+        };
+        Ok((front, StageProfile::serial(t0.elapsed().as_secs_f64())))
     }
 
     /// Refuses what no stage can time: an invalid config, a register
     /// netlist, or a placement of the wrong length.
-    fn check(&self, circuit: &Circuit, placement: &Placement) -> Result<()> {
+    pub(crate) fn check(&self, circuit: &Circuit, placement: &Placement) -> Result<()> {
         self.config.validate()?;
         // Combinational SSTA has no notion of a clock edge: a register Q
         // would be treated as a free input and every register-to-register
@@ -535,17 +635,18 @@ impl SstaEngine {
         Ok(())
     }
 
-    /// Stages 2–6 on a characterized circuit: labels, σ_C, enumeration,
-    /// the supervised per-path fan-out and ranking. `reuse` may stand in
-    /// for the per-path kernel: it returns a retained analysis that is
-    /// bitwise what [`analyze_path_cached`] would compute now, or `None`
-    /// to compute it. The report's `runtime` covers these stages only and
-    /// `profile.characterize` is left to the caller, which timed it.
+    /// Stages 3–6 from a front: σ_C, enumeration, the supervised
+    /// per-path fan-out and ranking. `reuse` may stand in for the
+    /// per-path kernel: it returns a retained analysis that is bitwise
+    /// what [`analyze_path_cached`] would compute now, or `None` to
+    /// compute it. The report's `runtime` covers these stages only, and
+    /// `profile.characterize` and `profile.labels` are left to the
+    /// caller, which built the front (or reused one, at no cost).
     pub(crate) fn run_characterized(
         &self,
         circuit: &Circuit,
         placement: &Placement,
-        timing: &CircuitTiming,
+        front: &Front,
         store: Option<Arc<KernelStore>>,
         sup: &Supervisor,
         reuse: Option<Reuse<'_>>,
@@ -553,16 +654,10 @@ impl SstaEngine {
         let start = Instant::now();
         let settings = self.config.settings();
         let mut profile = RunProfile::default();
-
-        // 2. Deterministic analysis.
-        let t0 = Instant::now();
-        let labels = match self.config.solver {
-            LabelSolver::BellmanFord => bellman_ford(circuit, timing)?,
-            LabelSolver::Topological => topo_labels(circuit, timing)?,
-        };
-        let det_critical_delay = labels.critical_delay(circuit)?;
-        let det_path = critical_path(circuit, timing, &labels)?;
-        profile.labels = StageProfile::serial(t0.elapsed().as_secs_f64());
+        let timing = &front.timing;
+        let labels = &front.labels;
+        let det_critical_delay = front.critical_delay;
+        let det_path = &front.critical_path;
 
         // 3. Probabilistic analysis of the deterministic critical path
         //    yields σ_C. The kernel cache (when enabled) is shared with
@@ -589,7 +684,7 @@ impl SstaEngine {
                 cache.as_ref(),
             ),
         };
-        let det_analysis = analyze(&det_path)?;
+        let det_analysis = analyze(det_path)?;
         let sigma_c = det_analysis.sigma;
         let det_wall = t0.elapsed().as_secs_f64();
 
@@ -607,7 +702,7 @@ impl SstaEngine {
         // 4. Enumerate paths within C·σ_C.
         let t0 = Instant::now();
         let threshold = det_critical_delay - self.config.confidence * sigma_c;
-        let set = near_critical_paths(circuit, timing, &labels, threshold, self.config.max_paths)?;
+        let set = near_critical_paths(circuit, timing, labels, threshold, self.config.max_paths)?;
         profile.enumerate = StageProfile::serial(t0.elapsed().as_secs_f64());
 
         // 5. Analyze every near-critical path on the worker pool,
@@ -621,7 +716,7 @@ impl SstaEngine {
         let det_idx = set
             .paths
             .iter()
-            .position(|p| p.len() == det_path.len() && *p == det_path);
+            .position(|p| p.len() == det_path.len() && p == det_path);
         let t0 = Instant::now();
         let threads = crate::parallel::effective_threads(self.config.threads);
         let pool = fan_out(
@@ -936,6 +1031,45 @@ mod tests {
                 b.analysis.confidence_point.to_bits()
             );
         }
+    }
+
+    /// Paths whose hashes collide must still find their own analyses:
+    /// the index orders by (hash, gates) and a lookup compares gates.
+    #[test]
+    fn retained_paths_resolve_hash_collisions_by_gates() {
+        let report = run(Benchmark::C432, SstaConfig::date05().with_confidence(0.5));
+        assert!(report.paths.len() >= 3);
+        let report = Arc::new(report);
+        let mut retained = RetainedPaths::new(Arc::clone(&report));
+        let paths = &report.paths;
+        // Give every entry the hash of the lexicographically last path,
+        // so the others sort before it within one collision run.
+        let last = paths
+            .iter()
+            .map(|p| &p.analysis.gates)
+            .max()
+            .expect("paths")
+            .clone();
+        let collided = path_hash(&last);
+        for entry in &mut retained.index {
+            entry.0 = collided;
+        }
+        retained
+            .index
+            .sort_unstable_by(|a, b| index_key(paths, a).cmp(&index_key(paths, b)));
+        let found = retained.get(&last).expect("the colliding path is found");
+        assert_eq!(found.gates, last);
+        assert!(std::ptr::eq(
+            found,
+            &paths
+                .iter()
+                .find(|p| p.analysis.gates == last)
+                .expect("path")
+                .analysis
+        ));
+        let mut absent = last.clone();
+        absent.push(GateId(u32::MAX));
+        assert!(retained.get(&absent).is_none());
     }
 
     #[test]

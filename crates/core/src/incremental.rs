@@ -38,14 +38,13 @@
 
 use crate::analyze::PathAnalysis;
 use crate::cache::KernelStore;
-use crate::characterize::{characterize_placed, CircuitTiming};
-use crate::engine::{RunContext, SstaEngine, SstaReport, StageProfile};
+use crate::characterize::characterize_placed;
+use crate::engine::{Front, RetainedPaths, RunContext, SstaEngine, SstaReport, StageProfile};
 use crate::graph::TimingGraph;
 use crate::supervise::Supervisor;
 use crate::{CoreError, Result};
 use statim_netlist::{Circuit, GateId, Placement, Signal};
 use statim_process::GateKind;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -451,9 +450,10 @@ pub struct IncrementalEngine {
     engine: SstaEngine,
     circuit: Circuit,
     placement: Placement,
-    timing: CircuitTiming,
+    front: Front,
     store: Arc<KernelStore>,
-    report: SstaReport,
+    /// The current report, indexed for the reuse oracle.
+    retained: RetainedPaths,
 }
 
 impl IncrementalEngine {
@@ -464,7 +464,7 @@ impl IncrementalEngine {
     /// Any base-run failure.
     pub fn new(engine: SstaEngine, circuit: Circuit, placement: Placement) -> Result<Self> {
         let store = Arc::new(KernelStore::with_capacity(engine.config().cache_capacity));
-        let (timing, report) = engine.run_with_timing(
+        let (front, report) = engine.run_with_front(
             &circuit,
             &placement,
             RunContext {
@@ -476,9 +476,9 @@ impl IncrementalEngine {
             engine,
             circuit,
             placement,
-            timing,
+            front,
             store,
-            report,
+            retained: RetainedPaths::new(Arc::new(report)),
         })
     }
 
@@ -494,7 +494,7 @@ impl IncrementalEngine {
 
     /// The current base report.
     pub fn report(&self) -> &SstaReport {
-        &self.report
+        self.retained.report()
     }
 
     /// The shared kernel store (warm across passes).
@@ -526,7 +526,7 @@ impl IncrementalEngine {
         let dirty: Vec<bool> = timing
             .gates()
             .iter()
-            .zip(self.timing.gates())
+            .zip(self.front.timing.gates())
             .map(|(new, old)| new != old)
             .collect();
         let dirty_gates = dirty.iter().filter(|&&d| d).count();
@@ -542,27 +542,19 @@ impl IncrementalEngine {
             .filter(|&&c| c)
             .count();
 
+        let (front, labels) = self.engine.front(&circuit, timing)?;
+
         // Path analysis is a pure function of gate sequence, timing bits,
         // placement and settings, so a retained path that crosses no
-        // dirty gate is bitwise what a recompute would give. Only a clean
-        // report seeds reuse: around quarantined or skipped paths it
-        // would need per-path provenance the report does not keep.
-        let base = &self.report;
-        let clean =
-            base.degraded.is_empty() && base.budget_exhausted.is_none() && base.skipped_paths == 0;
-        let retained: HashMap<&[GateId], &PathAnalysis> = base
-            .paths
-            .iter()
-            .filter(|_| clean)
-            .map(|p| (p.analysis.gates.as_slice(), &p.analysis))
-            .collect();
+        // dirty gate is bitwise what a recompute would give (only a clean
+        // report retains any).
         let reused = AtomicUsize::new(0);
         let recomputed = AtomicUsize::new(0);
         let oracle = |path: &[GateId]| -> Option<PathAnalysis> {
             let hit = if path.iter().any(|g| dirty[g.index()]) {
                 None
             } else {
-                retained.get(path).map(|&a| a.clone())
+                self.retained.get(path).cloned()
             };
             let counter = if hit.is_some() { &reused } else { &recomputed };
             counter.fetch_add(1, Ordering::Relaxed);
@@ -571,12 +563,13 @@ impl IncrementalEngine {
         let mut report = self.engine.run_characterized(
             &circuit,
             &self.placement,
-            &timing,
+            &front,
             Some(Arc::clone(&self.store)),
             &sup,
             Some(&oracle),
         )?;
         report.profile.characterize = characterize;
+        report.profile.labels = labels;
         report.runtime = start.elapsed().as_secs_f64();
 
         let stats = IncrementalStats {
@@ -588,11 +581,15 @@ impl IncrementalEngine {
         };
 
         // Re-base so the next script edits the edited circuit.
+        let report = Arc::new(report);
         self.circuit = circuit;
-        self.timing = timing;
-        self.report = report.clone();
+        self.front = front;
+        self.retained = RetainedPaths::new(Arc::clone(&report));
 
-        Ok(EcoOutcome { report, stats })
+        Ok(EcoOutcome {
+            report: SstaReport::clone(&report),
+            stats,
+        })
     }
 }
 

@@ -59,30 +59,63 @@
 //! an FNV fingerprint over everything that determines report content:
 //! the serialized netlist and placement, the kernel settings fingerprint
 //! ([`settings_fingerprint`]), the confidence constant, path budget and
-//! solver. Knobs that change wall time but never results — thread count,
-//! cache capacity, retry bound, run budgets — are deliberately excluded,
-//! so a re-submission with a different thread count still hits. A served
-//! report is the same `SstaReport` (or, for circuits with registers, the
-//! same `SequentialReport`) value a fresh run would produce, so its
-//! deterministic rendering
+//! solver, and the report inputs the kernel fingerprint leaves out (the
+//! technology's mobilities, widths and capacitances, the ranking
+//! multiple and the intra model — folded only where they differ from
+//! the paper's values, so fingerprints already in a persistent store
+//! keep their values). Knobs that change wall time but never results —
+//! thread count, cache, cache capacity, retry bound, run budgets — are
+//! deliberately excluded, so a re-submission with a different thread
+//! count still hits. A served report is the same `SstaReport` (or, for
+//! circuits with registers, the same `SequentialReport`) value a fresh
+//! run would produce, so its deterministic rendering
 //! ([`report::deterministic_report`](crate::report::deterministic_report)
 //! /
 //! [`report::deterministic_sequential_report`](crate::report::deterministic_sequential_report))
 //! is bit-identical.
+//!
+//! # Warm re-analysis
+//!
+//! Characterization, the longest-path labels and the deterministic
+//! critical path (the run's *front*) do not depend on `C`, and neither
+//! does any one path's analysis: `C` only sets the enumeration threshold
+//! `C·σ_C`. So for each analysis key (the netlist and every setting but
+//! `C` and `max_paths`) the executor keeps the front of its first clean
+//! run and its widest clean report, for the 64 most recently used keys.
+//! A combinational job at any `C` then starts at σ_C, and a reuse oracle
+//! hands back every path that report already analyzed, bit for bit. The
+//! near-critical set at a smaller `C` is a subset of the set at a larger
+//! one, so a re-analysis at a larger `C` computes only the new paths.
+//! Only clean reports this executor computed seed the state: never
+//! store-replayed ones, never degraded, budget-tripped or cancelled
+//! runs, and never a job with a fault plan, which neither reads nor
+//! seeds it.
+//!
+//! # Retirement
+//!
+//! The job table keeps at most 1024 terminal jobs; past the bound the
+//! least recently used one retires. A job counts as used when it turns
+//! terminal and on every request that names it (`STATUS`, `WAIT`,
+//! `RESULT`, `CANCEL`, `EDIT`); queued and running jobs never retire. A
+//! retired id answers [`ServiceError::Retired`]; its result-store entry
+//! stays, so resubmitting its spec is a hit.
 
+use crate::analyze::{IntraModel, PathAnalysis};
 use crate::cache::{fnv1a, fold_f64, fold_u64, settings_fingerprint, CacheStats, KernelStore};
-use crate::engine::{LabelSolver, RunContext, SstaConfig, SstaEngine, SstaReport};
+use crate::engine::{
+    Front, LabelSolver, RetainedPaths, RunContext, SstaConfig, SstaEngine, SstaReport,
+};
 use crate::error::{ErrorClass, StatimError};
 use crate::sequential::{SequentialConfig, SequentialEngine, SequentialReport};
 use crate::store::{ResultLog, StoredReport};
 use crate::supervise::{isolate, BudgetKind, RunBudget, Supervisor};
 use crate::CoreError;
-use statim_netlist::{bench_format, def_lite, Circuit, Placement};
-use std::collections::{HashMap, VecDeque};
+use statim_netlist::{bench_format, def_lite, Circuit, GateId, Placement};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -246,9 +279,11 @@ impl JobSpec {
 
     /// FNV fingerprint over everything that determines report content:
     /// serialized netlist + placement, kernel settings, confidence,
-    /// enumeration budget and solver. Wall-time-only knobs (threads,
-    /// cache, retries, run budgets) are excluded so equivalent
-    /// submissions share a result-store entry.
+    /// enumeration budget, solver, and the report inputs the kernel
+    /// settings leave out (the technology's mobilities, widths and
+    /// capacitances, `sigma_rank` and the intra model). Wall-time-only
+    /// knobs (threads, cache, retries, run budgets) are excluded so
+    /// equivalent submissions share a result-store entry.
     pub fn fingerprint(&self) -> u64 {
         let mut h = fold_u64(
             self.netlist_digest,
@@ -256,15 +291,68 @@ impl JobSpec {
         );
         h = fold_f64(h, self.config.confidence);
         h = fold_u64(h, self.config.max_paths as u64);
-        h = fold_u64(
-            h,
-            match self.config.solver {
-                LabelSolver::BellmanFord => 0,
-                LabelSolver::Topological => 1,
-            },
-        );
+        h = fold_u64(h, solver_tag(self.config.solver));
+        // Folded only where they differ from the paper's values, so the
+        // fingerprints of every spec that leaves them alone (all a daemon
+        // can submit) keep the values persistent stores already hold.
+        let defaults = extra_report_inputs(&SstaConfig::date05());
+        for (tag, (bits, default)) in extra_report_inputs(&self.config)
+            .into_iter()
+            .zip(defaults)
+            .enumerate()
+        {
+            if bits != default {
+                h = fold_u64(fold_u64(h, tag as u64), bits);
+            }
+        }
         h
     }
+
+    /// Key of everything the front and a path's analysis read: the
+    /// netlist digest, the kernel settings, every `Technology` field,
+    /// `sigma_rank`, the intra model and the solver. `C` and `max_paths`
+    /// stay out (they only select which paths a run enumerates), as do
+    /// the wall-time-only knobs. Two specs with equal keys analyze any
+    /// path they share bit for bit.
+    pub(crate) fn analysis_key(&self) -> u64 {
+        let mut h = fold_u64(
+            self.netlist_digest,
+            settings_fingerprint(&self.config.tech, &self.config.settings()),
+        );
+        for bits in extra_report_inputs(&self.config) {
+            h = fold_u64(h, bits);
+        }
+        fold_u64(h, solver_tag(self.config.solver))
+    }
+}
+
+fn solver_tag(solver: LabelSolver) -> u64 {
+    match solver {
+        LabelSolver::BellmanFord => 0,
+        LabelSolver::Topological => 1,
+    }
+}
+
+/// The report inputs [`settings_fingerprint`] does not fold (it covers
+/// what the kernels read): the technology's mobilities, widths and
+/// capacitances, which set every gate's α/β, the ranking multiple and
+/// the intra model.
+fn extra_report_inputs(config: &SstaConfig) -> [u64; 9] {
+    let tech = &config.tech;
+    [
+        tech.mu_n.to_bits(),
+        tech.mu_p.to_bits(),
+        tech.w_n.to_bits(),
+        tech.w_p.to_bits(),
+        tech.c_drain.to_bits(),
+        tech.c_gate.to_bits(),
+        tech.c_wire.to_bits(),
+        config.sigma_rank.to_bits(),
+        match config.intra_model {
+            IntraModel::GaussianClosedForm => 0,
+            IntraModel::Numerical => 1,
+        },
+    ]
 }
 
 /// A finished job's report: combinational jobs carry an [`SstaReport`],
@@ -297,9 +385,7 @@ impl JobReport {
     /// skipped work — the result-store admission predicate.
     pub fn is_clean(&self) -> bool {
         match self {
-            JobReport::Analyze(r) => {
-                r.degraded.is_empty() && r.budget_exhausted.is_none() && r.skipped_paths == 0
-            }
+            JobReport::Analyze(r) => r.is_clean(),
             JobReport::Sequential(r) => {
                 r.degraded.is_empty() && r.budget_exhausted.is_none() && r.skipped_checks == 0
             }
@@ -434,8 +520,12 @@ pub enum ServiceError {
     },
     /// The service is draining after a shutdown request.
     Draining,
-    /// No such job.
+    /// No such job: the id was never issued.
     UnknownJob(JobId),
+    /// The job finished and then retired from the job table, which keeps
+    /// only the most recently used terminal jobs. Its result-store entry
+    /// (if it finished clean) remains: resubmitting its spec is a hit.
+    Retired(JobId),
     /// The job has not reached a terminal state yet.
     NotFinished {
         /// The job.
@@ -484,6 +574,12 @@ impl fmt::Display for ServiceError {
             },
             ServiceError::Draining => write!(f, "service is draining; no new jobs accepted"),
             ServiceError::UnknownJob(id) => write!(f, "unknown job {id}"),
+            ServiceError::Retired(id) => write!(
+                f,
+                "{id} retired: the job table keeps only the {RETAINED_JOBS} most recently \
+                 used finished jobs (resubmitting its spec serves a clean result from the \
+                 result store)"
+            ),
             ServiceError::NotFinished { id, state } => {
                 write!(f, "{id} is still {state}; poll STATUS until it finishes")
             }
@@ -591,6 +687,14 @@ pub struct ServiceStats {
     /// Failed persistent-store appends (the in-memory result is still
     /// served; only durability is lost).
     pub store_write_errors: u64,
+    /// Jobs that started from a warm front: a re-analysis of a netlist
+    /// and settings the executor already ran cleanly.
+    pub warm_runs: u64,
+    /// Path analyses a warm job took from the widest clean report of its
+    /// netlist and settings instead of computing them.
+    pub reused_paths: u64,
+    /// Terminal jobs retired from the job table past its bound.
+    pub retired_jobs: u64,
     /// Kernel-store counters (process lifetime).
     pub cache: CacheStats,
 }
@@ -605,7 +709,7 @@ struct Job {
     client: String,
     /// Absolute queue deadline on the tick clock, when one was set.
     deadline_at_ms: Option<u64>,
-    /// Retained for the job's lifetime (shared with the executor while
+    /// Retained until the job retires (shared with the executor while
     /// Running) so `EDIT` can derive a new spec from any base job —
     /// including store-served and cancelled ones.
     spec: Option<Arc<JobSpec>>,
@@ -613,6 +717,8 @@ struct Job {
     supervisor: Option<Arc<Supervisor>>,
     report: Option<JobReport>,
     error: Option<StatimError>,
+    /// The job's key in [`State::retire_order`], once terminal.
+    last_used: Option<u64>,
 }
 
 /// One client's admission lane: its FIFO of queued job ids plus its
@@ -675,9 +781,25 @@ fn bucket_cap_milli(rate_limit: Option<u32>) -> u64 {
     }
 }
 
+/// Terminal jobs the job table keeps; past this bound the least
+/// recently used one retires. With the default queue bound of 16, a
+/// client would have to leave about a thousand finished jobs unread
+/// before one of them retired.
+const RETAINED_JOBS: usize = 1024;
+
+/// Analysis keys whose warm state the executor keeps (least recently
+/// used evicted first). A front is at most about 0.4 MB (c7552's timing
+/// and labels); the widest reports are shared with the result store.
+const WARM_NETLISTS: usize = 64;
+
 #[derive(Default)]
 struct State {
     jobs: HashMap<u64, Job>,
+    /// Terminal jobs by last use (a tick from `use_clock`), oldest
+    /// first: the retirement order. Queued and running jobs are absent,
+    /// so they never retire.
+    retire_order: BTreeMap<u64, u64>,
+    use_clock: u64,
     /// Per-client lanes, keyed by client identity.
     lanes: HashMap<String, Lane>,
     /// Round-robin order: clients in first-submission order. Lanes are
@@ -875,8 +997,10 @@ impl AnalysisService {
                     supervisor: None,
                     report: Some(report),
                     error: None,
+                    last_used: None,
                 },
             );
+            st.terminated(id);
             return Ok(SubmitReceipt {
                 id: JobId(id),
                 from_store: true,
@@ -919,6 +1043,7 @@ impl AnalysisService {
                 supervisor: None,
                 report: None,
                 error: None,
+                last_used: None,
             },
         );
         let lane = st.lanes.get_mut(&client).expect("lane exists");
@@ -937,10 +1062,11 @@ impl AnalysisService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownJob`] for an id the table never issued.
+    /// [`ServiceError::UnknownJob`] for an id the table never issued,
+    /// [`ServiceError::Retired`] for one that retired.
     pub fn status(&self, id: JobId) -> std::result::Result<JobStatus, ServiceError> {
-        let st = self.shared.lock();
-        let job = st.jobs.get(&id.0).ok_or(ServiceError::UnknownJob(id))?;
+        let mut st = self.shared.lock();
+        let job = st.touch(id)?;
         Ok(JobStatus {
             id,
             state: job.state,
@@ -955,12 +1081,13 @@ impl AnalysisService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownJob`], [`ServiceError::NotFinished`] while
-    /// queued/running, [`ServiceError::JobFailed`] for failed or
-    /// cancelled jobs (carrying the run's typed error).
+    /// [`ServiceError::UnknownJob`], [`ServiceError::Retired`],
+    /// [`ServiceError::NotFinished`] while queued/running,
+    /// [`ServiceError::JobFailed`] for failed or cancelled jobs
+    /// (carrying the run's typed error).
     pub fn result_any(&self, id: JobId) -> std::result::Result<JobReport, ServiceError> {
-        let st = self.shared.lock();
-        let job = st.jobs.get(&id.0).ok_or(ServiceError::UnknownJob(id))?;
+        let mut st = self.shared.lock();
+        let job = st.touch(id)?;
         match job.state {
             JobState::Queued | JobState::Running => Err(ServiceError::NotFinished {
                 id,
@@ -985,15 +1112,16 @@ impl AnalysisService {
     }
 
     /// The spec a job was submitted with — the base an `EDIT` mutates.
-    /// Available for every job the table knows, whatever its state
-    /// (specs are retained for the job's lifetime).
+    /// Available for every job the table holds, whatever its state
+    /// (specs are retained until the job retires).
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownJob`] for an id the table never issued.
+    /// [`ServiceError::UnknownJob`] for an id the table never issued,
+    /// [`ServiceError::Retired`] for one that retired.
     pub fn spec(&self, id: JobId) -> std::result::Result<Arc<JobSpec>, ServiceError> {
-        let st = self.shared.lock();
-        let job = st.jobs.get(&id.0).ok_or(ServiceError::UnknownJob(id))?;
+        let mut st = self.shared.lock();
+        let job = st.touch(id)?;
         Ok(Arc::clone(
             job.spec.as_ref().expect("every job retains its spec"),
         ))
@@ -1005,11 +1133,11 @@ impl AnalysisService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownJob`], [`ServiceError::AlreadyFinished`]
-    /// for terminal jobs.
+    /// [`ServiceError::UnknownJob`], [`ServiceError::Retired`],
+    /// [`ServiceError::AlreadyFinished`] for terminal jobs.
     pub fn cancel(&self, id: JobId) -> std::result::Result<CancelOutcome, ServiceError> {
         let mut st = self.shared.lock();
-        let job = st.jobs.get_mut(&id.0).ok_or(ServiceError::UnknownJob(id))?;
+        let job = st.touch(id)?;
         match job.state {
             JobState::Queued => {
                 job.state = JobState::Cancelled;
@@ -1029,6 +1157,7 @@ impl AnalysisService {
                 if dequeued {
                     st.queued_total -= 1;
                 }
+                st.terminated(id.0);
                 Ok(CancelOutcome::Immediate)
             }
             JobState::Running => {
@@ -1104,6 +1233,45 @@ impl State {
         self.next_id += 1;
         id
     }
+
+    /// The job `id` names, marked as just used: a terminal job moves to
+    /// the back of the retirement order. Every request that names a job
+    /// (STATUS, WAIT, RESULT, CANCEL, EDIT) comes through here.
+    fn touch(&mut self, id: JobId) -> std::result::Result<&mut Job, ServiceError> {
+        let Some(job) = self.jobs.get_mut(&id.0) else {
+            return Err(if id.0 < self.next_id {
+                ServiceError::Retired(id)
+            } else {
+                ServiceError::UnknownJob(id)
+            });
+        };
+        if let Some(old) = job.last_used {
+            self.use_clock += 1;
+            self.retire_order.remove(&old);
+            self.retire_order.insert(self.use_clock, id.0);
+            job.last_used = Some(self.use_clock);
+        }
+        Ok(job)
+    }
+
+    /// Records that job `id` just reached a terminal state (its first
+    /// use as a terminal job), then retires the least recently used
+    /// terminal jobs past [`RETAINED_JOBS`].
+    fn terminated(&mut self, id: u64) {
+        self.use_clock += 1;
+        if let Some(job) = self.jobs.get_mut(&id) {
+            if let Some(old) = job.last_used.replace(self.use_clock) {
+                self.retire_order.remove(&old);
+            }
+            self.retire_order.insert(self.use_clock, id);
+        }
+        while self.retire_order.len() > RETAINED_JOBS {
+            if let Some((_, oldest)) = self.retire_order.pop_first() {
+                self.jobs.remove(&oldest);
+                self.stats.retired_jobs += 1;
+            }
+        }
+    }
 }
 
 /// The typed error recorded for cancelled jobs.
@@ -1148,6 +1316,7 @@ fn pick_runnable(
                     if let Some(lane) = st.lanes.get_mut(&key) {
                         lane.active = lane.active.saturating_sub(1);
                     }
+                    st.terminated(id);
                     continue;
                 }
             }
@@ -1163,10 +1332,134 @@ fn pick_runnable(
     None
 }
 
+/// How one combinational job used the warm state.
+#[derive(Default)]
+struct WarmUsage {
+    /// The job started from a warm front.
+    warm: bool,
+    /// Path analyses the oracle handed back.
+    reused: usize,
+}
+
+/// The executor's warm state: per analysis key
+/// ([`JobSpec::analysis_key`]), the front of its first clean run and its
+/// widest clean report, for at most [`WARM_NETLISTS`] keys, least
+/// recently used first. Only the executor thread touches it, so it
+/// lives outside the job-table lock.
+#[derive(Default)]
+struct Warm {
+    entries: Vec<(u64, WarmEntry)>,
+}
+
+struct WarmEntry {
+    front: Front,
+    /// The key's clean report with the most paths. The near-critical set
+    /// at a smaller `C` is a subset of the set at a larger one, so this
+    /// report holds every path any smaller `C` enumerates.
+    widest: RetainedPaths,
+}
+
+impl Warm {
+    /// Runs a combinational job. A warm key runs `check`, then starts
+    /// at σ_C from its front with an oracle that hands back every path
+    /// the key's widest clean report already analyzed: a path's analysis
+    /// is a pure function of its gate sequence, timing bits, placement
+    /// and settings, and the key fixes all of those, so a hit is bitwise
+    /// what a recompute gives. A cold key runs the whole flow. Either
+    /// way a clean report seeds the state: a cold key enters with its
+    /// front, a warm key keeps the report if it is the widest so far
+    /// (indexed once, here).
+    ///
+    /// A job with a fault plan neither reads nor seeds the state: a plan
+    /// such as `poison-cache-shard` needs the kernel lookups that reuse
+    /// skips.
+    fn run(
+        &mut self,
+        spec: &JobSpec,
+        store: &Arc<KernelStore>,
+        sup: &Supervisor,
+        usage: &mut WarmUsage,
+    ) -> crate::Result<Arc<SstaReport>> {
+        let engine = SstaEngine::new(spec.config.clone());
+        let (circuit, placement) = (spec.circuit(), spec.placement());
+        let ctx = RunContext {
+            store: Some(Arc::clone(store)),
+            supervisor: Some(sup),
+        };
+        if has_fault_plan(&spec.config) {
+            return engine.run_with(circuit, placement, ctx).map(Arc::new);
+        }
+        let key = spec.analysis_key();
+        let Some(entry) = self.get(key) else {
+            let (front, report) = engine.run_with_front(circuit, placement, ctx)?;
+            let report = Arc::new(report);
+            if report.is_clean() {
+                self.insert(key, front, &report);
+            }
+            return Ok(report);
+        };
+        let start = Instant::now();
+        engine.check(circuit, placement)?;
+        usage.warm = true;
+        let reused = AtomicUsize::new(0);
+        let oracle = |path: &[GateId]| -> Option<PathAnalysis> {
+            let hit = entry.widest.get(path)?.clone();
+            reused.fetch_add(1, Ordering::Relaxed);
+            Some(hit)
+        };
+        let run = engine.run_characterized(
+            circuit,
+            placement,
+            &entry.front,
+            ctx.store,
+            sup,
+            Some(&oracle),
+        );
+        usage.reused = reused.into_inner();
+        let mut report = run?;
+        report.runtime = start.elapsed().as_secs_f64();
+        let report = Arc::new(report);
+        if report.is_clean() && report.num_paths > entry.widest.report().num_paths {
+            entry.widest = RetainedPaths::new(Arc::clone(&report));
+        }
+        Ok(report)
+    }
+
+    /// The entry for `key`, marked most recently used.
+    fn get(&mut self, key: u64) -> Option<&mut WarmEntry> {
+        let pos = self.entries.iter().position(|(k, _)| *k == key)?;
+        let entry = self.entries.remove(pos);
+        self.entries.push(entry);
+        self.entries.last_mut().map(|(_, e)| e)
+    }
+
+    /// Enters a new key, evicting the least recently used past
+    /// [`WARM_NETLISTS`].
+    fn insert(&mut self, key: u64, front: Front, report: &Arc<SstaReport>) {
+        let widest = RetainedPaths::new(Arc::clone(report));
+        self.entries.push((key, WarmEntry { front, widest }));
+        if self.entries.len() > WARM_NETLISTS {
+            self.entries.remove(0);
+        }
+    }
+}
+
+/// Whether the job carries a fault-injection plan (never, outside
+/// fault-injection builds).
+fn has_fault_plan(config: &SstaConfig) -> bool {
+    #[cfg(any(test, feature = "fault-injection"))]
+    if config.faults.is_some() {
+        return true;
+    }
+    let _ = config;
+    false
+}
+
 /// The executor loop: pick (round-robin over lanes) → run under panic
 /// isolation → record. Exits when draining and the lanes are empty
 /// (running jobs always finish first — that *is* the drain).
 fn run_executor(shared: &Shared) {
+    let mut warm = Warm::default();
     loop {
         // Dequeue the next runnable job, or exit on drained shutdown.
         let (id, fingerprint, spec, sup) = {
@@ -1215,12 +1508,14 @@ fn run_executor(shared: &Shared) {
         // The netlist picks the flow: registers mean setup/hold SSTA
         // through the sequential engine (period and margins from the
         // circuit's clock directives), anything else the combinational
-        // engine. Both share the resident kernel store and the job's
-        // supervisor, so cancel and budgets behave identically.
+        // engine, from the warm state. Both share the resident kernel
+        // store and the job's supervisor, so cancel and budgets behave
+        // identically.
         let context = || RunContext {
             store: Some(Arc::clone(&shared.store)),
             supervisor: Some(&sup),
         };
+        let mut usage = WarmUsage::default();
         let outcome = isolate(|| {
             if spec.circuit().is_sequential() {
                 let config = SequentialConfig {
@@ -1231,9 +1526,8 @@ fn run_executor(shared: &Shared) {
                     .run_with(spec.circuit(), spec.placement(), context())
                     .map(|report| JobReport::Sequential(Arc::new(report)))
             } else {
-                SstaEngine::new(spec.config.clone())
-                    .run_with(spec.circuit(), spec.placement(), context())
-                    .map(|report| JobReport::Analyze(Arc::new(report)))
+                warm.run(&spec, &shared.store, &sup, &mut usage)
+                    .map(JobReport::Analyze)
             }
         });
 
@@ -1318,6 +1612,9 @@ fn run_executor(shared: &Shared) {
         if let Some(lane) = st.lanes.get_mut(&client) {
             lane.active = lane.active.saturating_sub(1);
         }
+        st.stats.warm_runs += u64::from(usage.warm);
+        st.stats.reused_paths += usage.reused as u64;
+        st.terminated(id);
     }
 }
 
@@ -1568,6 +1865,85 @@ mod tests {
             spec(Benchmark::C432, SstaConfig::date05().with_confidence(0.2)).fingerprint(),
             0xd4fa_3928_90ea_de24
         );
+    }
+
+    /// The result-store fingerprint binds every report input, and the
+    /// warm-state analysis key binds every input but the two that only
+    /// select paths; neither binds a wall-time-only knob.
+    #[test]
+    fn fingerprint_and_analysis_key_cover_every_report_input() {
+        use crate::correlation::LayerModel;
+        use statim_process::delay::CornerSpec;
+        use statim_process::param::Param;
+        type Edit = fn(&mut SstaConfig);
+        let report_inputs: Vec<(&str, Edit)> = vec![
+            ("tox", |c| c.tech.tox *= 1.01),
+            ("leff", |c| c.tech.leff *= 1.01),
+            ("vdd", |c| c.tech.vdd *= 1.01),
+            ("vtn", |c| c.tech.vtn *= 1.01),
+            ("vtp", |c| c.tech.vtp *= 1.01),
+            ("eps_ox", |c| c.tech.eps_ox *= 1.01),
+            ("mu_n", |c| c.tech.mu_n *= 1.01),
+            ("mu_p", |c| c.tech.mu_p *= 1.01),
+            ("w_n", |c| c.tech.w_n *= 1.01),
+            ("w_p", |c| c.tech.w_p *= 1.01),
+            ("c_drain", |c| c.tech.c_drain *= 1.01),
+            ("c_gate", |c| c.tech.c_gate *= 1.01),
+            ("c_wire", |c| c.tech.c_wire *= 1.01),
+            ("sigma", |c| {
+                let s = c.vars.sigma.get(Param::Vdd);
+                c.vars.sigma.set(Param::Vdd, s * 1.1);
+            }),
+            ("trunc_k", |c| c.vars.trunc_k = 5.0),
+            ("layers", |c| c.layers = LayerModel::with_inter_share(0.5)),
+            ("marginal", |c| c.marginal = statim_stats::Marginal::Uniform),
+            ("intra_model", |c| c.intra_model = IntraModel::Numerical),
+            ("backend", |c| {
+                c.backend = statim_stats::ConvolveBackend::Fft;
+            }),
+            ("quality_intra", |c| c.quality_intra = 90),
+            ("quality_inter", |c| c.quality_inter = 40),
+            ("sigma_rank", |c| c.sigma_rank = 2.0),
+            ("corner", |c| c.corner = CornerSpec::sigma(2.0)),
+            ("solver", |c| c.solver = LabelSolver::Topological),
+        ];
+        let path_selectors: Vec<(&str, Edit)> = vec![
+            ("confidence", |c| c.confidence = 0.2),
+            ("max_paths", |c| c.max_paths = 10),
+        ];
+        let wall_time_only: Vec<(&str, Edit)> = vec![
+            ("threads", |c| c.threads = Some(3)),
+            ("cache", |c| c.cache = false),
+            ("cache_capacity", |c| c.cache_capacity = Some(64)),
+            ("budget", |c| {
+                c.budget = RunBudget {
+                    max_paths: Some(3),
+                    ..RunBudget::none()
+                };
+            }),
+            ("retries", |c| c.retries = 4),
+        ];
+        let template = spec(Benchmark::C432, SstaConfig::date05());
+        let keys = |edit: Edit| {
+            let mut config = SstaConfig::date05();
+            edit(&mut config);
+            let spec = template.with_config(config);
+            (spec.fingerprint(), spec.analysis_key())
+        };
+        let (fp, key) = keys(|_| {});
+        let mut seen = std::collections::HashSet::new();
+        for (name, edit) in report_inputs {
+            let (f, k) = keys(edit);
+            assert!(f != fp && k != key, "{name} must move both");
+            assert!(seen.insert(f) && seen.insert(k), "{name} collides");
+        }
+        for (name, edit) in path_selectors {
+            let (f, k) = keys(edit);
+            assert!(f != fp && k == key, "{name} moves the fingerprint only");
+        }
+        for (name, edit) in wall_time_only {
+            assert_eq!(keys(edit), (fp, key), "{name} moves neither");
+        }
     }
 
     #[test]
@@ -1953,6 +2329,7 @@ mod tests {
                     supervisor: None,
                     report: None,
                     error: None,
+                    last_used: None,
                 },
             );
             if !st.lanes.contains_key(client) {
@@ -1974,6 +2351,54 @@ mod tests {
     }
 
     #[test]
+    fn retirement_keeps_the_bound_and_spares_live_jobs() {
+        let mut st = State::default();
+        let spec = Arc::new(quick_spec(42));
+        let job = |state| Job {
+            state,
+            circuit: "c432".into(),
+            fingerprint: 0,
+            from_store: false,
+            client: String::new(),
+            deadline_at_ms: None,
+            spec: Some(Arc::clone(&spec)),
+            supervisor: None,
+            report: None,
+            error: None,
+            last_used: None,
+        };
+        // The oldest job of all stays queued (then running): live jobs
+        // are not in the retirement order, so they never retire.
+        let live = st.alloc_id();
+        st.jobs.insert(live, job(JobState::Queued));
+        for _ in 0..RETAINED_JOBS + 5 {
+            let id = st.alloc_id();
+            st.jobs.insert(id, job(JobState::Done));
+            st.terminated(id);
+            if id == 3 {
+                st.jobs.get_mut(&live).expect("live").state = JobState::Running;
+            }
+        }
+        assert_eq!(st.retire_order.len(), RETAINED_JOBS);
+        assert_eq!(st.jobs.len(), RETAINED_JOBS + 1);
+        assert_eq!(st.stats.retired_jobs, 5);
+        assert!(st.touch(JobId(live)).is_ok());
+        // Ids 1..=5 retired, oldest first; a touch moves a job to the
+        // back, so the next retirement skips it.
+        assert!(matches!(st.touch(JobId(5)), Err(ServiceError::Retired(_))));
+        st.touch(JobId(6)).expect("job 6 is the oldest kept");
+        let id = st.alloc_id();
+        st.jobs.insert(id, job(JobState::Done));
+        st.terminated(id);
+        assert!(st.jobs.contains_key(&6));
+        assert!(matches!(st.touch(JobId(7)), Err(ServiceError::Retired(_))));
+        assert!(matches!(
+            st.touch(JobId(st.next_id)),
+            Err(ServiceError::UnknownJob(_))
+        ));
+    }
+
+    #[test]
     fn expired_jobs_are_skipped_in_place_during_the_drain() {
         let mut st = State::default();
         let spec = Arc::new(quick_spec(41));
@@ -1991,6 +2416,7 @@ mod tests {
                     supervisor: None,
                     report: None,
                     error: None,
+                    last_used: None,
                 },
             );
         }

@@ -29,9 +29,13 @@
 //! flipped bit or a hand-truncated file is a typed `Parse` error with
 //! the offending 1-based line — never a silently wrong report.
 //!
-//! The index (`results.idx`) is a snapshot of the log's fingerprints and
-//! byte length, rewritten atomically (write `results.idx.tmp`, then
-//! rename) after every append. It is *not* the source of truth — the log
+//! The index (`results.idx`) is a snapshot of the log's byte length and
+//! record count — a header, `log_len <bytes>` and `records <n>`, so it
+//! costs the same to rewrite however deep the log is — rewritten
+//! atomically (write `results.idx.tmp`, then rename) after every append.
+//! Index files from before this layout also list every fingerprint
+//! (`fp <hex>` lines); open reads only the header and `log_len`, so they
+//! still open. It is *not* the source of truth — the log
 //! is — but it lets [`ResultLog::open`] detect a log that lost bytes
 //! since the last successful append (truncation below the snapshot
 //! length is a typed `Parse` error). A log *longer* than the snapshot is
@@ -789,9 +793,6 @@ impl ResultLog {
         let _ = writeln!(out, "{STORE_IDX_MAGIC} v{STORE_VERSION}");
         let _ = writeln!(out, "log_len {}", self.log_len);
         let _ = writeln!(out, "records {}", self.fingerprints.len());
-        for fp in &self.fingerprints {
-            let _ = writeln!(out, "fp {fp:016x}");
-        }
         let tmp = self.idx_path.with_extension("idx.tmp");
         std::fs::write(&tmp, &out)
             .and_then(|()| std::fs::rename(&tmp, &self.idx_path))
@@ -897,6 +898,40 @@ mod tests {
         let (log, loaded) = ResultLog::open(&dir).expect("reopen");
         assert_eq!(log.len(), 1);
         assert_eq!(loaded, vec![(7, stored)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn index_snapshot_size_does_not_grow_with_the_record_count() {
+        let dir = tmp_dir("idxsize");
+        let stored = StoredReport::from_report(&clean_report());
+        let idx_path = dir.join(IDX_NAME);
+        let (mut log, _) = ResultLog::open(&dir).expect("open fresh");
+        let idx_len = || std::fs::metadata(&idx_path).expect("index").len();
+        log.append(1, &stored).expect("append");
+        let one = idx_len();
+        // Nine more records; the log's byte length gains digits but the
+        // index gains no line per record.
+        for fp in 2..=10 {
+            log.append(fp, &stored).expect("append");
+        }
+        assert_eq!(log.len(), 10);
+        assert!(idx_len() <= one + 2, "index {} vs {one} bytes", idx_len());
+        let text = std::fs::read_to_string(&idx_path).expect("read index");
+        assert_eq!(text.lines().count(), 3, "{text}");
+        assert!(text.ends_with("records 10\n"), "{text}");
+        drop(log);
+
+        // An index in the older layout, listing every fingerprint, still
+        // opens: only the header and `log_len` are read.
+        let legacy: String = text
+            .lines()
+            .map(|l| format!("{l}\n"))
+            .chain((1..=10u64).map(|fp| format!("fp {fp:016x}\n")))
+            .collect();
+        std::fs::write(&idx_path, legacy).expect("write legacy index");
+        let (log, loaded) = ResultLog::open(&dir).expect("legacy index opens");
+        assert_eq!((log.len(), loaded.len()), (10, 10));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1044,6 +1044,9 @@ fn render_stats(stats: &ServiceStats, counters: &Counters) -> Vec<String> {
         format!("store-entries: {}", stats.store_entries),
         format!("store-loaded: {}", stats.store_loaded),
         format!("store-write-errors: {}", stats.store_write_errors),
+        format!("warm-runs: {}", stats.warm_runs),
+        format!("reused-paths: {}", stats.reused_paths),
+        format!("retired-jobs: {}", stats.retired_jobs),
         format!(
             "kernel-cache: {} hits / {} lookups, {} entries, {} evictions",
             c.hits(),

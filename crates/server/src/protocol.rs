@@ -71,7 +71,8 @@
 //!
 //! Error codes: the four [`ErrorClass`] classes (`PARSE`, `CONFIG`,
 //! `RESOURCE`, `NUMERIC`) for failures of the job or its inputs, plus
-//! service codes `BUSY` (admission control), `NOTFOUND` (unknown job),
+//! service codes `BUSY` (admission control), `NOTFOUND` (unknown job, or
+//! one retired from the job table — the message says which),
 //! `PENDING` (result requested before the job finished), `FINISHED`
 //! (cancel after completion), `PROTOCOL` (malformed request or broken
 //! handshake) and `SHUTDOWN` (submission while draining).
@@ -430,7 +431,7 @@ pub fn error_reply(err: &ServiceError) -> Response {
     let code = match err {
         ServiceError::Busy { .. } => ErrorCode::Busy,
         ServiceError::Draining => ErrorCode::Shutdown,
-        ServiceError::UnknownJob(_) => ErrorCode::NotFound,
+        ServiceError::UnknownJob(_) | ServiceError::Retired(_) => ErrorCode::NotFound,
         ServiceError::NotFinished { .. } => ErrorCode::Pending,
         ServiceError::AlreadyFinished { .. } => ErrorCode::Finished,
         ServiceError::JobFailed { error, .. } => ErrorCode::from(error.class),
@@ -909,6 +910,7 @@ mod tests {
             ),
             (ServiceError::Draining, ErrorCode::Shutdown),
             (ServiceError::UnknownJob(id), ErrorCode::NotFound),
+            (ServiceError::Retired(id), ErrorCode::NotFound),
             (
                 ServiceError::JobFailed {
                     id,
