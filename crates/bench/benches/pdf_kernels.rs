@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use statim_core::correlation::LayerModel;
 use statim_core::inter::inter_pdf;
 use statim_process::{GateKind, Load, Technology, Variations};
-use statim_stats::convolve::{sum_pdf, sum_pdf_with, ConvolveBackend};
+use statim_stats::convolve::{sum_pdf_with, ConvolveBackend};
 use statim_stats::gaussian::gaussian_pdf;
 use statim_stats::Marginal;
 use std::hint::black_box;
@@ -21,7 +21,10 @@ fn bench_convolution(c: &mut Criterion) {
             BenchmarkId::from_parameter(quality),
             &quality,
             |bench, _| {
-                bench.iter(|| sum_pdf(black_box(&a), black_box(&b)).expect("convolve"));
+                bench.iter(|| {
+                    sum_pdf_with(ConvolveBackend::Grid, black_box(&a), black_box(&b))
+                        .expect("convolve")
+                });
             },
         );
     }

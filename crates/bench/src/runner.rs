@@ -92,36 +92,45 @@ pub fn run_benchmarks_concurrent(
     })
 }
 
-/// Reads a `--threads <n>` flag from the process arguments (0 ⇒ all
-/// cores); `None` when absent or malformed.
+/// Reads a `--threads <n>` flag from the process arguments through the
+/// option table (0 ⇒ all cores); `None` when absent.
+///
+/// # Panics
+///
+/// On a missing or malformed count, like [`config_with_fault_plan_from_args`].
 pub fn threads_from_args() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--threads")?;
-    args.get(i + 1)?.parse().ok()
+    let mut config = SstaConfig::date05();
+    flag_from_args(&mut config, "threads");
+    config.threads
 }
 
-/// Reads and parses a `--fault-plan <spec>` flag from the process
-/// arguments; `None` when absent. Only meaningful in fault-injection
-/// builds — see `statim_core::faults`.
-#[cfg(feature = "fault-injection")]
-pub fn fault_plan_from_args() -> Option<statim_core::FaultPlan> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--fault-plan")?;
-    match args.get(i + 1)?.parse() {
-        Ok(plan) => Some(plan),
-        Err(e) => panic!("--fault-plan: {e}"),
-    }
-}
-
-/// Installs the `--fault-plan` flag's plan (if any) on a config. A
-/// no-op in builds without the fault-injection feature, so every
-/// regeneration binary picks the flag up for free.
-pub fn config_with_fault_plan_from_args(config: SstaConfig) -> SstaConfig {
-    #[cfg(feature = "fault-injection")]
-    if let Some(plan) = fault_plan_from_args() {
-        return config.with_faults(plan);
-    }
+/// Installs the `--fault-plan` flag's plan (if any) on a config, through
+/// the option table.
+///
+/// # Panics
+///
+/// On a malformed plan, and on any plan in a build without the
+/// fault-injection feature, which could not honour it.
+pub fn config_with_fault_plan_from_args(mut config: SstaConfig) -> SstaConfig {
+    flag_from_args(&mut config, "fault-plan");
     config
+}
+
+/// Applies the process argument `--<key> <value>`, when present, through
+/// [`SstaConfig::set_option`]. A regeneration binary wants a loud
+/// failure, not a silently different run, so a bad value panics.
+fn flag_from_args(config: &mut SstaConfig, key: &str) {
+    let args: Vec<String> = std::env::args().collect();
+    let flag = format!("--{key}");
+    let Some(i) = args.iter().position(|a| *a == flag) else {
+        return;
+    };
+    let value = args
+        .get(i + 1)
+        .unwrap_or_else(|| panic!("flag {flag} needs a value"));
+    if let Err(e) = config.set_option(key, value) {
+        panic!("{flag}: {e}");
+    }
 }
 
 /// Formats seconds as picoseconds with 3 decimals.

@@ -1,5 +1,13 @@
 //! Hand-rolled argument parsing (no external CLI crate in the offline
-//! dependency set).
+//! dependency set). The analysis options go through the option table
+//! ([`SstaConfig::set_option`]) and the placement resolver
+//! ([`PlacementOptions`]); `statim serve`'s through
+//! [`DaemonOptions::set_option`]. This module keeps only the CLI's own
+//! flags and the `-C` alias.
+
+use statim_core::options::parse_value;
+use statim_core::{ErrorClass, PlacementOptions, SstaConfig, StatimError};
+use statim_server::DaemonOptions;
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -205,7 +213,12 @@ pub enum Command {
     /// List built-in benchmarks.
     List,
     /// Run the analysis daemon.
-    Serve(ServeArgs),
+    Serve {
+        /// Listen address.
+        addr: String,
+        /// The daemon's settings.
+        options: DaemonOptions,
+    },
     /// Drive a running daemon.
     Client {
         /// Daemon address.
@@ -217,56 +230,6 @@ pub enum Command {
 
 /// The default daemon address (`statim serve` and `statim client`).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7411";
-
-/// Options for `statim serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// Listen address.
-    pub addr: String,
-    /// Queue bound (None = service default).
-    pub max_queue: Option<usize>,
-    /// Kernel-store entry cap shared by all jobs.
-    pub cache_capacity: Option<usize>,
-    /// Default per-job wall budget, seconds.
-    pub max_wall_secs: Option<f64>,
-    /// Default convolution backend for submitted jobs (None = grid).
-    pub backend: Option<String>,
-    /// Persistent result-store directory (None = in-memory only).
-    pub store_dir: Option<String>,
-    /// Connection registry bound (None = daemon default).
-    pub max_conns: Option<usize>,
-    /// Polling connection workers (None = daemon default).
-    pub conn_threads: Option<usize>,
-    /// Per-client live-job cap (None = unlimited).
-    pub max_per_client: Option<usize>,
-    /// Per-client sustained submits per second (None = unlimited).
-    pub rate_limit: Option<u32>,
-    /// Reap stalled mid-request connections after this many ms of no
-    /// socket progress (None = never).
-    pub io_timeout_ms: Option<u64>,
-    /// Fsync the result log on append and the directory on index
-    /// rotation.
-    pub store_fsync: bool,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            addr: DEFAULT_ADDR.to_string(),
-            max_queue: None,
-            cache_capacity: None,
-            max_wall_secs: None,
-            backend: None,
-            store_dir: None,
-            max_conns: None,
-            conn_threads: None,
-            max_per_client: None,
-            rate_limit: None,
-            io_timeout_ms: None,
-            store_fsync: false,
-        }
-    }
-}
 
 /// One `statim client` verb.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,52 +274,28 @@ pub enum ClientAction {
     Shutdown,
 }
 
-/// Options for `statim analyze`.
+/// Options for `statim analyze` and the commands built on it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzeArgs {
     /// `.bench` file path (mutually exclusive with `benchmark`).
     pub bench_file: Option<String>,
     /// Built-in benchmark name.
     pub benchmark: Option<String>,
-    /// DEF placement file.
-    pub def_file: Option<String>,
-    /// Confidence constant C.
-    pub confidence: f64,
+    /// Where the gate placement comes from (`--def`, `--random-place`).
+    pub placement: PlacementOptions,
+    /// The analysis configuration, built by the option table plus the
+    /// CLI's own `--no-cache` and `--cache-capacity`.
+    pub config: SstaConfig,
     /// How many ranked paths to print.
     pub top: usize,
-    /// Optional inter-die variance share.
-    pub inter_share: Option<f64>,
-    /// QUALITYintra.
-    pub quality_intra: usize,
-    /// QUALITYinter.
-    pub quality_inter: usize,
-    /// Random placement seed (None = levelized).
-    pub random_place: Option<u64>,
-    /// Enumeration budget.
-    pub max_paths: usize,
-    /// Worker threads (None = all available cores, 0 also means auto).
-    pub threads: Option<usize>,
-    /// Disable the analysis-kernel memoization cache.
-    pub no_cache: bool,
-    /// Fault-injection plan spec (only honoured by fault-injection
-    /// builds; other builds reject it with a config error).
-    pub fault_plan: Option<String>,
-    /// Wall-clock budget, seconds.
-    pub max_wall_secs: Option<f64>,
-    /// Budget on analyzed near-critical paths (deterministic prefix).
-    pub max_analyzed_paths: Option<usize>,
-    /// Monte-Carlo sample budget (rounded up to whole chunks).
-    pub max_mc_samples: Option<usize>,
-    /// Panic-retries per supervised work item (None = engine default).
-    pub retries: Option<usize>,
-    /// Kernel-cache entry cap (None = unbounded).
-    pub cache_capacity: Option<usize>,
     /// Monte-Carlo checkpoint sidecar to write (mc command only).
     pub checkpoint: Option<String>,
     /// Monte-Carlo checkpoint to resume from (mc command only).
     pub resume: Option<String>,
-    /// Convolution backend name (None = engine default, i.e. grid).
-    pub backend: Option<String>,
+    /// The first option value the table refused (a `Config`-class
+    /// error). It is reported once the circuit and its placement have
+    /// loaded, so a bad source is still the error a run reports first.
+    pub refused: Option<StatimError>,
 }
 
 impl Default for AnalyzeArgs {
@@ -364,38 +303,33 @@ impl Default for AnalyzeArgs {
         AnalyzeArgs {
             bench_file: None,
             benchmark: None,
-            def_file: None,
-            confidence: 0.05,
+            placement: PlacementOptions::default(),
+            config: SstaConfig::date05(),
             top: 10,
-            inter_share: None,
-            quality_intra: 100,
-            quality_inter: 50,
-            random_place: None,
-            max_paths: 1_000_000,
-            threads: None,
-            no_cache: false,
-            fault_plan: None,
-            max_wall_secs: None,
-            max_analyzed_paths: None,
-            max_mc_samples: None,
-            retries: None,
-            cache_capacity: None,
             checkpoint: None,
             resume: None,
-            backend: None,
+            refused: None,
         }
     }
+}
+
+/// A usage error: `main` prints it with the usage text and exits 2.
+fn usage(message: impl Into<String>) -> StatimError {
+    StatimError::new(ErrorClass::Parse, message)
 }
 
 /// Parses an argument vector (without the program name).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown commands, unknown flags,
-/// missing values or malformed numbers.
-pub fn parse(argv: &[String]) -> Result<Command, String> {
+/// A `Parse`-class error for a usage mistake: an unknown command or
+/// flag, a missing value, a malformed number. A `Config`-class error for
+/// a `statim serve` value its option table refuses, such as an unknown
+/// backend; the analyze-style commands keep theirs in
+/// [`AnalyzeArgs::refused`].
+pub fn parse(argv: &[String]) -> Result<Command, StatimError> {
     let mut it = argv.iter();
-    let cmd = it.next().ok_or("missing command")?;
+    let cmd = it.next().ok_or_else(|| usage("missing command"))?;
     match cmd.as_str() {
         "analyze" => parse_analyze(it.as_slice()),
         "eco" => {
@@ -403,7 +337,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let script = extra
                 .get("--script")
                 .cloned()
-                .ok_or("eco needs --script <file> (or `-` for stdin)")?;
+                .ok_or_else(|| usage("eco needs --script <file> (or `-` for stdin)"))?;
             Ok(Command::Eco {
                 args,
                 script,
@@ -440,7 +374,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 &filtered,
                 &["--period", "--derate-early", "--derate-late", "--target"],
             )?;
-            let num = |flag: &str| -> Result<Option<f64>, String> {
+            let num = |flag: &str| -> Result<Option<f64>, StatimError> {
                 extra.get(flag).map(|v| parse_num(flag, v)).transpose()
             };
             Ok(Command::Seq {
@@ -466,22 +400,45 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "list" => Ok(Command::List),
         "serve" => parse_serve(it.as_slice()),
         "client" => parse_client(it.as_slice()),
-        "-h" | "--help" | "help" => Err("help requested".into()),
-        other => Err(format!("unknown command `{other}`")),
+        "-h" | "--help" | "help" => Err(usage("help requested")),
+        other => Err(usage(format!("unknown command `{other}`"))),
     }
 }
 
-fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
+fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, StatimError> {
     it.next()
-        .ok_or_else(|| format!("flag {flag} needs a value"))
+        .ok_or_else(|| usage(format!("flag {flag} needs a value")))
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("invalid value `{s}` for {flag}"))
+/// Parses the value of one of the CLI's own flags, in the option
+/// table's wording.
+fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, StatimError> {
+    parse_value(flag.trim_start_matches('-'), s)
 }
 
-fn parse_analyze(rest: &[String]) -> Result<Command, String> {
+/// Hands `--<key> <value>` to `set`, an option table that answers
+/// `Ok(false)` for a key it does not own. Returns whether the table took
+/// the flag.
+fn table_flag(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    mut set: impl FnMut(&str, &str) -> Result<bool, StatimError>,
+) -> Result<bool, StatimError> {
+    let Some(key) = flag.strip_prefix("--") else {
+        return Ok(false);
+    };
+    match it.next() {
+        Some(v) => set(key, v),
+        // A table declines a key it does not own whatever the value, so
+        // an empty probe tells an unknown flag from one missing its value.
+        None => match set(key, "") {
+            Ok(false) => Ok(false),
+            _ => Err(usage(format!("flag {flag} needs a value"))),
+        },
+    }
+}
+
+fn parse_analyze(rest: &[String]) -> Result<Command, StatimError> {
     let (args, _) = parse_analyze_with(rest, &[])?;
     Ok(Command::Analyze(args))
 }
@@ -491,7 +448,7 @@ fn parse_analyze(rest: &[String]) -> Result<Command, String> {
 fn parse_analyze_with<'a>(
     rest: &[String],
     extra_flags: &[&'a str],
-) -> Result<(AnalyzeArgs, std::collections::HashMap<&'a str, String>), String> {
+) -> Result<(AnalyzeArgs, std::collections::HashMap<&'a str, String>), StatimError> {
     let mut args = AnalyzeArgs::default();
     let mut extra = std::collections::HashMap::new();
     let mut it = rest.iter();
@@ -502,95 +459,66 @@ fn parse_analyze_with<'a>(
         }
         match tok.as_str() {
             "--benchmark" => args.benchmark = Some(value(tok, &mut it)?.clone()),
-            "--def" => args.def_file = Some(value(tok, &mut it)?.clone()),
-            "-C" | "--confidence" => {
-                args.confidence = parse_num(tok, value(tok, &mut it)?)?;
+            "-C" => {
+                args.config.set_option("confidence", value(tok, &mut it)?)?;
             }
             "--top" => args.top = parse_num(tok, value(tok, &mut it)?)?,
-            "--inter-share" => {
-                args.inter_share = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--quality-intra" => {
-                args.quality_intra = parse_num(tok, value(tok, &mut it)?)?;
-            }
-            "--quality-inter" => {
-                args.quality_inter = parse_num(tok, value(tok, &mut it)?)?;
-            }
-            "--random-place" => {
-                args.random_place = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--max-paths" => args.max_paths = parse_num(tok, value(tok, &mut it)?)?,
-            "--threads" => args.threads = Some(parse_num(tok, value(tok, &mut it)?)?),
-            "--no-cache" => args.no_cache = true,
-            "--fault-plan" => args.fault_plan = Some(value(tok, &mut it)?.clone()),
-            "--max-wall-secs" => {
-                args.max_wall_secs = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--max-analyzed-paths" => {
-                args.max_analyzed_paths = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--max-mc-samples" => {
-                args.max_mc_samples = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--retries" => args.retries = Some(parse_num(tok, value(tok, &mut it)?)?),
+            "--no-cache" => args.config.cache = false,
             "--cache-capacity" => {
-                args.cache_capacity = Some(parse_num(tok, value(tok, &mut it)?)?);
+                args.config.cache_capacity = Some(parse_num(tok, value(tok, &mut it)?)?);
             }
             "--checkpoint" => args.checkpoint = Some(value(tok, &mut it)?.clone()),
             "--resume" => args.resume = Some(value(tok, &mut it)?.clone()),
-            "--backend" => args.backend = Some(value(tok, &mut it)?.clone()),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            flag if flag.starts_with('-') => {
+                let (config, placement) = (&mut args.config, &mut args.placement);
+                let taken = table_flag(flag, &mut it, |key, v| {
+                    Ok(config.set_option(key, v)? || placement.set_option(key, v)?)
+                });
+                match taken {
+                    Ok(true) => {}
+                    Ok(false) => return Err(usage(format!("unknown flag `{flag}`"))),
+                    Err(e) if e.class == ErrorClass::Config => {
+                        args.refused.get_or_insert(e);
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
             file => {
                 if args.bench_file.is_some() {
-                    return Err(format!("unexpected extra argument `{file}`"));
+                    return Err(usage(format!("unexpected extra argument `{file}`")));
                 }
                 args.bench_file = Some(file.to_string());
             }
         }
     }
     if args.bench_file.is_none() && args.benchmark.is_none() {
-        return Err("analyze needs a .bench file or --benchmark <name>".into());
+        return Err(usage("analyze needs a .bench file or --benchmark <name>"));
     }
     if args.bench_file.is_some() && args.benchmark.is_some() {
-        return Err("give either a .bench file or --benchmark, not both".into());
+        return Err(usage("give either a .bench file or --benchmark, not both"));
     }
     Ok((args, extra))
 }
 
-fn parse_serve(rest: &[String]) -> Result<Command, String> {
-    let mut args = ServeArgs::default();
+fn parse_serve(rest: &[String]) -> Result<Command, StatimError> {
+    let mut addr = DEFAULT_ADDR.to_string();
+    let mut options = DaemonOptions::default();
     let mut it = rest.iter();
     while let Some(tok) = it.next() {
         match tok.as_str() {
-            "--addr" => args.addr = value(tok, &mut it)?.clone(),
-            "--max-queue" => args.max_queue = Some(parse_num(tok, value(tok, &mut it)?)?),
-            "--cache-capacity" => {
-                args.cache_capacity = Some(parse_num(tok, value(tok, &mut it)?)?);
+            "--addr" => addr = value(tok, &mut it)?.clone(),
+            "--store-fsync" => options.store_fsync = true,
+            other => {
+                if !table_flag(other, &mut it, |key, v| options.set_option(key, v))? {
+                    return Err(usage(format!("unknown serve argument `{other}`")));
+                }
             }
-            "--max-wall-secs" => {
-                args.max_wall_secs = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--backend" => args.backend = Some(value(tok, &mut it)?.clone()),
-            "--store-dir" => args.store_dir = Some(value(tok, &mut it)?.clone()),
-            "--max-conns" => args.max_conns = Some(parse_num(tok, value(tok, &mut it)?)?),
-            "--conn-threads" => {
-                args.conn_threads = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--max-per-client" => {
-                args.max_per_client = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--rate-limit" => args.rate_limit = Some(parse_num(tok, value(tok, &mut it)?)?),
-            "--io-timeout-ms" => {
-                args.io_timeout_ms = Some(parse_num(tok, value(tok, &mut it)?)?);
-            }
-            "--store-fsync" => args.store_fsync = true,
-            other => return Err(format!("unknown serve argument `{other}`")),
         }
     }
-    Ok(Command::Serve(args))
+    Ok(Command::Serve { addr, options })
 }
 
-fn parse_client(rest: &[String]) -> Result<Command, String> {
+fn parse_client(rest: &[String]) -> Result<Command, StatimError> {
     let mut addr = DEFAULT_ADDR.to_string();
     let mut toks = Vec::new();
     let mut wait = false;
@@ -602,25 +530,29 @@ fn parse_client(rest: &[String]) -> Result<Command, String> {
             "--wait" => wait = true,
             "--top" => top = Some(parse_num(tok, value(tok, &mut it)?)?),
             flag if flag.starts_with("--") => {
-                return Err(format!("unknown client flag `{flag}`"));
+                return Err(usage(format!("unknown client flag `{flag}`")));
             }
             other => toks.push(other.to_string()),
         }
     }
     let mut toks = toks.into_iter();
-    let verb = toks
-        .next()
-        .ok_or("client needs a verb (try submit/status/result/cancel/stats/shutdown)")?;
+    let verb = toks.next().ok_or_else(|| {
+        usage("client needs a verb (try submit/status/result/cancel/stats/shutdown)")
+    })?;
+    let id = |toks: &mut std::vec::IntoIter<String>, verb: &str| {
+        toks.next()
+            .ok_or_else(|| usage(format!("client {verb} needs a job id")))
+    };
     let action = match verb.as_str() {
         "submit" => {
             let source = toks
                 .next()
-                .ok_or("client submit needs a netlist source (@name or path)")?;
+                .ok_or_else(|| usage("client submit needs a netlist source (@name or path)"))?;
             let mut options = Vec::new();
             for opt in toks.by_ref() {
                 let (k, v) = opt
                     .split_once('=')
-                    .ok_or_else(|| format!("submit option `{opt}` is not key=value"))?;
+                    .ok_or_else(|| usage(format!("submit option `{opt}` is not key=value")))?;
                 options.push((k.to_string(), v.to_string()));
             }
             ClientAction::Submit {
@@ -630,32 +562,32 @@ fn parse_client(rest: &[String]) -> Result<Command, String> {
             }
         }
         "status" => ClientAction::Status {
-            id: toks.next().ok_or("client status needs a job id")?,
+            id: id(&mut toks, "status")?,
         },
         "result" => ClientAction::Result {
-            id: toks.next().ok_or("client result needs a job id")?,
+            id: id(&mut toks, "result")?,
             top,
         },
         "cancel" => ClientAction::Cancel {
-            id: toks.next().ok_or("client cancel needs a job id")?,
+            id: id(&mut toks, "cancel")?,
         },
         "edit" => ClientAction::Edit {
-            id: toks.next().ok_or("client edit needs a job id")?,
+            id: id(&mut toks, "edit")?,
             script: toks
                 .next()
-                .ok_or("client edit needs a compact script (resize:g1:2.0;...)")?,
+                .ok_or_else(|| usage("client edit needs a compact script (resize:g1:2.0;...)"))?,
         },
         "stats" => ClientAction::Stats,
         "shutdown" => ClientAction::Shutdown,
-        other => return Err(format!("unknown client verb `{other}`")),
+        other => return Err(usage(format!("unknown client verb `{other}`"))),
     };
     if let Some(extra) = toks.next() {
-        return Err(format!("unexpected extra argument `{extra}`"));
+        return Err(usage(format!("unexpected extra argument `{extra}`")));
     }
     Ok(Command::Client { addr, action })
 }
 
-fn parse_generate(rest: &[String]) -> Result<Command, String> {
+fn parse_generate(rest: &[String]) -> Result<Command, StatimError> {
     let mut name = None;
     let mut out_bench = None;
     let mut out_def = None;
@@ -664,17 +596,17 @@ fn parse_generate(rest: &[String]) -> Result<Command, String> {
         match tok.as_str() {
             "--out-bench" => out_bench = Some(value(tok, &mut it)?.clone()),
             "--out-def" => out_def = Some(value(tok, &mut it)?.clone()),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            flag if flag.starts_with('-') => return Err(usage(format!("unknown flag `{flag}`"))),
             n => {
                 if name.is_some() {
-                    return Err(format!("unexpected extra argument `{n}`"));
+                    return Err(usage(format!("unexpected extra argument `{n}`")));
                 }
                 name = Some(n.to_string());
             }
         }
     }
     Ok(Command::Generate {
-        name: name.ok_or("generate needs a benchmark name")?,
+        name: name.ok_or_else(|| usage("generate needs a benchmark name"))?,
         out_bench,
         out_def,
     })
@@ -683,9 +615,24 @@ fn parse_generate(rest: &[String]) -> Result<Command, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statim_core::{ConvolveBackend, RunBudget};
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The error class `parse` answers `args` with.
+    fn class(args: &[&str]) -> ErrorClass {
+        parse(&v(args)).expect_err("parse must fail").class
+    }
+
+    /// The option value an `analyze` command line parses with but
+    /// refuses once its circuit has loaded.
+    fn refused(args: &[&str]) -> StatimError {
+        match parse(&v(args)).expect("a refused value still parses") {
+            Command::Analyze(a) => a.refused.expect("a refused value"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -703,10 +650,10 @@ mod tests {
         match cmd {
             Command::Analyze(a) => {
                 assert_eq!(a.benchmark.as_deref(), Some("c432"));
-                assert_eq!(a.confidence, 0.1);
                 assert_eq!(a.top, 5);
                 assert!(a.bench_file.is_none());
-                assert_eq!(a.threads, None);
+                // `-C` is the table's `confidence`; nothing else moved.
+                assert_eq!(a.config, SstaConfig::date05().with_confidence(0.1));
             }
             other => panic!("{other:?}"),
         }
@@ -715,38 +662,46 @@ mod tests {
     #[test]
     fn parses_threads_flag() {
         match parse(&v(&["analyze", "--benchmark", "c432", "--threads", "8"])).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.threads, Some(8)),
+            Command::Analyze(a) => assert_eq!(a.config.threads, Some(8)),
             other => panic!("{other:?}"),
         }
         // 0 is accepted (auto); garbage is not.
         match parse(&v(&["analyze", "--benchmark", "c432", "--threads", "0"])).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.threads, Some(0)),
+            Command::Analyze(a) => assert_eq!(a.config.threads, Some(0)),
             other => panic!("{other:?}"),
         }
-        assert!(parse(&v(&["analyze", "--benchmark", "c432", "--threads", "many"])).is_err());
-        assert!(parse(&v(&["analyze", "--benchmark", "c432", "--threads"])).is_err());
+        // Both are usage errors (exit 2).
+        assert_eq!(
+            class(&["analyze", "--benchmark", "c432", "--threads", "many"]),
+            ErrorClass::Parse
+        );
+        assert_eq!(
+            class(&["analyze", "--benchmark", "c432", "--threads"]),
+            ErrorClass::Parse
+        );
     }
 
     #[test]
     fn parses_no_cache_flag() {
         match parse(&v(&["analyze", "--benchmark", "c432", "--no-cache"])).unwrap() {
-            Command::Analyze(a) => assert!(a.no_cache),
+            Command::Analyze(a) => assert!(!a.config.cache),
             other => panic!("{other:?}"),
         }
         match parse(&v(&["analyze", "--benchmark", "c432"])).unwrap() {
-            Command::Analyze(a) => assert!(!a.no_cache),
+            Command::Analyze(a) => assert!(a.config.cache),
             other => panic!("{other:?}"),
         }
         // The flag takes no value: the next token is still parsed.
         match parse(&v(&["analyze", "--no-cache", "--benchmark", "c432"])).unwrap() {
             Command::Analyze(a) => {
-                assert!(a.no_cache);
+                assert!(!a.config.cache);
                 assert_eq!(a.benchmark.as_deref(), Some("c432"));
             }
             other => panic!("{other:?}"),
         }
     }
 
+    #[cfg(feature = "fault-injection")]
     #[test]
     fn parses_fault_plan_flag() {
         match parse(&v(&[
@@ -759,15 +714,44 @@ mod tests {
         .unwrap()
         {
             Command::Analyze(a) => {
-                assert_eq!(a.fault_plan.as_deref(), Some("seed=7;nan-path@1,3"));
+                let plan: statim_core::FaultPlan = "seed=7;nan-path@1,3".parse().unwrap();
+                assert_eq!(a.config, SstaConfig::date05().with_faults(plan));
             }
             other => panic!("{other:?}"),
         }
         match parse(&v(&["analyze", "--benchmark", "c432"])).unwrap() {
-            Command::Analyze(a) => assert!(a.fault_plan.is_none()),
+            Command::Analyze(a) => assert!(a.config.faults.is_none()),
             other => panic!("{other:?}"),
         }
-        assert!(parse(&v(&["analyze", "--benchmark", "c432", "--fault-plan"])).is_err());
+        // A malformed plan is refused by the table: a config error,
+        // reported after the circuit loads.
+        assert_eq!(
+            refused(&["analyze", "--benchmark", "c432", "--fault-plan", "bogus@1"]).class,
+            ErrorClass::Config
+        );
+        assert_eq!(
+            class(&["analyze", "--benchmark", "c432", "--fault-plan"]),
+            ErrorClass::Parse
+        );
+    }
+
+    #[cfg(not(feature = "fault-injection"))]
+    #[test]
+    fn fault_plan_needs_a_fault_injection_build() {
+        let err = refused(&[
+            "analyze",
+            "--benchmark",
+            "c432",
+            "--fault-plan",
+            "seed=7;nan-path@1,3",
+        ]);
+        assert_eq!(err.class, ErrorClass::Config);
+        assert!(err.message.contains("fault-injection build"), "{err}");
+        // A missing value is still a usage error.
+        assert_eq!(
+            class(&["analyze", "--benchmark", "c432", "--fault-plan"]),
+            ErrorClass::Parse
+        );
     }
 
     #[test]
@@ -792,10 +776,15 @@ mod tests {
         .unwrap()
         {
             Command::Mc { args, .. } => {
-                assert_eq!(args.max_wall_secs, Some(1.5));
-                assert_eq!(args.max_analyzed_paths, Some(3));
-                assert_eq!(args.max_mc_samples, Some(8192));
-                assert_eq!(args.retries, Some(2));
+                let budget = RunBudget {
+                    max_wall_secs: Some(1.5),
+                    max_paths: Some(3),
+                    max_mc_samples: Some(8192),
+                };
+                assert_eq!(
+                    args.config,
+                    SstaConfig::date05().with_budget(budget).with_retries(2)
+                );
                 assert_eq!(args.checkpoint.as_deref(), Some("run.ckpt"));
                 assert_eq!(args.resume.as_deref(), Some("old.ckpt"));
             }
@@ -804,10 +793,8 @@ mod tests {
         // Defaults: everything unlimited, no sidecars.
         match parse(&v(&["analyze", "--benchmark", "c432"])).unwrap() {
             Command::Analyze(a) => {
-                assert_eq!(a.max_wall_secs, None);
-                assert_eq!(a.max_analyzed_paths, None);
-                assert_eq!(a.max_mc_samples, None);
-                assert_eq!(a.retries, None);
+                assert_eq!(a.config, SstaConfig::date05());
+                assert_eq!(a.config.budget, RunBudget::none());
                 assert!(a.checkpoint.is_none() && a.resume.is_none());
             }
             other => panic!("{other:?}"),
@@ -829,8 +816,9 @@ mod tests {
         match cmd {
             Command::Analyze(a) => {
                 assert_eq!(a.bench_file.as_deref(), Some("my.bench"));
-                assert_eq!(a.def_file.as_deref(), Some("my.def"));
-                assert_eq!(a.confidence, 0.05);
+                assert_eq!(a.placement.def.as_deref(), Some("my.def"));
+                assert_eq!(a.placement.random_seed, None);
+                assert_eq!(a.config, SstaConfig::date05());
             }
             other => panic!("{other:?}"),
         }
@@ -843,6 +831,15 @@ mod tests {
         assert!(parse(&v(&["analyze", "a.bench", "--wat"])).is_err());
         assert!(parse(&v(&["analyze", "--benchmark"])).is_err());
         assert!(parse(&v(&["analyze", "--benchmark", "c432", "-C", "x"])).is_err());
+        // Keys the option table does not own stay unknown flags.
+        assert_eq!(
+            class(&["analyze", "--benchmark", "c432", "--solver", "topological"]),
+            ErrorClass::Parse
+        );
+        assert_eq!(
+            class(&["analyze", "--benchmark", "c432", "--wat"]),
+            ErrorClass::Parse
+        );
         assert!(parse(&v(&["frobnicate"])).is_err());
         assert!(parse(&v(&[])).is_err());
     }
@@ -880,11 +877,13 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Analyze(a) => assert_eq!(a.cache_capacity, Some(64)),
+            Command::Analyze(a) => {
+                assert_eq!(a.config, SstaConfig::date05().with_cache_capacity(Some(64)));
+            }
             other => panic!("{other:?}"),
         }
         match parse(&v(&["analyze", "--benchmark", "c432"])).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.cache_capacity, None),
+            Command::Analyze(a) => assert_eq!(a.config.cache_capacity, None),
             other => panic!("{other:?}"),
         }
         assert!(parse(&v(&[
@@ -900,32 +899,91 @@ mod tests {
     #[test]
     fn parses_backend_flag() {
         match parse(&v(&["analyze", "--benchmark", "c432", "--backend", "fft"])).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.backend.as_deref(), Some("fft")),
+            Command::Analyze(a) => {
+                assert_eq!(
+                    a.config,
+                    SstaConfig::date05().with_backend(ConvolveBackend::Fft)
+                );
+            }
             other => panic!("{other:?}"),
         }
-        // The parser keeps the raw string; validation (and the typed
-        // Config error for junk) happens when the engine is configured.
-        match parse(&v(&["analyze", "--benchmark", "c432", "--backend", "warp"])).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.backend.as_deref(), Some("warp")),
-            other => panic!("{other:?}"),
-        }
+        // The option table refuses junk: a typed Config error (exit 3)
+        // once the circuit loads, not a usage error or a silent grid
+        // fallback. The first refusal is the one reported.
+        let err = refused(&["analyze", "--benchmark", "c432", "--backend", "warp"]);
+        assert_eq!(err.class, ErrorClass::Config);
+        assert!(err.message.contains("unknown backend `warp`"), "{err}");
+        let err = refused(&[
+            "analyze",
+            "c.bench",
+            "--backend",
+            "warp",
+            "--backend",
+            "zip",
+        ]);
+        assert!(err.message.contains("unknown backend `warp`"), "{err}");
         match parse(&v(&["analyze", "--benchmark", "c432"])).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.backend, None),
+            Command::Analyze(a) => assert_eq!(a.config.backend, ConvolveBackend::Grid),
             other => panic!("{other:?}"),
         }
         match parse(&v(&["mc", "--benchmark", "c499", "--backend", "grid"])).unwrap() {
-            Command::Mc { args, .. } => assert_eq!(args.backend.as_deref(), Some("grid")),
+            Command::Mc { args, .. } => assert_eq!(args.config, SstaConfig::date05()),
             other => panic!("{other:?}"),
         }
-        assert!(parse(&v(&["analyze", "--benchmark", "c432", "--backend"])).is_err());
+        assert_eq!(
+            class(&["analyze", "--benchmark", "c432", "--backend"]),
+            ErrorClass::Parse
+        );
+    }
+
+    #[test]
+    fn table_options_parse_to_the_table_s_config() {
+        // Every table key as a flag, plus the placement options: the CLI
+        // config equals the one the table builds from the same text.
+        let pairs = [
+            ("confidence", "0.1"),
+            ("quality-intra", "40"),
+            ("quality-inter", "20"),
+            ("max-paths", "5000"),
+            ("threads", "2"),
+            ("retries", "3"),
+            ("backend", "fft"),
+            ("inter-share", "0.5"),
+            ("max-wall-secs", "9.5"),
+            ("max-analyzed-paths", "7"),
+            ("max-mc-samples", "4096"),
+        ];
+        let mut argv = vec!["analyze".to_string(), "x.bench".to_string()];
+        let mut want = SstaConfig::date05();
+        for (key, value) in pairs {
+            argv.push(format!("--{key}"));
+            argv.push(value.to_string());
+            assert_eq!(want.set_option(key, value), Ok(true));
+        }
+        argv.extend(v(&["--random-place", "4", "--def", "x.def"]));
+        match parse(&argv).unwrap() {
+            Command::Analyze(a) => {
+                assert_eq!(a.config, want);
+                assert_eq!(
+                    a.placement,
+                    PlacementOptions {
+                        def: Some("x.def".into()),
+                        random_seed: Some(4),
+                    }
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+        // A range the engine refuses still parses; the run reports it.
+        assert!(parse(&v(&["analyze", "--benchmark", "c432", "-C", "-0.5"])).is_ok());
     }
 
     #[test]
     fn parses_serve() {
         match parse(&v(&["serve"])).unwrap() {
-            Command::Serve(s) => {
-                assert_eq!(s.addr, DEFAULT_ADDR);
-                assert_eq!(s.max_queue, None);
+            Command::Serve { addr, options } => {
+                assert_eq!(addr, DEFAULT_ADDR);
+                assert_eq!(options, DaemonOptions::default());
             }
             other => panic!("{other:?}"),
         }
@@ -957,28 +1015,36 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Serve(s) => {
-                assert_eq!(s.addr, "127.0.0.1:0");
-                assert_eq!(s.max_queue, Some(4));
-                assert_eq!(s.cache_capacity, Some(128));
-                assert_eq!(s.max_wall_secs, Some(2.5));
-                assert_eq!(s.backend.as_deref(), Some("fft"));
-                assert_eq!(s.store_dir.as_deref(), Some("/tmp/statim-store"));
-                assert_eq!(s.max_conns, Some(64));
-                assert_eq!(s.conn_threads, Some(2));
-                assert_eq!(s.max_per_client, Some(3));
-                assert_eq!(s.rate_limit, Some(10));
-                assert_eq!(s.io_timeout_ms, Some(5000));
-                assert!(s.store_fsync);
+            Command::Serve { addr, options } => {
+                assert_eq!(addr, "127.0.0.1:0");
+                assert_eq!(
+                    options,
+                    DaemonOptions {
+                        max_queue: Some(4),
+                        cache_capacity: Some(128),
+                        max_wall_secs: Some(2.5),
+                        backend: Some(ConvolveBackend::Fft),
+                        store_dir: Some("/tmp/statim-store".into()),
+                        max_conns: Some(64),
+                        conn_threads: Some(2),
+                        max_per_client: Some(3),
+                        rate_limit: Some(10),
+                        io_timeout_ms: Some(5000),
+                        store_fsync: true,
+                    }
+                );
             }
             other => panic!("{other:?}"),
         }
         assert!(parse(&v(&["serve", "positional"])).is_err());
-        assert!(parse(&v(&["serve", "--max-queue", "x"])).is_err());
+        assert_eq!(class(&["serve", "--max-queue", "x"]), ErrorClass::Parse);
         assert!(parse(&v(&["serve", "--store-dir"])).is_err());
         assert!(parse(&v(&["serve", "--conn-threads", "two"])).is_err());
         assert!(parse(&v(&["serve", "--rate-limit", "fast"])).is_err());
         assert!(parse(&v(&["serve", "--max-per-client"])).is_err());
+        assert_eq!(class(&["serve", "--backend", "warp"]), ErrorClass::Config);
+        // Serve takes two table keys, not the rest of them.
+        assert_eq!(class(&["serve", "--threads", "2"]), ErrorClass::Parse);
     }
 
     #[test]
@@ -1059,7 +1125,7 @@ mod tests {
                 emit_bench,
             } => {
                 assert_eq!(args.benchmark.as_deref(), Some("c432"));
-                assert_eq!(args.threads, Some(2));
+                assert_eq!(args.config, SstaConfig::date05().with_threads(2));
                 assert_eq!(script, "fix.eco");
                 assert_eq!(emit_bench.as_deref(), Some("edited.bench"));
             }
@@ -1154,7 +1220,7 @@ mod tests {
                 strict_hold,
             } => {
                 assert_eq!(args.benchmark.as_deref(), Some("s27"));
-                assert_eq!(args.threads, Some(2));
+                assert_eq!(args.config, SstaConfig::date05().with_threads(2));
                 assert_eq!(period, Some(0.8e-9));
                 assert_eq!(derate_early, 0.95);
                 assert_eq!(derate_late, 1.05);
@@ -1212,7 +1278,7 @@ mod tests {
         {
             Command::Mc { args, samples } => {
                 assert_eq!(args.benchmark.as_deref(), Some("c499"));
-                assert_eq!(args.confidence, 0.1);
+                assert_eq!(args.config, SstaConfig::date05().with_confidence(0.1));
                 assert_eq!(samples, 500);
             }
             other => panic!("{other:?}"),

@@ -1,12 +1,13 @@
 //! Command implementations.
 
-use crate::args::{AnalyzeArgs, ClientAction, Command, ServeArgs};
+use crate::args::{AnalyzeArgs, ClientAction, Command};
 use statim_core::engine::{SstaConfig, SstaEngine};
-use statim_core::{ErrorClass, LayerModel, StatimError};
+use statim_core::{ErrorClass, StatimError};
 use statim_netlist::generators::iscas85::{self, Benchmark};
 use statim_netlist::{bench_format, def_lite, Circuit, Placement, PlacementStyle};
 use statim_process::sensitivity::table1;
 use statim_process::Technology;
+use statim_server::DaemonOptions;
 use std::fs;
 use std::process::ExitCode;
 
@@ -71,7 +72,7 @@ fn dispatch(cmd: Command) -> DynResult {
             println!("  pipe<S>x<W>  S-stage, W-bit register pipeline (e.g. pipe4x8)");
             Ok(())
         }
-        Command::Serve(s) => serve(s),
+        Command::Serve { addr, options } => serve(&addr, options),
         Command::Client { addr, action } => client(&addr, action),
     }
 }
@@ -104,11 +105,8 @@ fn load_circuit(a: &AnalyzeArgs) -> Result<Circuit, StatimError> {
         // Ingestion faults (truncate-bench) corrupt the text before the
         // parser sees it, proving the parser fails typed, not panicking.
         #[cfg(feature = "fault-injection")]
-        let text = match &a.fault_plan {
-            Some(spec) => {
-                let plan: statim_core::FaultPlan = spec.parse()?;
-                plan.apply_to_text(&text).to_string()
-            }
+        let text = match &a.config.faults {
+            Some(plan) => plan.apply_to_text(&text).to_string(),
             None => text,
         };
         let name = std::path::Path::new(path)
@@ -153,73 +151,25 @@ fn analyze(a: AnalyzeArgs) -> DynResult {
     Ok(())
 }
 
-/// Maps a `--backend` value onto the typed enum; junk is a config error
-/// (exit code 3), not a panic or a silent grid fallback.
-fn parse_backend(name: &str) -> Result<statim_core::ConvolveBackend, StatimError> {
-    name.parse()
-        .map_err(|e: String| StatimError::new(ErrorClass::Config, e))
-}
-
-/// Builds circuit, placement and config from analyze-style args — the
-/// shared front half of `run_engine` and `eco`.
-fn build_setup(a: &AnalyzeArgs) -> Result<(Circuit, Placement, SstaConfig), StatimError> {
-    // Reject a fault plan up front when this binary cannot honour it —
-    // silently ignoring it would report fault-free results as faulty.
-    #[cfg(not(feature = "fault-injection"))]
-    if a.fault_plan.is_some() {
-        return Err(StatimError::new(
-            ErrorClass::Config,
-            "--fault-plan needs a fault-injection build \
-             (cargo build --features fault-injection)",
-        ));
-    }
+/// Loads the circuit and resolves its placement — the shared front half
+/// of `run_engine`, `eco`, `seq` and `mc` — then reports any option value
+/// the table refused.
+fn build_setup(a: &AnalyzeArgs) -> Result<(Circuit, Placement), StatimError> {
     let circuit = load_circuit(a)?;
-    let placement = match (&a.def_file, a.random_place) {
-        (Some(def), _) => {
-            let text = fs::read_to_string(def).map_err(|e| StatimError::from(e).with_file(def))?;
-            def_lite::parse(&text)
-                .map_err(|e| StatimError::from(e).with_file(def))?
-                .placement_for(&circuit)
-                .map_err(|e| StatimError::from(e).with_file(def))?
-        }
-        (None, Some(seed)) => Placement::generate(&circuit, PlacementStyle::Random(seed)),
-        (None, None) => Placement::generate(&circuit, PlacementStyle::Levelized),
-    };
-    let mut config = SstaConfig::date05().with_confidence(a.confidence);
-    config.quality_intra = a.quality_intra;
-    config.quality_inter = a.quality_inter;
-    config.max_paths = a.max_paths;
-    config.threads = a.threads;
-    config.cache = !a.no_cache;
-    config.budget = statim_core::RunBudget {
-        max_wall_secs: a.max_wall_secs,
-        max_paths: a.max_analyzed_paths,
-        max_mc_samples: a.max_mc_samples,
-    };
-    if let Some(r) = a.retries {
-        config.retries = r;
+    let placement = a.placement.resolve(&circuit)?;
+    match &a.refused {
+        Some(e) => Err(e.clone()),
+        None => Ok((circuit, placement)),
     }
-    config.cache_capacity = a.cache_capacity;
-    if let Some(name) = &a.backend {
-        config.backend = parse_backend(name)?;
-    }
-    if let Some(share) = a.inter_share {
-        config = config.with_layers(LayerModel::with_inter_share(share));
-    }
-    #[cfg(feature = "fault-injection")]
-    if let Some(spec) = &a.fault_plan {
-        config = config.with_faults(spec.parse()?);
-    }
-    Ok((circuit, placement, config))
 }
 
-/// Builds circuit, placement and config from analyze-style args, then
-/// runs the engine.
+/// Loads circuit and placement from analyze-style args, then runs the
+/// engine on their configuration.
 fn run_engine(
     a: &AnalyzeArgs,
 ) -> Result<(statim_netlist::Circuit, Placement, statim_core::SstaReport), StatimError> {
-    let (circuit, placement, config) = build_setup(a)?;
-    let report = SstaEngine::new(config).run(&circuit, &placement)?;
+    let (circuit, placement) = build_setup(a)?;
+    let report = SstaEngine::new(a.config.clone()).run(&circuit, &placement)?;
     Ok((circuit, placement, report))
 }
 
@@ -236,8 +186,8 @@ fn eco(a: AnalyzeArgs, script_path: &str, emit_bench: Option<String>) -> DynResu
     };
     let script =
         EcoScript::parse(&text).map_err(|e| StatimError::from(e).with_file(script_path))?;
-    let (circuit, placement, config) = build_setup(&a)?;
-    let mut inc = IncrementalEngine::new(SstaEngine::new(config), circuit, placement)?;
+    let (circuit, placement) = build_setup(&a)?;
+    let mut inc = IncrementalEngine::new(SstaEngine::new(a.config.clone()), circuit, placement)?;
     let outcome = inc
         .apply(&script)
         .map_err(|e| StatimError::from(e).with_file(script_path))?;
@@ -301,9 +251,9 @@ fn seq(
 ) -> Result<ExitCode, StatimError> {
     use statim_core::sequential::{Derates, SequentialConfig, SequentialEngine};
     reject_mc_only_flags(&a, "seq")?;
-    let (circuit, placement, ssta) = build_setup(&a)?;
+    let (circuit, placement) = build_setup(&a)?;
     let config = SequentialConfig {
-        ssta,
+        ssta: a.config.clone(),
         period,
         derates: Derates {
             early: derate_early,
@@ -351,14 +301,15 @@ fn monte_carlo(a: AnalyzeArgs, samples: usize) -> DynResult {
     // Budgets are scoped per phase: the engine run gets the path budget,
     // the MC phase gets the wall and sample budgets with a fresh clock.
     // Otherwise a slow engine phase would silently eat the MC wall budget.
-    let mut engine_args = a.clone();
-    engine_args.max_wall_secs = None;
-    engine_args.max_mc_samples = None;
-    engine_args.checkpoint = None;
-    engine_args.resume = None;
+    let mut config = a.config.clone();
+    let budget = RunBudget {
+        max_wall_secs: config.budget.max_wall_secs.take(),
+        max_paths: None,
+        max_mc_samples: config.budget.max_mc_samples.take(),
+    };
     // The sampler sees the analysis configuration itself, so the two
     // columns always compare the same technology, split and marginal.
-    let (circuit, placement, config) = build_setup(&engine_args)?;
+    let (circuit, placement) = build_setup(&a)?;
     let engine = SstaEngine::new(config);
     let report = engine.run(&circuit, &placement)?;
     let SstaConfig {
@@ -366,18 +317,15 @@ fn monte_carlo(a: AnalyzeArgs, samples: usize) -> DynResult {
         vars,
         layers,
         marginal,
+        retries,
+        threads,
         ..
     } = engine.config();
     let timing = characterize_placed(&circuit, tech, &placement)?;
     let crit = &report.critical().analysis;
     let fingerprint = mc_fingerprint(&crit.gates, vars, layers, *marginal, MC_QUALITY)?;
 
-    let budget = RunBudget {
-        max_wall_secs: a.max_wall_secs,
-        max_paths: None,
-        max_mc_samples: a.max_mc_samples,
-    };
-    let sup = Supervisor::new(budget, a.retries.unwrap_or(1));
+    let sup = Supervisor::new(budget, *retries);
     let mut ctx = McSupervision::new(&sup);
 
     // Resume: reload completed chunks, refusing checkpoints written by a
@@ -408,12 +356,7 @@ fn monte_carlo(a: AnalyzeArgs, samples: usize) -> DynResult {
         ctx = ctx.with_checkpoint(ck);
     }
     #[cfg(feature = "fault-injection")]
-    let plan = match &a.fault_plan {
-        Some(spec) => Some(spec.parse::<statim_core::FaultPlan>()?),
-        None => None,
-    };
-    #[cfg(feature = "fault-injection")]
-    if let Some(plan) = &plan {
+    if let Some(plan) = &a.config.faults {
         ctx = ctx.with_faults(plan);
     }
 
@@ -428,7 +371,7 @@ fn monte_carlo(a: AnalyzeArgs, samples: usize) -> DynResult {
         samples,
         MC_QUALITY,
         MC_SEED,
-        a.threads.unwrap_or(0),
+        threads.unwrap_or(0),
         ctx,
     )?;
 
@@ -476,29 +419,14 @@ fn monte_carlo(a: AnalyzeArgs, samples: usize) -> DynResult {
     Ok(())
 }
 
-fn serve(s: ServeArgs) -> DynResult {
-    use statim_server::daemon::{self, DaemonOptions};
-    let backend = s.backend.as_deref().map(parse_backend).transpose()?;
-    let (config, tuning) = DaemonOptions {
-        max_queue: s.max_queue,
-        cache_capacity: s.cache_capacity,
-        max_wall_secs: s.max_wall_secs,
-        backend,
-        store_dir: s.store_dir.map(std::path::PathBuf::from),
-        max_conns: s.max_conns,
-        conn_threads: s.conn_threads,
-        max_per_client: s.max_per_client,
-        rate_limit: s.rate_limit,
-        io_timeout_ms: s.io_timeout_ms,
-        store_fsync: s.store_fsync,
-    }
-    .into_configs();
+fn serve(addr: &str, options: DaemonOptions) -> DynResult {
+    let (config, tuning) = options.into_configs();
     let max_queue = config.max_queue;
     let store_note = match &config.store_dir {
         Some(dir) => format!(", store {}", dir.display()),
         None => String::new(),
     };
-    let handle = daemon::spawn_tuned(&s.addr, config, tuning)?;
+    let handle = statim_server::spawn_tuned(addr, config, tuning)?;
     println!(
         "statim daemon listening on {} (queue bound {max_queue}{store_note})",
         handle.addr()

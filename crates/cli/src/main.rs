@@ -12,7 +12,7 @@
 mod args;
 mod commands;
 
-use statim_core::ErrorClass;
+use statim_core::{ErrorClass, StatimError};
 use std::process::ExitCode;
 
 /// Exit codes by error class, so scripts and CI can branch on failure
@@ -29,18 +29,20 @@ fn exit_code(class: ErrorClass) -> ExitCode {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match args::parse(&argv) {
-        Ok(cmd) => match commands::run(cmd) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit_code(e.class)
-            }
-        },
-        Err(msg) => {
-            eprintln!("error: {msg}");
+        Ok(cmd) => commands::run(cmd).unwrap_or_else(|e| fail(&e)),
+        // A usage mistake gets the usage text; a value the option table
+        // refuses is a configuration error like any other.
+        Err(e) if e.class == ErrorClass::Parse => {
+            eprintln!("error: {}", e.message);
             eprintln!();
             eprintln!("{}", args::USAGE);
             ExitCode::from(2)
         }
+        Err(e) => fail(&e),
     }
+}
+
+fn fail(e: &StatimError) -> ExitCode {
+    eprintln!("error: {e}");
+    exit_code(e.class)
 }

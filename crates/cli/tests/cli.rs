@@ -1,7 +1,9 @@
 //! End-to-end tests of the `statim` binary: spawn the compiled
 //! executable and check its output and exit codes.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 fn statim() -> Command {
     // Cargo puts integration-test binaries in target/<profile>/deps; the
@@ -259,4 +261,196 @@ fn mc_zero_samples_is_a_config_error() {
     assert_eq!(out.status.code(), Some(3), "{:?}", out);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("sample count, got 0"), "{err}");
+}
+
+/// A child process killed when dropped, so a failed assertion cannot
+/// leak it.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Waits for `child` to exit, failing the test instead of hanging when
+/// it is still running after a minute (a daemon that should have
+/// refused to start, say).
+fn wait_within_a_minute(child: &mut Reaped, what: &str) -> ExitStatus {
+    let start = Instant::now();
+    loop {
+        if let Some(status) = child.0.try_wait().expect("poll statim") {
+            return status;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "{what} still running after a minute"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Runs `statim` with `args` and returns its exit code and stderr.
+fn exit_and_stderr(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Reaped(
+        statim()
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run statim"),
+    );
+    let mut stderr = child.0.stderr.take().expect("stderr");
+    let reader = std::thread::spawn(move || {
+        let mut text = String::new();
+        stderr.read_to_string(&mut text).map(|_| text)
+    });
+    let status = wait_within_a_minute(&mut child, &format!("statim {args:?}"));
+    let stderr = reader.join().expect("stderr reader").expect("read stderr");
+    (status.code(), stderr)
+}
+
+#[test]
+fn malformed_or_missing_option_values_are_usage_errors() {
+    for args in [
+        &["analyze", "--benchmark", "c432", "--threads", "abc"][..],
+        &["analyze", "--benchmark", "c432", "--threads"][..],
+    ] {
+        let (code, err) = exit_and_stderr(args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains("USAGE"), "{args:?}: {err}");
+        assert!(
+            err.contains("--threads") || err.contains("`threads`"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn refused_option_values_are_config_errors() {
+    for (args, needle) in [
+        (
+            &["analyze", "--benchmark", "c432", "--backend", "warp"][..],
+            "unknown backend `warp`",
+        ),
+        (
+            &["analyze", "--benchmark", "c432", "-C", "-0.5"][..],
+            "confidence",
+        ),
+        (
+            &["analyze", "--benchmark", "c432", "--cache-capacity", "0"][..],
+            "cache capacity must be positive",
+        ),
+        // Refused as malformed by a fault-injection build, and as
+        // unsupported by any other: exit 3 either way.
+        (
+            &["analyze", "--benchmark", "c432", "--fault-plan", "bogus@1"][..],
+            "fault",
+        ),
+    ] {
+        let (code, err) = exit_and_stderr(args);
+        assert_eq!(code, Some(3), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!err.contains("USAGE"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn a_bad_source_is_reported_before_a_refused_option() {
+    for option in [
+        &["--backend", "warp"][..],
+        &["-C", "-0.5"][..],
+        &["--cache-capacity", "0"][..],
+        &["--fault-plan", "bogus@1"][..],
+    ] {
+        let mut args = vec!["analyze", "/nonexistent/statim-no-such.bench"];
+        args.extend_from_slice(option);
+        let (code, err) = exit_and_stderr(&args);
+        assert_eq!(code, Some(4), "{args:?}: {err}");
+        assert!(err.contains("statim-no-such.bench"), "{args:?}: {err}");
+        assert!(!err.contains("config error"), "{args:?}: {err}");
+    }
+}
+
+#[cfg(not(feature = "fault-injection"))]
+#[test]
+fn fault_plan_needs_a_fault_injection_build() {
+    let (code, err) = exit_and_stderr(&[
+        "analyze",
+        "--benchmark",
+        "c432",
+        "--fault-plan",
+        "zero-variance",
+    ]);
+    assert_eq!(code, Some(3), "{err}");
+    assert!(err.contains("fault-injection build"), "{err}");
+}
+
+#[test]
+fn serve_refuses_bad_settings_by_class() {
+    // Each refusal happens before the daemon serves anything.
+    let (code, err) = exit_and_stderr(&["serve", "--addr", "127.0.0.1:0", "--backend", "warp"]);
+    assert_eq!(code, Some(3), "{err}");
+    assert!(err.contains("unknown backend `warp`"), "{err}");
+    let (code, err) = exit_and_stderr(&["serve", "--addr", "127.0.0.1:0", "--max-queue", "x"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("USAGE"), "{err}");
+    // A zero cap is refused, not rounded up to a small cache.
+    let (code, err) = exit_and_stderr(&["serve", "--addr", "127.0.0.1:0", "--cache-capacity", "0"]);
+    assert_eq!(code, Some(3), "{err}");
+    assert!(err.contains("cache capacity must be positive"), "{err}");
+}
+
+#[test]
+fn submit_option_errors_are_config_errors_and_the_source_comes_first() {
+    let mut daemon = Reaped(
+        statim()
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("start daemon"),
+    );
+    // Keep the pipe open until the daemon exits: it prints once more
+    // when it drains.
+    let mut stdout = BufReader::new(daemon.0.stdout.take().expect("stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("daemon banner");
+    let addr = banner
+        .split_whitespace()
+        .nth(4)
+        .expect("listening address")
+        .to_string();
+    let submit = |extra: &[&str]| {
+        let mut args = vec!["client", "--addr", addr.as_str(), "submit"];
+        args.extend_from_slice(extra);
+        exit_and_stderr(&args)
+    };
+    for option in [
+        "threads=abc",
+        "backend=warp",
+        "cache=maybe",
+        "solver=x",
+        "cache-capacity=4",
+    ] {
+        let (code, err) = submit(&["@c432", option]);
+        assert_eq!(code, Some(3), "{option}: {err}");
+        assert!(
+            err.contains("CONFIG") || err.contains("config"),
+            "{option}: {err}"
+        );
+        let key = option.split('=').next().unwrap_or_default();
+        assert!(err.contains(key), "{option}: {err}");
+    }
+    // A missing netlist file plus a bad option: the source is reported.
+    let (code, err) = submit(&["/nonexistent/statim-no-such.bench", "threads=abc"]);
+    assert!(err.contains("statim-no-such.bench"), "{err}");
+    assert!(!err.contains("threads"), "{err}");
+    assert_ne!(code, Some(0));
+    let (code, err) = exit_and_stderr(&["client", "--addr", &addr, "shutdown"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(wait_within_a_minute(&mut daemon, "the drained daemon").success());
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("daemon output");
+    assert!(rest.contains("drained"), "{rest}");
 }

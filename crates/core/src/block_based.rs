@@ -32,7 +32,7 @@ use statim_netlist::{Circuit, Signal};
 use statim_process::param::Variations;
 use statim_process::Param;
 use statim_stats::combine::max_pdf;
-use statim_stats::convolve::sum_pdf_resampled;
+use statim_stats::convolve::{sum_pdf_resampled_with, ConvolveBackend};
 use statim_stats::gaussian::try_gaussian_pdf;
 use statim_stats::Pdf;
 
@@ -130,7 +130,7 @@ pub fn block_based_on_graph(
                 try_gaussian_pdf(nominal, sigma.max(nominal * 1e-9), vars.trunc_k, quality)?;
             arrival[g.index()] = Some(match incoming {
                 None => delay,
-                Some(inc) => sum_pdf_resampled(&inc, &delay, quality)?,
+                Some(inc) => sum_pdf_resampled_with(ConvolveBackend::Grid, &inc, &delay, quality)?,
             });
         }
     }

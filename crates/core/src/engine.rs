@@ -234,13 +234,20 @@ impl SstaConfig {
                 message: "budget path/sample caps must be positive (omit to disable)".into(),
             });
         }
-        if self.cache_capacity == Some(0) {
-            return Err(CoreError::InvalidConfig {
-                message: "cache capacity must be positive (omit to leave unbounded)".into(),
-            });
-        }
-        Ok(())
+        check_cache_capacity(self.cache_capacity)
     }
+}
+
+/// Refuses a zero kernel-cache capacity, which a store would otherwise
+/// round up to one entry per shard. Shared by [`SstaConfig`] and the
+/// service's process-wide store.
+pub(crate) fn check_cache_capacity(capacity: Option<usize>) -> Result<()> {
+    if capacity == Some(0) {
+        return Err(CoreError::InvalidConfig {
+            message: "cache capacity must be positive (omit to leave unbounded)".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Wall time and thread utilization of one pipeline stage.

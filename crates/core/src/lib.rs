@@ -31,8 +31,9 @@
 //! retry, run budgets and Monte-Carlo checkpoint/resume), [`store`]
 //! (the persistent on-disk result store behind [`service`]), [`graph`]
 //! (the levelized timing-graph IR), [`incremental`] (ECO edit scripts
-//! and dirty-cone incremental re-analysis) and [`report`] (text/CSV
-//! rendering).
+//! and dirty-cone incremental re-analysis), [`options`] (the option
+//! table every front end sets a configuration through) and [`report`]
+//! (text/CSV rendering).
 //!
 //! # Example
 //!
@@ -70,6 +71,7 @@ pub mod inter;
 pub mod intra;
 pub mod longest_path;
 pub mod monte_carlo;
+pub mod options;
 pub mod parallel;
 pub mod rank;
 pub mod report;
@@ -92,6 +94,7 @@ pub use graph::{ArrivalModel, GraphNode, TimingGraph};
 pub use incremental::{
     apply_edits, EcoEdit, EcoOutcome, EcoScript, IncrementalEngine, IncrementalStats,
 };
+pub use options::PlacementOptions;
 pub use sequential::{
     CheckKind, ClockTree, DegradedCheck, Derates, SeqYieldPoint, SequentialCheck, SequentialConfig,
     SequentialEngine, SequentialReport,

@@ -3,8 +3,10 @@
 //! sequential (setup/hold) reports at the end of the module.
 
 use crate::engine::SstaReport;
+use crate::error::ErrorClass;
 use crate::sequential::{CheckKind, SequentialCheck, SequentialReport};
 use statim_stats::tabulate::format_table;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Formats seconds as picoseconds with three decimals.
@@ -84,34 +86,34 @@ pub fn cache_summary(report: &SstaReport) -> String {
 /// (kernel errored or went non-finite) and why, grouped by error class.
 /// Empty string for a healthy run, so fault-free output is unchanged.
 pub fn degraded_summary(report: &SstaReport) -> String {
-    if report.degraded.is_empty() {
+    quarantine_line(
+        "degraded paths",
+        report.degraded.iter().map(|d| d.class),
+        report.num_paths,
+    )
+}
+
+/// The quarantine line both flows print: how many work items were
+/// quarantined out of all of them, with a per-class breakdown sorted by
+/// class name so the line is deterministic. Empty when none were.
+fn quarantine_line(label: &str, classes: impl Iterator<Item = ErrorClass>, kept: usize) -> String {
+    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+    for class in classes {
+        *counts.entry(class.to_string()).or_default() += 1;
+    }
+    let quarantined: usize = counts.values().sum();
+    if quarantined == 0 {
         return String::new();
     }
-    // Count per class, rendered in a fixed order for determinism.
-    let mut counts: Vec<(String, usize)> = Vec::new();
-    for d in &report.degraded {
-        let class = d.class.to_string();
-        match counts.iter_mut().find(|(c, _)| *c == class) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((class, 1)),
-        }
-    }
-    counts.sort();
     let breakdown = counts
         .iter()
         .map(|(c, n)| format!("{n} {c}"))
         .collect::<Vec<_>>()
         .join(", ");
-    let total = report.num_paths + report.degraded.len();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "  degraded paths               : {} of {} quarantined ({})",
-        report.degraded.len(),
-        total,
-        breakdown
-    );
-    out
+    format!(
+        "  {label:<29}: {quarantined} of {} quarantined ({breakdown})\n",
+        kept + quarantined
+    )
 }
 
 /// One-line supervision summary: the `budget_exhausted` flag (with
@@ -288,33 +290,11 @@ pub fn seq_summary(report: &SequentialReport) -> String {
 /// Per-class quarantine line for sequential checks — the sequential
 /// sibling of [`degraded_summary`]. Empty for a healthy run.
 pub fn seq_degraded_summary(report: &SequentialReport) -> String {
-    if report.degraded.is_empty() {
-        return String::new();
-    }
-    let mut counts: Vec<(String, usize)> = Vec::new();
-    for d in &report.degraded {
-        let class = d.class.to_string();
-        match counts.iter_mut().find(|(c, _)| *c == class) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((class, 1)),
-        }
-    }
-    counts.sort();
-    let breakdown = counts
-        .iter()
-        .map(|(c, n)| format!("{n} {c}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let total = report.checks.len() + report.degraded.len();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "  degraded checks              : {} of {} quarantined ({})",
-        report.degraded.len(),
-        total,
-        breakdown
-    );
-    out
+    quarantine_line(
+        "degraded checks",
+        report.degraded.iter().map(|d| d.class),
+        report.checks.len(),
+    )
 }
 
 /// Budget line for a partial sequential run — the sequential sibling of

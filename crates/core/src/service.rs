@@ -858,10 +858,12 @@ impl AnalysisService {
     ///
     /// # Errors
     ///
-    /// A `Resource`-class error if the store directory cannot be
+    /// A `Config`-class error for a zero [`ServiceConfig::cache_capacity`],
+    /// a `Resource`-class error if the store directory cannot be
     /// created/read, a `Parse`-class error (with file and line) if the
     /// log or index is corrupt or truncated.
     pub fn start(config: ServiceConfig) -> std::result::Result<Self, StatimError> {
+        crate::engine::check_cache_capacity(config.cache_capacity)?;
         let mut state = State::default();
         let persist = match &config.store_dir {
             None => None,
@@ -1688,6 +1690,29 @@ mod tests {
         let rendered_served = crate::report::deterministic_report(&served, 5);
         assert_eq!(rendered_fresh, rendered_served);
         assert_eq!(service.stats().store_hits, 1);
+        service.join();
+    }
+
+    #[test]
+    fn zero_cache_capacity_refuses_to_start() {
+        // A zero cap would otherwise round up to one entry per shard and
+        // run a small cache the operator never asked for.
+        let err = AnalysisService::start(ServiceConfig {
+            cache_capacity: Some(0),
+            ..ServiceConfig::default()
+        })
+        .err()
+        .expect("a zero cache capacity is refused");
+        assert_eq!(err.class, ErrorClass::Config);
+        assert!(
+            err.message.contains("cache capacity must be positive"),
+            "{err}"
+        );
+        let service = AnalysisService::start(ServiceConfig {
+            cache_capacity: Some(1),
+            ..ServiceConfig::default()
+        })
+        .expect("any positive capacity starts");
         service.join();
     }
 

@@ -52,13 +52,16 @@ use crate::protocol::{
     error_reply, ErrorCode, Request, Response, GREETING, PROTOCOL_MINOR, PROTOCOL_VERSION,
 };
 use statim_core::engine::{LabelSolver, SstaConfig};
+use statim_core::options::{parse_backend, parse_value};
 use statim_core::service::{
     AnalysisService, CancelOutcome, JobSpec, ServiceConfig, ServiceStats, SubmitOptions,
 };
-use statim_core::{apply_edits, EcoScript, ErrorClass, JobId, RunBudget, StatimError};
+use statim_core::{
+    apply_edits, EcoScript, ErrorClass, JobId, PlacementOptions, RunBudget, StatimError,
+};
 use statim_netlist::generators::iscas85::{self, Benchmark};
 use statim_netlist::generators::sequential;
-use statim_netlist::{bench_format, def_lite, Circuit, Placement, PlacementStyle};
+use statim_netlist::{bench_format, Circuit, Placement, PlacementStyle};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -318,32 +321,6 @@ pub fn spawn_tuned(
         registry,
         workers,
     })
-}
-
-/// Binds `addr` and serves until a `SHUTDOWN` request drains the
-/// daemon — the blocking entry point `statim serve` uses.
-///
-/// # Errors
-///
-/// As [`spawn`].
-pub fn serve(addr: &str, config: ServiceConfig) -> Result<SocketAddr, StatimError> {
-    serve_tuned(addr, config, DaemonTuning::default())
-}
-
-/// [`serve`] with explicit connection-pool tuning.
-///
-/// # Errors
-///
-/// As [`spawn`].
-pub fn serve_tuned(
-    addr: &str,
-    config: ServiceConfig,
-    tuning: DaemonTuning,
-) -> Result<SocketAddr, StatimError> {
-    let handle = spawn_tuned(addr, config, tuning)?;
-    let bound = handle.addr();
-    handle.join();
-    Ok(bound)
 }
 
 /// One polling worker: accept into its own shard, progress every owned
@@ -1087,103 +1064,77 @@ fn build_spec(
         Some(template) => Netlist::Template(template),
         None => Netlist::Loaded(Box::new(load_source(source)?)),
     };
-    let mut config = SstaConfig::date05();
-    // Seeded before the option scan so an explicit `backend=` wins and
-    // the daemon-wide default still lands in the job fingerprint.
-    config.backend = default_backend;
-    let mut placement_style = PlacementStyle::Levelized;
-    let mut def_path: Option<&str> = None;
+    // Seeded before the options so an explicit `backend=` wins and the
+    // daemon-wide default still lands in the job fingerprint.
+    let mut config = SstaConfig::date05().with_backend(default_backend);
+    let mut placement = PlacementOptions::default();
     let mut deadline_ms: Option<u64> = None;
     for (key, value) in options {
-        match key.as_str() {
-            "confidence" => config.confidence = parse_opt(key, value)?,
-            "deadline" => deadline_ms = Some(parse_opt(key, value)?),
-            "quality-intra" => config.quality_intra = parse_opt(key, value)?,
-            "quality-inter" => config.quality_inter = parse_opt(key, value)?,
-            "max-paths" => config.max_paths = parse_opt(key, value)?,
-            "threads" => config.threads = Some(parse_opt(key, value)?),
-            "retries" => config.retries = parse_opt(key, value)?,
-            "cache" => {
-                config.cache = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(StatimError::new(
-                            ErrorClass::Config,
-                            format!("cache must be on or off, got `{other}`"),
-                        ))
-                    }
-                }
-            }
-            "backend" => {
-                config.backend = value
-                    .parse()
-                    .map_err(|e: String| StatimError::new(ErrorClass::Config, e))?;
-            }
-            "solver" => {
-                config.solver = match value.as_str() {
-                    "bellman-ford" => LabelSolver::BellmanFord,
-                    "topological" => LabelSolver::Topological,
-                    other => {
-                        return Err(StatimError::new(
-                            ErrorClass::Config,
-                            format!("unknown solver `{other}` (bellman-ford or topological)"),
-                        ))
-                    }
-                }
-            }
-            "inter-share" => {
-                config = config.with_layers(statim_core::LayerModel::with_inter_share(parse_opt(
-                    key, value,
-                )?));
-            }
-            "max-wall-secs" => config.budget.max_wall_secs = Some(parse_opt(key, value)?),
-            "max-analyzed-paths" => config.budget.max_paths = Some(parse_opt(key, value)?),
-            "max-mc-samples" => config.budget.max_mc_samples = Some(parse_opt(key, value)?),
-            "random-place" => {
-                placement_style = PlacementStyle::Random(parse_opt(key, value)?);
-            }
-            "def" => def_path = Some(value),
-            "fault-plan" => {
-                #[cfg(feature = "fault-injection")]
-                {
-                    config = config.with_faults(value.parse::<statim_core::FaultPlan>()?);
-                }
-                #[cfg(not(feature = "fault-injection"))]
-                return Err(StatimError::new(
-                    ErrorClass::Config,
-                    "fault-plan needs a fault-injection build of the daemon",
-                ));
-            }
-            other => {
-                return Err(StatimError::new(
-                    ErrorClass::Config,
-                    format!("unknown submit option `{other}`"),
-                ))
-            }
-        }
+        set_submit_option(&mut config, &mut placement, &mut deadline_ms, key, value)
+            // A SUBMIT line has no usage text to show: every option error
+            // is the request's configuration error.
+            .map_err(|e| StatimError {
+                class: ErrorClass::Config,
+                ..e
+            })?;
     }
     let circuit = match netlist {
-        Netlist::Template(template)
-            if def_path.is_none() && placement_style == PlacementStyle::Levelized =>
-        {
+        Netlist::Template(template) if placement.is_levelized() => {
             return Ok((template.with_config(config), deadline_ms));
         }
         Netlist::Template(template) => template.circuit().clone(),
         Netlist::Loaded(circuit) => *circuit,
     };
-    let placement = match def_path {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| StatimError::from(e).with_file(path))?;
-            def_lite::parse(&text)
-                .map_err(|e| StatimError::from(e).with_file(path))?
-                .placement_for(&circuit)
-                .map_err(|e| StatimError::from(e).with_file(path))?
-        }
-        None => Placement::generate(&circuit, placement_style),
-    };
+    let placement = placement.resolve(&circuit)?;
     Ok((JobSpec::new(circuit, placement, config), deadline_ms))
+}
+
+/// Applies one `SUBMIT` option: the daemon's own keys (`deadline`,
+/// `cache`, `solver`), then the analysis option table, then the
+/// placement options.
+fn set_submit_option(
+    config: &mut SstaConfig,
+    placement: &mut PlacementOptions,
+    deadline_ms: &mut Option<u64>,
+    key: &str,
+    value: &str,
+) -> Result<(), StatimError> {
+    match key {
+        "deadline" => *deadline_ms = Some(parse_value(key, value)?),
+        "cache" => {
+            config.cache = match value {
+                "on" => true,
+                "off" => false,
+                other => {
+                    return Err(StatimError::new(
+                        ErrorClass::Config,
+                        format!("cache must be on or off, got `{other}`"),
+                    ))
+                }
+            }
+        }
+        "solver" => {
+            config.solver = match value {
+                "bellman-ford" => LabelSolver::BellmanFord,
+                "topological" => LabelSolver::Topological,
+                other => {
+                    return Err(StatimError::new(
+                        ErrorClass::Config,
+                        format!("unknown solver `{other}` (bellman-ford or topological)"),
+                    ))
+                }
+            }
+        }
+        _ => {
+            if !config.set_option(key, value)? && !placement.set_option(key, value)? {
+                return Err(StatimError::new(
+                    ErrorClass::Config,
+                    format!("unknown submit option `{key}`"),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Derives a new [`JobSpec`] from a base job's spec by applying a
@@ -1225,17 +1176,9 @@ fn load_source(source: &str) -> Result<Circuit, StatimError> {
     bench_format::parse(name, &text).map_err(|e| StatimError::from(e).with_file(source))
 }
 
-fn parse_opt<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, StatimError> {
-    value.parse().map_err(|_| {
-        StatimError::new(
-            ErrorClass::Config,
-            format!("invalid value `{value}` for option `{key}`"),
-        )
-    })
-}
-
-/// The daemon-side [`ServiceConfig`] knobs `statim serve` exposes.
-#[derive(Debug, Clone, Default)]
+/// The daemon-side [`ServiceConfig`] knobs `statim serve` exposes, each
+/// set from its `--<key> <value>` text by [`DaemonOptions::set_option`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DaemonOptions {
     /// Queue bound (`--max-queue`); `None` keeps the service default.
     pub max_queue: Option<usize>,
@@ -1259,11 +1202,37 @@ pub struct DaemonOptions {
     pub rate_limit: Option<u32>,
     /// Connection progress deadline, ms (`--io-timeout-ms`).
     pub io_timeout_ms: Option<u64>,
-    /// Fsync result-store appends and index renames (`--store-fsync`).
+    /// Fsync result-store appends and index renames (`--store-fsync`, a
+    /// bare switch the caller sets).
     pub store_fsync: bool,
 }
 
 impl DaemonOptions {
+    /// Sets the serve option `key` from its text `value`; `Ok(false)` for
+    /// a key it does not own, whatever the value.
+    ///
+    /// # Errors
+    ///
+    /// A `Parse`-class error for a malformed number and a
+    /// `Config`-class error for an unknown backend, in the option
+    /// table's wording.
+    pub fn set_option(&mut self, key: &str, value: &str) -> Result<bool, StatimError> {
+        match key {
+            "max-queue" => self.max_queue = Some(parse_value(key, value)?),
+            "cache-capacity" => self.cache_capacity = Some(parse_value(key, value)?),
+            "max-wall-secs" => self.max_wall_secs = Some(parse_value(key, value)?),
+            "backend" => self.backend = Some(parse_backend(value)?),
+            "store-dir" => self.store_dir = Some(PathBuf::from(value)),
+            "max-conns" => self.max_conns = Some(parse_value(key, value)?),
+            "conn-threads" => self.conn_threads = Some(parse_value(key, value)?),
+            "max-per-client" => self.max_per_client = Some(parse_value(key, value)?),
+            "rate-limit" => self.rate_limit = Some(parse_value(key, value)?),
+            "io-timeout-ms" => self.io_timeout_ms = Some(parse_value(key, value)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
     /// Lowers the options onto a service configuration plus the
     /// connection-pool tuning.
     pub fn into_configs(self) -> (ServiceConfig, DaemonTuning) {
@@ -1292,11 +1261,5 @@ impl DaemonOptions {
         }
         tuning.io_timeout = self.io_timeout_ms.map(Duration::from_millis);
         (config, tuning)
-    }
-
-    /// Lowers the options onto a service configuration only, discarding
-    /// the pool tuning (kept for callers that tune separately).
-    pub fn into_service_config(self) -> ServiceConfig {
-        self.into_configs().0
     }
 }

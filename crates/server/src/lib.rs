@@ -50,5 +50,5 @@ pub mod protocol;
 #[cfg(any(test, feature = "fault-injection"))]
 pub use chaos::{ChaosFault, ChaosPlan, ChaosProxy};
 pub use client::{Client, ClientError, Reply};
-pub use daemon::{serve, spawn, spawn_tuned, DaemonHandle, DaemonOptions, DaemonTuning};
+pub use daemon::{spawn, spawn_tuned, DaemonHandle, DaemonOptions, DaemonTuning};
 pub use protocol::{ErrorCode, Request, Response, GREETING, PROTOCOL_MINOR, PROTOCOL_VERSION};

@@ -68,46 +68,35 @@ impl std::str::FromStr for ConvolveBackend {
     }
 }
 
-/// Density of `X + Y` for independent `X ~ a`, `Y ~ b`.
+/// Density of `X + Y` for independent `X ~ a`, `Y ~ b`, convolved by
+/// `backend`.
 ///
 /// Both inputs must share the same grid step (re-sample one of them with
 /// [`Pdf::resample`] if they do not). The result lives on the grid whose
-/// span is the Minkowski sum of the input spans, with `nₐ + n_b − 1` cells,
-/// and is normalized.
+/// span is the Minkowski sum of the input spans (`lo = loₐ + lo_b +
+/// step/2`, `nₐ + n_b − 1` cells), and is normalized. Midpoint assignment
+/// keeps mean and variance exact for either backend. [`Grid`]'s cost is
+/// `O(nₐ · n_b)`, the paper's `O(QUALITY²)`; the FFT route clamps the
+/// (round-off-level) negative excursions spectral evaluation can produce
+/// back to zero before normalizing.
 ///
-/// Complexity is `O(nₐ · n_b)`, the paper's `O(QUALITY²)`. Equivalent to
-/// [`sum_pdf_with`] on [`ConvolveBackend::Grid`].
-///
-/// # Errors
-///
-/// Returns [`StatsError::StepMismatch`] when the grid steps differ.
-///
-/// # Examples
-///
-/// ```
-/// use statim_stats::{Grid, Pdf, convolve::sum_pdf};
-/// let g = Grid::over(0.0, 1.0, 50).unwrap();
-/// let u = Pdf::new(g, vec![1.0; 50]).unwrap();
-/// let tri = sum_pdf(&u, &u).unwrap(); // triangle on [0, 2]
-/// assert!((tri.mean() - 1.0).abs() < 1e-9);
-/// assert!((tri.mode() - 1.0).abs() < 0.03);
-/// ```
-pub fn sum_pdf(a: &Pdf, b: &Pdf) -> Result<Pdf> {
-    sum_pdf_with(ConvolveBackend::Grid, a, b)
-}
-
-/// [`sum_pdf`] with an explicit [`ConvolveBackend`].
-///
-/// Both backends produce a density on the *same* output grid
-/// (`lo = loₐ + lo_b + step/2`, `nₐ + n_b − 1` cells) and normalize it;
-/// midpoint assignment keeps mean and variance exact either way. The
-/// FFT route clamps the (round-off-level) negative excursions spectral
-/// evaluation can produce back to zero before normalizing.
+/// [`Grid`]: ConvolveBackend::Grid
 ///
 /// # Errors
 ///
 /// Returns [`StatsError::StepMismatch`] when the grid steps differ —
 /// for every backend, checked before any kernel work.
+///
+/// # Examples
+///
+/// ```
+/// use statim_stats::{Grid, Pdf, convolve::{sum_pdf_with, ConvolveBackend}};
+/// let g = Grid::over(0.0, 1.0, 50).unwrap();
+/// let u = Pdf::new(g, vec![1.0; 50]).unwrap();
+/// let tri = sum_pdf_with(ConvolveBackend::Grid, &u, &u).unwrap(); // triangle on [0, 2]
+/// assert!((tri.mean() - 1.0).abs() < 1e-9);
+/// assert!((tri.mode() - 1.0).abs() < 0.03);
+/// ```
 pub fn sum_pdf_with(backend: ConvolveBackend, a: &Pdf, b: &Pdf) -> Result<Pdf> {
     let (ga, gb) = (a.grid(), b.grid());
     if !steps_compatible(ga.step(), gb.step()) {
@@ -156,48 +145,8 @@ pub fn sum_pdf_with(backend: ConvolveBackend, a: &Pdf, b: &Pdf) -> Result<Pdf> {
     Pdf::new(grid, density)
 }
 
-/// Density of `X₁ + X₂ + …` for independent summands.
-///
-/// Operands are folded smallest-first (stable by input order among equal
-/// sizes): the accumulator grows by `nᵢ − 1` cells per convolution no
-/// matter the order, but step `i` costs `|acc|·nᵢ`, which ascending
-/// sizes minimize. Summation is commutative and associative, so the
-/// result is the same distribution regardless of order.
-///
-/// # Errors
-///
-/// Returns [`StatsError::ZeroMass`] for an empty slice and propagates step
-/// mismatches from [`sum_pdf`].
-pub fn sum_pdf_many(pdfs: &[Pdf]) -> Result<Pdf> {
-    sum_pdf_many_with(ConvolveBackend::Grid, pdfs)
-}
-
-/// [`sum_pdf_many`] with an explicit [`ConvolveBackend`].
-///
-/// # Errors
-///
-/// As [`sum_pdf_many`].
-pub fn sum_pdf_many_with(backend: ConvolveBackend, pdfs: &[Pdf]) -> Result<Pdf> {
-    if pdfs.is_empty() {
-        return Err(StatsError::ZeroMass);
-    }
-    let mut order: Vec<&Pdf> = pdfs.iter().collect();
-    order.sort_by_key(|p| p.len());
-    let mut it = order.into_iter();
-    let first = it.next().expect("slice is non-empty");
-    let mut acc = match it.next() {
-        // A single summand is already its own sum.
-        None => return Ok(first.clone()),
-        Some(second) => sum_pdf_with(backend, first, second)?,
-    };
-    for p in it {
-        acc = sum_pdf_with(backend, &acc, p)?;
-    }
-    Ok(acc)
-}
-
-/// Convolves two PDFs with arbitrary (unequal) grids, then trims the
-/// result back to `quality` cells. This is the convenience entry the
+/// Convolves two PDFs with arbitrary (unequal) grids by `backend`, then
+/// trims the result back to `quality` cells. This is the entry the
 /// engine uses when intra and inter PDFs were built with different
 /// QUALITY settings (the paper uses 100 and 50).
 ///
@@ -205,19 +154,8 @@ pub fn sum_pdf_many_with(backend: ConvolveBackend, pdfs: &[Pdf]) -> Result<Pdf> 
 /// resolution); but when the steps are so disparate that this would
 /// explode the cell count — e.g. a delta-like intra PDF against a wide
 /// inter PDF — the roles flip, since a near-degenerate operand carries
-/// no resolution worth preserving.
-///
-/// # Errors
-///
-/// Propagates grid-construction failures.
-pub fn sum_pdf_resampled(a: &Pdf, b: &Pdf, quality: usize) -> Result<Pdf> {
-    sum_pdf_resampled_with(ConvolveBackend::Grid, a, b, quality)
-}
-
-/// [`sum_pdf_resampled`] with an explicit [`ConvolveBackend`]. The
-/// resampling policy (which operand moves onto which step, and the final
-/// trim to `quality` cells) is backend-independent; only the inner
-/// convolution kernel changes.
+/// no resolution worth preserving. This policy and the final trim are
+/// backend-independent; only the inner convolution kernel changes.
 ///
 /// # Errors
 ///
@@ -263,7 +201,7 @@ mod tests {
         let a = gaussian_pdf(3.0, 1.0, 6.0, 200);
         let b = gaussian_pdf(5.0, 2.0, 6.0, 400);
         assert_eq!(a.grid().step().to_bits(), b.grid().step().to_bits());
-        let s = sum_pdf(&a, &b).unwrap();
+        let s = sum_pdf_with(ConvolveBackend::Grid, &a, &b).unwrap();
         assert!((s.mean() - (a.mean() + b.mean())).abs() < 1e-9);
         assert!((s.variance() - (a.variance() + b.variance())).abs() < 1e-9);
     }
@@ -273,8 +211,8 @@ mod tests {
         let g = Grid::over(0.0, 1.0, 30).unwrap();
         let a = Pdf::new(g, (0..30).map(|i| 1.0 + i as f64).collect()).unwrap();
         let b = Pdf::new(g, (0..30).map(|i| 30.0 - i as f64).collect()).unwrap();
-        let ab = sum_pdf(&a, &b).unwrap();
-        let ba = sum_pdf(&b, &a).unwrap();
+        let ab = sum_pdf_with(ConvolveBackend::Grid, &a, &b).unwrap();
+        let ba = sum_pdf_with(ConvolveBackend::Grid, &b, &a).unwrap();
         assert!((ab.mean() - ba.mean()).abs() < 1e-12);
         assert!((ab.variance() - ba.variance()).abs() < 1e-12);
     }
@@ -284,7 +222,7 @@ mod tests {
         let a = Pdf::new(Grid::new(0.0, 0.1, 10).unwrap(), vec![1.0; 10]).unwrap();
         let b = Pdf::new(Grid::new(0.0, 0.2, 10).unwrap(), vec![1.0; 10]).unwrap();
         assert!(matches!(
-            sum_pdf(&a, &b),
+            sum_pdf_with(ConvolveBackend::Grid, &a, &b),
             Err(StatsError::StepMismatch { .. })
         ));
     }
@@ -333,55 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn many_sums_match_pairwise() {
-        let g = Grid::over(0.0, 1.0, 20).unwrap();
-        let u = Pdf::new(g, vec![1.0; 20]).unwrap();
-        let s3 = sum_pdf_many(&[u.clone(), u.clone(), u.clone()]).unwrap();
-        assert!((s3.mean() - 1.5).abs() < 1e-9);
-        // Var(U) = 1/12 each.
-        assert!((s3.variance() - 3.0 / 12.0).abs() < 1e-3);
-        assert!(sum_pdf_many(&[]).is_err());
-    }
-
-    #[test]
-    fn sixteen_way_sum_matches_pairwise_fold() {
-        // Mixed sizes, so the size-ascending accumulation really
-        // reorders relative to the naive input-order fold — the moments
-        // must agree to round-off regardless.
-        let step = 0.05;
-        let pdfs: Vec<Pdf> = (0..16)
-            .map(|i| {
-                let n = 8 + 3 * (i % 5);
-                let g = Grid::new(-0.1 * i as f64, step, n).unwrap();
-                let d = (0..n).map(|j| 1.0 + ((i + j) % 4) as f64).collect();
-                Pdf::new(g, d).unwrap()
-            })
-            .collect();
-        let many = sum_pdf_many(&pdfs).unwrap();
-        let mut fold = pdfs[0].clone();
-        for p in &pdfs[1..] {
-            fold = sum_pdf(&fold, p).unwrap();
-        }
-        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
-        assert!(rel(many.mean(), fold.mean()) < 1e-12);
-        assert!(rel(many.variance(), fold.variance()) < 1e-12);
-        assert_eq!(many.len(), fold.len());
-    }
-
-    #[test]
-    fn single_summand_is_returned_unchanged() {
-        let g = Grid::over(0.0, 1.0, 12).unwrap();
-        let u = Pdf::new(g, vec![1.0; 12]).unwrap();
-        let s = sum_pdf_many(std::slice::from_ref(&u)).unwrap();
-        assert_eq!(s, u);
-    }
-
-    #[test]
     fn resampled_convolution_handles_mixed_quality() {
         // Paper setting: intra at QUALITY 100, inter at QUALITY 50.
         let intra = gaussian_pdf(0.0, 10.0, 6.0, 100);
         let inter = gaussian_pdf(250.0, 25.0, 6.0, 50);
-        let total = sum_pdf_resampled(&intra, &inter, 200).unwrap();
+        let total = sum_pdf_resampled_with(ConvolveBackend::Grid, &intra, &inter, 200).unwrap();
         assert!((total.mean() - 250.0).abs() < 0.5);
         let sigma = (10.0f64 * 10.0 + 25.0 * 25.0).sqrt();
         assert!((total.std_dev() - sigma).abs() < 0.5);

@@ -91,7 +91,7 @@ thread_local! {
 /// Linear convolution of two real series, `c[k] = Σ_i a[i]·b[k−i]`,
 /// computed spectrally. The result has `a.len() + b.len() − 1` entries —
 /// exactly the cell count of the Minkowski-sum output grid
-/// [`sum_pdf`](crate::convolve::sum_pdf) produces.
+/// [`sum_pdf_with`](crate::convolve::sum_pdf_with) produces.
 ///
 /// Round-off can leave entries that should be zero (or tiny positives)
 /// slightly negative; callers building densities should clamp. Empty

@@ -31,11 +31,12 @@
 //! Convolving two Gaussians adds their means and variances:
 //!
 //! ```
-//! use statim_stats::{gaussian::gaussian_pdf, convolve::sum_pdf_resampled};
+//! use statim_stats::convolve::{sum_pdf_resampled_with, ConvolveBackend};
+//! use statim_stats::gaussian::gaussian_pdf;
 //!
 //! let a = gaussian_pdf(10.0, 2.0, 6.0, 100);
 //! let b = gaussian_pdf(20.0, 1.5, 6.0, 100);
-//! let s = sum_pdf_resampled(&a, &b, 200).unwrap();
+//! let s = sum_pdf_resampled_with(ConvolveBackend::Grid, &a, &b, 200).unwrap();
 //! assert!((s.mean() - 30.0).abs() < 0.05);
 //! assert!((s.variance() - (4.0 + 2.25)).abs() < 0.05);
 //! ```

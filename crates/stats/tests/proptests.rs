@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use statim_stats::combine::{map1, map2, map3_tabulated};
-use statim_stats::convolve::{sum_pdf, sum_pdf_resampled, sum_pdf_with, ConvolveBackend};
+use statim_stats::convolve::{sum_pdf_resampled_with, sum_pdf_with, ConvolveBackend};
 use statim_stats::gaussian::{big_phi, erf, gaussian_pdf, inv_phi, try_gaussian_pdf, Gaussian};
 use statim_stats::sample::PdfSampler;
 use statim_stats::{Grid, Pdf, StatsError};
@@ -90,7 +90,7 @@ proptest! {
         let cells = ((b.grid().hi() - b.grid().lo()) / a.grid().step()).ceil() as usize;
         let gb = Grid::new(b.grid().lo(), a.grid().step(), cells.max(1)).unwrap();
         let b2 = b.resample(gb).normalized().unwrap();
-        let s = sum_pdf(&a, &b2).unwrap();
+        let s = sum_pdf_with(ConvolveBackend::Grid, &a, &b2).unwrap();
         prop_assert!((s.mean() - (a.mean() + b2.mean())).abs() < 1e-6 * (1.0 + s.mean().abs()));
         let var_sum = a.variance() + b2.variance();
         prop_assert!((s.variance() - var_sum).abs() < 1e-6 * (1.0 + var_sum));
@@ -103,7 +103,7 @@ proptest! {
     ) {
         let a = gaussian_pdf(m1, s1, 6.0, 120);
         let b = gaussian_pdf(m2, s2, 6.0, 80);
-        let s = sum_pdf_resampled(&a, &b, 150).unwrap();
+        let s = sum_pdf_resampled_with(ConvolveBackend::Grid, &a, &b, 150).unwrap();
         prop_assert!((s.mean() - (m1 + m2)).abs() < 0.02 * (s1 + s2));
         let sigma = (s1 * s1 + s2 * s2).sqrt();
         prop_assert!((s.std_dev() - sigma).abs() < 0.03 * sigma);
@@ -225,7 +225,7 @@ proptest! {
         // corrupt, the distribution.
         let g = gaussian_pdf(m, s, 6.0, 100);
         let spike = Pdf::delta(Grid::new(x - 1.0, 0.02, 100).unwrap(), x).unwrap();
-        let total = sum_pdf_resampled(&spike, &g, 120).unwrap();
+        let total = sum_pdf_resampled_with(ConvolveBackend::Grid, &spike, &g, 120).unwrap();
         prop_assert!((total.mass() - 1.0).abs() < 1e-9);
         prop_assert!(total.density().iter().all(|d| d.is_finite()));
         prop_assert!((total.mean() - (spike.mean() + m)).abs() < 0.05 * s + 0.05);

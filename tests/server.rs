@@ -11,7 +11,7 @@ use statim::core::engine::{SstaConfig, SstaEngine};
 use statim::core::report::deterministic_report;
 use statim::core::service::ServiceConfig;
 use statim::core::store::ResultLog;
-use statim::core::ErrorClass;
+use statim::core::{ErrorClass, PlacementOptions};
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::{Placement, PlacementStyle};
 use statim::server::{daemon, Client, ClientError, DaemonHandle, ErrorCode, Request, GREETING};
@@ -221,19 +221,32 @@ fn backend_option_selects_kernel_and_keys_the_store() {
     assert!(!from_store, "fft must not reuse grid results");
     client.wait(fft, WAIT).expect("wait");
 
-    // Junk gets a typed CONFIG error, and the connection survives.
-    let err = client
-        .submit("@c432", &opts(&[("backend", "warp")]))
-        .expect_err("unknown backend");
-    match err {
-        ClientError::Server { code, message } => {
-            assert_eq!(code, ErrorCode::Config);
-            assert!(message.contains("warp"), "{message}");
+    // Junk gets a typed CONFIG error, admits nothing, and the
+    // connection survives.
+    let submitted = |stats: &str| {
+        stats
+            .lines()
+            .find(|l| l.starts_with("submitted:"))
+            .map(str::to_string)
+    };
+    let before = submitted(&client.stats().expect("stats"));
+    for (key, value) in [
+        ("backend", "warp"),
+        ("deadline", "soon"),
+        ("random-place", "x"),
+    ] {
+        match client.submit("@c432", &opts(&[(key, value)])) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, ErrorCode::Config, "{key}={value}: {message}");
+                assert!(message.contains(value), "{message}");
+            }
+            other => panic!("{key}={value}: {other:?}"),
         }
-        other => panic!("{other:?}"),
     }
     let stats = client.stats().expect("stats after rejected submit");
     assert!(stats.contains("store-hits: 1"), "stats:\n{stats}");
+    assert!(before.is_some(), "stats:\n{stats}");
+    assert_eq!(submitted(&stats), before, "stats:\n{stats}");
 
     client.shutdown().expect("shutdown");
     handle.join();
@@ -307,6 +320,59 @@ fn builtin_names_fingerprint_like_their_netlist_files() {
     client.shutdown().expect("shutdown");
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn submit_options_build_the_option_table_s_config() {
+    // Every table key the plain build takes, at a non-default value,
+    // plus a placement option: the served bytes must equal a one-shot
+    // run whose config and placement the same tables built.
+    let pairs = [
+        ("confidence", "0.1"),
+        ("quality-intra", "40"),
+        ("quality-inter", "20"),
+        ("max-paths", "5000"),
+        ("threads", "2"),
+        ("retries", "2"),
+        ("backend", "fft"),
+        ("inter-share", "0.5"),
+        ("max-wall-secs", "600"),
+        ("max-analyzed-paths", "3"),
+        ("max-mc-samples", "4096"),
+        ("random-place", "3"),
+    ];
+    let circuit = iscas85::generate(Benchmark::C432);
+    let mut config = SstaConfig::date05();
+    let mut placement = PlacementOptions::default();
+    for (key, value) in pairs {
+        let owned = config.set_option(key, value).expect("valid value")
+            || placement.set_option(key, value).expect("valid value");
+        assert!(owned, "{key}");
+    }
+    let placement = placement.resolve(&circuit).expect("placement");
+    let report = SstaEngine::new(config)
+        .run(&circuit, &placement)
+        .expect("one-shot run");
+    assert!(
+        report.budget_exhausted.is_some(),
+        "the path budget must bind"
+    );
+
+    let handle = spawn_daemon(ServiceConfig::default());
+    let mut client = connect(&handle);
+    let options: Vec<(String, String)> = pairs
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    let (id, _) = client.submit("@c432", &options).expect("submit");
+    // A partial report finishes as a degraded job.
+    assert_eq!(client.wait(id, WAIT).expect("wait"), "degraded");
+    assert_eq!(
+        client.result(id, Some(10)).expect("result"),
+        deterministic_report(&report, 10)
+    );
+    client.shutdown().expect("shutdown");
+    handle.join();
 }
 
 #[test]

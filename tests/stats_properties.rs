@@ -3,7 +3,7 @@
 //! Kolmogorov–Smirnov distance.
 
 use proptest::prelude::*;
-use statim::stats::convolve::{sum_pdf, sum_pdf_resampled};
+use statim::stats::convolve::{sum_pdf_resampled_with, sum_pdf_with, ConvolveBackend};
 use statim::stats::gaussian::gaussian_pdf;
 use statim::stats::{Grid, Pdf};
 
@@ -29,7 +29,7 @@ fn arb_gaussian() -> impl Strategy<Value = Pdf> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // --- sum_pdf_resampled: moment additivity -------------------------
+    // --- sum_pdf_resampled_with: moment additivity --------------------
 
     #[test]
     fn resampled_convolution_adds_means(
@@ -37,7 +37,7 @@ proptest! {
         b in arb_pdf(),
         quality in 32usize..128,
     ) {
-        let s = sum_pdf_resampled(&a, &b, quality).unwrap();
+        let s = sum_pdf_resampled_with(ConvolveBackend::Grid, &a, &b, quality).unwrap();
         // Independent sum: E[X+Y] = E[X] + E[Y], up to the coarser
         // grid's cell width on each side.
         let tol = a.grid().step() + b.grid().step() + s.grid().step();
@@ -54,7 +54,7 @@ proptest! {
         b in arb_pdf(),
         quality in 32usize..128,
     ) {
-        let s = sum_pdf_resampled(&a, &b, quality).unwrap();
+        let s = sum_pdf_resampled_with(ConvolveBackend::Grid, &a, &b, quality).unwrap();
         // Var[X+Y] = Var[X] + Var[Y] for independent X, Y. Discretizing
         // onto cells of width h adds O(h²) per histogramming step, and
         // the shifted-impulse convolution can smear one source cell
@@ -72,7 +72,7 @@ proptest! {
 
     #[test]
     fn convolution_preserves_mass(
-        // sum_pdf requires equal grid steps, so draw one step for both.
+        // sum_pdf_with requires equal grid steps, so draw one step for both.
         pair in (
             -1e3..1e3f64,
             -1e3..1e3f64,
@@ -88,9 +88,9 @@ proptest! {
             }),
     ) {
         let (a, b) = pair;
-        let s = sum_pdf(&a, &b).unwrap();
+        let s = sum_pdf_with(ConvolveBackend::Grid, &a, &b).unwrap();
         prop_assert!((s.mass() - 1.0).abs() < 1e-9, "mass {}", s.mass());
-        // Exact moment additivity on the common grid — sum_pdf's
+        // Exact moment additivity on the common grid — sum_pdf_with's
         // midpoint assignment keeps mean and variance exact.
         prop_assert!((s.mean() - (a.mean() + b.mean())).abs() < 1e-6 * (1.0 + a.mean().abs() + b.mean().abs()));
     }
@@ -101,7 +101,7 @@ proptest! {
         b in arb_pdf(),
         quality in 16usize..96,
     ) {
-        let s = sum_pdf_resampled(&a, &b, quality).unwrap();
+        let s = sum_pdf_resampled_with(ConvolveBackend::Grid, &a, &b, quality).unwrap();
         prop_assert!((s.mass() - 1.0).abs() < 1e-9, "mass {}", s.mass());
         prop_assert_eq!(s.len(), quality);
     }
