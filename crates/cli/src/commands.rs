@@ -453,7 +453,38 @@ fn client_error(e: statim_server::ClientError) -> StatimError {
         },
         ClientError::Timeout { .. } | ClientError::Throttled { .. } => ErrorClass::Resource,
     };
-    StatimError::new(class, e.to_string())
+    let message = match e {
+        ClientError::Server { code, message } => {
+            let text = without_class(&message, class);
+            // A class code (CONFIG, PARSE, ...) says what the printed
+            // class already says; any other (NOTFOUND, BUSY, ...) adds to it.
+            if code == ErrorCode::from(class) {
+                text
+            } else {
+                format!("{code}: {text}")
+            }
+        }
+        other => other.to_string(),
+    };
+    StatimError::new(class, message)
+}
+
+/// A daemon error message without the class it already rendered. An
+/// `ERR` line carries a typed error's full text (`config error: ...`),
+/// sometimes behind the job that failed with it (`job-2 failed: config
+/// error: ...`); the CLI prints the class itself, once.
+fn without_class(message: &str, class: ErrorClass) -> String {
+    let rendered = format!("{class} error");
+    let Some(at) = message
+        .find(&rendered)
+        .filter(|&i| i == 0 || message[..i].ends_with(": "))
+    else {
+        return message.to_string();
+    };
+    let rest = message[at + rendered.len()..]
+        .trim_start_matches(':')
+        .trim_start();
+    format!("{}{rest}", &message[..at])
 }
 
 fn parse_job_id(id: &str) -> Result<statim_core::JobId, StatimError> {

@@ -2,7 +2,7 @@
 //! executable and check its output and exit codes.
 
 use std::io::{BufRead, BufReader, Read};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 fn statim() -> Command {
@@ -403,7 +403,28 @@ fn serve_refuses_bad_settings_by_class() {
 }
 
 #[test]
-fn submit_option_errors_are_config_errors_and_the_source_comes_first() {
+fn serve_refuses_zero_rate_limit_and_zero_workers_before_binding() {
+    // The address is taken, so a daemon that tried to bind would fail
+    // with a resource error (exit 4): the config refusal must come first.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = taken.local_addr().expect("addr").to_string();
+    for (flag, text) in [
+        ("--rate-limit", "rate limit must be positive"),
+        ("--conn-threads", "connection workers must be positive"),
+        ("--cache-capacity", "cache capacity must be positive"),
+    ] {
+        let (code, err) = exit_and_stderr(&["serve", "--addr", &addr, flag, "0"]);
+        assert_eq!(code, Some(3), "{flag} 0: {err}");
+        assert!(err.contains(text), "{flag} 0: {err}");
+    }
+    let (code, err) = exit_and_stderr(&["serve", "--addr", &addr, "--rate-limit", "1"]);
+    assert_eq!(code, Some(4), "a valid daemon on a taken address: {err}");
+}
+
+/// A `statim serve` child on an ephemeral port: the process, its stdout
+/// past the banner (keep it open until the daemon exits: it prints once
+/// more when it drains) and the address it listens on.
+fn serve_child() -> (Reaped, BufReader<ChildStdout>, String) {
     let mut daemon = Reaped(
         statim()
             .args(["serve", "--addr", "127.0.0.1:0"])
@@ -411,8 +432,6 @@ fn submit_option_errors_are_config_errors_and_the_source_comes_first() {
             .spawn()
             .expect("start daemon"),
     );
-    // Keep the pipe open until the daemon exits: it prints once more
-    // when it drains.
     let mut stdout = BufReader::new(daemon.0.stdout.take().expect("stdout"));
     let mut banner = String::new();
     stdout.read_line(&mut banner).expect("daemon banner");
@@ -421,6 +440,22 @@ fn submit_option_errors_are_config_errors_and_the_source_comes_first() {
         .nth(4)
         .expect("listening address")
         .to_string();
+    (daemon, stdout, addr)
+}
+
+/// Shuts the child daemon down through the client and checks it drains.
+fn shut_down(mut daemon: Reaped, mut stdout: BufReader<ChildStdout>, addr: &str) {
+    let (code, err) = exit_and_stderr(&["client", "--addr", addr, "shutdown"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(wait_within_a_minute(&mut daemon, "the drained daemon").success());
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("daemon output");
+    assert!(rest.contains("drained"), "{rest}");
+}
+
+#[test]
+fn submit_option_errors_are_config_errors_and_the_source_comes_first() {
+    let (daemon, stdout, addr) = serve_child();
     let submit = |extra: &[&str]| {
         let mut args = vec!["client", "--addr", addr.as_str(), "submit"];
         args.extend_from_slice(extra);
@@ -447,10 +482,41 @@ fn submit_option_errors_are_config_errors_and_the_source_comes_first() {
     assert!(err.contains("statim-no-such.bench"), "{err}");
     assert!(!err.contains("threads"), "{err}");
     assert_ne!(code, Some(0));
-    let (code, err) = exit_and_stderr(&["client", "--addr", &addr, "shutdown"]);
-    assert_eq!(code, Some(0), "{err}");
-    assert!(wait_within_a_minute(&mut daemon, "the drained daemon").success());
-    let mut rest = String::new();
-    stdout.read_to_string(&mut rest).expect("daemon output");
-    assert!(rest.contains("drained"), "{rest}");
+    shut_down(daemon, stdout, &addr);
+}
+
+#[test]
+fn daemon_errors_print_their_class_once() {
+    let (daemon, stdout, addr) = serve_child();
+    let client = |extra: &[&str]| {
+        let mut args = vec!["client", "--addr", addr.as_str()];
+        args.extend_from_slice(extra);
+        exit_and_stderr(&args)
+    };
+    // A refused option, and a job that fails in the executor: the ERR
+    // line already carries the rendered error, class included.
+    for (args, text) in [
+        (
+            &["submit", "@c432", "threads=abc"][..],
+            "error: config error: invalid value `abc` for option `threads`",
+        ),
+        (
+            &["submit", "@c432", "confidence=-0.5", "--wait"][..],
+            "failed: invalid config: confidence C must be",
+        ),
+    ] {
+        let (code, err) = client(args);
+        assert_eq!(code, Some(3), "{args:?}: {err}");
+        assert!(err.contains(text), "{args:?}: {err}");
+        assert_eq!(err.matches("config error").count(), 1, "{args:?}: {err}");
+        assert!(!err.contains("CONFIG"), "{args:?}: {err}");
+    }
+    // A code that is not a class still says what happened.
+    let (code, err) = client(&["status", "job-99"]);
+    assert_eq!(code, Some(3), "{err}");
+    assert!(
+        err.contains("config error: NOTFOUND: unknown job job-99"),
+        "{err}"
+    );
+    shut_down(daemon, stdout, &addr);
 }

@@ -66,9 +66,15 @@
 //! keep their values). Knobs that change wall time but never results —
 //! thread count, cache, cache capacity, retry bound, run budgets — are
 //! deliberately excluded, so a re-submission with a different thread
-//! count still hits. A served report is the same `SstaReport` (or, for
-//! circuits with registers, the same `SequentialReport`) value a fresh
-//! run would produce, so its deterministic rendering
+//! count still hits. A register netlist's fingerprint also leaves out
+//! the confidence, path budget and solver, which the sequential flow
+//! never reads (the paper's values stand in for them). Only a spec whose
+//! configuration validates is looked up, so an invalid value in a field
+//! the fingerprint leaves out still fails with its config error instead
+//! of being served a valid run's report. A served report is the same
+//! `SstaReport` (or, for circuits with registers, the same
+//! `SequentialReport`) value a fresh run would produce, so its
+//! deterministic rendering
 //! ([`report::deterministic_report`](crate::report::deterministic_report)
 //! /
 //! [`report::deterministic_sequential_report`](crate::report::deterministic_sequential_report))
@@ -284,18 +290,30 @@ impl JobSpec {
     /// capacitances, `sigma_rank` and the intra model). Wall-time-only
     /// knobs (threads, cache, retries, run budgets) are excluded so
     /// equivalent submissions share a result-store entry.
+    ///
+    /// The sequential flow reads neither the confidence, the enumeration
+    /// budget nor the solver, so a register netlist folds the paper's
+    /// values in their place: a resubmission at another `C` is a hit, and
+    /// every sequential fingerprint keeps the value it had at the paper's
+    /// settings.
     pub fn fingerprint(&self) -> u64 {
+        let paper = SstaConfig::date05();
         let mut h = fold_u64(
             self.netlist_digest,
             settings_fingerprint(&self.config.tech, &self.config.settings()),
         );
-        h = fold_f64(h, self.config.confidence);
-        h = fold_u64(h, self.config.max_paths as u64);
-        h = fold_u64(h, solver_tag(self.config.solver));
+        let selects = if self.circuit.is_sequential() {
+            &paper
+        } else {
+            &self.config
+        };
+        h = fold_f64(h, selects.confidence);
+        h = fold_u64(h, selects.max_paths as u64);
+        h = fold_u64(h, solver_tag(selects.solver));
         // Folded only where they differ from the paper's values, so the
         // fingerprints of every spec that leaves them alone (all a daemon
         // can submit) keep the values persistent stores already hold.
-        let defaults = extra_report_inputs(&SstaConfig::date05());
+        let defaults = extra_report_inputs(&paper);
         for (tag, (bits, default)) in extra_report_inputs(&self.config)
             .into_iter()
             .zip(defaults)
@@ -457,10 +475,30 @@ pub struct ServiceConfig {
     /// Per-client token-bucket rate limit in jobs per second (burst of
     /// one second's worth); over-rate submissions are
     /// [`ServiceError::Throttled`] with a computed `retry-after`.
-    /// `None` = unlimited.
+    /// `None` = unlimited; zero is refused at start.
     pub rate_limit: Option<u32>,
     /// The tick source admission control and queue deadlines read.
     pub clock: TickClock,
+}
+
+impl ServiceConfig {
+    /// Refuses the settings a service would otherwise round up into
+    /// something nobody asked for: a zero kernel-cache capacity (one
+    /// entry per shard) or a zero rate limit (one job per second).
+    ///
+    /// # Errors
+    ///
+    /// A `Config`-class error naming the setting.
+    pub fn validate(&self) -> std::result::Result<(), StatimError> {
+        crate::engine::check_cache_capacity(self.cache_capacity)?;
+        if self.rate_limit == Some(0) {
+            return Err(StatimError::new(
+                ErrorClass::Config,
+                "rate limit must be positive (omit to leave unlimited)",
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ServiceConfig {
@@ -721,6 +759,20 @@ struct Job {
     last_used: Option<u64>,
 }
 
+impl Job {
+    /// A point-in-time view of this job, which the table holds as `id`.
+    fn status(&self, id: JobId) -> JobStatus {
+        JobStatus {
+            id,
+            state: self.state,
+            circuit: self.circuit.clone(),
+            fingerprint: self.fingerprint,
+            from_store: self.from_store,
+            error: self.error.clone(),
+        }
+    }
+}
+
 /// One client's admission lane: its FIFO of queued job ids plus its
 /// token-bucket state. Arithmetic is integer milli-tokens (1 job = 1000)
 /// so refills at any rate are exact — no float drift in admission
@@ -768,7 +820,7 @@ impl Lane {
     /// the current level (call after [`Lane::refill`]).
     fn retry_after_ms(&self, rate: u32) -> u64 {
         let missing = SUBMIT_COST_MILLI.saturating_sub(self.tokens_milli);
-        // ceil(missing / rate) ms; rate >= 1 is enforced at config time.
+        // ceil(missing / rate) ms; `ServiceConfig::validate` refuses rate 0.
         missing.div_ceil(u64::from(rate.max(1))).max(1)
     }
 }
@@ -818,7 +870,12 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
+    /// Wakes the executor: work arrived, or a drain began.
     cv: Condvar,
+    /// Wakes [`AnalysisService::wait`]ers: a job turned terminal (the
+    /// executor finished it, a cancel reached it queued, or its queue
+    /// deadline expired it).
+    finished: Condvar,
     store: Arc<KernelStore>,
     max_queue: usize,
     max_per_client: Option<usize>,
@@ -858,12 +915,12 @@ impl AnalysisService {
     ///
     /// # Errors
     ///
-    /// A `Config`-class error for a zero [`ServiceConfig::cache_capacity`],
-    /// a `Resource`-class error if the store directory cannot be
-    /// created/read, a `Parse`-class error (with file and line) if the
-    /// log or index is corrupt or truncated.
+    /// A `Config`-class error for a configuration
+    /// [`ServiceConfig::validate`] refuses, a `Resource`-class error if the
+    /// store directory cannot be created/read, a `Parse`-class error (with
+    /// file and line) if the log or index is corrupt or truncated.
     pub fn start(config: ServiceConfig) -> std::result::Result<Self, StatimError> {
-        crate::engine::check_cache_capacity(config.cache_capacity)?;
+        config.validate()?;
         let mut state = State::default();
         let persist = match &config.store_dir {
             None => None,
@@ -887,10 +944,11 @@ impl AnalysisService {
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
             cv: Condvar::new(),
+            finished: Condvar::new(),
             store: Arc::new(KernelStore::with_capacity(config.cache_capacity)),
             max_queue: config.max_queue,
             max_per_client: config.max_per_client,
-            rate_limit: config.rate_limit.map(|r| r.max(1)),
+            rate_limit: config.rate_limit,
             clock: config.clock,
             default_budget: config.default_budget,
             default_backend: config.default_backend,
@@ -936,9 +994,10 @@ impl AnalysisService {
     /// documented: drain check, per-client rate limit, result-store
     /// lookup (hits still pay a rate token but skip the queue limits —
     /// they never occupy the executor), per-client live-job cap, global
-    /// queue bound. A fingerprint already in the result store returns a
-    /// terminally-Done job immediately (`from_store`); otherwise the job
-    /// is queued in the client's lane.
+    /// queue bound. A valid configuration whose fingerprint is already in
+    /// the result store returns a terminally-Done job immediately
+    /// (`from_store`); otherwise the job is queued in the client's lane,
+    /// and an invalid configuration fails there with its config error.
     ///
     /// # Errors
     ///
@@ -954,6 +1013,12 @@ impl AnalysisService {
         if spec.config.budget == RunBudget::none() {
             spec.config.budget = self.shared.default_budget;
         }
+        // An invalid configuration is never served from the store: it
+        // queues and fails with its config error, as on a fresh service.
+        // The fingerprint leaves out what the run does not read (budgets,
+        // and `C` for a register netlist), so an invalid value there
+        // would otherwise find a valid run's report.
+        let valid = spec.config.validate().is_ok();
         let client = options.client.unwrap_or_default();
         let now_ms = self.shared.clock.now_ms();
         let mut st = self.shared.lock();
@@ -978,7 +1043,12 @@ impl AnalysisService {
                 });
             }
         }
-        if let Some(report) = st.results.get(&fingerprint).cloned() {
+        let hit = if valid {
+            st.results.get(&fingerprint).cloned()
+        } else {
+            None
+        };
+        if let Some(report) = hit {
             if self.shared.rate_limit.is_some() {
                 let lane = st.lanes.get_mut(&client).expect("lane exists");
                 lane.tokens_milli -= SUBMIT_COST_MILLI;
@@ -1068,15 +1138,47 @@ impl AnalysisService {
     /// [`ServiceError::Retired`] for one that retired.
     pub fn status(&self, id: JobId) -> std::result::Result<JobStatus, ServiceError> {
         let mut st = self.shared.lock();
-        let job = st.touch(id)?;
-        Ok(JobStatus {
-            id,
-            state: job.state,
-            circuit: job.circuit.clone(),
-            fingerprint: job.fingerprint,
-            from_store: job.from_store,
-            error: job.error.clone(),
-        })
+        Ok(st.touch(id)?.status(id))
+    }
+
+    /// Blocks until job `id` turns terminal or `timeout` passes, then
+    /// returns its status: terminal, or the state it was still in when
+    /// the timeout ran out. Every terminal transition wakes the waiters
+    /// (the executor finishing a job, a cancel reaching a queued job, a
+    /// queue deadline expiring one), so the call returns as the job
+    /// finishes, not at the next poll. A timeout too large to represent
+    /// waits without one.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownJob`] for an id the table never issued,
+    /// [`ServiceError::Retired`] for one that retired.
+    pub fn wait(
+        &self,
+        id: JobId,
+        timeout: Duration,
+    ) -> std::result::Result<JobStatus, ServiceError> {
+        let deadline = Instant::now().checked_add(timeout);
+        let mut st = self.shared.lock();
+        loop {
+            let status = st.touch(id)?.status(id);
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if status.state.is_terminal() || remaining.is_some_and(|r| r.is_zero()) {
+                return Ok(status);
+            }
+            let finished = &self.shared.finished;
+            st = match remaining {
+                Some(r) => {
+                    finished
+                        .wait_timeout(st, r)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
+                None => finished
+                    .wait(st)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            };
+        }
     }
 
     /// The finished job's report, whichever flow produced it.
@@ -1160,6 +1262,8 @@ impl AnalysisService {
                     st.queued_total -= 1;
                 }
                 st.terminated(id.0);
+                drop(st);
+                self.shared.finished.notify_all();
                 Ok(CancelOutcome::Immediate)
             }
             JobState::Running => {
@@ -1467,8 +1571,13 @@ fn run_executor(shared: &Shared) {
         let (id, fingerprint, spec, sup) = {
             let mut st = shared.lock();
             let picked = loop {
-                if let Some(t) = pick_runnable(&mut st, &shared.clock) {
-                    break Some(t);
+                let expired = st.stats.expired;
+                let picked = pick_runnable(&mut st, &shared.clock);
+                if st.stats.expired != expired {
+                    shared.finished.notify_all();
+                }
+                if picked.is_some() {
+                    break picked;
                 }
                 if st.draining {
                     break None;
@@ -1617,6 +1726,8 @@ fn run_executor(shared: &Shared) {
         st.stats.warm_runs += u64::from(usage.warm);
         st.stats.reused_paths += usage.reused as u64;
         st.terminated(id);
+        drop(st);
+        shared.finished.notify_all();
     }
 }
 
@@ -1713,6 +1824,144 @@ mod tests {
             ..ServiceConfig::default()
         })
         .expect("any positive capacity starts");
+        service.join();
+    }
+
+    #[test]
+    fn zero_rate_limit_refuses_to_start() {
+        // A zero limit would otherwise run as one job per second.
+        let err = AnalysisService::start(ServiceConfig {
+            rate_limit: Some(0),
+            ..ServiceConfig::default()
+        })
+        .err()
+        .expect("a zero rate limit is refused");
+        assert_eq!(err.class, ErrorClass::Config);
+        assert!(err.message.contains("rate limit must be positive"), "{err}");
+        let service = AnalysisService::start(ServiceConfig {
+            rate_limit: Some(1),
+            ..ServiceConfig::default()
+        })
+        .expect("any positive limit starts");
+        service.join();
+    }
+
+    /// Far longer than any test job takes: a wait that returns well
+    /// before it was woken by the transition, not by its timeout.
+    const LONG: Duration = Duration::from_secs(120);
+
+    #[test]
+    fn wait_returns_as_the_executor_finishes_a_job() {
+        let service = AnalysisService::start(ServiceConfig::default()).expect("service starts");
+        let receipt = service.submit(quick_spec(50)).expect("admitted");
+        let start = Instant::now();
+        let status = service.wait(receipt.id, LONG).expect("job exists");
+        assert_eq!(status.state, JobState::Done);
+        assert!(start.elapsed() < LONG / 2, "woken by the finish");
+        // A terminal job answers at once, whatever the timeout.
+        let again = service.wait(receipt.id, LONG).expect("job exists");
+        assert_eq!(again.state, JobState::Done);
+        assert_eq!(again.fingerprint, status.fingerprint);
+        service.join();
+    }
+
+    #[test]
+    fn wait_returns_as_a_queued_job_is_cancelled() {
+        let service = AnalysisService::start(ServiceConfig::default()).expect("service starts");
+        let heavy = service
+            .submit(spec(
+                Benchmark::C1355,
+                SstaConfig::date05().with_confidence(0.3),
+            ))
+            .expect("admitted");
+        let victim = service.submit(quick_spec(51)).expect("admitted");
+        let status = thread::scope(|s| {
+            let waiter = s.spawn(|| service.wait(victim.id, LONG));
+            // Time for the waiter to block. Should it not have, it finds
+            // the job terminal at once and every assertion still holds.
+            thread::sleep(Duration::from_millis(20));
+            assert_eq!(
+                service.cancel(victim.id).expect("cancellable"),
+                CancelOutcome::Immediate
+            );
+            waiter.join().expect("waiter")
+        })
+        .expect("job exists");
+        assert_eq!(status.state, JobState::Cancelled);
+        // Woken by the cancel, not by the heavy job finishing.
+        assert!(!service.status(heavy.id).expect("heavy").state.is_terminal());
+        service.cancel(heavy.id).expect("heavy cancels");
+        service.join();
+    }
+
+    #[test]
+    fn wait_returns_as_a_queue_deadline_expires_a_job() {
+        let (clock, ticks) = TickClock::manual();
+        let service = AnalysisService::start(ServiceConfig {
+            clock,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        // The heavy job pins the executor while the victim's deadline
+        // passes on the manual clock; the executor expires the victim as
+        // it reaches it.
+        let heavy = service
+            .submit(spec(
+                Benchmark::C1355,
+                SstaConfig::date05().with_confidence(0.3),
+            ))
+            .expect("admitted");
+        let victim = service
+            .submit_with(
+                quick_spec(53),
+                SubmitOptions {
+                    client: Some("deadline".into()),
+                    deadline_ms: Some(50),
+                },
+            )
+            .expect("admitted");
+        ticks.store(51, Ordering::SeqCst);
+        let start = Instant::now();
+        let status = service.wait(victim.id, LONG).expect("job exists");
+        assert_eq!(status.state, JobState::Expired);
+        assert!(start.elapsed() < LONG / 2, "woken by the transition");
+        assert_eq!(wait_terminal(&service, heavy.id).state, JobState::Done);
+        service.join();
+    }
+
+    #[test]
+    fn wait_times_out_with_the_live_state_and_names_missing_jobs() {
+        let service = AnalysisService::start(ServiceConfig::default()).expect("service starts");
+        let heavy = service
+            .submit(spec(
+                Benchmark::C1355,
+                SstaConfig::date05().with_confidence(0.3),
+            ))
+            .expect("admitted");
+        let start = Instant::now();
+        let status = service
+            .wait(heavy.id, Duration::from_millis(20))
+            .expect("job exists");
+        assert!(!status.state.is_terminal(), "{}", status.state);
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        service.cancel(heavy.id).expect("heavy cancels");
+        assert!(matches!(
+            service.wait(JobId(999), LONG),
+            Err(ServiceError::UnknownJob(JobId(999)))
+        ));
+        service.join();
+
+        // Past the table bound the oldest terminal job retires.
+        let service = AnalysisService::start(ServiceConfig::default()).expect("service starts");
+        let first = service.submit(quick_spec(54)).expect("admitted");
+        service.wait(first.id, LONG).expect("job exists");
+        for _ in 0..RETAINED_JOBS {
+            assert!(service.submit(quick_spec(54)).expect("hit").from_store);
+        }
+        assert!(matches!(
+            service.wait(first.id, LONG),
+            Err(ServiceError::Retired(id)) if id == first.id
+        ));
         service.join();
     }
 
@@ -1892,16 +2141,16 @@ mod tests {
         );
     }
 
-    /// The result-store fingerprint binds every report input, and the
-    /// warm-state analysis key binds every input but the two that only
-    /// select paths; neither binds a wall-time-only knob.
-    #[test]
-    fn fingerprint_and_analysis_key_cover_every_report_input() {
+    /// A config edit, named for assertion messages.
+    type Edit = (&'static str, fn(&mut SstaConfig));
+
+    /// The inputs both flows read: the technology, the variations, the
+    /// layer model, the marginal shape, the backend and the two QUALITY
+    /// discretizations.
+    fn shared_report_inputs() -> Vec<Edit> {
         use crate::correlation::LayerModel;
-        use statim_process::delay::CornerSpec;
         use statim_process::param::Param;
-        type Edit = fn(&mut SstaConfig);
-        let report_inputs: Vec<(&str, Edit)> = vec![
+        vec![
             ("tox", |c| c.tech.tox *= 1.01),
             ("leff", |c| c.tech.leff *= 1.01),
             ("vdd", |c| c.tech.vdd *= 1.01),
@@ -1922,21 +2171,17 @@ mod tests {
             ("trunc_k", |c| c.vars.trunc_k = 5.0),
             ("layers", |c| c.layers = LayerModel::with_inter_share(0.5)),
             ("marginal", |c| c.marginal = statim_stats::Marginal::Uniform),
-            ("intra_model", |c| c.intra_model = IntraModel::Numerical),
             ("backend", |c| {
                 c.backend = statim_stats::ConvolveBackend::Fft;
             }),
             ("quality_intra", |c| c.quality_intra = 90),
             ("quality_inter", |c| c.quality_inter = 40),
-            ("sigma_rank", |c| c.sigma_rank = 2.0),
-            ("corner", |c| c.corner = CornerSpec::sigma(2.0)),
-            ("solver", |c| c.solver = LabelSolver::Topological),
-        ];
-        let path_selectors: Vec<(&str, Edit)> = vec![
-            ("confidence", |c| c.confidence = 0.2),
-            ("max_paths", |c| c.max_paths = 10),
-        ];
-        let wall_time_only: Vec<(&str, Edit)> = vec![
+        ]
+    }
+
+    /// The knobs that change wall time but never a report.
+    fn wall_time_only() -> Vec<Edit> {
+        vec![
             ("threads", |c| c.threads = Some(3)),
             ("cache", |c| c.cache = false),
             ("cache_capacity", |c| c.cache_capacity = Some(64)),
@@ -1947,9 +2192,28 @@ mod tests {
                 };
             }),
             ("retries", |c| c.retries = 4),
+        ]
+    }
+
+    /// The result-store fingerprint binds every report input, and the
+    /// warm-state analysis key binds every input but the two that only
+    /// select paths; neither binds a wall-time-only knob.
+    #[test]
+    fn fingerprint_and_analysis_key_cover_every_report_input() {
+        use statim_process::delay::CornerSpec;
+        let mut report_inputs = shared_report_inputs();
+        report_inputs.extend::<[Edit; 4]>([
+            ("intra_model", |c| c.intra_model = IntraModel::Numerical),
+            ("sigma_rank", |c| c.sigma_rank = 2.0),
+            ("corner", |c| c.corner = CornerSpec::sigma(2.0)),
+            ("solver", |c| c.solver = LabelSolver::Topological),
+        ]);
+        let path_selectors: Vec<Edit> = vec![
+            ("confidence", |c| c.confidence = 0.2),
+            ("max_paths", |c| c.max_paths = 10),
         ];
         let template = spec(Benchmark::C432, SstaConfig::date05());
-        let keys = |edit: Edit| {
+        let keys = |edit: fn(&mut SstaConfig)| {
             let mut config = SstaConfig::date05();
             edit(&mut config);
             let spec = template.with_config(config);
@@ -1966,8 +2230,36 @@ mod tests {
             let (f, k) = keys(edit);
             assert!(f != fp && k == key, "{name} moves the fingerprint only");
         }
-        for (name, edit) in wall_time_only {
+        for (name, edit) in wall_time_only() {
             assert_eq!(keys(edit), (fp, key), "{name} moves neither");
+        }
+    }
+
+    /// A register netlist's fingerprint binds every input the sequential
+    /// report reads, and neither the three it never reads (C, the path
+    /// budget and the solver) nor a wall-time-only knob.
+    #[test]
+    fn sequential_fingerprint_covers_what_the_sequential_flow_reads() {
+        let unread: Vec<Edit> = vec![
+            ("confidence", |c| c.confidence = 0.2),
+            ("max_paths", |c| c.max_paths = 10),
+            ("solver", |c| c.solver = LabelSolver::Topological),
+        ];
+        let template = seq_spec(SstaConfig::date05());
+        let fingerprint = |edit: fn(&mut SstaConfig)| {
+            let mut config = SstaConfig::date05();
+            edit(&mut config);
+            template.with_config(config).fingerprint()
+        };
+        let fp = fingerprint(|_| {});
+        let mut seen = std::collections::HashSet::new();
+        for (name, edit) in shared_report_inputs() {
+            let f = fingerprint(edit);
+            assert!(f != fp, "{name} must move the fingerprint");
+            assert!(seen.insert(f), "{name} collides");
+        }
+        for (name, edit) in unread.into_iter().chain(wall_time_only()) {
+            assert_eq!(fingerprint(edit), fp, "{name} must not move it");
         }
     }
 

@@ -21,6 +21,17 @@
 //! writing a flood of pipelined requests gets its replies strictly in
 //! request order (a blocking `WAIT` simply parks the line cursor).
 //!
+//! A worker whose pass made no progress blocks, outside its shard lock,
+//! on the event its most recently active connection expects next: the
+//! job a parked `WAIT` names ([`AnalysisService::wait`]), else that
+//! connection's next bytes (a blocking peek under a read timeout, after
+//! which the socket is non-blocking again); with no open connection it
+//! sleeps. The block lasts at most the idle backoff (1 → 8 ms, reset by
+//! any progress), so every other connection, the listener, the stop
+//! flag, `WAIT` deadlines and reaping still get a pass at least every
+//! 8 ms, while the connection a client is talking on is served as soon
+//! as its bytes or its job arrive.
+//!
 //! # Overload defenses
 //!
 //! The registry is bounded ([`DaemonTuning::max_conns`]); connections
@@ -71,11 +82,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Shortest idle sleep between worker polls (also the resolution of
-/// server-side `WAIT` completion under load).
+/// Shortest idle wait between worker polls: how long a quiet worker
+/// blocks on the event its most recently active connection expects
+/// before it polls every other connection and the listener again.
 const IDLE_POLL_MIN: Duration = Duration::from_millis(1);
 
-/// Longest idle sleep: each quiet iteration doubles the backoff up to
+/// Longest idle wait: each quiet iteration doubles the backoff up to
 /// here, and any progress resets it to [`IDLE_POLL_MIN`] — an idle
 /// daemon stops burning a core without adding latency under traffic.
 const IDLE_POLL_MAX: Duration = Duration::from_millis(8);
@@ -104,7 +116,8 @@ pub struct DaemonTuning {
     /// Registry bound: connections beyond this are refused with a
     /// best-effort `ERR RESOURCE` line.
     pub max_conns: usize,
-    /// Polling workers sharing the connection load.
+    /// Polling workers sharing the connection load (zero is refused at
+    /// spawn).
     pub workers: usize,
     /// Connection progress deadline (`--io-timeout-ms`): a connection
     /// that owes or is owed bytes but makes no progress for this long is
@@ -187,7 +200,7 @@ struct Registry {
 impl Registry {
     fn new(tuning: &DaemonTuning) -> Registry {
         Registry {
-            shards: (0..tuning.workers.max(1))
+            shards: (0..tuning.workers)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             max_conns: tuning.max_conns,
@@ -284,12 +297,21 @@ pub fn spawn(addr: &str, config: ServiceConfig) -> Result<DaemonHandle, StatimEr
 ///
 /// # Errors
 ///
-/// As [`spawn`].
+/// As [`spawn`], plus a `Config`-class error, raised before binding,
+/// for zero connection workers or a configuration
+/// [`ServiceConfig::validate`] refuses.
 pub fn spawn_tuned(
     addr: &str,
     config: ServiceConfig,
     tuning: DaemonTuning,
 ) -> Result<DaemonHandle, StatimError> {
+    config.validate()?;
+    if tuning.workers == 0 {
+        return Err(StatimError::new(
+            ErrorClass::Config,
+            "connection workers must be positive",
+        ));
+    }
     let bind_err = |e: io::Error| StatimError::from(e).with_file(addr.to_string());
     let listener = TcpListener::bind(addr).map_err(bind_err)?;
     listener.set_nonblocking(true).map_err(bind_err)?;
@@ -377,7 +399,7 @@ fn worker_loop(
         // Progress the shard; finished connections leave the registry
         // right here — the fd-leak fix is this `retain` (which also
         // settles the lane's buffer accounting).
-        {
+        let expected = {
             let mut shard = registry.lock_shard(wid);
             shard.retain(|_, conn| {
                 busy |= conn.progress(service, stop, registry);
@@ -387,7 +409,8 @@ fn worker_loop(
                 }
                 !done
             });
-        }
+            Expected::next(&shard)
+        };
 
         if stop.load(Ordering::SeqCst) {
             service.shutdown();
@@ -403,12 +426,75 @@ fn worker_loop(
         }
 
         // Capped exponential idle backoff: 1 → 8 ms while quiet, reset
-        // to 1 ms by any progress so latency under load is unchanged.
+        // to 1 ms by any progress. A quiet worker blocks on the event it
+        // expects next, outside the shard lock (other workers'
+        // `open_connections` locks every shard), for at most the backoff:
+        // that bounds how long every other connection, the listener, the
+        // stop flag, WAIT deadlines and reaping wait for the next pass.
         if busy {
             idle = IDLE_POLL_MIN;
         } else {
-            thread::sleep(idle);
+            expected.wait(service, idle);
             idle = (idle * 2).min(IDLE_POLL_MAX);
+        }
+    }
+}
+
+/// What a quiet worker blocks on: the next event its shard's most
+/// recently active connection expects.
+enum Expected {
+    /// The connection's parked `WAIT` is waiting for this job.
+    Job(JobId),
+    /// The connection's next request bytes.
+    Bytes(Arc<TcpStream>),
+    /// The shard holds no connection that can still receive anything.
+    Nothing,
+}
+
+impl Expected {
+    /// The event the most recently active open connection of `shard`
+    /// expects.
+    fn next(shard: &HashMap<u64, Conn>) -> Expected {
+        let Some(conn) = shard
+            .values()
+            .filter(|c| !c.closing)
+            .max_by_key(|c| c.last_progress)
+        else {
+            return Expected::Nothing;
+        };
+        match &conn.pending {
+            Some(wait) => Expected::Job(wait.id),
+            // At EOF a read returns at once: blocking on it would spin.
+            None if conn.eof => Expected::Nothing,
+            None => Expected::Bytes(Arc::clone(&conn.stream)),
+        }
+    }
+
+    /// Blocks until the event happens or `timeout` passes. A socket is
+    /// waited on by a blocking peek under a read timeout and then
+    /// switched back to non-blocking; one that cannot be switched back
+    /// is shut down, so its next turn reads EOF and closes it instead of
+    /// stalling the worker.
+    fn wait(self, service: &AnalysisService, timeout: Duration) {
+        match self {
+            // Whatever the wait returns, the connection's next turn
+            // resolves it (an error included).
+            Expected::Job(id) => {
+                let _ = service.wait(id, timeout);
+            }
+            Expected::Bytes(stream) => {
+                let armed = stream.set_nonblocking(false).is_ok()
+                    && stream.set_read_timeout(Some(timeout)).is_ok();
+                if armed {
+                    let _ = stream.peek(&mut [0u8; 1]);
+                } else {
+                    thread::sleep(timeout);
+                }
+                if stream.set_nonblocking(true).is_err() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
+            Expected::Nothing => thread::sleep(timeout),
         }
     }
 }
@@ -423,7 +509,9 @@ struct PendingWait {
 /// One multiplexed connection: the non-blocking socket plus its buffers
 /// and protocol state.
 struct Conn {
-    stream: TcpStream,
+    /// Shared with the worker only while it blocks on the socket
+    /// outside the shard lock ([`Expected::Bytes`]).
+    stream: Arc<TcpStream>,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     greeted: bool,
@@ -459,7 +547,7 @@ impl Conn {
         outbuf.extend_from_slice(GREETING.as_bytes());
         outbuf.push(b'\n');
         Ok(Conn {
-            stream,
+            stream: Arc::new(stream),
             inbuf: Vec::new(),
             outbuf,
             greeted: false,
@@ -671,7 +759,7 @@ impl Conn {
         let mut busy = false;
         let mut chunk = [0u8; 4096];
         loop {
-            match self.stream.read(&mut chunk) {
+            match (&*self.stream).read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
                     break;
@@ -810,7 +898,7 @@ impl Conn {
     fn flush(&mut self) -> bool {
         let mut written = 0;
         while written < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[written..]) {
+            match (&*self.stream).write(&self.outbuf[written..]) {
                 Ok(0) => {
                     self.closing = true;
                     break;
@@ -1257,7 +1345,7 @@ impl DaemonOptions {
             tuning.max_conns = n;
         }
         if let Some(n) = self.conn_threads {
-            tuning.workers = n.max(1);
+            tuning.workers = n;
         }
         tuning.io_timeout = self.io_timeout_ms.map(Duration::from_millis);
         (config, tuning)

@@ -158,6 +158,49 @@ fn sequential_submission_serves_the_setup_hold_report() {
 }
 
 #[test]
+fn sequential_resubmission_at_another_c_hits_and_invalid_configs_never_do() {
+    let handle = spawn_daemon(ServiceConfig::default());
+    let mut client = connect(&handle);
+    let (primed, _) = client.submit("@s27", &opts(&[])).expect("submit");
+    assert_eq!(client.wait(primed, WAIT).expect("wait"), "done");
+    // The sequential flow never reads C: another C is the same report,
+    // the bytes `statim seq` prints.
+    let (hit, from_store) = client
+        .submit("@s27", &opts(&[("confidence", "0.3")]))
+        .expect("resubmit at another C");
+    assert!(from_store, "another C must be served from the store");
+    assert_eq!(
+        client.result(hit, Some(10)).expect("result"),
+        batch_sequential_report("s27", 10)
+    );
+    // An invalid value still queues and fails with its config error,
+    // on a sequential or a combinational netlist alike.
+    let (c432, _) = client.submit("@c432", &opts(&[])).expect("submit");
+    assert_eq!(client.wait(c432, WAIT).expect("wait"), "done");
+    for (source, option, text) in [
+        ("@s27", ("confidence", "-0.5"), "confidence C must be"),
+        ("@s27", ("max-paths", "0"), "max_paths must be positive"),
+        ("@c432", ("max-wall-secs", "-1"), "max_wall_secs must be"),
+    ] {
+        let (id, from_store) = client.submit(source, &opts(&[option])).expect("submit");
+        assert!(
+            !from_store,
+            "{source} {option:?}: an invalid config never hits"
+        );
+        assert_eq!(client.wait(id, WAIT).expect("wait"), "failed");
+        match client.result(id, None) {
+            Err(ClientError::Server {
+                code: ErrorCode::Config,
+                message,
+            }) => assert!(message.contains(text), "{message}"),
+            other => panic!("{source} {option:?}: expected a config error, got {other:?}"),
+        }
+    }
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
 fn duplicate_submission_is_served_from_the_result_store() {
     let handle = spawn_daemon(ServiceConfig::default());
     let mut client = connect(&handle);
@@ -1443,6 +1486,57 @@ fn idle_daemon_stays_prompt_after_backoff() {
     );
     assert_eq!(wait_for_open_connections(&handle, 0), 0);
     let mut client = connect(&handle);
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn warm_round_trips_are_not_paced_by_the_idle_backoff() {
+    // A warm c432 re-analysis at a fresh C costs the executor well under
+    // a millisecond, so 200 SUBMIT → WAIT → RESULT trips on one
+    // connection are paced by how soon the worker sees the WAIT's job
+    // finish and the next request arrive. The bound allows 1 ms per
+    // trip, the shortest idle backoff: a worker that sleeps it out
+    // instead of waiting on the event pays that at least twice per trip
+    // (about 3 ms per trip, 0.6 s in all, in release and debug alike).
+    // Best of five attempts, so a neighbour test hogging a core cannot
+    // fail it; a paced worker misses the bound every time.
+    const TRIPS: usize = 200;
+    const ATTEMPTS: usize = 5;
+    const BOUND: Duration = Duration::from_millis(TRIPS as u64);
+    let handle = spawn_daemon(ServiceConfig::default());
+    let mut client = connect(&handle);
+    let (primed, _) = client
+        .submit("@c432", &opts(&[("confidence", "0.05")]))
+        .expect("prime");
+    assert_eq!(client.wait(primed, WAIT).expect("wait"), "done");
+    let mut best = Duration::MAX;
+    for attempt in 0..ATTEMPTS {
+        let start = Instant::now();
+        for trip in 0..TRIPS {
+            // Distinct C in [0.025, 0.05): each trip is a fresh
+            // fingerprint on the warm front, never a store hit.
+            let k = attempt * TRIPS + trip;
+            let c = 0.025 + 0.025 * k as f64 / (ATTEMPTS * TRIPS) as f64;
+            let (id, from_store) = client
+                .submit("@c432", &opts(&[("confidence", &c.to_string())]))
+                .expect("submit");
+            assert!(!from_store, "C = {c} must be a fresh job");
+            assert_eq!(client.wait(id, WAIT).expect("wait"), "done");
+            client.result(id, Some(1)).expect("result");
+        }
+        best = best.min(start.elapsed());
+        if best < BOUND {
+            break;
+        }
+    }
+    assert!(
+        best < BOUND,
+        "{TRIPS} warm round trips took {best:?} at best (bound {BOUND:?})"
+    );
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("warm-runs: "), "{stats}");
+    assert!(!stats.contains("warm-runs: 0"), "{stats}");
     client.shutdown().expect("shutdown");
     handle.join();
 }
