@@ -97,14 +97,33 @@
 //! runs, and never a job with a fault plan, which neither reads nor
 //! seeds it.
 //!
+//! # Result store
+//!
+//! Clean reports live in two tiers. The resident tier holds the 1024
+//! most recently used ones (the job table's bound; a hit or an
+//! insertion is a use). Behind it, with a [`ServiceConfig::store_dir`],
+//! the persistent [`ResultLog`] indexes every combinational record by
+//! fingerprint. A valid submission whose report is indexed but no
+//! longer resident re-reads that one record — outside the job-table
+//! lock, which is never held across a log read — and is served from it
+//! exactly as a restarted service would serve it; the report is
+//! resident again. A record that fails its re-read is never served: its
+//! index entry goes, the failure is counted, and the spec runs. What
+//! the log cannot re-read (sequential reports, every report of a
+//! service without a store directory, a report whose append failed) is
+//! served while resident and, once evicted, runs again when
+//! resubmitted, with the same bytes. At start the log indexes every
+//! record and the newest 1024 are resident.
+//!
 //! # Retirement
 //!
 //! The job table keeps at most 1024 terminal jobs; past the bound the
 //! least recently used one retires. A job counts as used when it turns
 //! terminal and on every request that names it (`STATUS`, `WAIT`,
 //! `RESULT`, `CANCEL`, `EDIT`); queued and running jobs never retire. A
-//! retired id answers [`ServiceError::Retired`]; its result-store entry
-//! stays, so resubmitting its spec is a hit.
+//! retired id answers [`ServiceError::Retired`]; its report stays in the
+//! result store, so resubmitting its spec is a hit while the store can
+//! serve it.
 
 use crate::analyze::{IntraModel, PathAnalysis};
 use crate::cache::{fnv1a, fold_f64, fold_u64, settings_fingerprint, CacheStats, KernelStore};
@@ -249,16 +268,23 @@ pub struct JobSpec {
 impl JobSpec {
     /// Builds a job spec, digesting its netlist and placement.
     pub fn new(circuit: Circuit, placement: Placement, config: SstaConfig) -> Self {
-        let mut netlist_digest = fnv1a(0, bench_format::write(&circuit).as_bytes());
-        netlist_digest = fnv1a(
-            netlist_digest,
-            def_lite::write(&circuit, &placement).as_bytes(),
-        );
         JobSpec {
+            netlist_digest: netlist_digest(&circuit, &placement),
             circuit: Arc::new(circuit),
             placement: Arc::new(placement),
-            netlist_digest,
             config,
+        }
+    }
+
+    /// An edited circuit under this spec's placement (shared, not
+    /// copied: edits never move a gate) and configuration, its netlist
+    /// digested afresh — the spec an `EDIT` of this job submits.
+    pub fn with_circuit(&self, circuit: Circuit) -> JobSpec {
+        JobSpec {
+            netlist_digest: netlist_digest(&circuit, &self.placement),
+            circuit: Arc::new(circuit),
+            placement: Arc::clone(&self.placement),
+            config: self.config.clone(),
         }
     }
 
@@ -344,6 +370,13 @@ impl JobSpec {
     }
 }
 
+/// FNV-1a over `bench_format::write(circuit)` then
+/// `def_lite::write(circuit, placement)`.
+fn netlist_digest(circuit: &Circuit, placement: &Placement) -> u64 {
+    let digest = fnv1a(0, bench_format::write(circuit).as_bytes());
+    fnv1a(digest, def_lite::write(circuit, placement).as_bytes())
+}
+
 fn solver_tag(solver: LabelSolver) -> u64 {
     match solver {
         LabelSolver::BellmanFord => 0,
@@ -380,8 +413,8 @@ fn extra_report_inputs(config: &SstaConfig) -> [u64; 9] {
 /// variants share the result-store path (keyed by the same spec
 /// fingerprint, which covers the serialized registers and clock
 /// directives), but only combinational reports are persisted to the
-/// on-disk [`ResultLog`]; sequential results live in memory for the
-/// process lifetime.
+/// on-disk [`ResultLog`]; a sequential result is served while it is
+/// resident and runs again once evicted.
 #[derive(Debug, Clone)]
 pub enum JobReport {
     /// A combinational SSTA report.
@@ -460,10 +493,12 @@ pub struct ServiceConfig {
     /// submit time (`backend=` overrides per job).
     pub default_backend: statim_stats::ConvolveBackend,
     /// Directory for the persistent result store ([`ResultLog`]). `None`
-    /// keeps results in memory only; with a directory, clean reports are
-    /// appended to the on-disk log as they complete and replayed into
-    /// the result store on the next start, so a restarted service serves
-    /// them byte-identically. Two services may share one directory.
+    /// keeps results in memory only, the most recently used 1024 of
+    /// them; with a directory, clean combinational reports are appended
+    /// to the on-disk log as they complete, re-read from it once they are
+    /// no longer resident, and indexed again on the next start, so a
+    /// restarted service serves them byte-identically. Two services may
+    /// share one directory.
     pub store_dir: Option<PathBuf>,
     /// fsync the result log after every append (and the directory after
     /// every index rename) — durability against power loss at the cost
@@ -562,7 +597,8 @@ pub enum ServiceError {
     UnknownJob(JobId),
     /// The job finished and then retired from the job table, which keeps
     /// only the most recently used terminal jobs. Its result-store entry
-    /// (if it finished clean) remains: resubmitting its spec is a hit.
+    /// (if it finished clean) does not retire with it: resubmitting its
+    /// spec is a hit while the store can serve it.
     Retired(JobId),
     /// The job has not reached a terminal state yet.
     NotFinished {
@@ -718,12 +754,22 @@ pub struct ServiceStats {
     pub queued: usize,
     /// Jobs currently running (0 or 1 — single executor).
     pub running: usize,
-    /// Distinct reports held by the result store.
+    /// Distinct reports the result store can serve: every one the
+    /// persistent log indexes, plus the resident ones it does not hold.
     pub store_entries: usize,
-    /// Reports replayed from the persistent store log at start.
+    /// Reports held in memory, at most the result store's bound of
+    /// 1024.
+    pub store_resident: usize,
+    /// Records scanned from the persistent store log at start.
     pub store_loaded: usize,
-    /// Failed persistent-store appends (the in-memory result is still
-    /// served; only durability is lost).
+    /// Submissions served by re-reading a record that was no longer
+    /// resident.
+    pub store_rereads: u64,
+    /// Re-reads that failed (the record changed or went missing on
+    /// disk): its index entry was dropped and the spec ran instead.
+    pub store_read_errors: u64,
+    /// Failed persistent-store appends (the report is still served while
+    /// resident; once evicted, its spec runs again).
     pub store_write_errors: u64,
     /// Jobs that started from a warm front: a re-analysis of a netlist
     /// and settings the executor already ran cleanly.
@@ -807,13 +853,15 @@ impl Lane {
     }
 
     /// Refills the bucket for the ticks elapsed since the last refill.
+    /// A tick older than the last refill (read before another
+    /// submission's) gains nothing and leaves the refill mark alone.
     fn refill(&mut self, rate_limit: Option<u32>, now_ms: u64) {
         let Some(rate) = rate_limit else { return };
         let elapsed = now_ms.saturating_sub(self.last_refill_ms);
         // rate jobs/s == rate milli-tokens per millisecond.
         let gained = elapsed.saturating_mul(u64::from(rate));
         self.tokens_milli = (self.tokens_milli + gained).min(bucket_cap_milli(Some(rate)));
-        self.last_refill_ms = now_ms;
+        self.last_refill_ms = self.last_refill_ms.max(now_ms);
     }
 
     /// Milliseconds until the bucket holds one submission's worth, at
@@ -833,11 +881,106 @@ fn bucket_cap_milli(rate_limit: Option<u32>) -> u64 {
     }
 }
 
-/// Terminal jobs the job table keeps; past this bound the least
-/// recently used one retires. With the default queue bound of 16, a
-/// client would have to leave about a thousand finished jobs unread
-/// before one of them retired.
+/// Terminal jobs the job table keeps, and reports the result store
+/// keeps resident; past this bound the least recently used one goes.
+/// With the default queue bound of 16, a client would have to leave
+/// about a thousand finished jobs unread before one of them retired.
 const RETAINED_JOBS: usize = 1024;
+
+/// A least-recently-used order over `u64` keys: every use takes a fresh
+/// tick, and the key whose last use is oldest comes out first.
+#[derive(Default)]
+struct UseOrder {
+    /// Keys by the tick of their last use.
+    by_tick: BTreeMap<u64, u64>,
+    clock: u64,
+}
+
+impl UseOrder {
+    /// Marks `key`, last used at tick `old` if it is in the order, as
+    /// used now; returns the tick to remember for it.
+    fn touch(&mut self, key: u64, old: Option<u64>) -> u64 {
+        if let Some(old) = old {
+            self.by_tick.remove(&old);
+        }
+        self.clock += 1;
+        self.by_tick.insert(self.clock, key);
+        self.clock
+    }
+
+    /// Takes the least recently used key out of the order.
+    fn pop_oldest(&mut self) -> Option<u64> {
+        self.by_tick.pop_first().map(|(_, key)| key)
+    }
+
+    fn len(&self) -> usize {
+        self.by_tick.len()
+    }
+}
+
+/// The result store's resident tier: clean reports by fingerprint, the
+/// [`RETAINED_JOBS`] most recently used of them, in front of the
+/// persistent [`ResultLog`]. A hit or an insertion marks an entry used;
+/// past the bound the least recently used one is evicted. An evicted
+/// report the log holds is re-read on its next hit; one it does not
+/// (a sequential report, a service without a store directory, a failed
+/// append) is gone, and its spec runs again, byte-identically.
+#[derive(Default)]
+struct ResultCache {
+    entries: HashMap<u64, Resident>,
+    order: UseOrder,
+    /// Resident reports the log does not hold.
+    unpersisted: usize,
+}
+
+struct Resident {
+    report: JobReport,
+    /// Tick of the last use in [`ResultCache::order`].
+    last_used: u64,
+    /// Whether the persistent log holds this report.
+    persisted: bool,
+}
+
+impl ResultCache {
+    /// The resident report of `fingerprint`, marked as just used.
+    fn get(&mut self, fingerprint: u64) -> Option<JobReport> {
+        let entry = self.entries.get_mut(&fingerprint)?;
+        entry.last_used = self.order.touch(fingerprint, Some(entry.last_used));
+        Some(entry.report.clone())
+    }
+
+    /// Makes `report` the resident entry of `fingerprint`, then evicts
+    /// the least recently used entries past the bound.
+    fn insert(&mut self, fingerprint: u64, report: JobReport, persisted: bool) {
+        let old = self.entries.remove(&fingerprint);
+        if let Some(old) = &old {
+            self.unpersisted -= usize::from(!old.persisted);
+        }
+        let last_used = self.order.touch(fingerprint, old.map(|o| o.last_used));
+        self.entries.insert(
+            fingerprint,
+            Resident {
+                report,
+                last_used,
+                persisted,
+            },
+        );
+        self.unpersisted += usize::from(!persisted);
+        while self.order.len() > RETAINED_JOBS {
+            if let Some(gone) = self
+                .order
+                .pop_oldest()
+                .and_then(|k| self.entries.remove(&k))
+            {
+                self.unpersisted -= usize::from(!gone.persisted);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
 
 /// Analysis keys whose warm state the executor keeps (least recently
 /// used evicted first). A front is at most about 0.4 MB (c7552's timing
@@ -847,11 +990,9 @@ const WARM_NETLISTS: usize = 64;
 #[derive(Default)]
 struct State {
     jobs: HashMap<u64, Job>,
-    /// Terminal jobs by last use (a tick from `use_clock`), oldest
-    /// first: the retirement order. Queued and running jobs are absent,
-    /// so they never retire.
-    retire_order: BTreeMap<u64, u64>,
-    use_clock: u64,
+    /// Terminal jobs by last use, oldest first: the retirement order.
+    /// Queued and running jobs are absent, so they never retire.
+    retire_order: UseOrder,
     /// Per-client lanes, keyed by client identity.
     lanes: HashMap<String, Lane>,
     /// Round-robin order: clients in first-submission order. Lanes are
@@ -862,7 +1003,7 @@ struct State {
     rr_cursor: usize,
     /// Jobs queued across all lanes (the global admission bound).
     queued_total: usize,
-    results: HashMap<u64, JobReport>,
+    results: ResultCache,
     next_id: u64,
     draining: bool,
     stats: ServiceStats,
@@ -898,6 +1039,14 @@ impl Shared {
     }
 }
 
+/// Locks the persistent result log. It has its own mutex, never taken
+/// under the job-table lock: disk reads and appends must not serialize
+/// against submit and status.
+fn lock_log(log: &Mutex<ResultLog>) -> MutexGuard<'_, ResultLog> {
+    log.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The resident analysis service: owns the process-wide [`KernelStore`],
 /// the job table and the single executor thread. Dropping the service
 /// drains and joins the executor.
@@ -909,7 +1058,7 @@ pub struct AnalysisService {
 impl AnalysisService {
     /// Starts the service (spawns the executor thread). With a
     /// [`ServiceConfig::store_dir`], the persistent result log is opened
-    /// first and every stored report replayed into the result store —
+    /// first: every record is indexed and the newest 1024 are resident —
     /// re-submissions of pre-restart jobs are answered `from_store`,
     /// byte-identically.
     ///
@@ -931,12 +1080,13 @@ impl AnalysisService {
                         fsync: config.store_fsync,
                     },
                 )?;
+                // The log indexes every record; only the newest stay
+                // resident, the rest re-read on their next hit.
                 state.stats.store_loaded = records.len();
-                for (fingerprint, stored) in records {
-                    state.results.insert(
-                        fingerprint,
-                        JobReport::Analyze(Arc::new(stored.into_report())),
-                    );
+                let older = records.len().saturating_sub(RETAINED_JOBS);
+                for (fingerprint, stored) in records.into_iter().skip(older) {
+                    let report = JobReport::Analyze(Arc::new(stored.into_report()));
+                    state.results.insert(fingerprint, report, true);
                 }
                 Some(Mutex::new(log))
             }
@@ -995,9 +1145,11 @@ impl AnalysisService {
     /// lookup (hits still pay a rate token but skip the queue limits —
     /// they never occupy the executor), per-client live-job cap, global
     /// queue bound. A valid configuration whose fingerprint is already in
-    /// the result store returns a terminally-Done job immediately
-    /// (`from_store`); otherwise the job is queued in the client's lane,
-    /// and an invalid configuration fails there with its config error.
+    /// the result store — resident, or in the persistent log, which is
+    /// re-read outside the job-table lock — returns a terminally-Done job
+    /// immediately (`from_store`); otherwise the job is queued in the
+    /// client's lane, and an invalid configuration fails there with its
+    /// config error.
     ///
     /// # Errors
     ///
@@ -1022,32 +1174,43 @@ impl AnalysisService {
         let client = options.client.unwrap_or_default();
         let now_ms = self.shared.clock.now_ms();
         let mut st = self.shared.lock();
-        if st.draining {
-            return Err(ServiceError::Draining);
-        }
-        if !st.lanes.contains_key(&client) {
-            st.lanes
-                .insert(client.clone(), Lane::new(self.shared.rate_limit, now_ms));
-            st.rr_order.push(client.clone());
-        }
-        if let Some(rate) = self.shared.rate_limit {
-            let lane = st.lanes.get_mut(&client).expect("lane exists");
-            lane.refill(Some(rate), now_ms);
-            if lane.tokens_milli < SUBMIT_COST_MILLI {
-                let retry_after_ms = lane.retry_after_ms(rate);
-                st.stats.throttled += 1;
-                return Err(ServiceError::Throttled {
-                    client,
-                    retry_after_ms,
-                    kind: ThrottleKind::Rate { limit: rate },
-                });
-            }
-        }
-        let hit = if valid {
-            st.results.get(&fingerprint).cloned()
+        self.admit_rate(&mut st, &client, now_ms)?;
+        let mut hit = if valid {
+            st.results.get(fingerprint)
         } else {
             None
         };
+        let persist = self
+            .shared
+            .persist
+            .as_ref()
+            .filter(|_| valid && hit.is_none());
+        if let Some(persist) = persist {
+            // Not resident, but the log may hold it. The read happens
+            // outside the job-table lock; the state may move meanwhile
+            // (a drain, another submission's token), so admission runs
+            // the checks before the lookup again.
+            drop(st);
+            // The log's lock ends with this statement, before the
+            // report is rebuilt.
+            let read = lock_log(persist).read(fingerprint);
+            let read = read
+                .map(|read| read.map(|stored| JobReport::Analyze(Arc::new(stored.into_report()))));
+            st = self.shared.lock();
+            self.admit_rate(&mut st, &client, now_ms)?;
+            hit = st.results.get(fingerprint);
+            match read {
+                Some(Ok(report)) => {
+                    st.stats.store_rereads += 1;
+                    if hit.is_none() {
+                        st.results.insert(fingerprint, report.clone(), true);
+                        hit = Some(report);
+                    }
+                }
+                Some(Err(_)) => st.stats.store_read_errors += 1,
+                None => {}
+            }
+        }
         if let Some(report) = hit {
             if self.shared.rate_limit.is_some() {
                 let lane = st.lanes.get_mut(&client).expect("lane exists");
@@ -1128,6 +1291,42 @@ impl AnalysisService {
             id: JobId(id),
             from_store: false,
         })
+    }
+
+    /// The admission checks before the store lookup: the drain, then the
+    /// client's rate limit (a refusal is counted). Opens the client's
+    /// lane on its first submission; takes no token — an admitted
+    /// submission pays it.
+    fn admit_rate(
+        &self,
+        st: &mut State,
+        client: &str,
+        now_ms: u64,
+    ) -> std::result::Result<(), ServiceError> {
+        if st.draining {
+            return Err(ServiceError::Draining);
+        }
+        if !st.lanes.contains_key(client) {
+            st.lanes.insert(
+                client.to_string(),
+                Lane::new(self.shared.rate_limit, now_ms),
+            );
+            st.rr_order.push(client.to_string());
+        }
+        if let Some(rate) = self.shared.rate_limit {
+            let lane = st.lanes.get_mut(client).expect("lane exists");
+            lane.refill(Some(rate), now_ms);
+            if lane.tokens_milli < SUBMIT_COST_MILLI {
+                let retry_after_ms = lane.retry_after_ms(rate);
+                st.stats.throttled += 1;
+                return Err(ServiceError::Throttled {
+                    client: client.to_string(),
+                    retry_after_ms,
+                    kind: ThrottleKind::Rate { limit: rate },
+                });
+            }
+        }
+        Ok(())
     }
 
     /// A snapshot of one job's state.
@@ -1280,6 +1479,12 @@ impl AnalysisService {
 
     /// Service-wide counters plus the kernel store's lifetime stats.
     pub fn stats(&self) -> ServiceStats {
+        // Read before the job-table lock, never under it.
+        let indexed = self
+            .shared
+            .persist
+            .as_ref()
+            .map_or(0, |log| lock_log(log).len());
         let st = self.shared.lock();
         let mut stats = st.stats.clone();
         stats.queued = st.queued_total;
@@ -1289,7 +1494,8 @@ impl AnalysisService {
             .values()
             .filter(|j| j.state == JobState::Running)
             .count();
-        stats.store_entries = st.results.len();
+        stats.store_entries = indexed + st.results.unpersisted;
+        stats.store_resident = st.results.len();
         stats.cache = self.shared.store.stats();
         stats
     }
@@ -1351,11 +1557,8 @@ impl State {
                 ServiceError::UnknownJob(id)
             });
         };
-        if let Some(old) = job.last_used {
-            self.use_clock += 1;
-            self.retire_order.remove(&old);
-            self.retire_order.insert(self.use_clock, id.0);
-            job.last_used = Some(self.use_clock);
+        if job.last_used.is_some() {
+            job.last_used = Some(self.retire_order.touch(id.0, job.last_used));
         }
         Ok(job)
     }
@@ -1364,15 +1567,11 @@ impl State {
     /// use as a terminal job), then retires the least recently used
     /// terminal jobs past [`RETAINED_JOBS`].
     fn terminated(&mut self, id: u64) {
-        self.use_clock += 1;
         if let Some(job) = self.jobs.get_mut(&id) {
-            if let Some(old) = job.last_used.replace(self.use_clock) {
-                self.retire_order.remove(&old);
-            }
-            self.retire_order.insert(self.use_clock, id);
+            job.last_used = Some(self.retire_order.touch(id, job.last_used));
         }
         while self.retire_order.len() > RETAINED_JOBS {
-            if let Some((_, oldest)) = self.retire_order.pop_first() {
+            if let Some(oldest) = self.retire_order.pop_oldest() {
                 self.jobs.remove(&oldest);
                 self.stats.retired_jobs += 1;
             }
@@ -1644,20 +1843,19 @@ fn run_executor(shared: &Shared) {
 
         // Persist clean reports to the on-disk log *before* taking the
         // state lock — disk latency must never block submit/status. A
-        // failed append costs durability, not the result: the in-memory
-        // store still serves it, and the counter records the loss. The
-        // on-disk record schema is combinational; sequential reports are
-        // served from the in-memory store for the process lifetime.
+        // failed append costs durability, not the result: the resident
+        // store still serves it until it is evicted, and the counter
+        // records the loss. The on-disk record schema is combinational;
+        // sequential reports are served from the resident store only.
+        let mut persisted = false;
         let mut persist_failed = false;
         if let Some(persist) = &shared.persist {
             if let Ok(Ok(report)) = &outcome {
                 if let Some(analyze) = report.as_analyze() {
                     if report.is_clean() {
                         let stored = StoredReport::from_report(analyze);
-                        let mut log = persist
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        persist_failed = log.append(fingerprint, &stored).is_err();
+                        persisted = lock_log(persist).append(fingerprint, &stored).is_ok();
+                        persist_failed = !persisted;
                     }
                 }
             }
@@ -1690,7 +1888,7 @@ fn run_executor(shared: &Shared) {
                     };
                     job.report = Some(report.clone());
                     if clean {
-                        st.results.insert(fingerprint, report);
+                        st.results.insert(fingerprint, report, persisted);
                         st.stats.completed += 1;
                     } else {
                         st.stats.degraded += 1;
@@ -2713,6 +2911,71 @@ mod tests {
             st.touch(JobId(st.next_id)),
             Err(ServiceError::UnknownJob(_))
         ));
+    }
+
+    #[test]
+    fn result_cache_keeps_the_bound_in_use_order() {
+        let mut st = State::default();
+        let report = JobReport::Analyze(Arc::new(
+            StoredReport {
+                circuit: "c432".into(),
+                gate_count: 0,
+                label_sweeps: 0,
+                det_critical_delay: 0.0,
+                worst_case_delay: 0.0,
+                overestimation_pct: 0.0,
+                confidence: 0.05,
+                sigma_c: 0.0,
+                paths: Vec::new(),
+            }
+            .into_report(),
+        ));
+        let bound = RETAINED_JOBS as u64;
+        for fp in 0..bound {
+            st.results.insert(fp, report.clone(), true);
+        }
+        assert_eq!(st.results.len(), RETAINED_JOBS);
+        // A hit moves fingerprint 0 to the back, so the insertion past
+        // the bound evicts 1, now the least recently used.
+        assert!(st.results.get(0).is_some());
+        st.results.insert(bound, report.clone(), true);
+        assert_eq!(st.results.len(), RETAINED_JOBS);
+        assert!(st.results.get(1).is_none(), "the oldest entry goes");
+        assert!(st.results.get(0).is_some() && st.results.get(2).is_some());
+        // A report the log does not hold counts while resident (once,
+        // however often it is inserted) and stops counting once evicted.
+        st.results.insert(bound + 1, report.clone(), false);
+        st.results.insert(bound + 1, report.clone(), false);
+        assert_eq!(
+            (st.results.len(), st.results.unpersisted),
+            (RETAINED_JOBS, 1)
+        );
+        for fp in bound + 2..2 * bound + 2 {
+            st.results.insert(fp, report.clone(), true);
+        }
+        assert_eq!(
+            (st.results.len(), st.results.unpersisted),
+            (RETAINED_JOBS, 0)
+        );
+        assert!(st.results.get(bound + 1).is_none());
+    }
+
+    #[test]
+    fn edited_specs_share_the_placement_and_fingerprint_like_a_fresh_spec() {
+        let circuit = iscas85::generate(Benchmark::C432);
+        let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+        let config = SstaConfig::date05().with_confidence(0.1);
+        let base = JobSpec::new(circuit.clone(), placement.clone(), config.clone());
+        let mut edited = circuit;
+        let script = crate::EcoScript::parse_compact("resize:g113:0.5;swap:g115:nor2")
+            .expect("script parses");
+        crate::apply_edits(&mut edited, &script).expect("edits apply");
+        let spec = base.with_circuit(edited.clone());
+        assert!(Arc::ptr_eq(&spec.placement, &base.placement));
+        let fresh = JobSpec::new(edited, placement, config);
+        assert_eq!(spec.fingerprint(), fresh.fingerprint());
+        assert_eq!(spec.analysis_key(), fresh.analysis_key());
+        assert_ne!(spec.fingerprint(), base.fingerprint());
     }
 
     #[test]

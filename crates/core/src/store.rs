@@ -4,12 +4,18 @@
 //!
 //! # Why a log, not a database
 //!
-//! The result store only ever does two things: replay every clean
-//! report at startup and append one record per newly completed job. An
-//! append-only text log makes both trivially crash-safe — a record is
-//! written with a single `write` on a file opened in append mode, so
-//! concurrent daemons sharing the directory interleave whole records,
-//! never bytes — and keeps the format inspectable with `less`.
+//! The result store only ever does three things: scan every clean
+//! report at startup, append one record per newly completed job, and
+//! re-read one record a caller no longer holds in memory. An
+//! append-only text log makes the first two trivially crash-safe — a
+//! record is written with a single `write` on a file opened in append
+//! mode, so concurrent daemons sharing the directory interleave whole
+//! records, never bytes — and keeps the format inspectable with `less`.
+//! For the third, [`ResultLog`] keeps, per fingerprint, the byte span of
+//! its latest record (filled by the startup scan, extended by every
+//! append): [`ResultLog::read`] reads that span back, checks the header's
+//! fingerprint, line count and body checksum, and parses the body, so a
+//! record that changed on disk is an error, never a wrong report.
 //!
 //! # On-disk layout (`<dir>/results.log` + `<dir>/results.idx`)
 //!
@@ -67,9 +73,10 @@ use crate::cache::fnv1a;
 use crate::engine::{RunProfile, SstaReport};
 use crate::error::{ErrorClass, StatimError};
 use crate::rank::RankedPath;
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic string opening the record log.
@@ -236,56 +243,106 @@ impl StoredReport {
         }
     }
 
-    /// Renders the record's body lines (no `record` header).
-    fn render_body(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "circuit {} {} {} {}",
-            self.gate_count,
-            self.label_sweeps,
-            self.paths.len(),
-            self.circuit
-        );
-        let _ = writeln!(
-            out,
-            "scalars {:016x} {:016x} {:016x} {:016x} {:016x}",
-            self.det_critical_delay.to_bits(),
-            self.worst_case_delay.to_bits(),
-            self.overestimation_pct.to_bits(),
-            self.confidence.to_bits(),
-            self.sigma_c.to_bits()
-        );
-        for p in &self.paths {
-            let _ = write!(
-                out,
-                "path {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} gates",
-                p.det_rank,
-                p.prob_rank,
-                p.det_delay.to_bits(),
-                p.worst_case.to_bits(),
-                p.mean.to_bits(),
-                p.sigma.to_bits(),
-                p.inter_sigma.to_bits(),
-                p.intra_sigma.to_bits(),
-                p.confidence_point.to_bits()
-            );
-            for g in &p.gates {
-                let _ = write!(out, " {g}");
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders one complete log record: the `record` header line (with
     /// body line count and checksum) followed by the body.
     pub fn render_record(&self, fingerprint: u64) -> String {
-        let body = self.render_body();
-        let nlines = body.lines().count();
-        let checksum = fnv1a(0, body.as_bytes());
-        format!("record {fingerprint:016x} {nlines} {checksum:016x}\n{body}")
+        String::from_utf8(self.record_bytes(fingerprint))
+            .expect("a record is ASCII around the UTF-8 circuit name")
     }
+
+    /// [`StoredReport::render_record`]'s bytes, written straight into one
+    /// buffer: the header goes first with a placeholder checksum, which
+    /// is patched in once the body behind it is hashed.
+    fn record_bytes(&self, fingerprint: u64) -> Vec<u8> {
+        let capacity = 128
+            + self.circuit.len()
+            + self
+                .paths
+                .iter()
+                .map(|p| 160 + 11 * p.gates.len())
+                .sum::<usize>();
+        let mut out = Vec::with_capacity(capacity);
+        out.extend_from_slice(b"record ");
+        out.extend_from_slice(&hex16(fingerprint));
+        out.push(b' ');
+        push_decimal(&mut out, 2 + self.paths.len() as u64);
+        out.push(b' ');
+        let checksum_at = out.len();
+        out.extend_from_slice(&[b'0'; 16]);
+        out.push(b'\n');
+        let body_at = out.len();
+
+        out.extend_from_slice(b"circuit ");
+        for count in [self.gate_count, self.label_sweeps, self.paths.len()] {
+            push_decimal(&mut out, count as u64);
+            out.push(b' ');
+        }
+        out.extend_from_slice(self.circuit.as_bytes());
+        out.extend_from_slice(b"\nscalars");
+        for v in [
+            self.det_critical_delay,
+            self.worst_case_delay,
+            self.overestimation_pct,
+            self.confidence,
+            self.sigma_c,
+        ] {
+            out.push(b' ');
+            out.extend_from_slice(&hex16(v.to_bits()));
+        }
+        out.push(b'\n');
+        for p in &self.paths {
+            out.extend_from_slice(b"path ");
+            push_decimal(&mut out, p.det_rank as u64);
+            out.push(b' ');
+            push_decimal(&mut out, p.prob_rank as u64);
+            for v in [
+                p.det_delay,
+                p.worst_case,
+                p.mean,
+                p.sigma,
+                p.inter_sigma,
+                p.intra_sigma,
+                p.confidence_point,
+            ] {
+                out.push(b' ');
+                out.extend_from_slice(&hex16(v.to_bits()));
+            }
+            out.extend_from_slice(b" gates");
+            for &g in &p.gates {
+                out.push(b' ');
+                push_decimal(&mut out, u64::from(g));
+            }
+            out.push(b'\n');
+        }
+        let checksum = fnv1a(0, &out[body_at..]);
+        out[checksum_at..checksum_at + 16].copy_from_slice(&hex16(checksum));
+        out
+    }
+}
+
+/// `v` as 16 lowercase hex digits (`{:016x}`).
+fn hex16(v: u64) -> [u8; 16] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = [0; 16];
+    for (i, d) in out.iter_mut().enumerate() {
+        *d = DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out
+}
+
+/// Appends `v` in decimal (`{}`).
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 fn parse_f64_bits(line: usize, token: &str, what: &str) -> Result<f64, StatimError> {
@@ -418,10 +475,66 @@ fn parse_body(body: &[&str], first_line: usize) -> Result<StoredReport, StatimEr
     })
 }
 
+/// Parses a `record <fingerprint:016x> <nlines> <checksum:016x>` header
+/// line (1-based log line `line_no`) into its three fields.
+fn parse_record_header(line: &str, line_no: usize) -> Result<(u64, usize, u64), StatimError> {
+    let rest = line
+        .strip_prefix("record ")
+        .ok_or_else(|| parse_err(line_no, format!("expected a `record` header, got `{line}`")))?;
+    let mut tok = rest.split(' ');
+    let fingerprint = tok
+        .next()
+        .and_then(|t| u64::from_str_radix(t, 16).ok())
+        .ok_or_else(|| parse_err(line_no, "record fingerprint is not hex"))?;
+    let nlines = tok
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| parse_err(line_no, "record line count is not a count"))?;
+    let checksum = tok
+        .next()
+        .and_then(|t| u64::from_str_radix(t, 16).ok())
+        .ok_or_else(|| parse_err(line_no, "record checksum is not hex"))?;
+    Ok((fingerprint, nlines, checksum))
+}
+
+/// Checks a record body against its header's checksum, then parses it.
+/// `header_line` is the 1-based log line of the `record` header.
+fn check_record_body(
+    body: &[&str],
+    checksum: u64,
+    header_line: usize,
+) -> Result<StoredReport, StatimError> {
+    let mut body_bytes = String::new();
+    for l in body {
+        body_bytes.push_str(l);
+        body_bytes.push('\n');
+    }
+    let actual = fnv1a(0, body_bytes.as_bytes());
+    if actual != checksum {
+        return Err(parse_err(
+            header_line,
+            format!(
+                "record checksum mismatch (declared {checksum:016x}, body hashes {actual:016x})"
+            ),
+        ));
+    }
+    parse_body(body, header_line + 1)
+}
+
+/// Where one record lies in the log: the byte offset of its `record`
+/// header line and the byte length of the header plus body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordSpan {
+    /// Byte offset of the `record` header line.
+    pub offset: u64,
+    /// Bytes from the header's first byte to the body's last newline.
+    pub len: u64,
+}
+
 /// The outcome of an offset-aware scan of a record log: every record in
-/// the longest clean prefix, that prefix's byte length (always a record
-/// boundary), and the first violation past it, if any. This is what
-/// torn-tail recovery truncates against.
+/// the longest clean prefix with where it lies, that prefix's byte
+/// length (always a record boundary), and the first violation past it,
+/// if any. This is what torn-tail recovery truncates against.
 #[derive(Debug)]
 pub struct LogScan {
     /// `(fingerprint, report)` pairs of the clean prefix, in append
@@ -429,6 +542,8 @@ pub struct LogScan {
     /// replayed into a map — two daemons racing the same job write
     /// identical content anyway).
     pub records: Vec<(u64, StoredReport)>,
+    /// Where each of `records` lies in the log, index for index.
+    pub spans: Vec<RecordSpan>,
     /// Byte length of the longest clean prefix ending at a record
     /// boundary (at minimum the header line when `error` is set).
     pub valid_len: u64,
@@ -479,110 +594,65 @@ pub fn scan_log(text: &str) -> Result<LogScan, StatimError> {
         }
         Some(_) => {}
     }
+    let mut scan = LogScan {
+        records: Vec::new(),
+        spans: Vec::new(),
+        valid_len: 0,
+        error: None,
+    };
     if complete == 0 {
         // The header itself has no terminator: nothing usable follows.
-        return Ok(LogScan {
-            records: Vec::new(),
-            valid_len: 0,
-            error: Some(parse_err(1, "store log header line is torn (no newline)")),
-        });
+        scan.error = Some(parse_err(1, "store log header line is torn (no newline)"));
+        return Ok(scan);
     }
     let end_of = |i: usize| lines.get(i + 1).map_or(total, |&(_, o)| o);
-    let mut records = Vec::new();
-    let mut valid_len = end_of(0);
+    scan.valid_len = end_of(0);
     let mut i = 1;
-    let fail = |records: Vec<(u64, StoredReport)>, valid_len: u64, e: StatimError| {
-        Ok(LogScan {
-            records,
-            valid_len,
-            error: Some(e),
-        })
-    };
     while i < lines.len() {
-        let (line, _) = lines[i];
+        let (line, offset) = lines[i];
         let line_no = i + 1;
         if i >= complete {
-            return fail(
-                records,
-                valid_len,
-                parse_err(line_no, "trailing line is torn (no newline)"),
-            );
+            scan.error = Some(parse_err(line_no, "trailing line is torn (no newline)"));
+            return Ok(scan);
         }
         if line.trim().is_empty() {
-            valid_len = end_of(i);
+            scan.valid_len = end_of(i);
             i += 1;
             continue;
         }
-        macro_rules! check {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(e) => return fail(records, valid_len, e),
-                }
-            };
-        }
-        let rest = check!(line.strip_prefix("record ").ok_or_else(|| parse_err(
-            line_no,
-            format!("expected a `record` header, got `{line}`")
-        )));
-        let mut tok = rest.split(' ');
-        let fingerprint = check!(tok
-            .next()
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| parse_err(line_no, "record fingerprint is not hex")));
-        let nlines: usize = check!(tok
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| parse_err(line_no, "record line count is not a count")));
-        let checksum = check!(tok
-            .next()
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| parse_err(line_no, "record checksum is not hex")));
-        if i + 1 + nlines > complete {
-            return fail(
-                records,
-                valid_len,
-                parse_err(
+        let record = parse_record_header(line, line_no).and_then(|(fingerprint, nlines, sum)| {
+            if i + 1 + nlines > complete {
+                return Err(parse_err(
                     line_no,
                     format!(
                         "truncated record: declares {nlines} body lines, log ends after {}",
                         complete - i - 1
                     ),
-                ),
-            );
-        }
-        let body: Vec<&str> = lines[i + 1..i + 1 + nlines]
-            .iter()
-            .map(|&(l, _)| l)
-            .collect();
-        let mut body_bytes = String::new();
-        for l in &body {
-            body_bytes.push_str(l);
-            body_bytes.push('\n');
-        }
-        let actual = fnv1a(0, body_bytes.as_bytes());
-        if actual != checksum {
-            return fail(
-                records,
-                valid_len,
-                parse_err(
-                    line_no,
-                    format!(
-                        "record checksum mismatch (declared {checksum:016x}, body hashes {actual:016x})"
-                    ),
-                ),
-            );
-        }
-        let report = check!(parse_body(&body, line_no + 1));
-        records.push((fingerprint, report));
+                ));
+            }
+            let body: Vec<&str> = lines[i + 1..i + 1 + nlines]
+                .iter()
+                .map(|&(l, _)| l)
+                .collect();
+            Ok((fingerprint, nlines, check_record_body(&body, sum, line_no)?))
+        });
+        let (fingerprint, nlines, report) = match record {
+            Ok(record) => record,
+            Err(e) => {
+                scan.error = Some(e);
+                return Ok(scan);
+            }
+        };
         i += 1 + nlines;
-        valid_len = end_of(i - 1);
+        let end = end_of(i - 1);
+        scan.records.push((fingerprint, report));
+        scan.spans.push(RecordSpan {
+            offset,
+            len: end - offset,
+        });
+        scan.valid_len = end;
     }
-    Ok(LogScan {
-        records,
-        valid_len,
-        error: None,
-    })
+    Ok(scan)
 }
 
 /// Parses a whole record log's text into `(fingerprint, report)` pairs
@@ -615,13 +685,16 @@ pub struct StoreOptions {
     pub fsync: bool,
 }
 
-/// The open store: the log/index paths plus the set of fingerprints
-/// already on disk (appends of a known fingerprint are no-ops).
+/// The open store: the log/index paths, the log handle and, for every
+/// fingerprint on disk, where its latest record lies (appends of a known
+/// fingerprint are no-ops).
 #[derive(Debug)]
 pub struct ResultLog {
     log_path: PathBuf,
     idx_path: PathBuf,
-    fingerprints: BTreeSet<u64>,
+    /// The log, open for reading and appending for the store's lifetime.
+    file: File,
+    index: HashMap<u64, RecordSpan>,
     log_len: u64,
     fsync: bool,
     recovered_bytes: u64,
@@ -658,14 +731,22 @@ impl ResultLog {
         let log_path = dir.join(LOG_NAME);
         let idx_path = dir.join(IDX_NAME);
         let file = |p: &Path| p.display().to_string();
+        let open_log = |log_path: &Path| {
+            std::fs::OpenOptions::new()
+                .read(true)
+                .append(true)
+                .open(log_path)
+                .map_err(|e| io_err("opening store log", &e).with_file(file(log_path)))
+        };
         if !log_path.exists() {
             let header = format!("{STORE_MAGIC} v{STORE_VERSION}\n");
             std::fs::write(&log_path, &header)
                 .map_err(|e| io_err("creating store log", &e).with_file(file(&log_path)))?;
             let mut log = ResultLog {
+                file: open_log(&log_path)?,
                 log_path,
                 idx_path,
-                fingerprints: BTreeSet::new(),
+                index: HashMap::new(),
                 log_len: header.len() as u64,
                 fsync: options.fsync,
                 recovered_bytes: 0,
@@ -700,6 +781,7 @@ impl ResultLog {
             0
         };
         let scan = scan_log(&text).map_err(|e| e.with_file(file(&log_path)))?;
+        let log_file = open_log(&log_path)?;
         let mut recovered_bytes = 0;
         if let Some(err) = scan.error {
             // Recoverable only when every snapshotted byte still parses:
@@ -711,31 +793,33 @@ impl ResultLog {
                 return Err(err.with_file(file(&log_path)));
             }
             recovered_bytes = log_len - scan.valid_len;
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&log_path)
-                .map_err(|e| io_err("opening store log", &e).with_file(file(&log_path)))?;
-            f.set_len(scan.valid_len)
+            log_file
+                .set_len(scan.valid_len)
                 .map_err(|e| io_err("truncating torn store log", &e).with_file(file(&log_path)))?;
             if options.fsync {
-                f.sync_all().map_err(|e| {
+                log_file.sync_all().map_err(|e| {
                     io_err("syncing truncated store log", &e).with_file(file(&log_path))
                 })?;
             }
             log_len = scan.valid_len;
         }
-        let records = scan.records;
-        let fingerprints = records.iter().map(|(fp, _)| *fp).collect();
+        let index = scan
+            .records
+            .iter()
+            .zip(&scan.spans)
+            .map(|(&(fp, _), &span)| (fp, span))
+            .collect();
         let mut log = ResultLog {
             log_path,
             idx_path,
-            fingerprints,
+            file: log_file,
+            index,
             log_len,
             fsync: options.fsync,
             recovered_bytes,
         };
         log.snapshot_index()?;
-        Ok((log, records))
+        Ok((log, scan.records))
     }
 
     /// Bytes dropped from a torn trailing record at open time (0 for a
@@ -744,14 +828,14 @@ impl ResultLog {
         self.recovered_bytes
     }
 
-    /// Fingerprints currently on disk.
+    /// Fingerprints whose latest record the log can serve.
     pub fn len(&self) -> usize {
-        self.fingerprints.len()
+        self.index.len()
     }
 
     /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.fingerprints.is_empty()
+        self.index.is_empty()
     }
 
     /// Appends one clean report under its job fingerprint, then rewrites
@@ -764,25 +848,95 @@ impl ResultLog {
     /// by *this process*: the record goes out in a single `write` on an
     /// append-mode handle.
     pub fn append(&mut self, fingerprint: u64, report: &StoredReport) -> Result<(), StatimError> {
-        if self.fingerprints.contains(&fingerprint) {
+        if self.index.contains_key(&fingerprint) {
             return Ok(());
         }
-        let record = report.render_record(fingerprint);
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.log_path)
-            .map_err(|e| {
-                io_err("opening store log", &e).with_file(self.log_path.display().to_string())
-            })?;
-        f.write_all(record.as_bytes())
-            .and_then(|()| f.flush())
-            .and_then(|()| if self.fsync { f.sync_all() } else { Ok(()) })
+        let record = report.record_bytes(fingerprint);
+        // Append mode puts the record at the end of the file, after any
+        // record another daemon sharing the directory wrote; the handle's
+        // position afterwards is where this one ends.
+        let end = self
+            .file
+            .write_all(&record)
+            .and_then(|()| {
+                if self.fsync {
+                    self.file.sync_all()
+                } else {
+                    Ok(())
+                }
+            })
+            .and_then(|()| self.file.stream_position())
             .map_err(|e| {
                 io_err("appending to store log", &e).with_file(self.log_path.display().to_string())
             })?;
-        self.log_len += record.len() as u64;
-        self.fingerprints.insert(fingerprint);
+        let len = record.len() as u64;
+        self.index.insert(
+            fingerprint,
+            RecordSpan {
+                offset: end - len,
+                len,
+            },
+        );
+        self.log_len = self.log_len.max(end);
         self.snapshot_index()
+    }
+
+    /// Re-reads the latest record of `fingerprint` at its indexed span;
+    /// `None` when the log holds none. The record must carry that
+    /// fingerprint, the line count and the body checksum its header
+    /// declares, and a body that parses; a record that fails any of
+    /// these, or cannot be read, is an error, and its index entry goes,
+    /// so the next append of the fingerprint writes it anew.
+    pub fn read(&mut self, fingerprint: u64) -> Option<Result<StoredReport, StatimError>> {
+        let span = *self.index.get(&fingerprint)?;
+        let read = self.read_span(fingerprint, span).map_err(|e| {
+            StatimError {
+                message: format!(
+                    "re-reading the record at byte {}: {}",
+                    span.offset, e.message
+                ),
+                ..e
+            }
+            .with_file(self.log_path.display().to_string())
+        });
+        if read.is_err() {
+            self.index.remove(&fingerprint);
+        }
+        Some(read)
+    }
+
+    fn read_span(
+        &mut self,
+        fingerprint: u64,
+        span: RecordSpan,
+    ) -> Result<StoredReport, StatimError> {
+        let mut bytes = vec![0; span.len as usize];
+        self.file
+            .seek(SeekFrom::Start(span.offset))
+            .and_then(|_| self.file.read_exact(&mut bytes))
+            .map_err(|e| io_err("reading store log", &e))?;
+        let text = std::str::from_utf8(&bytes).map_err(|_| parse_err(1, "record is not UTF-8"))?;
+        let lines: Vec<&str> = text.lines().collect();
+        let (header, body) = lines
+            .split_first()
+            .ok_or_else(|| parse_err(1, "record is empty"))?;
+        let (found, nlines, checksum) = parse_record_header(header, 1)?;
+        if found != fingerprint {
+            return Err(parse_err(
+                1,
+                format!("record holds fingerprint {found:016x}, not {fingerprint:016x}"),
+            ));
+        }
+        if body.len() != nlines {
+            return Err(parse_err(
+                1,
+                format!(
+                    "record declares {nlines} body lines but spans {}",
+                    body.len()
+                ),
+            ));
+        }
+        check_record_body(body, checksum, 1)
     }
 
     /// Atomically rewrites the index snapshot (tmp + rename), the PR-4
@@ -792,7 +946,7 @@ impl ResultLog {
         let mut out = String::new();
         let _ = writeln!(out, "{STORE_IDX_MAGIC} v{STORE_VERSION}");
         let _ = writeln!(out, "log_len {}", self.log_len);
-        let _ = writeln!(out, "records {}", self.fingerprints.len());
+        let _ = writeln!(out, "records {}", self.index.len());
         let tmp = self.idx_path.with_extension("idx.tmp");
         std::fs::write(&tmp, &out)
             .and_then(|()| std::fs::rename(&tmp, &self.idx_path))
@@ -860,6 +1014,159 @@ mod tests {
         SstaEngine::new(config)
             .run(&circuit, &placement)
             .expect("clean run")
+    }
+
+    /// The `write!` renderer records were made with before they were
+    /// written straight into bytes: the reference every record must
+    /// still match byte for byte.
+    fn reference_record(r: &StoredReport, fingerprint: u64) -> String {
+        let mut body = String::new();
+        let _ = writeln!(
+            body,
+            "circuit {} {} {} {}",
+            r.gate_count,
+            r.label_sweeps,
+            r.paths.len(),
+            r.circuit
+        );
+        let _ = writeln!(
+            body,
+            "scalars {:016x} {:016x} {:016x} {:016x} {:016x}",
+            r.det_critical_delay.to_bits(),
+            r.worst_case_delay.to_bits(),
+            r.overestimation_pct.to_bits(),
+            r.confidence.to_bits(),
+            r.sigma_c.to_bits()
+        );
+        for p in &r.paths {
+            let _ = write!(
+                body,
+                "path {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} gates",
+                p.det_rank,
+                p.prob_rank,
+                p.det_delay.to_bits(),
+                p.worst_case.to_bits(),
+                p.mean.to_bits(),
+                p.sigma.to_bits(),
+                p.inter_sigma.to_bits(),
+                p.intra_sigma.to_bits(),
+                p.confidence_point.to_bits()
+            );
+            for g in &p.gates {
+                let _ = write!(body, " {g}");
+            }
+            body.push('\n');
+        }
+        let nlines = body.lines().count();
+        let checksum = fnv1a(0, body.as_bytes());
+        format!("record {fingerprint:016x} {nlines} {checksum:016x}\n{body}")
+    }
+
+    #[test]
+    fn records_render_byte_identically_to_the_write_renderer() {
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        let odd_path = |det_rank, gates: Vec<u32>| StoredPath {
+            det_rank,
+            prob_rank: usize::MAX,
+            det_delay: -1.5e-9,
+            worst_case: 0.0,
+            mean: -0.0,
+            sigma: subnormal,
+            inter_sigma: -subnormal,
+            intra_sigma: f64::from_bits(1),
+            confidence_point: f64::MAX,
+            gates,
+        };
+        let empty = StoredReport {
+            circuit: "empty".into(),
+            gate_count: 0,
+            label_sweeps: 0,
+            det_critical_delay: 0.0,
+            worst_case_delay: -0.0,
+            overestimation_pct: -12.5,
+            confidence: subnormal,
+            sigma_c: f64::MIN,
+            paths: Vec::new(),
+        };
+        let odd = StoredReport {
+            circuit: "c432 odd".into(),
+            gate_count: usize::MAX,
+            label_sweeps: 10,
+            paths: vec![
+                odd_path(1, vec![0, u32::MAX, 7, u32::MAX]),
+                odd_path(2, Vec::new()),
+                odd_path(1_000_000, vec![u32::MAX]),
+            ],
+            ..empty.clone()
+        };
+        let clean = StoredReport::from_report(&clean_report());
+        for (report, fp) in [
+            (&empty, 0),
+            (&odd, u64::MAX),
+            (&clean, 0x0123_4567_89ab_cdef),
+        ] {
+            let rendered = report.render_record(fp);
+            assert_eq!(rendered, reference_record(report, fp), "{}", report.circuit);
+            let log = format!("{STORE_MAGIC} v{STORE_VERSION}\n{rendered}");
+            assert_eq!(parse_log(&log).expect("parses"), vec![(fp, report.clone())]);
+        }
+    }
+
+    #[test]
+    fn indexed_records_re_read_and_damaged_ones_leave_the_index() {
+        let dir = tmp_dir("reread");
+        let stored = StoredReport::from_report(&clean_report());
+        let other = StoredReport {
+            circuit: "other".into(),
+            paths: stored.paths[..1].to_vec(),
+            ..stored.clone()
+        };
+        {
+            let (mut log, _) = ResultLog::open(&dir).expect("open fresh");
+            log.append(1, &stored).expect("append");
+            log.append(2, &other).expect("append");
+            assert_eq!(log.read(1).expect("indexed").expect("re-reads"), stored);
+            assert_eq!(log.read(2).expect("indexed").expect("re-reads"), other);
+            assert!(log.read(3).is_none(), "never appended");
+        }
+        // Reopened, the scan indexes every record where the appends put it.
+        let (mut log, loaded) = ResultLog::open(&dir).expect("reopen");
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(log.read(2).expect("indexed").expect("re-reads"), other);
+        assert_eq!(log.read(1).expect("indexed").expect("re-reads"), stored);
+
+        // One byte changed inside record 1's body: the re-read fails
+        // typed, the index forgets the record, and the next append of
+        // the fingerprint writes it anew.
+        let log_path = dir.join(LOG_NAME);
+        let text = std::fs::read_to_string(&log_path).expect("read log");
+        let at = text.find("scalars ").expect("record 1 body") + "scalars ".len();
+        let flipped = if text.as_bytes()[at] == b'0' {
+            b"1"
+        } else {
+            b"0"
+        };
+        {
+            let mut f = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&log_path)
+                .expect("open for the overwrite");
+            f.seek(SeekFrom::Start(at as u64)).expect("seek");
+            f.write_all(flipped).expect("overwrite one byte");
+        }
+        let err = log
+            .read(1)
+            .expect("still indexed")
+            .expect_err("the checksum trips");
+        assert_eq!(err.class, ErrorClass::Parse, "{err}");
+        assert!(err.message.contains("checksum"), "{err}");
+        assert!(log.read(1).is_none(), "a failed record leaves the index");
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.read(2).expect("indexed").expect("untouched"), other);
+        log.append(1, &stored).expect("append anew");
+        assert_eq!(log.read(1).expect("indexed").expect("re-reads"), stored);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

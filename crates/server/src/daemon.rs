@@ -446,7 +446,7 @@ enum Expected {
     /// The connection's parked `WAIT` is waiting for this job.
     Job(JobId),
     /// The connection's next request bytes.
-    Bytes(Arc<TcpStream>),
+    Bytes(Arc<Socket>),
     /// The shard holds no connection that can still receive anything.
     Nothing,
 }
@@ -482,20 +482,44 @@ impl Expected {
             Expected::Job(id) => {
                 let _ = service.wait(id, timeout);
             }
-            Expected::Bytes(stream) => {
-                let armed = stream.set_nonblocking(false).is_ok()
-                    && stream.set_read_timeout(Some(timeout)).is_ok();
+            Expected::Bytes(socket) => {
+                let armed = socket.tcp.set_nonblocking(false).is_ok() && socket.arm(timeout);
                 if armed {
-                    let _ = stream.peek(&mut [0u8; 1]);
+                    let _ = socket.tcp.peek(&mut [0u8; 1]);
                 } else {
                     thread::sleep(timeout);
                 }
-                if stream.set_nonblocking(true).is_err() {
-                    let _ = stream.shutdown(Shutdown::Both);
+                if socket.tcp.set_nonblocking(true).is_err() {
+                    let _ = socket.tcp.shutdown(Shutdown::Both);
                 }
             }
             Expected::Nothing => thread::sleep(timeout),
         }
+    }
+}
+
+/// A connection's socket, shared with its worker while the worker blocks
+/// on it outside the shard lock ([`Expected::Bytes`]).
+struct Socket {
+    tcp: TcpStream,
+    /// The read timeout `tcp` holds, in nanoseconds (0 until one is
+    /// set), so a blocking peek under the same timeout as the last one
+    /// skips `set_read_timeout`.
+    read_timeout_ns: AtomicU64,
+}
+
+impl Socket {
+    /// Gives the socket `timeout` as its read timeout, unless it holds
+    /// it already. Returns whether it holds it now.
+    fn arm(&self, timeout: Duration) -> bool {
+        let ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+        if self.read_timeout_ns.load(Ordering::Relaxed) == ns {
+            return true;
+        }
+        let armed = self.tcp.set_read_timeout(Some(timeout)).is_ok();
+        self.read_timeout_ns
+            .store(if armed { ns } else { 0 }, Ordering::Relaxed);
+        armed
     }
 }
 
@@ -509,9 +533,7 @@ struct PendingWait {
 /// One multiplexed connection: the non-blocking socket plus its buffers
 /// and protocol state.
 struct Conn {
-    /// Shared with the worker only while it blocks on the socket
-    /// outside the shard lock ([`Expected::Bytes`]).
-    stream: Arc<TcpStream>,
+    stream: Arc<Socket>,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     greeted: bool,
@@ -547,7 +569,10 @@ impl Conn {
         outbuf.extend_from_slice(GREETING.as_bytes());
         outbuf.push(b'\n');
         Ok(Conn {
-            stream: Arc::new(stream),
+            stream: Arc::new(Socket {
+                tcp: stream,
+                read_timeout_ns: AtomicU64::new(0),
+            }),
             inbuf: Vec::new(),
             outbuf,
             greeted: false,
@@ -572,7 +597,7 @@ impl Conn {
     /// Final flush + close for drain-time teardown.
     fn close(mut self) {
         let _ = self.flush();
-        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.stream.tcp.shutdown(Shutdown::Both);
     }
 
     /// One readiness turn: flush, resolve a parked `WAIT`, read what the
@@ -664,7 +689,7 @@ impl Conn {
         // definition not draining, and `finished()` needs an empty
         // buffer to release the registry slot.
         self.outbuf.clear();
-        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.stream.tcp.shutdown(Shutdown::Both);
     }
 
     /// Delta-updates this connection's contribution to its lane's
@@ -759,7 +784,7 @@ impl Conn {
         let mut busy = false;
         let mut chunk = [0u8; 4096];
         loop {
-            match (&*self.stream).read(&mut chunk) {
+            match (&self.stream.tcp).read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
                     break;
@@ -898,7 +923,7 @@ impl Conn {
     fn flush(&mut self) -> bool {
         let mut written = 0;
         while written < self.outbuf.len() {
-            match (&*self.stream).write(&self.outbuf[written..]) {
+            match (&self.stream.tcp).write(&self.outbuf[written..]) {
                 Ok(0) => {
                     self.closing = true;
                     break;
@@ -1107,7 +1132,10 @@ fn render_stats(stats: &ServiceStats, counters: &Counters) -> Vec<String> {
         format!("queued: {}", stats.queued),
         format!("running: {}", stats.running),
         format!("store-entries: {}", stats.store_entries),
+        format!("store-resident: {}", stats.store_resident),
         format!("store-loaded: {}", stats.store_loaded),
+        format!("store-rereads: {}", stats.store_rereads),
+        format!("store-read-errors: {}", stats.store_read_errors),
         format!("store-write-errors: {}", stats.store_write_errors),
         format!("warm-runs: {}", stats.warm_runs),
         format!("reused-paths: {}", stats.reused_paths),
@@ -1226,18 +1254,15 @@ fn set_submit_option(
 }
 
 /// Derives a new [`JobSpec`] from a base job's spec by applying a
-/// compact ECO edit script to a clone of its circuit. Placement and run
-/// options carry over unchanged, so the new job re-analyzes against the
-/// daemon's warm kernel store and path-identical kernels hit the cache.
+/// compact ECO edit script to a clone of its circuit. The placement
+/// (shared) and run options carry over unchanged, so the new job
+/// re-analyzes against the daemon's warm kernel store and path-identical
+/// kernels hit the cache.
 fn edited_spec(base: &JobSpec, script: &str) -> Result<JobSpec, StatimError> {
     let script = EcoScript::parse_compact(script).map_err(StatimError::from)?;
     let mut circuit = base.circuit().clone();
     apply_edits(&mut circuit, &script).map_err(StatimError::from)?;
-    Ok(JobSpec::new(
-        circuit,
-        base.placement().clone(),
-        base.config.clone(),
-    ))
+    Ok(base.with_circuit(circuit))
 }
 
 /// Loads a source that is not a fixed built-in: a `.bench` file path or

@@ -989,6 +989,174 @@ fn soak_churn_with_kill_and_restart_preserves_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ---------------------------------------------------------------------
+// The result store's bound: 1024 resident reports in front of the log,
+// which re-reads what was evicted.
+// ---------------------------------------------------------------------
+
+/// Reports the result store keeps resident (the job table's bound).
+const RESIDENT: usize = 1024;
+
+/// The `STATS` counter `key`.
+fn stat(stats: &str, key: &str) -> u64 {
+    stats
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(": ")?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{key}` in STATS:\n{stats}"))
+}
+
+/// Options of the `k`-th cheap distinct spec: c432 at a C of its own,
+/// the default C first and then warm re-analyses below it.
+fn nth_spec(k: usize) -> Vec<(String, String)> {
+    if k == 0 {
+        return opts(&[]);
+    }
+    let c = 0.05 - 0.025 * k as f64 / 2048.0;
+    opts(&[("confidence", &c.to_string())])
+}
+
+/// Runs one distinct spec more than the store keeps resident and
+/// returns the first one's RESULT: that spec is the one evicted.
+fn overfill(client: &mut Client) -> String {
+    let mut first = String::new();
+    for k in 0..=RESIDENT {
+        let (id, from_store) = client.submit("@c432", &nth_spec(k)).expect("submit");
+        assert!(!from_store, "spec {k} is fresh");
+        assert_eq!(client.wait(id, WAIT).expect("wait"), "done", "spec {k}");
+        if k == 0 {
+            first = client.result(id, Some(5)).expect("result");
+        }
+    }
+    first
+}
+
+/// Changes one hex digit inside the body of the log's first record.
+fn damage_first_record(log: &Path) {
+    use std::io::{Seek, SeekFrom};
+    let text = std::fs::read_to_string(log).expect("read log");
+    let at = text.find("\nscalars ").expect("a record body") + "\nscalars ".len();
+    let digit = if text.as_bytes()[at] == b'0' {
+        b"1"
+    } else {
+        b"0"
+    };
+    let mut f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(log)
+        .expect("open log");
+    f.seek(SeekFrom::Start(at as u64)).expect("seek");
+    f.write_all(digit).expect("overwrite one byte");
+}
+
+#[test]
+fn evicted_results_are_re_read_from_the_store_log() {
+    let dir = tmp_store("reread");
+    let handle = spawn_daemon(ServiceConfig {
+        store_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let mut client = connect(&handle);
+    let first = overfill(&mut client);
+    let (id, from_store) = client.submit("@c432", &nth_spec(0)).expect("resubmit");
+    assert!(from_store, "an evicted report the log holds is a hit");
+    assert_eq!(client.result(id, Some(5)).expect("result"), first);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat(&stats, "store-resident"), RESIDENT as u64, "{stats}");
+    assert_eq!(stat(&stats, "store-rereads"), 1, "{stats}");
+    assert_eq!(stat(&stats, "store-read-errors"), 0, "{stats}");
+    assert_eq!(
+        stat(&stats, "store-entries"),
+        RESIDENT as u64 + 1,
+        "{stats}"
+    );
+    client.shutdown().expect("shutdown");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn evicted_results_rerun_byte_identically_without_a_store_log() {
+    let handle = spawn_daemon(ServiceConfig::default());
+    let mut client = connect(&handle);
+    let first = overfill(&mut client);
+    let (id, from_store) = client.submit("@c432", &nth_spec(0)).expect("resubmit");
+    assert!(!from_store, "no log holds the evicted report");
+    assert_eq!(client.wait(id, WAIT).expect("wait"), "done");
+    assert_eq!(client.result(id, Some(5)).expect("result"), first);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat(&stats, "store-resident"), RESIDENT as u64, "{stats}");
+    assert_eq!(stat(&stats, "store-entries"), RESIDENT as u64, "{stats}");
+    assert_eq!(stat(&stats, "store-rereads"), 0, "{stats}");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn a_damaged_evicted_record_reruns_instead_of_being_served() {
+    let dir = tmp_store("damaged");
+    let handle = spawn_daemon(ServiceConfig {
+        store_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let mut client = connect(&handle);
+    let first = overfill(&mut client);
+    // Spec 0 ran first, so its record is the log's first.
+    damage_first_record(&dir.join("results.log"));
+    let (id, from_store) = client.submit("@c432", &nth_spec(0)).expect("resubmit");
+    assert!(
+        !from_store,
+        "a record that fails its re-read is never served"
+    );
+    assert_eq!(client.wait(id, WAIT).expect("wait"), "done");
+    let rerun = client.result(id, Some(5)).expect("result");
+    assert_eq!(rerun, batch_report(Benchmark::C432, 5));
+    assert_eq!(rerun, first);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat(&stats, "store-read-errors"), 1, "{stats}");
+    assert_eq!(stat(&stats, "store-rereads"), 0, "{stats}");
+    client.shutdown().expect("shutdown");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_restart_over_more_records_than_the_bound_keeps_every_one_a_hit() {
+    let dir = tmp_store("restart-bound");
+    let config = || ServiceConfig {
+        store_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    let handle = spawn_daemon(config());
+    let mut client = connect(&handle);
+    let first = overfill(&mut client);
+    client.shutdown().expect("shutdown");
+    handle.join();
+
+    let handle = spawn_daemon(config());
+    let mut client = connect(&handle);
+    let stats = client.stats().expect("stats");
+    let records = RESIDENT as u64 + 1;
+    assert_eq!(stat(&stats, "store-loaded"), records, "{stats}");
+    assert_eq!(stat(&stats, "store-entries"), records, "{stats}");
+    assert_eq!(stat(&stats, "store-resident"), RESIDENT as u64, "{stats}");
+    // Newest first: the resident reports hit in place, and the oldest,
+    // left on disk at start, is re-read.
+    let mut oldest = None;
+    for k in (0..=RESIDENT).rev() {
+        let (id, from_store) = client.submit("@c432", &nth_spec(k)).expect("resubmit");
+        assert!(from_store, "spec {k} must be served from the store");
+        oldest = Some(id);
+    }
+    let oldest = oldest.expect("spec 0 resubmitted");
+    assert_eq!(client.result(oldest, Some(5)).expect("result"), first);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat(&stats, "store-rereads"), 1, "{stats}");
+    assert_eq!(stat(&stats, "store-resident"), RESIDENT as u64, "{stats}");
+    client.shutdown().expect("shutdown");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn store_corpus() -> Vec<PathBuf> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/store");
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
