@@ -994,7 +994,7 @@ mod tests {
             .run(&c, &p)
             .expect_err("zero wall budget cannot finish");
         match err {
-            CoreError::BudgetExhausted { ref budget } => assert_eq!(budget, "wall"),
+            CoreError::BudgetExhausted { budget } => assert_eq!(budget, BudgetKind::Wall),
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
         assert_eq!(err.classify(), ErrorClass::Resource);

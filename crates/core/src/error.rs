@@ -9,6 +9,7 @@
 //!   boundary and feeds degraded-path reporting. Any `CoreError` converts
 //!   losslessly enough for diagnosis via [`CoreError::classify`].
 
+use crate::supervise::BudgetKind;
 use statim_netlist::NetlistError;
 use statim_stats::StatsError;
 use std::fmt;
@@ -65,9 +66,8 @@ pub enum CoreError {
     /// nothing to emit even partially. (Budgets that trip mid-run yield
     /// a partial report instead of this error.)
     BudgetExhausted {
-        /// The budget that tripped (see
-        /// [`BudgetKind`](crate::supervise::BudgetKind)), as text.
-        budget: String,
+        /// The budget that tripped.
+        budget: BudgetKind,
     },
     /// An ECO edit script is syntactically malformed.
     EcoParse {
@@ -380,7 +380,7 @@ mod tests {
         );
         assert_eq!(
             CoreError::BudgetExhausted {
-                budget: "wall".into(),
+                budget: BudgetKind::Wall,
             }
             .classify(),
             ErrorClass::Resource
@@ -434,7 +434,7 @@ mod tests {
         assert_eq!(e.line, Some(5));
         assert!(e.to_string().contains("line 5"), "{e}");
         let b = CoreError::BudgetExhausted {
-            budget: "mc-samples".into(),
+            budget: BudgetKind::McSamples,
         };
         assert!(b.to_string().contains("mc-samples budget exhausted"));
     }

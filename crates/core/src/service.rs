@@ -100,30 +100,35 @@
 //! # Result store
 //!
 //! Clean reports live in two tiers. The resident tier holds the 1024
-//! most recently used ones (the job table's bound; a hit or an
-//! insertion is a use). Behind it, with a [`ServiceConfig::store_dir`],
-//! the persistent [`ResultLog`] indexes every combinational record by
-//! fingerprint. A valid submission whose report is indexed but no
-//! longer resident re-reads that one record — outside the job-table
-//! lock, which is never held across a log read — and is served from it
-//! exactly as a restarted service would serve it; the report is
-//! resident again. A record that fails its re-read is never served: its
-//! index entry goes, the failure is counted, and the spec runs. What
-//! the log cannot re-read (sequential reports, every report of a
-//! service without a store directory, a report whose append failed) is
-//! served while resident and, once evicted, runs again when
-//! resubmitted, with the same bytes. At start the log indexes every
-//! record and the newest 1024 are resident.
+//! most recently used ones (a hit or an insertion is a use). Behind it,
+//! with a [`ServiceConfig::store_dir`], the persistent [`ResultLog`]
+//! indexes every combinational record by fingerprint. A valid
+//! submission whose report is indexed but not resident re-reads that
+//! one record — outside the job-table lock, which is never held across
+//! a log read — and is served from it; the report is resident again. A
+//! record that fails its re-read is never served: its index entry goes,
+//! the failure is counted, and the spec runs. What the log cannot
+//! re-read (sequential reports, every report of a service without a
+//! store directory, a report whose append failed) is served while
+//! resident and, once evicted, runs again when resubmitted, with the
+//! same bytes. At start the log checks and indexes every record but
+//! none is resident: a restarted service serves each stored hit through
+//! the same re-read, so its memory does not grow with the log.
 //!
 //! # Retirement
 //!
-//! The job table keeps at most 1024 terminal jobs; past the bound the
-//! least recently used one retires. A job counts as used when it turns
+//! Queued and running jobs are *live*: they have a table of their own
+//! and never retire. A job that turns terminal moves to the finished
+//! table, which keeps at most 1024; past the bound the least recently
+//! used one retires. A finished job counts as used when it turns
 //! terminal and on every request that names it (`STATUS`, `WAIT`,
-//! `RESULT`, `CANCEL`, `EDIT`); queued and running jobs never retire. A
-//! retired id answers [`ServiceError::Retired`]; its report stays in the
-//! result store, so resubmitting its spec is a hit while the store can
-//! serve it.
+//! `RESULT`, `CANCEL`, `EDIT`). A retired id answers
+//! [`ServiceError::Retired`]; its report stays in the result store, so
+//! resubmitting its spec is a hit while the store can serve it.
+//!
+//! The finished jobs, the resident reports and the executor's warm
+//! state are each an `Lru`: a map bounded at a fixed size that evicts
+//! its least recently used entry.
 
 use crate::analyze::{IntraModel, PathAnalysis};
 use crate::cache::{fnv1a, fold_f64, fold_u64, settings_fingerprint, CacheStats, KernelStore};
@@ -132,7 +137,7 @@ use crate::engine::{
 };
 use crate::error::{ErrorClass, StatimError};
 use crate::sequential::{SequentialConfig, SequentialEngine, SequentialReport};
-use crate::store::{ResultLog, StoredReport};
+use crate::store::{ResultLog, StoreOptions, StoredReport};
 use crate::supervise::{isolate, BudgetKind, RunBudget, Supervisor};
 use crate::CoreError;
 use statim_netlist::{bench_format, def_lite, Circuit, GateId, Placement};
@@ -758,12 +763,14 @@ pub struct ServiceStats {
     /// persistent log indexes, plus the resident ones it does not hold.
     pub store_entries: usize,
     /// Reports held in memory, at most the result store's bound of
-    /// 1024.
+    /// 1024. None at start: a stored report is resident from its first
+    /// hit on.
     pub store_resident: usize,
-    /// Records scanned from the persistent store log at start.
+    /// Records the scan of the persistent store log accepted at start,
+    /// duplicates included (checked and indexed, none kept resident).
     pub store_loaded: usize,
-    /// Submissions served by re-reading a record that was no longer
-    /// resident.
+    /// Submissions served by re-reading a record from the log: one that
+    /// was evicted, or not yet resident since the start.
     pub store_rereads: u64,
     /// Re-reads that failed (the record changed or went missing on
     /// disk): its index entry was dropped and the spec ran instead.
@@ -777,44 +784,79 @@ pub struct ServiceStats {
     /// Path analyses a warm job took from the widest clean report of its
     /// netlist and settings instead of computing them.
     pub reused_paths: u64,
-    /// Terminal jobs retired from the job table past its bound.
+    /// Finished jobs retired from the job table past its bound.
     pub retired_jobs: u64,
     /// Kernel-store counters (process lifetime).
     pub cache: CacheStats,
 }
 
-/// One job-table entry.
-struct Job {
-    state: JobState,
-    circuit: String,
+/// A queued or running job. Live jobs never retire.
+struct LiveJob {
+    /// Shared with the executor while running, and kept once finished.
+    spec: Arc<JobSpec>,
     fingerprint: u64,
-    from_store: bool,
     /// The lane this job was admitted under (`""` = anonymous).
     client: String,
     /// Absolute queue deadline on the tick clock, when one was set.
     deadline_at_ms: Option<u64>,
-    /// Retained until the job retires (shared with the executor while
-    /// Running) so `EDIT` can derive a new spec from any base job —
-    /// including store-served and cancelled ones.
-    spec: Option<Arc<JobSpec>>,
-    /// Present while Running, so `cancel` can reach the token.
+    /// Present while running, so `cancel` can reach the token.
     supervisor: Option<Arc<Supervisor>>,
-    report: Option<JobReport>,
-    error: Option<StatimError>,
-    /// The job's key in [`State::retire_order`], once terminal.
-    last_used: Option<u64>,
 }
 
-impl Job {
+impl LiveJob {
+    fn state(&self) -> JobState {
+        if self.supervisor.is_some() {
+            JobState::Running
+        } else {
+            JobState::Queued
+        }
+    }
+}
+
+/// A job in a terminal state: `Done` and `Degraded` carry their report,
+/// `Failed`, `Cancelled` and `Expired` the typed error.
+struct FinishedJob {
+    /// Retained until the job retires, so `EDIT` can derive a new spec
+    /// from any base job — including store-served and cancelled ones.
+    spec: Arc<JobSpec>,
+    fingerprint: u64,
+    from_store: bool,
+    state: JobState,
+    outcome: Result<JobReport, StatimError>,
+}
+
+/// A job the table holds.
+enum JobRef<'a> {
+    Live(&'a LiveJob),
+    Finished(&'a FinishedJob),
+}
+
+impl JobRef<'_> {
+    fn spec(&self) -> &Arc<JobSpec> {
+        match self {
+            JobRef::Live(job) => &job.spec,
+            JobRef::Finished(job) => &job.spec,
+        }
+    }
+
     /// A point-in-time view of this job, which the table holds as `id`.
     fn status(&self, id: JobId) -> JobStatus {
+        let (fingerprint, from_store, state, error) = match self {
+            JobRef::Live(job) => (job.fingerprint, false, job.state(), None),
+            JobRef::Finished(job) => (
+                job.fingerprint,
+                job.from_store,
+                job.state,
+                job.outcome.as_ref().err().cloned(),
+            ),
+        };
         JobStatus {
             id,
-            state: self.state,
-            circuit: self.circuit.clone(),
-            fingerprint: self.fingerprint,
-            from_store: self.from_store,
-            error: self.error.clone(),
+            state,
+            circuit: self.spec().circuit().name().to_string(),
+            fingerprint,
+            from_store,
+            error,
         }
     }
 }
@@ -887,99 +929,67 @@ fn bucket_cap_milli(rate_limit: Option<u32>) -> u64 {
 /// about a thousand finished jobs unread before one of them retired.
 const RETAINED_JOBS: usize = 1024;
 
-/// A least-recently-used order over `u64` keys: every use takes a fresh
-/// tick, and the key whose last use is oldest comes out first.
-#[derive(Default)]
-struct UseOrder {
-    /// Keys by the tick of their last use.
+/// A map of at most `N` values keyed by `u64`: a get or an insert marks
+/// its key used, and an insert past the bound evicts the least recently
+/// used entry.
+struct Lru<V, const N: usize> {
+    /// Values with the tick of their last use.
+    entries: HashMap<u64, (V, u64)>,
+    /// Keys by the tick of their last use, oldest first.
     by_tick: BTreeMap<u64, u64>,
     clock: u64,
 }
 
-impl UseOrder {
-    /// Marks `key`, last used at tick `old` if it is in the order, as
-    /// used now; returns the tick to remember for it.
-    fn touch(&mut self, key: u64, old: Option<u64>) -> u64 {
-        if let Some(old) = old {
-            self.by_tick.remove(&old);
+impl<V, const N: usize> Default for Lru<V, N> {
+    fn default() -> Self {
+        Lru {
+            entries: HashMap::new(),
+            by_tick: BTreeMap::new(),
+            clock: 0,
         }
+    }
+}
+
+impl<V, const N: usize> Lru<V, N> {
+    /// The value of `key`, marked as just used.
+    fn get(&mut self, key: u64) -> Option<&mut V> {
+        let (value, tick) = self.entries.get_mut(&key)?;
+        self.by_tick.remove(tick);
         self.clock += 1;
+        *tick = self.clock;
         self.by_tick.insert(self.clock, key);
-        self.clock
+        Some(value)
     }
 
-    /// Takes the least recently used key out of the order.
-    fn pop_oldest(&mut self) -> Option<u64> {
-        self.by_tick.pop_first().map(|(_, key)| key)
-    }
-
-    fn len(&self) -> usize {
-        self.by_tick.len()
-    }
-}
-
-/// The result store's resident tier: clean reports by fingerprint, the
-/// [`RETAINED_JOBS`] most recently used of them, in front of the
-/// persistent [`ResultLog`]. A hit or an insertion marks an entry used;
-/// past the bound the least recently used one is evicted. An evicted
-/// report the log holds is re-read on its next hit; one it does not
-/// (a sequential report, a service without a store directory, a failed
-/// append) is gone, and its spec runs again, byte-identically.
-#[derive(Default)]
-struct ResultCache {
-    entries: HashMap<u64, Resident>,
-    order: UseOrder,
-    /// Resident reports the log does not hold.
-    unpersisted: usize,
-}
-
-struct Resident {
-    report: JobReport,
-    /// Tick of the last use in [`ResultCache::order`].
-    last_used: u64,
-    /// Whether the persistent log holds this report.
-    persisted: bool,
-}
-
-impl ResultCache {
-    /// The resident report of `fingerprint`, marked as just used.
-    fn get(&mut self, fingerprint: u64) -> Option<JobReport> {
-        let entry = self.entries.get_mut(&fingerprint)?;
-        entry.last_used = self.order.touch(fingerprint, Some(entry.last_used));
-        Some(entry.report.clone())
-    }
-
-    /// Makes `report` the resident entry of `fingerprint`, then evicts
-    /// the least recently used entries past the bound.
-    fn insert(&mut self, fingerprint: u64, report: JobReport, persisted: bool) {
-        let old = self.entries.remove(&fingerprint);
-        if let Some(old) = &old {
-            self.unpersisted -= usize::from(!old.persisted);
+    /// Makes `value` the entry of `key`, marked as just used; returns the
+    /// value of the least recently used key when the insert evicts it.
+    fn insert(&mut self, key: u64, value: V) -> Option<V> {
+        self.clock += 1;
+        if let Some((_, tick)) = self.entries.insert(key, (value, self.clock)) {
+            self.by_tick.remove(&tick);
         }
-        let last_used = self.order.touch(fingerprint, old.map(|o| o.last_used));
-        self.entries.insert(
-            fingerprint,
-            Resident {
-                report,
-                last_used,
-                persisted,
-            },
-        );
-        self.unpersisted += usize::from(!persisted);
-        while self.order.len() > RETAINED_JOBS {
-            if let Some(gone) = self
-                .order
-                .pop_oldest()
-                .and_then(|k| self.entries.remove(&k))
-            {
-                self.unpersisted -= usize::from(!gone.persisted);
-            }
+        self.by_tick.insert(self.clock, key);
+        if self.entries.len() <= N {
+            return None;
         }
+        let (_, oldest) = self.by_tick.pop_first()?;
+        self.entries.remove(&oldest).map(|(value, _)| value)
     }
 
     fn len(&self) -> usize {
         self.entries.len()
     }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.values().map(|(value, _)| value)
+    }
+}
+
+/// A report in the result store's resident tier.
+struct Resident {
+    report: JobReport,
+    /// Whether the persistent log holds this report.
+    persisted: bool,
 }
 
 /// Analysis keys whose warm state the executor keeps (least recently
@@ -989,10 +999,10 @@ const WARM_NETLISTS: usize = 64;
 
 #[derive(Default)]
 struct State {
-    jobs: HashMap<u64, Job>,
-    /// Terminal jobs by last use, oldest first: the retirement order.
-    /// Queued and running jobs are absent, so they never retire.
-    retire_order: UseOrder,
+    /// Queued and running jobs.
+    live: HashMap<u64, LiveJob>,
+    /// Terminal jobs, the [`RETAINED_JOBS`] most recently used.
+    finished: Lru<FinishedJob, RETAINED_JOBS>,
     /// Per-client lanes, keyed by client identity.
     lanes: HashMap<String, Lane>,
     /// Round-robin order: clients in first-submission order. Lanes are
@@ -1003,7 +1013,12 @@ struct State {
     rr_cursor: usize,
     /// Jobs queued across all lanes (the global admission bound).
     queued_total: usize,
-    results: ResultCache,
+    /// The result store's resident tier: clean reports by fingerprint,
+    /// the [`RETAINED_JOBS`] most recently used, in front of the
+    /// persistent [`ResultLog`]. An evicted report the log holds is
+    /// re-read on its next hit; one it does not hold is gone, and its
+    /// spec runs again, byte-identically.
+    results: Lru<Resident, RETAINED_JOBS>,
     next_id: u64,
     draining: bool,
     stats: ServiceStats,
@@ -1058,9 +1073,9 @@ pub struct AnalysisService {
 impl AnalysisService {
     /// Starts the service (spawns the executor thread). With a
     /// [`ServiceConfig::store_dir`], the persistent result log is opened
-    /// first: every record is indexed and the newest 1024 are resident —
-    /// re-submissions of pre-restart jobs are answered `from_store`,
-    /// byte-identically.
+    /// first: every record is checked and indexed, none kept resident —
+    /// re-submissions of pre-restart jobs are answered `from_store` by
+    /// re-reading their record, byte-identically.
     ///
     /// # Errors
     ///
@@ -1070,27 +1085,16 @@ impl AnalysisService {
     /// file and line) if the log or index is corrupt or truncated.
     pub fn start(config: ServiceConfig) -> std::result::Result<Self, StatimError> {
         config.validate()?;
-        let mut state = State::default();
-        let persist = match &config.store_dir {
-            None => None,
-            Some(dir) => {
-                let (log, records) = ResultLog::open_with(
-                    dir,
-                    crate::store::StoreOptions {
-                        fsync: config.store_fsync,
-                    },
-                )?;
-                // The log indexes every record; only the newest stay
-                // resident, the rest re-read on their next hit.
-                state.stats.store_loaded = records.len();
-                let older = records.len().saturating_sub(RETAINED_JOBS);
-                for (fingerprint, stored) in records.into_iter().skip(older) {
-                    let report = JobReport::Analyze(Arc::new(stored.into_report()));
-                    state.results.insert(fingerprint, report, true);
-                }
-                Some(Mutex::new(log))
-            }
+        let options = StoreOptions {
+            fsync: config.store_fsync,
         };
+        let persist = config
+            .store_dir
+            .as_deref()
+            .map(|dir| ResultLog::open_with(dir, options))
+            .transpose()?;
+        let mut state = State::default();
+        state.stats.store_loaded = persist.as_ref().map_or(0, ResultLog::loaded);
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
             cv: Condvar::new(),
@@ -1102,7 +1106,7 @@ impl AnalysisService {
             clock: config.clock,
             default_budget: config.default_budget,
             default_backend: config.default_backend,
-            persist,
+            persist: persist.map(Mutex::new),
         });
         let worker_shared = Arc::clone(&shared);
         let worker = thread::Builder::new()
@@ -1176,7 +1180,7 @@ impl AnalysisService {
         let mut st = self.shared.lock();
         self.admit_rate(&mut st, &client, now_ms)?;
         let mut hit = if valid {
-            st.results.get(fingerprint)
+            st.resident(fingerprint)
         } else {
             None
         };
@@ -1198,12 +1202,16 @@ impl AnalysisService {
                 .map(|read| read.map(|stored| JobReport::Analyze(Arc::new(stored.into_report()))));
             st = self.shared.lock();
             self.admit_rate(&mut st, &client, now_ms)?;
-            hit = st.results.get(fingerprint);
+            hit = st.resident(fingerprint);
             match read {
                 Some(Ok(report)) => {
                     st.stats.store_rereads += 1;
                     if hit.is_none() {
-                        st.results.insert(fingerprint, report.clone(), true);
+                        let resident = Resident {
+                            report: report.clone(),
+                            persisted: true,
+                        };
+                        st.results.insert(fingerprint, resident);
                         hit = Some(report);
                     }
                 }
@@ -1219,23 +1227,16 @@ impl AnalysisService {
             let id = st.alloc_id();
             st.stats.submitted += 1;
             st.stats.store_hits += 1;
-            st.jobs.insert(
+            st.retain(
                 id,
-                Job {
-                    state: JobState::Done,
-                    circuit: report.circuit().to_string(),
+                FinishedJob {
+                    spec: Arc::new(spec),
                     fingerprint,
                     from_store: true,
-                    client,
-                    deadline_at_ms: None,
-                    spec: Some(Arc::new(spec)),
-                    supervisor: None,
-                    report: Some(report),
-                    error: None,
-                    last_used: None,
+                    state: JobState::Done,
+                    outcome: Ok(report),
                 },
             );
-            st.terminated(id);
             return Ok(SubmitReceipt {
                 id: JobId(id),
                 from_store: true,
@@ -1265,20 +1266,14 @@ impl AnalysisService {
         }
         let id = st.alloc_id();
         st.stats.submitted += 1;
-        st.jobs.insert(
+        st.live.insert(
             id,
-            Job {
-                state: JobState::Queued,
-                circuit: spec.circuit().name().to_string(),
+            LiveJob {
+                spec: Arc::new(spec),
                 fingerprint,
-                from_store: false,
                 client: client.clone(),
                 deadline_at_ms: options.deadline_ms.map(|ms| now_ms.saturating_add(ms)),
-                spec: Some(Arc::new(spec)),
                 supervisor: None,
-                report: None,
-                error: None,
-                last_used: None,
             },
         );
         let lane = st.lanes.get_mut(&client).expect("lane exists");
@@ -1337,7 +1332,7 @@ impl AnalysisService {
     /// [`ServiceError::Retired`] for one that retired.
     pub fn status(&self, id: JobId) -> std::result::Result<JobStatus, ServiceError> {
         let mut st = self.shared.lock();
-        Ok(st.touch(id)?.status(id))
+        Ok(st.job(id)?.status(id))
     }
 
     /// Blocks until job `id` turns terminal or `timeout` passes, then
@@ -1360,7 +1355,7 @@ impl AnalysisService {
         let deadline = Instant::now().checked_add(timeout);
         let mut st = self.shared.lock();
         loop {
-            let status = st.touch(id)?.status(id);
+            let status = st.job(id)?.status(id);
             let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
             if status.state.is_terminal() || remaining.is_some_and(|r| r.is_zero()) {
                 return Ok(status);
@@ -1390,27 +1385,15 @@ impl AnalysisService {
     /// (carrying the run's typed error).
     pub fn result_any(&self, id: JobId) -> std::result::Result<JobReport, ServiceError> {
         let mut st = self.shared.lock();
-        let job = st.touch(id)?;
-        match job.state {
-            JobState::Queued | JobState::Running => Err(ServiceError::NotFinished {
+        match st.job(id)? {
+            JobRef::Live(job) => Err(ServiceError::NotFinished {
                 id,
-                state: job.state,
+                state: job.state(),
             }),
-            JobState::Done | JobState::Degraded => Ok(job
-                .report
+            JobRef::Finished(job) => job
+                .outcome
                 .clone()
-                .expect("terminal Done/Degraded job carries a report")),
-            JobState::Failed | JobState::Cancelled | JobState::Expired => {
-                Err(ServiceError::JobFailed {
-                    id,
-                    error: job.error.clone().unwrap_or_else(|| {
-                        StatimError::new(
-                            ErrorClass::Resource,
-                            "job failed without a recorded error",
-                        )
-                    }),
-                })
-            }
+                .map_err(|error| ServiceError::JobFailed { id, error }),
         }
     }
 
@@ -1424,10 +1407,7 @@ impl AnalysisService {
     /// [`ServiceError::Retired`] for one that retired.
     pub fn spec(&self, id: JobId) -> std::result::Result<Arc<JobSpec>, ServiceError> {
         let mut st = self.shared.lock();
-        let job = st.touch(id)?;
-        Ok(Arc::clone(
-            job.spec.as_ref().expect("every job retains its spec"),
-        ))
+        Ok(Arc::clone(st.job(id)?.spec()))
     }
 
     /// Cancels a job: queued jobs cancel immediately, running jobs get
@@ -1440,41 +1420,23 @@ impl AnalysisService {
     /// [`ServiceError::AlreadyFinished`] for terminal jobs.
     pub fn cancel(&self, id: JobId) -> std::result::Result<CancelOutcome, ServiceError> {
         let mut st = self.shared.lock();
-        let job = st.touch(id)?;
-        match job.state {
-            JobState::Queued => {
-                job.state = JobState::Cancelled;
-                job.error = Some(cancelled_error());
-                let client = job.client.clone();
-                st.stats.cancelled += 1;
-                // Pull the id out of its lane so admission accounting
-                // (queued_total, lane.active) stays exact.
-                let mut dequeued = false;
-                if let Some(lane) = st.lanes.get_mut(&client) {
-                    if let Some(pos) = lane.queue.iter().position(|&q| q == id.0) {
-                        lane.queue.remove(pos);
-                        dequeued = true;
-                    }
-                    lane.active = lane.active.saturating_sub(1);
-                }
-                if dequeued {
-                    st.queued_total -= 1;
-                }
-                st.terminated(id.0);
-                drop(st);
-                self.shared.finished.notify_all();
-                Ok(CancelOutcome::Immediate)
+        let job = match st.job(id)? {
+            JobRef::Live(job) => job,
+            JobRef::Finished(job) => {
+                return Err(ServiceError::AlreadyFinished {
+                    id,
+                    state: job.state,
+                })
             }
-            JobState::Running => {
-                job.supervisor
-                    .as_ref()
-                    .expect("running job holds its supervisor")
-                    .token()
-                    .cancel(BudgetKind::Cancelled);
-                Ok(CancelOutcome::Requested)
-            }
-            state => Err(ServiceError::AlreadyFinished { id, state }),
+        };
+        if let Some(supervisor) = &job.supervisor {
+            supervisor.token().cancel(BudgetKind::Cancelled);
+            return Ok(CancelOutcome::Requested);
         }
+        st.finish(id.0, JobState::Cancelled, Err(cancelled_error()));
+        drop(st);
+        self.shared.finished.notify_all();
+        Ok(CancelOutcome::Immediate)
     }
 
     /// Service-wide counters plus the kernel store's lifetime stats.
@@ -1489,12 +1451,8 @@ impl AnalysisService {
         let mut stats = st.stats.clone();
         stats.queued = st.queued_total;
         stats.clients = st.lanes.len();
-        stats.running = st
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .count();
-        stats.store_entries = indexed + st.results.unpersisted;
+        stats.running = st.live.values().filter(|j| j.supervisor.is_some()).count();
+        stats.store_entries = indexed + st.unpersisted();
         stats.store_resident = st.results.len();
         stats.cache = self.shared.store.stats();
         stats
@@ -1512,12 +1470,7 @@ impl AnalysisService {
     /// decide when it may stop serving `STATUS`/`RESULT` and exit.
     pub fn drained(&self) -> bool {
         let st = self.shared.lock();
-        st.draining
-            && st.queued_total == 0
-            && st
-                .jobs
-                .values()
-                .all(|j| !matches!(j.state, JobState::Queued | JobState::Running))
+        st.draining && st.live.is_empty()
     }
 
     /// Drains and waits for the executor to exit (implies
@@ -1546,36 +1499,70 @@ impl State {
         id
     }
 
-    /// The job `id` names, marked as just used: a terminal job moves to
-    /// the back of the retirement order. Every request that names a job
-    /// (STATUS, WAIT, RESULT, CANCEL, EDIT) comes through here.
-    fn touch(&mut self, id: JobId) -> std::result::Result<&mut Job, ServiceError> {
-        let Some(job) = self.jobs.get_mut(&id.0) else {
-            return Err(if id.0 < self.next_id {
-                ServiceError::Retired(id)
-            } else {
-                ServiceError::UnknownJob(id)
-            });
-        };
-        if job.last_used.is_some() {
-            job.last_used = Some(self.retire_order.touch(id.0, job.last_used));
+    /// The job `id` names; a finished one is marked as just used. Every
+    /// request that names a job (STATUS, WAIT, RESULT, CANCEL, EDIT)
+    /// comes through here.
+    fn job(&mut self, id: JobId) -> std::result::Result<JobRef<'_>, ServiceError> {
+        if let Some(job) = self.live.get(&id.0) {
+            return Ok(JobRef::Live(job));
         }
-        Ok(job)
+        if let Some(job) = self.finished.get(id.0) {
+            return Ok(JobRef::Finished(job));
+        }
+        Err(if id.0 < self.next_id {
+            ServiceError::Retired(id)
+        } else {
+            ServiceError::UnknownJob(id)
+        })
     }
 
-    /// Records that job `id` just reached a terminal state (its first
-    /// use as a terminal job), then retires the least recently used
-    /// terminal jobs past [`RETAINED_JOBS`].
-    fn terminated(&mut self, id: u64) {
-        if let Some(job) = self.jobs.get_mut(&id) {
-            job.last_used = Some(self.retire_order.touch(id, job.last_used));
+    /// Keeps finished job `id` as just used, retiring the least recently
+    /// used one past [`RETAINED_JOBS`].
+    fn retain(&mut self, id: u64, job: FinishedJob) {
+        if self.finished.insert(id, job).is_some() {
+            self.stats.retired_jobs += 1;
         }
-        while self.retire_order.len() > RETAINED_JOBS {
-            if let Some(oldest) = self.retire_order.pop_oldest() {
-                self.jobs.remove(&oldest);
-                self.stats.retired_jobs += 1;
+    }
+
+    /// Moves live job `id` to the finished table in terminal `state` and
+    /// counts it, releasing its place in its lane: the queue slot it may
+    /// still hold and its live-job slot.
+    fn finish(&mut self, id: u64, state: JobState, outcome: Result<JobReport, StatimError>) {
+        let Some(job) = self.live.remove(&id) else {
+            return;
+        };
+        if let Some(lane) = self.lanes.get_mut(&job.client) {
+            if let Some(pos) = lane.queue.iter().position(|&q| q == id) {
+                lane.queue.remove(pos);
+                self.queued_total -= 1;
             }
+            lane.active = lane.active.saturating_sub(1);
         }
+        *match state {
+            JobState::Done => &mut self.stats.completed,
+            JobState::Degraded => &mut self.stats.degraded,
+            JobState::Cancelled => &mut self.stats.cancelled,
+            JobState::Expired => &mut self.stats.expired,
+            _ => &mut self.stats.failed,
+        } += 1;
+        let finished = FinishedJob {
+            spec: job.spec,
+            fingerprint: job.fingerprint,
+            from_store: false,
+            state,
+            outcome,
+        };
+        self.retain(id, finished);
+    }
+
+    /// The resident report of `fingerprint`, marked as just used.
+    fn resident(&mut self, fingerprint: u64) -> Option<JobReport> {
+        self.results.get(fingerprint).map(|r| r.report.clone())
+    }
+
+    /// Resident reports the persistent log does not hold.
+    fn unpersisted(&self) -> usize {
+        self.results.values().filter(|r| !r.persisted).count()
     }
 }
 
@@ -1609,29 +1596,20 @@ fn pick_runnable(
         let key = st.rr_order[idx].clone();
         while let Some(id) = st.lanes.get_mut(&key).and_then(|l| l.queue.pop_front()) {
             st.queued_total -= 1;
-            let job = st.jobs.get_mut(&id).expect("queued id is in the table");
-            if job.state != JobState::Queued {
-                continue; // cancelled while queued (defensive; cancel also dequeues)
+            let Some(job) = st.live.get_mut(&id) else {
+                continue;
+            };
+            if let Some(deadline) = job.deadline_at_ms.filter(|&d| now_ms > d) {
+                st.finish(id, JobState::Expired, Err(expired_error(deadline, now_ms)));
+                continue;
             }
-            if let Some(deadline) = job.deadline_at_ms {
-                if now_ms > deadline {
-                    job.state = JobState::Expired;
-                    job.error = Some(expired_error(deadline, now_ms));
-                    st.stats.expired += 1;
-                    if let Some(lane) = st.lanes.get_mut(&key) {
-                        lane.active = lane.active.saturating_sub(1);
-                    }
-                    st.terminated(id);
-                    continue;
-                }
-            }
-            job.state = JobState::Running;
-            let fingerprint = job.fingerprint;
-            let spec = Arc::clone(job.spec.as_ref().expect("queued job carries its spec"));
-            let sup = Arc::new(Supervisor::new(spec.config.budget, spec.config.retries));
+            let sup = Arc::new(Supervisor::new(
+                job.spec.config.budget,
+                job.spec.config.retries,
+            ));
             job.supervisor = Some(Arc::clone(&sup));
             st.rr_cursor = (idx + 1) % lanes_n;
-            return Some((id, fingerprint, spec, sup));
+            return Some((id, job.fingerprint, Arc::clone(&job.spec), sup));
         }
     }
     None
@@ -1653,7 +1631,7 @@ struct WarmUsage {
 /// lives outside the job-table lock.
 #[derive(Default)]
 struct Warm {
-    entries: Vec<(u64, WarmEntry)>,
+    entries: Lru<WarmEntry, WARM_NETLISTS>,
 }
 
 struct WarmEntry {
@@ -1695,11 +1673,12 @@ impl Warm {
             return engine.run_with(circuit, placement, ctx).map(Arc::new);
         }
         let key = spec.analysis_key();
-        let Some(entry) = self.get(key) else {
+        let Some(entry) = self.entries.get(key) else {
             let (front, report) = engine.run_with_front(circuit, placement, ctx)?;
             let report = Arc::new(report);
             if report.is_clean() {
-                self.insert(key, front, &report);
+                let widest = RetainedPaths::new(Arc::clone(&report));
+                self.entries.insert(key, WarmEntry { front, widest });
             }
             return Ok(report);
         };
@@ -1728,24 +1707,6 @@ impl Warm {
             entry.widest = RetainedPaths::new(Arc::clone(&report));
         }
         Ok(report)
-    }
-
-    /// The entry for `key`, marked most recently used.
-    fn get(&mut self, key: u64) -> Option<&mut WarmEntry> {
-        let pos = self.entries.iter().position(|(k, _)| *k == key)?;
-        let entry = self.entries.remove(pos);
-        self.entries.push(entry);
-        self.entries.last_mut().map(|(_, e)| e)
-    }
-
-    /// Enters a new key, evicting the least recently used past
-    /// [`WARM_NETLISTS`].
-    fn insert(&mut self, key: u64, front: Front, report: &Arc<SstaReport>) {
-        let widest = RetainedPaths::new(Arc::clone(report));
-        self.entries.push((key, WarmEntry { front, widest }));
-        if self.entries.len() > WARM_NETLISTS {
-            self.entries.remove(0);
-        }
     }
 }
 
@@ -1785,9 +1746,9 @@ fn run_executor(shared: &Shared) {
                 // earliest queued deadline, so expiry does not wait for
                 // the next submission to wake the executor.
                 let next_deadline = st
-                    .jobs
+                    .live
                     .values()
-                    .filter(|j| j.state == JobState::Queued)
+                    .filter(|j| j.supervisor.is_none())
                     .filter_map(|j| j.deadline_at_ms)
                     .min();
                 st = match next_deadline {
@@ -1841,89 +1802,51 @@ fn run_executor(shared: &Shared) {
             }
         });
 
+        let (state, outcome) = match outcome {
+            Ok(Ok(report)) if report.budget_exhausted() == Some(BudgetKind::Cancelled) => {
+                (JobState::Cancelled, Err(cancelled_error()))
+            }
+            Ok(Ok(report)) if report.is_clean() => (JobState::Done, Ok(report)),
+            Ok(Ok(report)) => (JobState::Degraded, Ok(report)),
+            Ok(Err(CoreError::BudgetExhausted {
+                budget: BudgetKind::Cancelled,
+            })) => (JobState::Cancelled, Err(cancelled_error())),
+            Ok(Err(e)) => (JobState::Failed, Err(e.into())),
+            Err(message) => (
+                JobState::Failed,
+                Err(StatimError::new(
+                    ErrorClass::Numeric,
+                    format!("panic in job execution: {message}"),
+                )),
+            ),
+        };
+
         // Persist clean reports to the on-disk log *before* taking the
         // state lock — disk latency must never block submit/status. A
         // failed append costs durability, not the result: the resident
         // store still serves it until it is evicted, and the counter
         // records the loss. The on-disk record schema is combinational;
         // sequential reports are served from the resident store only.
-        let mut persisted = false;
-        let mut persist_failed = false;
-        if let Some(persist) = &shared.persist {
-            if let Ok(Ok(report)) = &outcome {
-                if let Some(analyze) = report.as_analyze() {
-                    if report.is_clean() {
-                        let stored = StoredReport::from_report(analyze);
-                        persisted = lock_log(persist).append(fingerprint, &stored).is_ok();
-                        persist_failed = !persisted;
-                    }
-                }
+        let appended = match (&shared.persist, state, &outcome) {
+            (Some(persist), JobState::Done, Ok(JobReport::Analyze(report))) => {
+                let stored = StoredReport::from_report(report);
+                Some(lock_log(persist).append(fingerprint, &stored).is_ok())
             }
-        }
+            _ => None,
+        };
 
         let mut st = shared.lock();
-        if persist_failed {
-            st.stats.store_write_errors += 1;
+        if let (JobState::Done, Ok(report)) = (state, &outcome) {
+            let resident = Resident {
+                report: report.clone(),
+                persisted: appended == Some(true),
+            };
+            st.results.insert(fingerprint, resident);
         }
-        let client = st
-            .jobs
-            .get(&id)
-            .expect("running id is in the table")
-            .client
-            .clone();
-        let job = st.jobs.get_mut(&id).expect("running id is in the table");
-        job.supervisor = None;
-        match outcome {
-            Ok(Ok(report)) => {
-                if report.budget_exhausted() == Some(BudgetKind::Cancelled) {
-                    job.state = JobState::Cancelled;
-                    job.error = Some(cancelled_error());
-                    st.stats.cancelled += 1;
-                } else {
-                    let clean = report.is_clean();
-                    job.state = if clean {
-                        JobState::Done
-                    } else {
-                        JobState::Degraded
-                    };
-                    job.report = Some(report.clone());
-                    if clean {
-                        st.results.insert(fingerprint, report, persisted);
-                        st.stats.completed += 1;
-                    } else {
-                        st.stats.degraded += 1;
-                    }
-                }
-            }
-            Ok(Err(CoreError::BudgetExhausted { ref budget }))
-                if budget == &BudgetKind::Cancelled.to_string() =>
-            {
-                job.state = JobState::Cancelled;
-                job.error = Some(cancelled_error());
-                st.stats.cancelled += 1;
-            }
-            Ok(Err(e)) => {
-                job.state = JobState::Failed;
-                job.error = Some(e.into());
-                st.stats.failed += 1;
-            }
-            Err(message) => {
-                job.state = JobState::Failed;
-                job.error = Some(StatimError::new(
-                    ErrorClass::Numeric,
-                    format!("panic in job execution: {message}"),
-                ));
-                st.stats.failed += 1;
-            }
-        }
-        // The job left Running: release its slot in the client's
-        // live-job accounting.
-        if let Some(lane) = st.lanes.get_mut(&client) {
-            lane.active = lane.active.saturating_sub(1);
-        }
+        st.stats.store_write_errors += u64::from(appended == Some(false));
         st.stats.warm_runs += u64::from(usage.warm);
         st.stats.reused_paths += usage.reused as u64;
-        st.terminated(id);
+        st.finish(id, state, outcome);
         drop(st);
         shared.finished.notify_all();
     }
@@ -2278,8 +2201,8 @@ mod tests {
         // be terminal afterwards.
         let shared = Arc::clone(&service.shared);
         service.join();
-        let st = shared.lock();
-        let job = st.jobs.get(&queued.id.0).expect("job exists");
+        let mut st = shared.lock();
+        let job = st.finished.get(queued.id.0).expect("job finished");
         assert_eq!(job.state, JobState::Done);
     }
 
@@ -2567,6 +2490,35 @@ mod tests {
         spec(Benchmark::C432, config)
     }
 
+    /// A job queued in `client`'s lane (not yet in the lane's queue).
+    fn queued(spec: &Arc<JobSpec>, client: &str, deadline_at_ms: Option<u64>) -> LiveJob {
+        LiveJob {
+            spec: Arc::clone(spec),
+            fingerprint: 0,
+            client: client.into(),
+            deadline_at_ms,
+            supervisor: None,
+        }
+    }
+
+    /// A pathless report, for tests of the tables that hold reports.
+    fn stub_report() -> JobReport {
+        JobReport::Analyze(Arc::new(
+            StoredReport {
+                circuit: "c432".into(),
+                gate_count: 0,
+                label_sweeps: 0,
+                det_critical_delay: 0.0,
+                worst_case_delay: 0.0,
+                overestimation_pct: 0.0,
+                confidence: 0.05,
+                sigma_c: 0.0,
+                paths: Vec::new(),
+            }
+            .into_report(),
+        ))
+    }
+
     #[test]
     fn rate_limit_throttles_deterministically_on_the_tick_clock() {
         let (clock, ticks) = TickClock::manual();
@@ -2831,22 +2783,7 @@ mod tests {
         let spec = Arc::new(quick_spec(40));
         let script: &[(&str, u64)] = &[("a", 1), ("a", 2), ("a", 3), ("b", 4), ("b", 5), ("c", 6)];
         for &(client, id) in script {
-            st.jobs.insert(
-                id,
-                Job {
-                    state: JobState::Queued,
-                    circuit: "c432".into(),
-                    fingerprint: id,
-                    from_store: false,
-                    client: client.into(),
-                    deadline_at_ms: None,
-                    spec: Some(Arc::clone(&spec)),
-                    supervisor: None,
-                    report: None,
-                    error: None,
-                    last_used: None,
-                },
-            );
+            st.live.insert(id, queued(&spec, client, None));
             if !st.lanes.contains_key(client) {
                 st.lanes.insert(client.into(), Lane::new(None, 0));
                 st.rr_order.push(client.into());
@@ -2869,46 +2806,39 @@ mod tests {
     fn retirement_keeps_the_bound_and_spares_live_jobs() {
         let mut st = State::default();
         let spec = Arc::new(quick_spec(42));
-        let job = |state| Job {
-            state,
-            circuit: "c432".into(),
+        let done = || FinishedJob {
+            spec: Arc::clone(&spec),
             fingerprint: 0,
             from_store: false,
-            client: String::new(),
-            deadline_at_ms: None,
-            spec: Some(Arc::clone(&spec)),
-            supervisor: None,
-            report: None,
-            error: None,
-            last_used: None,
+            state: JobState::Done,
+            outcome: Ok(stub_report()),
         };
         // The oldest job of all stays queued (then running): live jobs
-        // are not in the retirement order, so they never retire.
+        // are not in the finished table, so they never retire.
         let live = st.alloc_id();
-        st.jobs.insert(live, job(JobState::Queued));
+        st.live.insert(live, queued(&spec, "", None));
         for _ in 0..RETAINED_JOBS + 5 {
             let id = st.alloc_id();
-            st.jobs.insert(id, job(JobState::Done));
-            st.terminated(id);
+            st.retain(id, done());
             if id == 3 {
-                st.jobs.get_mut(&live).expect("live").state = JobState::Running;
+                let running = Supervisor::new(RunBudget::none(), 0);
+                st.live.get_mut(&live).expect("live").supervisor = Some(Arc::new(running));
             }
         }
-        assert_eq!(st.retire_order.len(), RETAINED_JOBS);
-        assert_eq!(st.jobs.len(), RETAINED_JOBS + 1);
+        assert_eq!(st.finished.len(), RETAINED_JOBS);
+        assert_eq!(st.live.len() + st.finished.len(), RETAINED_JOBS + 1);
         assert_eq!(st.stats.retired_jobs, 5);
-        assert!(st.touch(JobId(live)).is_ok());
-        // Ids 1..=5 retired, oldest first; a touch moves a job to the
-        // back, so the next retirement skips it.
-        assert!(matches!(st.touch(JobId(5)), Err(ServiceError::Retired(_))));
-        st.touch(JobId(6)).expect("job 6 is the oldest kept");
+        assert!(st.job(JobId(live)).is_ok());
+        // Ids 1..=5 retired, oldest first; a request naming a job moves
+        // it to the back, so the next retirement skips it.
+        assert!(matches!(st.job(JobId(5)), Err(ServiceError::Retired(_))));
+        assert!(st.job(JobId(6)).is_ok(), "job 6 is the oldest kept");
         let id = st.alloc_id();
-        st.jobs.insert(id, job(JobState::Done));
-        st.terminated(id);
-        assert!(st.jobs.contains_key(&6));
-        assert!(matches!(st.touch(JobId(7)), Err(ServiceError::Retired(_))));
+        st.retain(id, done());
+        assert!(st.job(JobId(6)).is_ok());
+        assert!(matches!(st.job(JobId(7)), Err(ServiceError::Retired(_))));
         assert!(matches!(
-            st.touch(JobId(st.next_id)),
+            st.job(JobId(st.next_id)),
             Err(ServiceError::UnknownJob(_))
         ));
     }
@@ -2916,48 +2846,33 @@ mod tests {
     #[test]
     fn result_cache_keeps_the_bound_in_use_order() {
         let mut st = State::default();
-        let report = JobReport::Analyze(Arc::new(
-            StoredReport {
-                circuit: "c432".into(),
-                gate_count: 0,
-                label_sweeps: 0,
-                det_critical_delay: 0.0,
-                worst_case_delay: 0.0,
-                overestimation_pct: 0.0,
-                confidence: 0.05,
-                sigma_c: 0.0,
-                paths: Vec::new(),
-            }
-            .into_report(),
-        ));
+        let report = stub_report();
+        let resident = |persisted| Resident {
+            report: report.clone(),
+            persisted,
+        };
         let bound = RETAINED_JOBS as u64;
         for fp in 0..bound {
-            st.results.insert(fp, report.clone(), true);
+            st.results.insert(fp, resident(true));
         }
         assert_eq!(st.results.len(), RETAINED_JOBS);
         // A hit moves fingerprint 0 to the back, so the insertion past
         // the bound evicts 1, now the least recently used.
-        assert!(st.results.get(0).is_some());
-        st.results.insert(bound, report.clone(), true);
+        assert!(st.resident(0).is_some());
+        st.results.insert(bound, resident(true));
         assert_eq!(st.results.len(), RETAINED_JOBS);
-        assert!(st.results.get(1).is_none(), "the oldest entry goes");
-        assert!(st.results.get(0).is_some() && st.results.get(2).is_some());
+        assert!(st.resident(1).is_none(), "the oldest entry goes");
+        assert!(st.resident(0).is_some() && st.resident(2).is_some());
         // A report the log does not hold counts while resident (once,
         // however often it is inserted) and stops counting once evicted.
-        st.results.insert(bound + 1, report.clone(), false);
-        st.results.insert(bound + 1, report.clone(), false);
-        assert_eq!(
-            (st.results.len(), st.results.unpersisted),
-            (RETAINED_JOBS, 1)
-        );
+        st.results.insert(bound + 1, resident(false));
+        st.results.insert(bound + 1, resident(false));
+        assert_eq!((st.results.len(), st.unpersisted()), (RETAINED_JOBS, 1));
         for fp in bound + 2..2 * bound + 2 {
-            st.results.insert(fp, report.clone(), true);
+            st.results.insert(fp, resident(true));
         }
-        assert_eq!(
-            (st.results.len(), st.results.unpersisted),
-            (RETAINED_JOBS, 0)
-        );
-        assert!(st.results.get(bound + 1).is_none());
+        assert_eq!((st.results.len(), st.unpersisted()), (RETAINED_JOBS, 0));
+        assert!(st.resident(bound + 1).is_none());
     }
 
     #[test]
@@ -2983,22 +2898,7 @@ mod tests {
         let mut st = State::default();
         let spec = Arc::new(quick_spec(41));
         for (id, deadline) in [(1u64, Some(10u64)), (2, None), (3, Some(500))] {
-            st.jobs.insert(
-                id,
-                Job {
-                    state: JobState::Queued,
-                    circuit: "c432".into(),
-                    fingerprint: id,
-                    from_store: false,
-                    client: "x".into(),
-                    deadline_at_ms: deadline,
-                    spec: Some(Arc::clone(&spec)),
-                    supervisor: None,
-                    report: None,
-                    error: None,
-                    last_used: None,
-                },
-            );
+            st.live.insert(id, queued(&spec, "x", deadline));
         }
         st.lanes.insert("x".into(), Lane::new(None, 0));
         st.rr_order.push("x".into());
@@ -3012,7 +2912,8 @@ mod tests {
         // and hands out job 2; job 3's deadline (500) is still good.
         let (id, ..) = pick_runnable(&mut st, &clock).expect("job 2 runnable");
         assert_eq!(id, 2);
-        assert_eq!(st.jobs[&1].state, JobState::Expired);
+        let expired = st.finished.get(1).expect("job 1 finished");
+        assert_eq!(expired.state, JobState::Expired);
         assert_eq!(st.stats.expired, 1);
         let (id, ..) = pick_runnable(&mut st, &clock).expect("job 3 runnable");
         assert_eq!(id, 3);

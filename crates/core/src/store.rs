@@ -4,18 +4,20 @@
 //!
 //! # Why a log, not a database
 //!
-//! The result store only ever does three things: scan every clean
-//! report at startup, append one record per newly completed job, and
-//! re-read one record a caller no longer holds in memory. An
-//! append-only text log makes the first two trivially crash-safe — a
-//! record is written with a single `write` on a file opened in append
-//! mode, so concurrent daemons sharing the directory interleave whole
-//! records, never bytes — and keeps the format inspectable with `less`.
-//! For the third, [`ResultLog`] keeps, per fingerprint, the byte span of
-//! its latest record (filled by the startup scan, extended by every
-//! append): [`ResultLog::read`] reads that span back, checks the header's
-//! fingerprint, line count and body checksum, and parses the body, so a
-//! record that changed on disk is an error, never a wrong report.
+//! The result store only ever does three things: check and index every
+//! record at startup, append one record per newly completed job, and
+//! re-read one record a caller does not hold in memory. An append-only
+//! text log makes the first two trivially crash-safe — a record is
+//! written with a single `write` on a file opened in append mode, so
+//! concurrent daemons sharing the directory interleave whole records,
+//! never bytes — and keeps the format inspectable with `less`. The
+//! startup scan reads the log a line at a time, holding one record, and
+//! keeps only where each record lies: [`ResultLog`] keeps, per
+//! fingerprint, the byte span of its latest record (filled by the scan,
+//! extended by every append), and [`ResultLog::read`] reads that span
+//! back, checks the header's fingerprint, line count and body checksum,
+//! and parses the body, so a record that changed on disk is an error,
+//! never a wrong report.
 //!
 //! # On-disk layout (`<dir>/results.log` + `<dir>/results.idx`)
 //!
@@ -46,7 +48,9 @@
 //! since the last successful append (truncation below the snapshot
 //! length is a typed `Parse` error). A log *longer* than the snapshot is
 //! fine: that is exactly the window between an append and its snapshot,
-//! or another daemon's append.
+//! or another daemon's append. A missing log under a snapshot that
+//! acknowledges records lost all of them: the same typed error, never a
+//! fresh store.
 //!
 //! # Torn-tail recovery
 //!
@@ -59,7 +63,10 @@
 //! loss). Damage *below* the snapshot length — a bad header, corruption
 //! inside acknowledged records, a log shorter than the snapshot — is
 //! never recovered from: that is lost acknowledged data, and open fails
-//! with the typed `Parse` error exactly as before.
+//! with the typed `Parse` error exactly as before. Damage is judged by
+//! its bytes, a line at a time: a tail torn inside a multi-byte
+//! character is a torn tail like any other, and invalid UTF-8 in an
+//! acknowledged record is a `Parse` error at its own line.
 //!
 //! Durability is flush-only by default (a crash loses at most the
 //! records the page cache held); [`StoreOptions::fsync`] upgrades every
@@ -76,7 +83,7 @@ use crate::rank::RankedPath;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic string opening the record log.
@@ -497,30 +504,6 @@ fn parse_record_header(line: &str, line_no: usize) -> Result<(u64, usize, u64), 
     Ok((fingerprint, nlines, checksum))
 }
 
-/// Checks a record body against its header's checksum, then parses it.
-/// `header_line` is the 1-based log line of the `record` header.
-fn check_record_body(
-    body: &[&str],
-    checksum: u64,
-    header_line: usize,
-) -> Result<StoredReport, StatimError> {
-    let mut body_bytes = String::new();
-    for l in body {
-        body_bytes.push_str(l);
-        body_bytes.push('\n');
-    }
-    let actual = fnv1a(0, body_bytes.as_bytes());
-    if actual != checksum {
-        return Err(parse_err(
-            header_line,
-            format!(
-                "record checksum mismatch (declared {checksum:016x}, body hashes {actual:016x})"
-            ),
-        ));
-    }
-    parse_body(body, header_line + 1)
-}
-
 /// Where one record lies in the log: the byte offset of its `record`
 /// header line and the byte length of the header plus body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -531,19 +514,17 @@ pub struct RecordSpan {
     pub len: u64,
 }
 
-/// The outcome of an offset-aware scan of a record log: every record in
-/// the longest clean prefix with where it lies, that prefix's byte
-/// length (always a record boundary), and the first violation past it,
-/// if any. This is what torn-tail recovery truncates against.
+/// The outcome of an offset-aware scan of a record log: where each
+/// record of the longest clean prefix lies, that prefix's byte length
+/// (always a record boundary), and the first violation past it, if any.
+/// This is what torn-tail recovery truncates against.
 #[derive(Debug)]
 pub struct LogScan {
-    /// `(fingerprint, report)` pairs of the clean prefix, in append
-    /// order (a duplicated fingerprint keeps its latest record when
-    /// replayed into a map — two daemons racing the same job write
+    /// `(fingerprint, span)` of every record in the clean prefix, in
+    /// append order (a duplicated fingerprint keeps its latest record
+    /// when replayed into a map — two daemons racing the same job write
     /// identical content anyway).
-    pub records: Vec<(u64, StoredReport)>,
-    /// Where each of `records` lies in the log, index for index.
-    pub spans: Vec<RecordSpan>,
+    pub spans: Vec<(u64, RecordSpan)>,
     /// Byte length of the longest clean prefix ending at a record
     /// boundary (at minimum the header line when `error` is set).
     pub valid_len: u64,
@@ -551,108 +532,193 @@ pub struct LogScan {
     pub error: Option<StatimError>,
 }
 
+/// How a read of the next log line ended.
+#[derive(Debug, PartialEq)]
+enum Line {
+    /// A whole line, its terminator stripped.
+    Complete,
+    /// A final line without its `\n`: torn by definition, since the
+    /// writer only emits whole lines.
+    Torn,
+    /// No bytes left.
+    End,
+}
+
+/// A log read one line at a time, so memory holds one line (and the
+/// scan one record), never the whole log.
+struct LogLines<R> {
+    reader: R,
+    /// The bytes of the last line read.
+    line: Vec<u8>,
+    /// 1-based number of the last line read.
+    number: usize,
+    /// Byte offset just past the last line read.
+    end: u64,
+}
+
+impl<R: BufRead> LogLines<R> {
+    fn new(reader: R) -> Self {
+        LogLines {
+            reader,
+            line: Vec::new(),
+            number: 0,
+            end: 0,
+        }
+    }
+
+    /// Reads the next line into `self.line`, without its `\n` (or
+    /// `\r\n`) when it is complete.
+    fn advance(&mut self) -> Result<Line, StatimError> {
+        self.line.clear();
+        let n = self
+            .reader
+            .read_until(b'\n', &mut self.line)
+            .map_err(|e| io_err("reading store log", &e))?;
+        if n == 0 {
+            return Ok(Line::End);
+        }
+        self.number += 1;
+        self.end += n as u64;
+        if self.line.last() != Some(&b'\n') {
+            return Ok(Line::Torn);
+        }
+        self.line.pop();
+        if self.line.last() == Some(&b'\r') {
+            self.line.pop();
+        }
+        Ok(Line::Complete)
+    }
+
+    /// The last complete line, decoded on its own.
+    fn text(&self) -> Result<&str, StatimError> {
+        std::str::from_utf8(&self.line)
+            .map_err(|e| parse_err(self.number, format!("line is not UTF-8: {e}")))
+    }
+}
+
+/// What follows a record boundary.
+enum Found {
+    /// One whole record that passed every check.
+    Record(u64, StoredReport),
+    /// A blank line.
+    Blank,
+    /// The end of the log.
+    End,
+}
+
+/// Reads what follows a record boundary. A record must have a header,
+/// the body lines it declares, the checksum it declares and a body that
+/// parses; `body` is scratch space for its text. Damage is a
+/// `Parse`-class error at the offending line, an I/O failure a
+/// `Resource`-class one.
+fn next_record<R: BufRead>(
+    lines: &mut LogLines<R>,
+    body: &mut String,
+) -> Result<Found, StatimError> {
+    let header_line = lines.number + 1;
+    match lines.advance()? {
+        Line::End => return Ok(Found::End),
+        Line::Torn => {
+            return Err(parse_err(header_line, "trailing line is torn (no newline)"));
+        }
+        Line::Complete => {}
+    }
+    let header = lines.text()?;
+    if header.trim().is_empty() {
+        return Ok(Found::Blank);
+    }
+    let (fingerprint, nlines, checksum) = parse_record_header(header, header_line)?;
+    body.clear();
+    for read in 0..nlines {
+        if lines.advance()? != Line::Complete {
+            return Err(parse_err(
+                header_line,
+                format!("truncated record: declares {nlines} body lines, log ends after {read}"),
+            ));
+        }
+        body.push_str(lines.text()?);
+        body.push('\n');
+    }
+    let actual = fnv1a(0, body.as_bytes());
+    if actual != checksum {
+        return Err(parse_err(
+            header_line,
+            format!(
+                "record checksum mismatch (declared {checksum:016x}, body hashes {actual:016x})"
+            ),
+        ));
+    }
+    let body: Vec<&str> = body.split_terminator('\n').collect();
+    let report = parse_body(&body, header_line + 1)?;
+    Ok(Found::Record(fingerprint, report))
+}
+
+/// Checks the log's first line: the magic and the version this build
+/// reads.
+fn check_log_header(line: &str) -> Result<(), StatimError> {
+    match line.strip_prefix(STORE_MAGIC) {
+        None => Err(parse_err(1, format!("not a {STORE_MAGIC} file"))),
+        Some(v) if v.trim() != format!("v{STORE_VERSION}") => Err(parse_err(
+            1,
+            format!(
+                "unsupported store version `{}` (this build reads v{STORE_VERSION})",
+                v.trim()
+            ),
+        )),
+        Some(_) => Ok(()),
+    }
+}
+
 /// Scans a record log, splitting it into its longest clean prefix and
-/// the first violation (if any) — see [`LogScan`].
+/// the first violation (if any) — see [`LogScan`]. Each record of the
+/// clean prefix is handed to `visit` as it is read; the scan keeps only
+/// its fingerprint and span, so memory holds one record at a time.
 ///
 /// # Errors
 ///
 /// Only for damage recovery must never paper over: an empty log, wrong
-/// magic or an unsupported version. Everything downstream of a valid
-/// header lands in [`LogScan::error`] instead.
-pub fn scan_log(text: &str) -> Result<LogScan, StatimError> {
-    // (line, byte offset of line start); terminators are stripped per
-    // line but offsets keep the exact byte math truncation needs.
-    let mut lines: Vec<(&str, u64)> = Vec::new();
-    let mut off = 0u64;
-    for seg in text.split_inclusive('\n') {
-        let line = seg.strip_suffix('\n').unwrap_or(seg);
-        let line = line.strip_suffix('\r').unwrap_or(line);
-        lines.push((line, off));
-        off += seg.len() as u64;
+/// magic or an unsupported version, or a failed read. Everything
+/// downstream of a valid header lands in [`LogScan::error`] instead.
+pub fn scan_log(
+    reader: impl BufRead,
+    mut visit: impl FnMut(u64, StoredReport),
+) -> Result<LogScan, StatimError> {
+    let mut lines = LogLines::new(reader);
+    let first = lines.advance()?;
+    if first == Line::End {
+        return Err(parse_err(1, "empty store log"));
     }
-    let total = off;
-    // A final line without its `\n` is by definition torn (the writer
-    // only emits whole lines): exclude it from record consumption.
-    let complete = if text.ends_with('\n') || text.is_empty() {
-        lines.len()
-    } else {
-        lines.len() - 1
-    };
-    let (header, _) = *lines
-        .first()
-        .ok_or_else(|| parse_err(1, "empty store log"))?;
-    match header.strip_prefix(STORE_MAGIC) {
-        None => return Err(parse_err(1, format!("not a {STORE_MAGIC} file"))),
-        Some(v) if v.trim() != format!("v{STORE_VERSION}") => {
-            return Err(parse_err(
-                1,
-                format!(
-                    "unsupported store version `{}` (this build reads v{STORE_VERSION})",
-                    v.trim()
-                ),
-            ));
-        }
-        Some(_) => {}
-    }
+    check_log_header(&String::from_utf8_lossy(&lines.line))?;
     let mut scan = LogScan {
-        records: Vec::new(),
         spans: Vec::new(),
         valid_len: 0,
         error: None,
     };
-    if complete == 0 {
+    if first == Line::Torn {
         // The header itself has no terminator: nothing usable follows.
         scan.error = Some(parse_err(1, "store log header line is torn (no newline)"));
         return Ok(scan);
     }
-    let end_of = |i: usize| lines.get(i + 1).map_or(total, |&(_, o)| o);
-    scan.valid_len = end_of(0);
-    let mut i = 1;
-    while i < lines.len() {
-        let (line, offset) = lines[i];
-        let line_no = i + 1;
-        if i >= complete {
-            scan.error = Some(parse_err(line_no, "trailing line is torn (no newline)"));
-            return Ok(scan);
-        }
-        if line.trim().is_empty() {
-            scan.valid_len = end_of(i);
-            i += 1;
-            continue;
-        }
-        let record = parse_record_header(line, line_no).and_then(|(fingerprint, nlines, sum)| {
-            if i + 1 + nlines > complete {
-                return Err(parse_err(
-                    line_no,
-                    format!(
-                        "truncated record: declares {nlines} body lines, log ends after {}",
-                        complete - i - 1
-                    ),
-                ));
+    scan.valid_len = lines.end;
+    let mut body = String::new();
+    loop {
+        let offset = lines.end;
+        match next_record(&mut lines, &mut body) {
+            Ok(Found::End) => return Ok(scan),
+            Ok(Found::Blank) => {}
+            Ok(Found::Record(fingerprint, report)) => {
+                visit(fingerprint, report);
+                let len = lines.end - offset;
+                scan.spans.push((fingerprint, RecordSpan { offset, len }));
             }
-            let body: Vec<&str> = lines[i + 1..i + 1 + nlines]
-                .iter()
-                .map(|&(l, _)| l)
-                .collect();
-            Ok((fingerprint, nlines, check_record_body(&body, sum, line_no)?))
-        });
-        let (fingerprint, nlines, report) = match record {
-            Ok(record) => record,
-            Err(e) => {
+            Err(e) if e.class == ErrorClass::Parse => {
                 scan.error = Some(e);
                 return Ok(scan);
             }
-        };
-        i += 1 + nlines;
-        let end = end_of(i - 1);
-        scan.records.push((fingerprint, report));
-        scan.spans.push(RecordSpan {
-            offset,
-            len: end - offset,
-        });
-        scan.valid_len = end;
+            Err(e) => return Err(e),
+        }
+        scan.valid_len = lines.end;
     }
-    Ok(scan)
 }
 
 /// Parses a whole record log's text into `(fingerprint, report)` pairs
@@ -667,10 +733,11 @@ pub fn scan_log(text: &str) -> Result<LogScan, StatimError> {
 /// mismatch, or any corrupted body line. (This is the strict view of
 /// [`scan_log`]; [`ResultLog::open`] layers torn-tail recovery on top.)
 pub fn parse_log(text: &str) -> Result<Vec<(u64, StoredReport)>, StatimError> {
-    let scan = scan_log(text)?;
+    let mut records = Vec::new();
+    let scan = scan_log(text.as_bytes(), |fp, report| records.push((fp, report)))?;
     match scan.error {
         Some(e) => Err(e),
-        None => Ok(scan.records),
+        None => Ok(records),
     }
 }
 
@@ -697,91 +764,98 @@ pub struct ResultLog {
     index: HashMap<u64, RecordSpan>,
     log_len: u64,
     fsync: bool,
+    /// Records the open scan accepted, duplicates included.
+    loaded: usize,
     recovered_bytes: u64,
 }
 
 impl ResultLog {
-    /// Opens (creating if needed) the store in `dir` and replays its
-    /// records, with default [`StoreOptions`].
+    /// Opens (creating if needed) the store in `dir` with default
+    /// [`StoreOptions`], returning every record in append order,
+    /// duplicates included.
     ///
     /// # Errors
     ///
     /// `Resource`-class errors for directory/file I/O; `Parse`-class
     /// errors (with the offending line) for a corrupt log or index, or a
-    /// log shorter than the index snapshot says it must be (lost bytes).
-    /// A torn *trailing* record — damage entirely past the snapshot
-    /// length — is not an error: it is truncated away (see the module
-    /// docs on torn-tail recovery).
+    /// log shorter than the index snapshot says it must be (lost bytes;
+    /// a missing log under a snapshot that acknowledges records counts
+    /// as one of no bytes). A torn *trailing* record — damage entirely
+    /// past the snapshot length — is not an error: it is truncated away
+    /// (see the module docs on torn-tail recovery).
     pub fn open(dir: &Path) -> Result<(ResultLog, Vec<(u64, StoredReport)>), StatimError> {
-        Self::open_with(dir, StoreOptions::default())
+        let mut records = Vec::new();
+        let log = Self::open_scanning(dir, StoreOptions::default(), |fp, report| {
+            records.push((fp, report));
+        })?;
+        Ok((log, records))
     }
 
-    /// [`ResultLog::open`] with explicit [`StoreOptions`].
+    /// [`ResultLog::open`] with explicit [`StoreOptions`], keeping no
+    /// record in memory: the scan validates each one and indexes where
+    /// it lies, and [`ResultLog::read`] serves it from there.
     ///
     /// # Errors
     ///
     /// As [`ResultLog::open`].
-    pub fn open_with(
+    pub fn open_with(dir: &Path, options: StoreOptions) -> Result<ResultLog, StatimError> {
+        Self::open_scanning(dir, options, |_, _| {})
+    }
+
+    fn open_scanning(
         dir: &Path,
         options: StoreOptions,
-    ) -> Result<(ResultLog, Vec<(u64, StoredReport)>), StatimError> {
+        visit: impl FnMut(u64, StoredReport),
+    ) -> Result<ResultLog, StatimError> {
         std::fs::create_dir_all(dir).map_err(|e| {
             io_err("creating store directory", &e).with_file(dir.display().to_string())
         })?;
         let log_path = dir.join(LOG_NAME);
         let idx_path = dir.join(IDX_NAME);
         let file = |p: &Path| p.display().to_string();
-        let open_log = |log_path: &Path| {
-            std::fs::OpenOptions::new()
-                .read(true)
-                .append(true)
-                .open(log_path)
-                .map_err(|e| io_err("opening store log", &e).with_file(file(log_path)))
-        };
-        if !log_path.exists() {
-            let header = format!("{STORE_MAGIC} v{STORE_VERSION}\n");
-            std::fs::write(&log_path, &header)
-                .map_err(|e| io_err("creating store log", &e).with_file(file(&log_path)))?;
-            let mut log = ResultLog {
-                file: open_log(&log_path)?,
-                log_path,
-                idx_path,
-                index: HashMap::new(),
-                log_len: header.len() as u64,
-                fsync: options.fsync,
-                recovered_bytes: 0,
-            };
-            log.snapshot_index()?;
-            return Ok((log, Vec::new()));
-        }
-        let bytes = std::fs::read(&log_path)
-            .map_err(|e| io_err("reading store log", &e).with_file(file(&log_path)))?;
-        let mut log_len = bytes.len() as u64;
-        let text = String::from_utf8(bytes).map_err(|e| {
-            parse_err(1, format!("store log is not UTF-8: {e}")).with_file(file(&log_path))
-        })?;
-        // Truncation check against the last snapshot, before the
-        // record-granular parse: losing bytes off the tail can otherwise
-        // masquerade as a clean, shorter log.
+        // The log length the last append acknowledged. A log shorter than
+        // that lost bytes, which the record-granular scan alone could
+        // mistake for a clean, shorter log.
         let snap_len = if idx_path.exists() {
             let idx_text = std::fs::read_to_string(&idx_path)
                 .map_err(|e| io_err("reading store index", &e).with_file(file(&idx_path)))?;
-            let snap_len = parse_index(&idx_text).map_err(|e| e.with_file(file(&idx_path)))?;
-            if log_len < snap_len {
-                return Err(parse_err(
-                    1,
-                    format!(
-                        "store log truncated: index snapshot records {snap_len} bytes, log has {log_len}"
-                    ),
-                )
-                .with_file(file(&log_path)));
-            }
-            snap_len
+            parse_index(&idx_text).map_err(|e| e.with_file(file(&idx_path)))?
         } else {
             0
         };
-        let scan = scan_log(&text).map_err(|e| e.with_file(file(&log_path)))?;
-        let log_file = open_log(&log_path)?;
+        let truncated = |log_len: u64| {
+            parse_err(
+                1,
+                format!(
+                    "store log truncated: index snapshot records {snap_len} bytes, log has {log_len}"
+                ),
+            )
+            .with_file(file(&log_path))
+        };
+        if !log_path.exists() {
+            let header = format!("{STORE_MAGIC} v{STORE_VERSION}\n");
+            if snap_len > header.len() as u64 {
+                return Err(truncated(0));
+            }
+            std::fs::write(&log_path, &header)
+                .map_err(|e| io_err("creating store log", &e).with_file(file(&log_path)))?;
+        }
+        let log_file = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(&log_path)
+            .map_err(|e| io_err("opening store log", &e).with_file(file(&log_path)))?;
+        let mut log_len = log_file
+            .metadata()
+            .map_err(|e| io_err("reading store log", &e).with_file(file(&log_path)))?
+            .len();
+        if log_len < snap_len {
+            return Err(truncated(log_len));
+        }
+        // Up to the length just checked: what another daemon appends
+        // meanwhile is past it, and is indexed by the next open.
+        let reader = BufReader::new((&log_file).take(log_len));
+        let scan = scan_log(reader, visit).map_err(|e| e.with_file(file(&log_path)))?;
         let mut recovered_bytes = 0;
         if let Some(err) = scan.error {
             // Recoverable only when every snapshotted byte still parses:
@@ -803,29 +877,29 @@ impl ResultLog {
             }
             log_len = scan.valid_len;
         }
-        let index = scan
-            .records
-            .iter()
-            .zip(&scan.spans)
-            .map(|(&(fp, _), &span)| (fp, span))
-            .collect();
         let mut log = ResultLog {
             log_path,
             idx_path,
             file: log_file,
-            index,
+            index: scan.spans.iter().copied().collect(),
             log_len,
             fsync: options.fsync,
+            loaded: scan.spans.len(),
             recovered_bytes,
         };
         log.snapshot_index()?;
-        Ok((log, scan.records))
+        Ok(log)
     }
 
     /// Bytes dropped from a torn trailing record at open time (0 for a
     /// clean log).
     pub fn recovered_bytes(&self) -> u64 {
         self.recovered_bytes
+    }
+
+    /// Records the open scan accepted, duplicates included.
+    pub fn loaded(&self) -> usize {
+        self.loaded
     }
 
     /// Fingerprints whose latest record the log can serve.
@@ -882,11 +956,12 @@ impl ResultLog {
     }
 
     /// Re-reads the latest record of `fingerprint` at its indexed span;
-    /// `None` when the log holds none. The record must carry that
-    /// fingerprint, the line count and the body checksum its header
-    /// declares, and a body that parses; a record that fails any of
-    /// these, or cannot be read, is an error, and its index entry goes,
-    /// so the next append of the fingerprint writes it anew.
+    /// `None` when the log holds none. The span must hold exactly one
+    /// record, carrying that fingerprint, the body lines and checksum
+    /// its header declares, and a body that parses — the checks the open
+    /// scan makes. A record that fails any of these, or cannot be read,
+    /// is an error, and its index entry goes, so the next append of the
+    /// fingerprint writes it anew.
     pub fn read(&mut self, fingerprint: u64) -> Option<Result<StoredReport, StatimError>> {
         let span = *self.index.get(&fingerprint)?;
         let read = self.read_span(fingerprint, span).map_err(|e| {
@@ -915,28 +990,22 @@ impl ResultLog {
             .seek(SeekFrom::Start(span.offset))
             .and_then(|_| self.file.read_exact(&mut bytes))
             .map_err(|e| io_err("reading store log", &e))?;
-        let text = std::str::from_utf8(&bytes).map_err(|_| parse_err(1, "record is not UTF-8"))?;
-        let lines: Vec<&str> = text.lines().collect();
-        let (header, body) = lines
-            .split_first()
-            .ok_or_else(|| parse_err(1, "record is empty"))?;
-        let (found, nlines, checksum) = parse_record_header(header, 1)?;
-        if found != fingerprint {
-            return Err(parse_err(
+        let mut lines = LogLines::new(&bytes[..]);
+        match next_record(&mut lines, &mut String::new())? {
+            Found::Record(found, _) if found != fingerprint => Err(parse_err(
                 1,
                 format!("record holds fingerprint {found:016x}, not {fingerprint:016x}"),
-            ));
-        }
-        if body.len() != nlines {
-            return Err(parse_err(
-                1,
+            )),
+            Found::Record(_, report) if lines.end == span.len => Ok(report),
+            Found::Record(..) => Err(parse_err(
+                lines.number,
                 format!(
-                    "record declares {nlines} body lines but spans {}",
-                    body.len()
+                    "record ends after {} of its span's {} bytes",
+                    lines.end, span.len
                 ),
-            ));
+            )),
+            Found::Blank | Found::End => Err(parse_err(1, "no record at the indexed span")),
         }
-        check_record_body(body, checksum, 1)
     }
 
     /// Atomically rewrites the index snapshot (tmp + rename), the PR-4
@@ -1334,6 +1403,105 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `.bench` file stems name circuits, so a record may hold a
+    /// non-ASCII name; a torn tail can end inside one of its characters.
+    #[test]
+    fn a_torn_tail_cut_inside_a_non_ascii_name_is_judged_by_its_bytes() {
+        let dir = tmp_dir("torn-utf8");
+        let stored = StoredReport::from_report(&clean_report());
+        {
+            let (mut log, _) = ResultLog::open(&dir).expect("open");
+            log.append(1, &stored).expect("append");
+        }
+        let log_path = dir.join(LOG_NAME);
+        let clean = std::fs::read(&log_path).expect("read log");
+        let record = StoredReport {
+            circuit: "ç432".into(),
+            ..stored.clone()
+        }
+        .render_record(2);
+        // Cut after the first of `ç`'s two bytes.
+        let cut = record.find('ç').expect("the name is in the record") + 1;
+        let torn = [&clean[..], &record.as_bytes()[..cut]].concat();
+        std::fs::write(&log_path, &torn).expect("write torn tail");
+        let (log, loaded) = ResultLog::open(&dir).expect("an unacknowledged tail is recovered");
+        assert_eq!(log.recovered_bytes(), cut as u64);
+        assert_eq!(loaded, vec![(1, stored)]);
+        assert_eq!(std::fs::read(&log_path).expect("read log"), clean);
+        drop(log);
+
+        // The same bytes under a snapshot that acknowledges them are
+        // lost data, never truncated away.
+        std::fs::write(&log_path, &torn).expect("write torn tail");
+        std::fs::write(
+            dir.join(IDX_NAME),
+            format!(
+                "{STORE_IDX_MAGIC} v{STORE_VERSION}\nlog_len {}\nrecords 2\n",
+                torn.len()
+            ),
+        )
+        .expect("write snapshot");
+        let err = ResultLog::open(&dir).expect_err("acknowledged damage is fatal");
+        assert_eq!(err.class, ErrorClass::Parse, "{err}");
+        assert!(err.message.contains("truncated record"), "{err}");
+        assert_eq!(std::fs::read(&log_path).expect("read log"), torn);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn invalid_utf8_inside_an_acknowledged_record_names_its_line() {
+        let dir = tmp_dir("bad-utf8");
+        let stored = StoredReport::from_report(&clean_report());
+        {
+            let (mut log, _) = ResultLog::open(&dir).expect("open");
+            log.append(1, &stored).expect("append");
+            let named = StoredReport {
+                circuit: "ç432".into(),
+                ..stored.clone()
+            };
+            log.append(2, &named).expect("append");
+        }
+        // `ç`'s second byte becomes one no UTF-8 sequence continues
+        // with; the log keeps its length, so the snapshot covers it.
+        let log_path = dir.join(LOG_NAME);
+        let mut bytes = std::fs::read(&log_path).expect("read log");
+        let at = bytes
+            .windows(2)
+            .position(|w| w == "ç".as_bytes())
+            .expect("the name is in the log");
+        bytes[at + 1] = 0xff;
+        std::fs::write(&log_path, &bytes).expect("write log");
+        let line = 1 + bytes[..at].iter().filter(|&&b| b == b'\n').count();
+        let err = ResultLog::open(&dir).expect_err("acknowledged damage is fatal");
+        assert_eq!(err.class, ErrorClass::Parse, "{err}");
+        assert_eq!(err.line, Some(line), "{err}");
+        assert!(line > 1 && err.message.contains("UTF-8"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_missing_log_under_a_snapshot_is_lost_data() {
+        let dir = tmp_dir("missing-log");
+        let stored = StoredReport::from_report(&clean_report());
+        {
+            let (mut log, _) = ResultLog::open(&dir).expect("open");
+            log.append(1, &stored).expect("append");
+        }
+        let idx_path = dir.join(IDX_NAME);
+        let snapshot = std::fs::read(&idx_path).expect("read index");
+        std::fs::remove_file(dir.join(LOG_NAME)).expect("remove log");
+        let err = ResultLog::open(&dir).expect_err("a lost log is not a fresh store");
+        assert_eq!(err.class, ErrorClass::Parse, "{err}");
+        assert!(err.message.contains("truncated"), "{err}");
+        assert!(!dir.join(LOG_NAME).exists(), "no fresh log is written");
+        assert_eq!(std::fs::read(&idx_path).expect("read index"), snapshot);
+        // A directory with neither file still starts fresh.
+        std::fs::remove_file(&idx_path).expect("remove index");
+        let (log, loaded) = ResultLog::open(&dir).expect("a fresh store opens");
+        assert!(log.is_empty() && loaded.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn damage_below_snapshot_is_never_recovered_from() {
         let dir = tmp_dir("deepdamage");
@@ -1380,18 +1548,23 @@ mod tests {
             "{STORE_MAGIC} v{STORE_VERSION}\n{}",
             stored.render_record(9)
         );
-        let scan = scan_log(&clean).expect("clean scan");
+        let scan = scan_log(clean.as_bytes(), |_, _| {}).expect("clean scan");
         assert!(scan.error.is_none());
         assert_eq!(scan.valid_len, clean.len() as u64);
         // Cutting at every byte of the final record must always yield a
         // clean prefix at the pre-record boundary, never a parse abort.
         let boundary = format!("{STORE_MAGIC} v{STORE_VERSION}\n").len() as u64;
         for cut in boundary as usize + 1..clean.len() - 1 {
-            let scan = scan_log(&clean[..cut]).expect("scan never hard-fails past header");
+            let scan = scan_log(&clean.as_bytes()[..cut], |_, _| {})
+                .expect("scan never hard-fails past header");
             assert!(scan.error.is_some(), "cut at {cut} is torn");
             assert_eq!(scan.valid_len, boundary, "cut at {cut}");
-            assert!(scan.records.is_empty());
+            assert!(scan.spans.is_empty());
         }
+        // A whole header without its newline is torn: nothing is clean.
+        let scan = scan_log(&clean.as_bytes()[..boundary as usize - 1], |_, _| {})
+            .expect("a torn header still names the store");
+        assert!(scan.error.is_some() && scan.valid_len == 0);
     }
 
     #[test]
@@ -1401,12 +1574,12 @@ mod tests {
         let stored = StoredReport::from_report(&report);
         let opts = StoreOptions { fsync: true };
         {
-            let (mut log, _) = ResultLog::open_with(&dir, opts).expect("open fsync");
+            let mut log = ResultLog::open_with(&dir, opts).expect("open fsync");
             log.append(11, &stored).expect("append fsync");
         }
-        let (log, loaded) = ResultLog::open_with(&dir, opts).expect("reopen fsync");
-        assert_eq!(log.len(), 1);
-        assert_eq!(loaded, vec![(11, stored)]);
+        let mut log = ResultLog::open_with(&dir, opts).expect("reopen fsync");
+        assert_eq!((log.len(), log.loaded()), (1, 1));
+        assert_eq!(log.read(11).expect("indexed").expect("re-reads"), stored);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

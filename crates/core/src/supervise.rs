@@ -472,9 +472,7 @@ where
     }
     if survivors.is_empty() {
         if let Some(kind) = pool.exhausted {
-            return Err(CoreError::BudgetExhausted {
-                budget: kind.to_string(),
-            });
+            return Err(CoreError::BudgetExhausted { budget: kind });
         }
         if !degraded.is_empty() {
             return Err(CoreError::AllPathsDegraded {
@@ -985,7 +983,9 @@ mod tests {
         // tripped budget is reported ahead of the quarantine.
         assert!(matches!(
             run(Some(1), &[0, 1, 2]),
-            Err(CoreError::BudgetExhausted { ref budget }) if budget == "paths"
+            Err(CoreError::BudgetExhausted {
+                budget: BudgetKind::Paths
+            })
         ));
         // No items at all is an empty success, not an error.
         let empty = run(None, &[]).expect("no items");

@@ -1138,9 +1138,9 @@ fn a_restart_over_more_records_than_the_bound_keeps_every_one_a_hit() {
     let records = RESIDENT as u64 + 1;
     assert_eq!(stat(&stats, "store-loaded"), records, "{stats}");
     assert_eq!(stat(&stats, "store-entries"), records, "{stats}");
-    assert_eq!(stat(&stats, "store-resident"), RESIDENT as u64, "{stats}");
-    // Newest first: the resident reports hit in place, and the oldest,
-    // left on disk at start, is re-read.
+    // The scan keeps no report resident: each resubmission re-reads its
+    // record from the log.
+    assert_eq!(stat(&stats, "store-resident"), 0, "{stats}");
     let mut oldest = None;
     for k in (0..=RESIDENT).rev() {
         let (id, from_store) = client.submit("@c432", &nth_spec(k)).expect("resubmit");
@@ -1150,7 +1150,7 @@ fn a_restart_over_more_records_than_the_bound_keeps_every_one_a_hit() {
     let oldest = oldest.expect("spec 0 resubmitted");
     assert_eq!(client.result(oldest, Some(5)).expect("result"), first);
     let stats = client.stats().expect("stats");
-    assert_eq!(stat(&stats, "store-rereads"), 1, "{stats}");
+    assert_eq!(stat(&stats, "store-rereads"), records, "{stats}");
     assert_eq!(stat(&stats, "store-resident"), RESIDENT as u64, "{stats}");
     client.shutdown().expect("shutdown");
     handle.join();
@@ -1596,6 +1596,99 @@ fn stalled_connections_are_reaped_but_idle_clients_survive() {
     let stats = idle.stats().expect("idle client still served");
     assert!(stats.contains("reaped-connections: 2"), "{stats}");
     idle.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn the_connection_that_takes_its_lane_past_the_aggregate_buffer_cap_is_reaped() {
+    const CAP: usize = 64 * 1024;
+    let handle = daemon::spawn_tuned(
+        "127.0.0.1:0",
+        ServiceConfig::default(),
+        daemon::DaemonTuning {
+            max_client_buffered: CAP,
+            ..daemon::DaemonTuning::default()
+        },
+    )
+    .expect("spawn");
+    let mut calm = Client::connect_tagged(&handle.addr().to_string(), "calm").expect("connect");
+    // Wide-window c1355 runs pin the single executor, so the jobs queued
+    // behind them keep their WAITs parked while the pipelines fill.
+    let heavy: Vec<_> = ["1.0", "0.99", "0.98"]
+        .iter()
+        .map(|c| {
+            let confidence = [("confidence".to_string(), c.to_string())];
+            calm.submit("@c1355", &confidence).expect("heavy").0
+        })
+        .collect();
+    // Two connections share the `hog` lane. Each parks a WAIT on a job
+    // queued behind the heavy ones, then pipelines part of a line: under
+    // the cap alone, and under the line bound a connection keeps once
+    // its WAIT returns.
+    let park = |confidence: &str| {
+        let (mut conn, mut read_line) = raw_conn(&handle);
+        // A reply that never comes fails the test instead of hanging it.
+        conn.set_read_timeout(Some(WAIT)).expect("read timeout");
+        writeln!(conn, "HELLO 1.1 client=hog").expect("greet");
+        assert_eq!(read_line(), "OK HELLO 1.1");
+        writeln!(
+            conn,
+            "SUBMIT @c432 quality-intra=40 quality-inter=20 confidence={confidence}"
+        )
+        .expect("submit");
+        let reply = read_line();
+        let id = reply
+            .strip_prefix("OK SUBMIT ")
+            .and_then(|r| r.strip_suffix(" queued"))
+            .unwrap_or_else(|| panic!("{reply}"))
+            .to_string();
+        writeln!(conn, "WAIT {id}").expect("wait");
+        (conn, read_line)
+    };
+    let (mut first, mut read_first) = park("0.04");
+    let (mut second, mut read_second) = park("0.045");
+    first.write_all(&[b'x'; 40 * 1024]).expect("pipeline");
+    // Time for a worker to buffer it: the second connection is the one
+    // that crosses.
+    std::thread::sleep(Duration::from_millis(100));
+    let mut sent = 0;
+    while handle.reaped_connections() == 0 {
+        assert!(
+            sent <= CAP,
+            "the lane passed its cap and nothing was reaped"
+        );
+        second.write_all(&[b'y'; 4096]).expect("pipeline");
+        sent += 4096;
+        let deadline = Instant::now() + Duration::from_millis(50);
+        while handle.reaped_connections() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    let reason = std::iter::repeat_with(&mut read_second)
+        .find(|line| !line.starts_with("OK WAIT"))
+        .expect("a reason");
+    assert!(
+        reason.starts_with("ERR RESOURCE")
+            && reason.contains("client `hog` over its 65536 byte aggregate buffer cap"),
+        "{reason}"
+    );
+    assert_eq!(handle.reaped_connections(), 1);
+    let stats = calm.stats().expect("stats");
+    assert_eq!(stat(&stats, "reaped-connections"), 1, "{stats}");
+
+    // Another tag's connection still completes a job, and so does the
+    // lane's other connection.
+    for id in heavy {
+        let _ = calm.cancel(id);
+    }
+    let (id, _) = calm.submit("@c432", &opts(&[])).expect("submit");
+    assert_eq!(calm.wait(id, WAIT).expect("wait"), "done");
+    let waited = read_first();
+    assert!(
+        waited.starts_with("OK WAIT job-") && waited.ends_with(" done"),
+        "{waited}"
+    );
+    calm.shutdown().expect("shutdown");
     handle.join();
 }
 

@@ -141,7 +141,12 @@ fn wall_budget_exhausted_before_any_result_is_typed() {
     };
     let err = engine_run(budget, 1).expect_err("zero wall budget cannot produce results");
     assert!(
-        matches!(&err, CoreError::BudgetExhausted { budget } if budget == "wall"),
+        matches!(
+            err,
+            CoreError::BudgetExhausted {
+                budget: BudgetKind::Wall
+            }
+        ),
         "{err:?}"
     );
     assert_eq!(err.classify(), ErrorClass::Resource);
