@@ -88,17 +88,40 @@ const SHARD_COUNT: usize = 16;
 /// hasher is randomized per process, which is fine for bucketing but
 /// useless for a stable fingerprint).
 pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = if seed == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        seed
-    };
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+    let mut h = Fnv1a::new(seed);
+    h.update(bytes);
+    h.0
+}
+
+/// A running FNV-1a hash that text can be written into, so a serializer
+/// streams into the hash without building its output first.
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Fnv1a {
+    /// A hash continuing from `seed`; seed 0 starts at the offset basis,
+    /// as [`fnv1a`] does.
+    pub(crate) fn new(seed: u64) -> Fnv1a {
+        Fnv1a(if seed == 0 {
+            0xcbf2_9ce4_8422_2325
+        } else {
+            seed
+        })
     }
-    h
+
+    fn update(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Folds an `f64`'s exact bit pattern into a running FNV-1a hash.

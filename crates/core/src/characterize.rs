@@ -8,10 +8,10 @@
 //! eq. (12).
 
 use crate::{CoreError, Result};
-use statim_netlist::Circuit;
+use statim_netlist::{Circuit, Gate, GateId, Placement};
 use statim_process::deriv::delay_gradient;
 use statim_process::param::PerParam;
-use statim_process::tech::AlphaBeta;
+use statim_process::tech::{AlphaBeta, OperatingPoint};
 use statim_process::{gate_delay, GateKind, Load, Technology};
 
 /// Per-gate timing data, fixed for a given circuit and technology.
@@ -32,12 +32,16 @@ pub struct GateTiming {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitTiming {
     gates: Vec<GateTiming>,
+    /// Each gate's output load, kept so [`CircuitTiming::recharacterize`]
+    /// can re-time a gate whose nets an edit left alone without the
+    /// whole-circuit wirelength pass.
+    loads: Vec<Load>,
 }
 
 impl CircuitTiming {
     /// Timing of one gate.
     #[inline]
-    pub fn gate(&self, id: statim_netlist::GateId) -> &GateTiming {
+    pub fn gate(&self, id: GateId) -> &GateTiming {
         &self.gates[id.index()]
     }
 
@@ -48,14 +52,14 @@ impl CircuitTiming {
 
     /// Nominal delay of a path (sum of its gates' nominal delays),
     /// seconds.
-    pub fn path_delay(&self, path: &[statim_netlist::GateId]) -> f64 {
+    pub fn path_delay(&self, path: &[GateId]) -> f64 {
         path.iter().map(|&g| self.gates[g.index()].nominal).sum()
     }
 
     /// Sums of the α and β coefficients along a path — the `A` and `B`
     /// constants of the separable inter-die delay
     /// `0.345/εox · tox·Leff · [A·f(Vdd,VTn) + B·f(Vdd,|VTp|)]`.
-    pub fn path_alpha_beta(&self, path: &[statim_netlist::GateId]) -> AlphaBeta {
+    pub fn path_alpha_beta(&self, path: &[GateId]) -> AlphaBeta {
         let mut alpha = 0.0;
         let mut beta = 0.0;
         for &g in path {
@@ -63,6 +67,45 @@ impl CircuitTiming {
             beta += self.gates[g.index()].ab.beta;
         }
         AlphaBeta { alpha, beta }
+    }
+
+    /// The timing of `circuit`, an ECO edit of the circuit this timing
+    /// was characterized from by [`characterize_placed`] under the same
+    /// `tech` and `placement`: equal, bit for bit, to
+    /// `characterize_placed(circuit, tech, placement)`.
+    ///
+    /// `touched` lists the gates the edit touched, ascending, as
+    /// [`crate::apply_edits`] returns them. A resize, retime or swap
+    /// moves no net, so every other gate keeps its load and its timing:
+    /// only the touched gates are characterized again, by the same
+    /// per-gate code with their kept loads. An edit that `rewires` a pin
+    /// moves loads and, through the mean-wirelength normalization, every
+    /// placed gate's wire capacitance, so the whole circuit is
+    /// characterized again.
+    ///
+    /// # Errors
+    ///
+    /// As [`characterize_placed`].
+    pub fn recharacterize(
+        &self,
+        circuit: &Circuit,
+        tech: &Technology,
+        placement: &Placement,
+        touched: &[GateId],
+        rewires: bool,
+    ) -> Result<CircuitTiming> {
+        let n = circuit.gate_count();
+        if rewires || n != self.gates.len() || n != placement.len() {
+            return characterize_placed(circuit, tech, placement);
+        }
+        let nominal_pt = tech.nominal_point();
+        let mut timing = self.clone();
+        for &g in touched {
+            let i = g.index();
+            timing.gates[i] =
+                characterize_gate(tech, &nominal_pt, circuit.gate(g), &self.loads[i], i)?;
+        }
+        Ok(timing)
     }
 }
 
@@ -96,7 +139,7 @@ pub fn characterize(circuit: &Circuit, tech: &Technology) -> Result<CircuitTimin
 pub fn characterize_placed(
     circuit: &Circuit,
     tech: &Technology,
-    placement: &statim_netlist::Placement,
+    placement: &Placement,
 ) -> Result<CircuitTiming> {
     if placement.len() != circuit.gate_count() {
         return Err(CoreError::Netlist(
@@ -112,71 +155,92 @@ pub fn characterize_placed(
 fn characterize_with_wires(
     circuit: &Circuit,
     tech: &Technology,
-    placement: Option<&statim_netlist::Placement>,
+    placement: Option<&Placement>,
 ) -> Result<CircuitTiming> {
     if circuit.gate_count() == 0 {
         return Err(CoreError::EmptyCircuit);
     }
-    let fanout = circuit.fanout_pins();
-    // Per-gate fan-out wirelength (sum of Manhattan distances to sinks).
-    let wire_caps: Option<Vec<f64>> = placement.map(|pl| {
-        let mut length = vec![0.0f64; circuit.gate_count()];
-        for (i, g) in circuit.gates().iter().enumerate() {
-            let (x1, y1) = pl.position(statim_netlist::GateId(i as u32));
-            for s in &g.inputs {
-                if let statim_netlist::Signal::Gate(src) = s {
-                    let (x0, y0) = pl.position(*src);
-                    length[src.index()] += (x1 - x0).abs() + (y1 - y0).abs();
-                }
-            }
-        }
-        let with_fanout: Vec<f64> = length.iter().copied().filter(|&l| l > 0.0).collect();
-        let mean = if with_fanout.is_empty() {
-            1.0
-        } else {
-            with_fanout.iter().sum::<f64>() / with_fanout.len() as f64
-        };
-        length
-            .iter()
-            .map(|&l| tech.c_wire * (0.6 + l / (2.5 * mean)))
-            .collect()
-    });
+    let loads = loads(circuit, tech, placement);
     let nominal_pt = tech.nominal_point();
     let mut gates = Vec::with_capacity(circuit.gate_count());
-    for (i, gate) in circuit.gates().iter().enumerate() {
-        let load = match &wire_caps {
-            Some(w) => Load::with_wire(fanout[i], w[i]),
-            None => Load::fanout(fanout[i]),
-        };
-        let mut ab = tech.alpha_beta(gate.kind, &load);
-        // ECO resize: a gate sized by `drive` sources drive× the
-        // current, so both coefficients (each ∝ C/(µ·W)) shrink by the
-        // same factor.
-        if gate.drive != 1.0 {
-            ab.alpha /= gate.drive;
-            ab.beta /= gate.drive;
-        }
-        // ECO retime: fold the pad into β so exactly `pad` seconds land
-        // on the nominal delay while the pad inherits the same
-        // inter-die (tox, Leff, Vdd, VTp) dependence as the gate.
-        if gate.pad != 0.0 {
-            let geom = tech.tox * tech.leff / tech.eps_ox;
-            let kernel = statim_process::delay::voltage_kernel(tech.vdd, tech.vtp);
-            ab.beta += gate.pad / (statim_process::tech::ELMORE_K * geom * kernel);
-        }
-        let nominal = gate_delay(tech, &ab, &nominal_pt);
-        if !nominal.is_finite() || nominal <= 0.0 {
-            return Err(CoreError::NonFiniteDelay { gate: i });
-        }
-        let gradient = delay_gradient(tech, &ab, &nominal_pt);
-        gates.push(GateTiming {
-            kind: gate.kind,
-            ab,
-            nominal,
-            gradient,
-        });
+    for (i, (gate, load)) in circuit.gates().iter().zip(&loads).enumerate() {
+        gates.push(characterize_gate(tech, &nominal_pt, gate, load, i)?);
     }
-    Ok(CircuitTiming { gates })
+    Ok(CircuitTiming { gates, loads })
+}
+
+/// Every gate's output load: its fan-out pins and, with a placement, the
+/// wire capacitance of its fan-out net.
+fn loads(circuit: &Circuit, tech: &Technology, placement: Option<&Placement>) -> Vec<Load> {
+    let fanout = circuit.fanout_pins();
+    let Some(pl) = placement else {
+        return fanout.into_iter().map(Load::fanout).collect();
+    };
+    // Per-gate fan-out wirelength (sum of Manhattan distances to sinks).
+    let mut length = vec![0.0f64; circuit.gate_count()];
+    for (i, g) in circuit.gates().iter().enumerate() {
+        let (x1, y1) = pl.position(GateId(i as u32));
+        for s in &g.inputs {
+            if let statim_netlist::Signal::Gate(src) = s {
+                let (x0, y0) = pl.position(*src);
+                length[src.index()] += (x1 - x0).abs() + (y1 - y0).abs();
+            }
+        }
+    }
+    let with_fanout: Vec<f64> = length.iter().copied().filter(|&l| l > 0.0).collect();
+    let mean = if with_fanout.is_empty() {
+        1.0
+    } else {
+        with_fanout.iter().sum::<f64>() / with_fanout.len() as f64
+    };
+    fanout
+        .into_iter()
+        .zip(&length)
+        .map(|(pins, &l)| Load::with_wire(pins, tech.c_wire * (0.6 + l / (2.5 * mean))))
+        .collect()
+}
+
+/// Characterizes gate `index` of a circuit at its output `load`.
+///
+/// Always inlined: in the full pass's loop the compiler then hoists the
+/// delay model's per-technology terms out of the loop, which a call per
+/// gate would recompute (a called version made the full pass about 20%
+/// slower).
+#[inline(always)]
+fn characterize_gate(
+    tech: &Technology,
+    nominal_pt: &OperatingPoint,
+    gate: &Gate,
+    load: &Load,
+    index: usize,
+) -> Result<GateTiming> {
+    let mut ab = tech.alpha_beta(gate.kind, load);
+    // ECO resize: a gate sized by `drive` sources drive× the
+    // current, so both coefficients (each ∝ C/(µ·W)) shrink by the
+    // same factor.
+    if gate.drive != 1.0 {
+        ab.alpha /= gate.drive;
+        ab.beta /= gate.drive;
+    }
+    // ECO retime: fold the pad into β so exactly `pad` seconds land
+    // on the nominal delay while the pad inherits the same
+    // inter-die (tox, Leff, Vdd, VTp) dependence as the gate.
+    if gate.pad != 0.0 {
+        let geom = tech.tox * tech.leff / tech.eps_ox;
+        let kernel = statim_process::delay::voltage_kernel(tech.vdd, tech.vtp);
+        ab.beta += gate.pad / (statim_process::tech::ELMORE_K * geom * kernel);
+    }
+    let nominal = gate_delay(tech, &ab, nominal_pt);
+    if !nominal.is_finite() || nominal <= 0.0 {
+        return Err(CoreError::NonFiniteDelay { gate: index });
+    }
+    let gradient = delay_gradient(tech, &ab, nominal_pt);
+    Ok(GateTiming {
+        kind: gate.kind,
+        ab,
+        nominal,
+        gradient,
+    })
 }
 
 #[cfg(test)]

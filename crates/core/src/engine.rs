@@ -441,15 +441,19 @@ pub struct RunContext<'a> {
 pub(crate) type Reuse<'a> = &'a (dyn Fn(&[GateId]) -> Option<PathAnalysis> + Sync);
 
 /// What a run computes before σ_C: the gate timing, the longest-path
-/// labels, the deterministic critical delay and the critical path. None
-/// of it depends on `C`, which only sets the enumeration threshold, so
-/// one front serves a run at any `C` of the same netlist and settings.
+/// labels, the deterministic critical delay, the critical path and the
+/// worst-case corner delay. None of it depends on `C`, which only sets
+/// the enumeration threshold, so one front serves a run at any `C` of
+/// the same netlist and settings.
 #[derive(Debug)]
 pub(crate) struct Front {
     pub(crate) timing: CircuitTiming,
     labels: Labels,
     critical_delay: f64,
     critical_path: Vec<GateId>,
+    /// The corner critical delay, or the error computing it, which a run
+    /// raises only after ranking, where it reads the delay.
+    worst_case: Result<f64>,
 }
 
 /// A clean report's path analyses, looked up by gate sequence: what a
@@ -589,7 +593,8 @@ impl SstaEngine {
 
     /// Stage 2, the deterministic analysis of a characterized circuit:
     /// labels by the configured solver, the critical delay and the
-    /// critical path. Returns the front and the stage's wall time.
+    /// critical path, plus the worst-case corner delay. Returns the front
+    /// and the wall time of the labels and the critical path.
     pub(crate) fn front(
         &self,
         circuit: &Circuit,
@@ -602,13 +607,23 @@ impl SstaEngine {
         };
         let critical_delay = labels.critical_delay(circuit)?;
         let critical_path = critical_path(circuit, &timing, &labels)?;
+        let stage = StageProfile::serial(t0.elapsed().as_secs_f64());
+        // Worst-case analysis over the whole circuit (corner STA).
+        let worst_case = worst_case_critical_delay(
+            circuit,
+            &timing,
+            &self.config.tech,
+            &self.config.vars,
+            self.config.corner,
+        );
         let front = Front {
             timing,
             labels,
             critical_delay,
             critical_path,
+            worst_case,
         };
-        Ok((front, StageProfile::serial(t0.elapsed().as_secs_f64())))
+        Ok((front, stage))
     }
 
     /// Refuses what no stage can time: an invalid config, a register
@@ -778,14 +793,7 @@ impl SstaEngine {
             return Err(CoreError::EmptyCircuit);
         }
 
-        // Worst-case analysis over the whole circuit (corner STA).
-        let worst_case_delay = worst_case_critical_delay(
-            circuit,
-            timing,
-            &self.config.tech,
-            &self.config.vars,
-            self.config.corner,
-        )?;
+        let worst_case_delay = front.worst_case.clone()?;
         let crit_point = ranked[0].analysis.confidence_point;
         let overestimation_pct = (worst_case_delay - crit_point) / crit_point * 100.0;
 

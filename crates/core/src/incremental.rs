@@ -9,12 +9,15 @@
 //!   remove-wire), parsed from a line-oriented script
 //!   ([`EcoScript::parse`]) or the daemon's one-line compact form
 //!   ([`EcoScript::parse_compact`]).
-//! * **Dirty set** — the edited circuit is re-characterized (cheap,
-//!   `O(gates)`) and the new [`GateTiming`]s are diffed *bitwise*
-//!   against the base. This catches every indirect perturbation —
-//!   fan-out load shifts on the old and new drivers of a rewired pin,
-//!   and the mean-wirelength normalization that couples all placed
-//!   gates through a wire edit — without modeling any of it.
+//! * **Dirty set** — the gates the script touched are characterized
+//!   again with their kept loads; a script that moves a wire
+//!   re-characterizes every gate, since it shifts the fan-out loads of
+//!   the old and new drivers and, through the mean-wirelength
+//!   normalization, every placed gate's wire capacitance. The new
+//!   [`GateTiming`](crate::GateTiming)s are diffed *bitwise* against the
+//!   base, so the dirty set is exactly what moved, however indirectly.
+//!   The whole step (`EditedFront`) is the one seam this engine and
+//!   the service's `EDIT` of a warm base job share.
 //! * **Dirty cone** — the IR's [`TimingGraph::fanout_cone`] of the dirty
 //!   and edited gates is the region the edit can reach. It is only a
 //!   counter ([`IncrementalStats::cone_gates`]): reuse is decided per path.
@@ -38,7 +41,6 @@
 
 use crate::analyze::PathAnalysis;
 use crate::cache::KernelStore;
-use crate::characterize::characterize_placed;
 use crate::engine::{Front, RetainedPaths, RunContext, SstaEngine, SstaReport, StageProfile};
 use crate::graph::TimingGraph;
 use crate::supervise::Supervisor;
@@ -222,6 +224,16 @@ impl EcoScript {
         out
     }
 
+    /// Whether any edit moves a wire (`addwire` or `rmwire`). Such an
+    /// edit shifts fan-out loads and, on a placed circuit, every gate's
+    /// normalized wire capacitance; the other edits change only the gates
+    /// they name.
+    pub fn rewires(&self) -> bool {
+        self.edits
+            .iter()
+            .any(|(_, e)| matches!(e, EcoEdit::AddWire { .. } | EcoEdit::RemoveWire { .. }))
+    }
+
     /// Renders the compact one-line form accepted by
     /// [`EcoScript::parse_compact`].
     pub fn render_compact(&self) -> String {
@@ -400,6 +412,112 @@ pub fn apply_edits(circuit: &mut Circuit, script: &EcoScript) -> Result<Vec<Gate
     Ok(touched)
 }
 
+/// An edited circuit's front, built from the front of the circuit the
+/// edit started from: the one seam through which both
+/// [`IncrementalEngine::apply`] and the service's `EDIT` of a warm base
+/// job run.
+pub(crate) struct EditedFront {
+    pub(crate) front: Front,
+    /// Gates whose [`GateTiming`](crate::GateTiming) differs bitwise
+    /// from the base's.
+    dirty: Vec<bool>,
+    characterize: StageProfile,
+    labels: StageProfile,
+}
+
+impl EditedFront {
+    /// Copies the base timing, characterizes again only the gates the
+    /// edit `touched` (every gate when it `rewires`), takes the dirty set
+    /// from the bitwise diff against the base timing, then labels the
+    /// edited circuit and traces its critical path. The diff is the
+    /// authority: it holds whatever the edit moved, however indirectly.
+    pub(crate) fn build(
+        engine: &SstaEngine,
+        circuit: &Circuit,
+        placement: &Placement,
+        base: &Front,
+        touched: &[GateId],
+        rewires: bool,
+    ) -> Result<EditedFront> {
+        let t0 = Instant::now();
+        let timing = base.timing.recharacterize(
+            circuit,
+            &engine.config().tech,
+            placement,
+            touched,
+            rewires,
+        )?;
+        let characterize = StageProfile::serial(t0.elapsed().as_secs_f64());
+        let dirty = timing
+            .gates()
+            .iter()
+            .zip(base.timing.gates())
+            .map(|(new, old)| new != old)
+            .collect();
+        let (front, labels) = engine.front(circuit, timing)?;
+        Ok(EditedFront {
+            front,
+            dirty,
+            characterize,
+            labels,
+        })
+    }
+
+    /// The dirty gates, ascending.
+    pub(crate) fn dirty_gates(&self) -> impl Iterator<Item = GateId> + '_ {
+        self.dirty
+            .iter()
+            .enumerate()
+            .filter(|(_, &d)| d)
+            .map(|(i, _)| GateId(i as u32))
+    }
+
+    /// Stages 3–6 of the edited circuit from this front, with a reuse
+    /// oracle over the base's `retained` report. Path analysis is a pure
+    /// function of gate sequence, timing bits, placement and settings,
+    /// so a retained path that crosses no dirty gate is bitwise what a
+    /// recompute would give; the oracle refuses every other path. Returns
+    /// the run, with this front's characterize and labels stages in its
+    /// profile, and the paths reused and recomputed.
+    pub(crate) fn run(
+        &self,
+        engine: &SstaEngine,
+        circuit: &Circuit,
+        placement: &Placement,
+        retained: &RetainedPaths,
+        store: Arc<KernelStore>,
+        sup: &Supervisor,
+    ) -> (Result<SstaReport>, usize, usize) {
+        let reused = AtomicUsize::new(0);
+        let recomputed = AtomicUsize::new(0);
+        let oracle = |path: &[GateId]| -> Option<PathAnalysis> {
+            let hit = if path.iter().any(|g| self.dirty[g.index()]) {
+                None
+            } else {
+                retained.get(path).cloned()
+            };
+            let counter = if hit.is_some() { &reused } else { &recomputed };
+            counter.fetch_add(1, Ordering::Relaxed);
+            hit
+        };
+        let run = engine
+            .run_characterized(
+                circuit,
+                placement,
+                &self.front,
+                Some(store),
+                sup,
+                Some(&oracle),
+            )
+            .map(|mut report| {
+                report.profile.characterize = self.characterize;
+                report.profile.labels = self.labels;
+                report
+            });
+        (run, reused.into_inner(), recomputed.into_inner())
+    }
+}
+
 /// Counters describing how much work one [`IncrementalEngine::apply`]
 /// call avoided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -517,73 +635,44 @@ impl IncrementalEngine {
         let sup = Supervisor::new(config.budget, config.retries);
         let mut circuit = self.circuit.clone();
         let touched = apply_edits(&mut circuit, script)?;
-
-        // Recharacterize and diff bitwise: the dirty set is *exactly*
-        // the gates whose timing bits moved, however indirectly.
-        let t0 = Instant::now();
-        let timing = characterize_placed(&circuit, &config.tech, &self.placement)?;
-        let characterize = StageProfile::serial(t0.elapsed().as_secs_f64());
-        let dirty: Vec<bool> = timing
-            .gates()
-            .iter()
-            .zip(self.front.timing.gates())
-            .map(|(new, old)| new != old)
-            .collect();
-        let dirty_gates = dirty.iter().filter(|&&d| d).count();
-        let seeds = dirty
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| GateId(i as u32))
-            .chain(touched.iter().copied());
+        let edited = EditedFront::build(
+            &self.engine,
+            &circuit,
+            &self.placement,
+            &self.front,
+            &touched,
+            script.rewires(),
+        )?;
+        let dirty_gates = edited.dirty_gates().count();
+        let seeds = edited.dirty_gates().chain(touched.iter().copied());
         let cone_gates = TimingGraph::build(&circuit)?
             .fanout_cone(seeds)
             .iter()
             .filter(|&&c| c)
             .count();
-
-        let (front, labels) = self.engine.front(&circuit, timing)?;
-
-        // Path analysis is a pure function of gate sequence, timing bits,
-        // placement and settings, so a retained path that crosses no
-        // dirty gate is bitwise what a recompute would give (only a clean
-        // report retains any).
-        let reused = AtomicUsize::new(0);
-        let recomputed = AtomicUsize::new(0);
-        let oracle = |path: &[GateId]| -> Option<PathAnalysis> {
-            let hit = if path.iter().any(|g| dirty[g.index()]) {
-                None
-            } else {
-                self.retained.get(path).cloned()
-            };
-            let counter = if hit.is_some() { &reused } else { &recomputed };
-            counter.fetch_add(1, Ordering::Relaxed);
-            hit
-        };
-        let mut report = self.engine.run_characterized(
+        let (run, reused_paths, recomputed_paths) = edited.run(
+            &self.engine,
             &circuit,
             &self.placement,
-            &front,
-            Some(Arc::clone(&self.store)),
+            &self.retained,
+            Arc::clone(&self.store),
             &sup,
-            Some(&oracle),
-        )?;
-        report.profile.characterize = characterize;
-        report.profile.labels = labels;
+        );
+        let mut report = run?;
         report.runtime = start.elapsed().as_secs_f64();
 
         let stats = IncrementalStats {
             edits_applied: script.edits.len(),
             dirty_gates,
             cone_gates,
-            reused_paths: reused.into_inner(),
-            recomputed_paths: recomputed.into_inner(),
+            reused_paths,
+            recomputed_paths,
         };
 
         // Re-base so the next script edits the edited circuit.
         let report = Arc::new(report);
         self.circuit = circuit;
-        self.front = front;
+        self.front = edited.front;
         self.retained = RetainedPaths::new(Arc::clone(&report));
 
         Ok(EcoOutcome {

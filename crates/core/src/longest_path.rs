@@ -49,40 +49,124 @@ impl Labels {
 /// awareness exhibits. Worst-case complexity `O(|N|·|E|)`; the sweep
 /// count is reported in the result.
 ///
+/// A sweep visits only the gates with an input whose label moved in the
+/// sweep before (the seeds count as sweep 0). Gates are stored in
+/// topological order, so a descending sweep reads each input before
+/// visiting it: every label it reads is the previous sweep's. A gate
+/// whose inputs all held still would compare the same values again and
+/// keep its label, so skipping it changes no label bit and no sweep
+/// count.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyCircuit`] for a gate-less circuit.
 pub fn bellman_ford(circuit: &Circuit, timing: &CircuitTiming) -> Result<Labels> {
+    let nominal: Vec<f64> = timing.gates().iter().map(|g| g.nominal).collect();
+    relax(circuit, &nominal)
+}
+
+/// Gate-to-gate edges as flat arrays: each gate's gate inputs, in pin
+/// order, and each gate's fanout sinks.
+struct FlatEdges {
+    input_start: Vec<u32>,
+    inputs: Vec<u32>,
+    fanout_start: Vec<u32>,
+    fanouts: Vec<u32>,
+}
+
+impl FlatEdges {
+    fn new(circuit: &Circuit) -> FlatEdges {
+        let n = circuit.gate_count();
+        let mut input_start = Vec::with_capacity(n + 1);
+        let mut inputs = Vec::new();
+        let mut fanout_count = vec![0u32; n + 1];
+        input_start.push(0);
+        for g in circuit.gates() {
+            for s in &g.inputs {
+                if let Signal::Gate(src) = s {
+                    inputs.push(src.0);
+                    fanout_count[src.index() + 1] += 1;
+                }
+            }
+            input_start.push(inputs.len() as u32);
+        }
+        for i in 0..n {
+            fanout_count[i + 1] += fanout_count[i];
+        }
+        let fanout_start = fanout_count;
+        let mut fill = fanout_start.clone();
+        let mut fanouts = vec![0u32; inputs.len()];
+        for sink in 0..n {
+            for &src in &inputs[input_start[sink] as usize..input_start[sink + 1] as usize] {
+                fanouts[fill[src as usize] as usize] = sink as u32;
+                fill[src as usize] += 1;
+            }
+        }
+        FlatEdges {
+            input_start,
+            inputs,
+            fanout_start,
+            fanouts,
+        }
+    }
+
+    fn inputs(&self, gate: usize) -> &[u32] {
+        &self.inputs[self.input_start[gate] as usize..self.input_start[gate + 1] as usize]
+    }
+
+    fn fanouts(&self, gate: usize) -> &[u32] {
+        &self.fanouts[self.fanout_start[gate] as usize..self.fanout_start[gate + 1] as usize]
+    }
+}
+
+/// The Bellman-Ford sweeps of [`bellman_ford`] over dense nominal
+/// delays, one per gate.
+fn relax(circuit: &Circuit, nominal: &[f64]) -> Result<Labels> {
     let n = circuit.gate_count();
     if n == 0 {
         return Err(CoreError::EmptyCircuit);
     }
+    let edges = FlatEdges::new(circuit);
     let mut arrival = vec![f64::NEG_INFINITY; n];
+    // `next[i]`: an input of gate `i` moved in the current sweep, so the
+    // next sweep visits it. Seeding is sweep 0.
+    let mut next = vec![false; n];
+    let mut visit = vec![false; n];
     // Seed: a gate fed by at least one primary input can start a path.
     for (i, g) in circuit.gates().iter().enumerate() {
         if g.inputs.iter().any(|s| matches!(s, Signal::Input(_))) {
-            arrival[i] = timing.gates()[i].nominal;
+            arrival[i] = nominal[i];
+            for &sink in edges.fanouts(i) {
+                next[sink as usize] = true;
+            }
         }
     }
     let mut sweeps = 0;
     loop {
         sweeps += 1;
+        // `visit` is all clear: every flag the last sweep read, it reset.
+        std::mem::swap(&mut visit, &mut next);
         let mut changed = false;
         // Deliberately anti-topological order (see doc comment).
         for i in (0..n).rev() {
-            let own = timing.gates()[i].nominal;
+            if !visit[i] {
+                continue;
+            }
+            visit[i] = false;
+            let own = nominal[i];
             let mut best = arrival[i];
-            for s in &circuit.gates()[i].inputs {
-                if let Signal::Gate(src) = s {
-                    let a = arrival[src.index()];
-                    if a.is_finite() && a + own > best {
-                        best = a + own;
-                    }
+            for &src in edges.inputs(i) {
+                let a = arrival[src as usize];
+                if a.is_finite() && a + own > best {
+                    best = a + own;
                 }
             }
             if best > arrival[i] {
                 arrival[i] = best;
                 changed = true;
+                for &sink in edges.fanouts(i) {
+                    next[sink as usize] = true;
+                }
             }
         }
         if !changed || sweeps > n {
@@ -179,7 +263,7 @@ pub fn critical_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::characterize;
+    use crate::characterize::{characterize, characterize_placed};
     use statim_process::{GateKind, Technology};
 
     fn diamond() -> (Circuit, CircuitTiming) {
@@ -200,6 +284,112 @@ mod tests {
         c.mark_output("o", g3).expect("circuit builds");
         let t = characterize(&c, &Technology::cmos130()).expect("characterization succeeds");
         (c, t)
+    }
+
+    /// The solver as it was before sweeps skipped gates whose inputs
+    /// held still: every sweep visits every gate. The flat solver must
+    /// match it bit for bit, sweep count included.
+    fn reference(circuit: &Circuit, nominal: &[f64]) -> Labels {
+        let n = circuit.gate_count();
+        let mut arrival = vec![f64::NEG_INFINITY; n];
+        for (i, g) in circuit.gates().iter().enumerate() {
+            if g.inputs.iter().any(|s| matches!(s, Signal::Input(_))) {
+                arrival[i] = nominal[i];
+            }
+        }
+        let mut sweeps = 0;
+        loop {
+            sweeps += 1;
+            let mut changed = false;
+            for i in (0..n).rev() {
+                let own = nominal[i];
+                let mut best = arrival[i];
+                for s in &circuit.gates()[i].inputs {
+                    if let Signal::Gate(src) = s {
+                        let a = arrival[src.index()];
+                        if a.is_finite() && a + own > best {
+                            best = a + own;
+                        }
+                    }
+                }
+                if best > arrival[i] {
+                    arrival[i] = best;
+                    changed = true;
+                }
+            }
+            if !changed || sweeps > n {
+                break;
+            }
+        }
+        Labels { arrival, sweeps }
+    }
+
+    fn label_bits(labels: &Labels) -> (usize, Vec<u64>) {
+        let bits = labels.arrival.iter().map(|a| a.to_bits()).collect();
+        (labels.sweeps, bits)
+    }
+
+    #[test]
+    fn flat_solver_matches_the_reference_on_every_builtin() {
+        use statim_netlist::generators::{iscas85, sequential};
+        use statim_netlist::{Placement, PlacementStyle};
+        let mut circuits: Vec<Circuit> = iscas85::Benchmark::ALL
+            .iter()
+            .map(|&b| iscas85::generate(b))
+            .collect();
+        circuits.push(sequential::s27());
+        for (stages, width) in [(2, 8), (4, 16), (8, 32)] {
+            circuits.push(sequential::pipeline(stages, width).expect("pipeline builds"));
+        }
+        let tech = Technology::cmos130();
+        for c in &circuits {
+            let p = Placement::generate(c, PlacementStyle::Levelized);
+            let t = characterize_placed(c, &tech, &p).expect("characterization succeeds");
+            let nominal: Vec<f64> = t.gates().iter().map(|g| g.nominal).collect();
+            let got = bellman_ford(c, &t).expect("labels computed");
+            assert_eq!(
+                label_bits(&got),
+                label_bits(&reference(c, &nominal)),
+                "{}",
+                c.name()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // Random DAGs whose delays come from three values, so labels tie
+        // along many paths.
+        #[test]
+        fn flat_solver_matches_the_reference_on_random_dags(
+            n_inputs in 1usize..5,
+            specs in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec(0usize..1000, 3), 0usize..3),
+                1..80,
+            ),
+        ) {
+            let mut c = Circuit::new("random");
+            let mut signals: Vec<Signal> = (0..n_inputs)
+                .map(|i| c.add_input(format!("i{i}")).expect("input"))
+                .collect();
+            let mut nominal = Vec::new();
+            for (g, (kind, picks, delay)) in specs.into_iter().enumerate() {
+                let kind = match kind {
+                    0 => GateKind::Inv,
+                    1 => GateKind::Nand(2),
+                    2 => GateKind::Nor(2),
+                    _ => GateKind::Nand(3),
+                };
+                let ins: Vec<Signal> = (0..kind.fan_in())
+                    .map(|k| signals[picks[k] % signals.len()])
+                    .collect();
+                signals.push(c.add_gate(format!("g{g}"), kind, &ins).expect("gate"));
+                nominal.push([1.0e-11, 2.0e-11, 1.5e-11][delay]);
+            }
+            let got = relax(&c, &nominal).expect("labels computed");
+            proptest::prop_assert_eq!(label_bits(&got), label_bits(&reference(&c, &nominal)));
+        }
     }
 
     #[test]

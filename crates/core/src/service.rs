@@ -97,6 +97,16 @@
 //! runs, and never a job with a fault plan, which neither reads nor
 //! seeds it.
 //!
+//! An `EDIT` ([`JobSpec::edited`]) makes a new netlist, so a new key.
+//! When that key is cold but its base netlist's key under the EDIT's own
+//! settings is warm, the job starts from the base's front, as
+//! `statim eco` does: only the gates the script touched are
+//! characterized again (every gate, for a rewire), the labels are
+//! recomputed, and every path of the base's widest report that crosses
+//! no gate whose timing bits moved is reused. An EDIT whose base is not
+//! warm (evicted, replayed from the store, or never clean) runs cold.
+//! Either way its clean report seeds its own key.
+//!
 //! # Result store
 //!
 //! Clean reports live in two tiers. The resident tier holds the 1024
@@ -131,11 +141,12 @@
 //! its least recently used entry.
 
 use crate::analyze::{IntraModel, PathAnalysis};
-use crate::cache::{fnv1a, fold_f64, fold_u64, settings_fingerprint, CacheStats, KernelStore};
+use crate::cache::{fold_f64, fold_u64, settings_fingerprint, CacheStats, Fnv1a, KernelStore};
 use crate::engine::{
     Front, LabelSolver, RetainedPaths, RunContext, SstaConfig, SstaEngine, SstaReport,
 };
 use crate::error::{ErrorClass, StatimError};
+use crate::incremental::{apply_edits, EcoScript, EditedFront};
 use crate::sequential::{SequentialConfig, SequentialEngine, SequentialReport};
 use crate::store::{ResultLog, StoreOptions, StoredReport};
 use crate::supervise::{isolate, BudgetKind, RunBudget, Supervisor};
@@ -259,6 +270,13 @@ impl fmt::Display for JobState {
 /// [`JobSpec::with_config`] shares all three under other settings, so a
 /// front end that keeps a template spec per fixed circuit builds each
 /// job without regenerating or re-serializing its netlist.
+///
+/// A spec [`JobSpec::edited`] derives also remembers its origin: the
+/// base netlist's digest and what the script touched. The executor
+/// starts such a job from the base's warm front when it has one. The
+/// origin is in neither the fingerprint nor the analysis key: the
+/// report is a function of the edited netlist alone, so every route to
+/// one netlist shares one store entry.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     circuit: Arc<Circuit>,
@@ -266,8 +284,22 @@ pub struct JobSpec {
     /// FNV-1a over `bench_format::write(circuit)` then
     /// `def_lite::write(circuit, placement)`.
     netlist_digest: u64,
+    /// Where an edited spec came from; `None` for any other.
+    origin: Option<EditOrigin>,
     /// The run configuration.
     pub config: SstaConfig,
+}
+
+/// The base an edited spec came from, and what its script changed.
+#[derive(Debug, Clone)]
+struct EditOrigin {
+    /// The base spec's netlist digest.
+    base_digest: u64,
+    /// The gates the script touched, ascending.
+    touched: Vec<GateId>,
+    /// Whether the script moves a wire (then every gate is
+    /// characterized again).
+    rewires: bool,
 }
 
 impl JobSpec {
@@ -277,20 +309,36 @@ impl JobSpec {
             netlist_digest: netlist_digest(&circuit, &placement),
             circuit: Arc::new(circuit),
             placement: Arc::new(placement),
+            origin: None,
             config,
         }
     }
 
-    /// An edited circuit under this spec's placement (shared, not
+    /// The spec an `EDIT` of this job submits: `script` applied to a
+    /// clone of the circuit, under this spec's placement (shared, not
     /// copied: edits never move a gate) and configuration, its netlist
-    /// digested afresh — the spec an `EDIT` of this job submits.
-    pub fn with_circuit(&self, circuit: Circuit) -> JobSpec {
-        JobSpec {
+    /// digested afresh. It remembers this spec's digest and the gates the
+    /// script touched, so the executor can start it from this netlist's
+    /// warm front.
+    ///
+    /// # Errors
+    ///
+    /// The script's typed refusal ([`CoreError::EcoApply`] with its line,
+    /// or the refusal of a sequential netlist).
+    pub fn edited(&self, script: &EcoScript) -> std::result::Result<JobSpec, StatimError> {
+        let mut circuit = Circuit::clone(&self.circuit);
+        let touched = apply_edits(&mut circuit, script)?;
+        Ok(JobSpec {
             netlist_digest: netlist_digest(&circuit, &self.placement),
             circuit: Arc::new(circuit),
             placement: Arc::clone(&self.placement),
+            origin: Some(EditOrigin {
+                base_digest: self.netlist_digest,
+                touched,
+                rewires: script.rewires(),
+            }),
             config: self.config.clone(),
-        }
+        })
     }
 
     /// The same circuit and placement (shared, not copied) under another
@@ -300,6 +348,7 @@ impl JobSpec {
             circuit: Arc::clone(&self.circuit),
             placement: Arc::clone(&self.placement),
             netlist_digest: self.netlist_digest,
+            origin: self.origin.clone(),
             config,
         }
     }
@@ -364,8 +413,20 @@ impl JobSpec {
     /// the wall-time-only knobs. Two specs with equal keys analyze any
     /// path they share bit for bit.
     pub(crate) fn analysis_key(&self) -> u64 {
+        self.analysis_key_of(self.netlist_digest)
+    }
+
+    /// The analysis key of an edited spec's base netlist under *this*
+    /// spec's settings, so the base front it finds was built under the
+    /// settings this job runs with. `None` for a spec with no origin.
+    fn base_analysis_key(&self) -> Option<u64> {
+        let origin = self.origin.as_ref()?;
+        Some(self.analysis_key_of(origin.base_digest))
+    }
+
+    fn analysis_key_of(&self, netlist_digest: u64) -> u64 {
         let mut h = fold_u64(
-            self.netlist_digest,
+            netlist_digest,
             settings_fingerprint(&self.config.tech, &self.config.settings()),
         );
         for bits in extra_report_inputs(&self.config) {
@@ -376,10 +437,17 @@ impl JobSpec {
 }
 
 /// FNV-1a over `bench_format::write(circuit)` then
-/// `def_lite::write(circuit, placement)`.
+/// `def_lite::write(circuit, placement)`, the text streamed into the
+/// hash instead of rendered. The DEF part continues from the `.bench`
+/// hash as [`fnv1a`] would, restarting at the offset basis if that hash
+/// is 0.
 fn netlist_digest(circuit: &Circuit, placement: &Placement) -> u64 {
-    let digest = fnv1a(0, bench_format::write(circuit).as_bytes());
-    fnv1a(digest, def_lite::write(circuit, placement).as_bytes())
+    let mut bench = Fnv1a::new(0);
+    // Writing into a hash cannot fail.
+    let _ = bench_format::write_to(&mut bench, circuit);
+    let mut def = Fnv1a::new(bench.0);
+    let _ = def_lite::write_to(&mut def, circuit, placement);
+    def.0
 }
 
 fn solver_tag(solver: LabelSolver) -> u64 {
@@ -779,10 +847,13 @@ pub struct ServiceStats {
     /// resident; once evicted, its spec runs again).
     pub store_write_errors: u64,
     /// Jobs that started from a warm front: a re-analysis of a netlist
-    /// and settings the executor already ran cleanly.
+    /// and settings the executor already ran cleanly, or an `EDIT` whose
+    /// base netlist it ran cleanly under the job's settings.
     pub warm_runs: u64,
-    /// Path analyses a warm job took from the widest clean report of its
-    /// netlist and settings instead of computing them.
+    /// Path analyses a warm job took instead of computing them: from the
+    /// widest clean report of its netlist and settings, or, for an
+    /// `EDIT`, from its base's, when the path crosses no gate the edit
+    /// moved.
     pub reused_paths: u64,
     /// Finished jobs retired from the job table past its bound.
     pub retired_jobs: u64,
@@ -1648,10 +1719,15 @@ impl Warm {
     /// the key's widest clean report already analyzed: a path's analysis
     /// is a pure function of its gate sequence, timing bits, placement
     /// and settings, and the key fixes all of those, so a hit is bitwise
-    /// what a recompute gives. A cold key runs the whole flow. Either
-    /// way a clean report seeds the state: a cold key enters with its
-    /// front, a warm key keeps the report if it is the widest so far
-    /// (indexed once, here).
+    /// what a recompute gives. A cold key whose spec is an edit of a warm
+    /// base key (the base netlist under this job's settings) runs
+    /// `check`, then builds its front from the base's through the
+    /// [`EditedFront`] seam `statim eco` uses, with an oracle over the
+    /// base's widest clean report that refuses every path through a gate
+    /// the edit moved. Any other cold key runs the whole flow. Either way
+    /// a clean report seeds the state: a cold key enters with its front,
+    /// a warm key keeps the report if it is the widest so far (indexed
+    /// once, here).
     ///
     /// A job with a fault plan neither reads nor seeds the state: a plan
     /// such as `poison-cache-shard` needs the kernel lookups that reuse
@@ -1673,38 +1749,67 @@ impl Warm {
             return engine.run_with(circuit, placement, ctx).map(Arc::new);
         }
         let key = spec.analysis_key();
-        let Some(entry) = self.entries.get(key) else {
-            let (front, report) = engine.run_with_front(circuit, placement, ctx)?;
+        let start = Instant::now();
+        if let Some(entry) = self.entries.get(key) {
+            engine.check(circuit, placement)?;
+            usage.warm = true;
+            let reused = AtomicUsize::new(0);
+            let oracle = |path: &[GateId]| -> Option<PathAnalysis> {
+                let hit = entry.widest.get(path)?.clone();
+                reused.fetch_add(1, Ordering::Relaxed);
+                Some(hit)
+            };
+            let run = engine.run_characterized(
+                circuit,
+                placement,
+                &entry.front,
+                ctx.store,
+                sup,
+                Some(&oracle),
+            );
+            usage.reused = reused.into_inner();
+            let mut report = run?;
+            report.runtime = start.elapsed().as_secs_f64();
             let report = Arc::new(report);
-            if report.is_clean() {
-                let widest = RetainedPaths::new(Arc::clone(&report));
-                self.entries.insert(key, WarmEntry { front, widest });
+            if report.is_clean() && report.num_paths > entry.widest.report().num_paths {
+                entry.widest = RetainedPaths::new(Arc::clone(&report));
             }
             return Ok(report);
+        }
+        let base = spec
+            .base_analysis_key()
+            .and_then(|base_key| self.entries.get(base_key));
+        let (front, report) = match (base, &spec.origin) {
+            (Some(base), Some(origin)) => {
+                engine.check(circuit, placement)?;
+                usage.warm = true;
+                let edited = EditedFront::build(
+                    &engine,
+                    circuit,
+                    placement,
+                    &base.front,
+                    &origin.touched,
+                    origin.rewires,
+                )?;
+                let (run, reused, _) = edited.run(
+                    &engine,
+                    circuit,
+                    placement,
+                    &base.widest,
+                    Arc::clone(store),
+                    sup,
+                );
+                usage.reused = reused;
+                let mut report = run?;
+                report.runtime = start.elapsed().as_secs_f64();
+                (edited.front, report)
+            }
+            _ => engine.run_with_front(circuit, placement, ctx)?,
         };
-        let start = Instant::now();
-        engine.check(circuit, placement)?;
-        usage.warm = true;
-        let reused = AtomicUsize::new(0);
-        let oracle = |path: &[GateId]| -> Option<PathAnalysis> {
-            let hit = entry.widest.get(path)?.clone();
-            reused.fetch_add(1, Ordering::Relaxed);
-            Some(hit)
-        };
-        let run = engine.run_characterized(
-            circuit,
-            placement,
-            &entry.front,
-            ctx.store,
-            sup,
-            Some(&oracle),
-        );
-        usage.reused = reused.into_inner();
-        let mut report = run?;
-        report.runtime = start.elapsed().as_secs_f64();
         let report = Arc::new(report);
-        if report.is_clean() && report.num_paths > entry.widest.report().num_paths {
-            entry.widest = RetainedPaths::new(Arc::clone(&report));
+        if report.is_clean() {
+            let widest = RetainedPaths::new(Arc::clone(&report));
+            self.entries.insert(key, WarmEntry { front, widest });
         }
         Ok(report)
     }
@@ -2885,12 +2990,66 @@ mod tests {
         let script = crate::EcoScript::parse_compact("resize:g113:0.5;swap:g115:nor2")
             .expect("script parses");
         crate::apply_edits(&mut edited, &script).expect("edits apply");
-        let spec = base.with_circuit(edited.clone());
+        let spec = base.edited(&script).expect("edits apply");
         assert!(Arc::ptr_eq(&spec.placement, &base.placement));
         let fresh = JobSpec::new(edited, placement, config);
         assert_eq!(spec.fingerprint(), fresh.fingerprint());
         assert_eq!(spec.analysis_key(), fresh.analysis_key());
         assert_ne!(spec.fingerprint(), base.fingerprint());
+        // The origin names the base netlist under the spec's own
+        // settings, whatever settings the base ran with.
+        assert_eq!(spec.base_analysis_key(), Some(base.analysis_key()));
+        let mut quality = SstaConfig::date05();
+        quality.quality_inter = 30;
+        assert_eq!(
+            spec.with_config(quality.clone()).base_analysis_key(),
+            Some(base.with_config(quality).analysis_key())
+        );
+        assert_eq!(fresh.base_analysis_key(), None);
+        let err = base
+            .edited(&crate::EcoScript::parse_compact("resize:nosuch:2").expect("parses"))
+            .expect_err("an unknown gate is refused");
+        assert_eq!(err.class, ErrorClass::Config, "{err}");
+    }
+
+    /// The digest streams the netlist text into the hash; it must equal
+    /// FNV-1a over the rendered `.bench` text, then the DEF text. Both
+    /// continue through `Fnv1a::new`, so a `.bench` part that hashed to 0
+    /// would restart at the offset basis in both.
+    #[test]
+    fn streamed_digest_equals_the_hash_of_the_rendered_text() {
+        use statim_netlist::generators::sequential;
+        let rendered = |c: &Circuit, p: &Placement| {
+            let bench = crate::cache::fnv1a(0, bench_format::write(c).as_bytes());
+            crate::cache::fnv1a(bench, def_lite::write(c, p).as_bytes())
+        };
+        assert_eq!(Fnv1a::new(0).0, crate::cache::fnv1a(0, b""));
+        let mut circuits: Vec<Circuit> = Benchmark::ALL
+            .iter()
+            .map(|&b| iscas85::generate(b))
+            .collect();
+        let mut edited = iscas85::generate(Benchmark::C880);
+        let script = crate::EcoScript::parse_compact(
+            "resize:g113:0.5;retime:g115:2.5e-12;swap:g120:nor2;rmwire:g130:0",
+        )
+        .expect("script parses");
+        crate::apply_edits(&mut edited, &script).expect("edits apply");
+        circuits.push(edited);
+        circuits.push(sequential::s27());
+        let directed = format!(
+            "{}# statim clock period 1.25e-9\n# statim clock depth 3\n\
+             # statim constraint setup 1e-11\n# statim constraint hold 2.5e-12\n",
+            bench_format::write(&sequential::pipeline(2, 8).expect("pipeline"))
+        );
+        let directed = bench_format::parse("pipe2x8", &directed).expect("directives parse");
+        assert!(directed.seq_spec().period.is_some());
+        circuits.push(directed);
+        for c in &circuits {
+            for style in [PlacementStyle::Levelized, PlacementStyle::Random(7)] {
+                let p = Placement::generate(c, style);
+                assert_eq!(netlist_digest(c, &p), rendered(c, &p), "{}", c.name());
+            }
+        }
     }
 
     #[test]

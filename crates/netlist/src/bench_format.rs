@@ -35,6 +35,7 @@ use crate::error::NetlistError;
 use crate::Result;
 use statim_process::GateKind;
 use std::collections::HashMap;
+use std::fmt;
 
 /// Parses `.bench` text into a [`Circuit`].
 ///
@@ -384,79 +385,93 @@ fn strip_decl<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
 
 /// Serializes a circuit to `.bench` text.
 pub fn write(circuit: &Circuit) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "# {}", circuit.name());
+    // Writing into a `String` cannot fail.
+    let _ = write_to(&mut out, circuit);
+    out
+}
+
+/// Streams the `.bench` text of [`write()`] into `out`, piece by piece,
+/// without building it as one string.
+///
+/// # Errors
+///
+/// Whatever `out` returns.
+pub fn write_to<W: fmt::Write>(out: &mut W, circuit: &Circuit) -> fmt::Result {
+    writeln!(out, "# {}", circuit.name())?;
     if circuit.is_sequential() {
-        let _ = writeln!(
+        writeln!(
             out,
             "# {} inputs, {} outputs, {} gates, {} registers",
             circuit.true_input_count(),
             circuit.output_count(),
             circuit.gate_count(),
             circuit.registers().len()
-        );
+        )?;
     } else {
-        let _ = writeln!(
+        writeln!(
             out,
             "# {} inputs, {} outputs, {} gates",
             circuit.input_count(),
             circuit.output_count(),
             circuit.gate_count()
-        );
+        )?;
     }
     // Register Qs are pseudo-inputs: they come back from the DFF lines,
     // not INPUT declarations.
     for pi in circuit.true_input_names() {
-        let _ = writeln!(out, "INPUT({pi})");
+        writeln!(out, "INPUT({pi})")?;
     }
     // .bench outputs are *net* names: emit the driving net of each PO
     // (output aliases such as "cor0" do not exist as nets).
     for &(_, sig) in circuit.outputs() {
-        let _ = writeln!(out, "OUTPUT({})", circuit.signal_name(sig));
+        writeln!(out, "OUTPUT({})", circuit.signal_name(sig))?;
     }
     for r in circuit.registers() {
         let d =
             r.d.map(|s| circuit.signal_name(s))
                 .unwrap_or("<unconnected>");
-        let _ = writeln!(out, "{} = DFF({d})", r.name);
+        writeln!(out, "{} = DFF({d})", r.name)?;
     }
     for g in circuit.gates() {
-        let args: Vec<&str> = g.inputs.iter().map(|&s| circuit.signal_name(s)).collect();
-        let _ = writeln!(
-            out,
-            "{} = {}({})",
-            g.name,
-            g.kind.bench_name(),
-            args.join(", ")
-        );
+        out.write_str(&g.name)?;
+        out.write_str(" = ")?;
+        out.write_str(g.kind.bench_name())?;
+        out.write_char('(')?;
+        for (k, &s) in g.inputs.iter().enumerate() {
+            if k > 0 {
+                out.write_str(", ")?;
+            }
+            out.write_str(circuit.signal_name(s))?;
+        }
+        out.write_str(")\n")?;
     }
     // ECO overlays, only where they differ from the defaults — unedited
     // circuits keep their classic byte-exact form. `{}` on f64 prints
     // the shortest round-trip-exact decimal, so parse(write(c)) == c.
     for g in circuit.gates() {
         if g.drive != 1.0 {
-            let _ = writeln!(out, "# statim drive {} {}", g.name, g.drive);
+            writeln!(out, "# statim drive {} {}", g.name, g.drive)?;
         }
         if g.pad != 0.0 {
-            let _ = writeln!(out, "# statim pad {} {}", g.name, g.pad);
+            writeln!(out, "# statim pad {} {}", g.name, g.pad)?;
         }
     }
     // Clock / constraint directives, non-default values only.
     let seq = circuit.seq_spec();
     if let Some(period) = seq.period {
-        let _ = writeln!(out, "# statim clock period {period}");
+        writeln!(out, "# statim clock period {period}")?;
     }
     if let Some(depth) = seq.tree_depth {
-        let _ = writeln!(out, "# statim clock depth {depth}");
+        writeln!(out, "# statim clock depth {depth}")?;
     }
     if seq.setup_margin != 0.0 {
-        let _ = writeln!(out, "# statim constraint setup {}", seq.setup_margin);
+        writeln!(out, "# statim constraint setup {}", seq.setup_margin)?;
     }
     if seq.hold_margin != 0.0 {
-        let _ = writeln!(out, "# statim constraint hold {}", seq.hold_margin);
+        writeln!(out, "# statim constraint hold {}", seq.hold_margin)?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]

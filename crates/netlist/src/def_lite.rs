@@ -24,6 +24,7 @@ use crate::error::NetlistError;
 use crate::place::Placement;
 use crate::Result;
 use std::collections::HashMap;
+use std::fmt;
 
 /// A parsed DEF-lite file: design name, die side (microns) and component
 /// positions (microns).
@@ -162,29 +163,75 @@ pub fn parse(text: &str) -> Result<DefDesign> {
 
 /// Serializes a circuit + placement as DEF-lite (1000 DBU per micron).
 pub fn write(circuit: &Circuit, placement: &Placement) -> String {
-    use std::fmt::Write as _;
-    const DBU: f64 = 1000.0;
     let mut out = String::new();
-    let _ = writeln!(out, "VERSION 5.6 ;");
-    let _ = writeln!(out, "DESIGN {} ;", circuit.name());
-    let _ = writeln!(out, "UNITS DISTANCE MICRONS {DBU} ;");
+    // Writing into a `String` cannot fail.
+    let _ = write_to(&mut out, circuit, placement);
+    out
+}
+
+/// Streams the DEF-lite text of [`write()`] into `out`, piece by piece,
+/// without building it as one string.
+///
+/// # Errors
+///
+/// Whatever `out` returns.
+pub fn write_to<W: fmt::Write>(
+    out: &mut W,
+    circuit: &Circuit,
+    placement: &Placement,
+) -> fmt::Result {
+    const DBU: f64 = 1000.0;
+    out.write_str("VERSION 5.6 ;\n")?;
+    writeln!(out, "DESIGN {} ;", circuit.name())?;
+    out.write_str("UNITS DISTANCE MICRONS ")?;
+    write_coord(out, DBU)?;
+    out.write_str(" ;\nDIEAREA ( 0 0 ) ( ")?;
     let side = (placement.die_side() * DBU).round();
-    let _ = writeln!(out, "DIEAREA ( 0 0 ) ( {side} {side} ) ;");
-    let _ = writeln!(out, "COMPONENTS {} ;", circuit.gate_count());
+    write_coord(out, side)?;
+    out.write_char(' ')?;
+    write_coord(out, side)?;
+    out.write_str(" ) ;\n")?;
+    writeln!(out, "COMPONENTS {} ;", circuit.gate_count())?;
     for (g, id) in circuit.gates().iter().zip(circuit.gate_ids()) {
         let (x, y) = placement.position(id);
-        let _ = writeln!(
-            out,
-            "- {} {} + PLACED ( {} {} ) N ;",
-            g.name,
-            g.kind,
-            (x * DBU).round(),
-            (y * DBU).round()
-        );
+        out.write_str("- ")?;
+        out.write_str(&g.name)?;
+        write!(out, " {} + PLACED ( ", g.kind)?;
+        write_coord(out, (x * DBU).round())?;
+        out.write_char(' ')?;
+        write_coord(out, (y * DBU).round())?;
+        out.write_str(" ) N ;\n")?;
     }
-    let _ = writeln!(out, "END COMPONENTS");
-    let _ = writeln!(out, "END DESIGN");
-    out
+    out.write_str("END COMPONENTS\nEND DESIGN\n")
+}
+
+/// Writes `v` exactly as `{}` formats it. A whole number below 2^53 in
+/// magnitude, which is what a rounded coordinate is, takes the integer
+/// printer: `{}` prints such a value as its integer digits, since every
+/// shorter decimal names another `f64`. Anything else (a fraction, −0,
+/// a non-finite value, a magnitude where `{}` may round the digits)
+/// takes `{}` itself.
+fn write_coord<W: fmt::Write>(out: &mut W, v: f64) -> fmt::Result {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if v.fract() != 0.0 || v.abs() >= EXACT || (v == 0.0 && v.is_sign_negative()) {
+        return write!(out, "{v}");
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = v.abs() as u64;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0.0 {
+        out.write_char('-')?;
+    }
+    // The buffer holds ASCII digits only.
+    out.write_str(std::str::from_utf8(&digits[at..]).unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -201,6 +248,58 @@ mod tests {
         let h = c.add_gate("u2", GateKind::Inv, &[g])?;
         c.mark_output("z", h)?;
         Ok(c)
+    }
+
+    /// The coordinate printer writes what `{}` writes, for any `f64`.
+    #[test]
+    fn coordinates_print_as_display_does() {
+        let printed = |v: f64| {
+            let mut s = String::new();
+            write_coord(&mut s, v).expect("a String takes any text");
+            s
+        };
+        let two53 = 9_007_199_254_740_992.0f64;
+        let special = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            5000.0,
+            -130_000.0,
+            0.5,
+            -2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::from_bits(1),
+            two53 - 1.0,
+            -(two53 - 1.0),
+            two53,
+            two53 + 2.0,
+            -(two53 * 3.0),
+            1e20,
+            f64::MAX,
+            f64::MIN,
+            u64::MAX as f64,
+            i64::MIN as f64,
+        ];
+        for v in special {
+            assert_eq!(printed(v), format!("{v}"), "bits {:#x}", v.to_bits());
+        }
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0x5eed);
+        for _ in 0..20_000 {
+            let bits: u64 = rand::Rng::gen(&mut rng);
+            let v = f64::from_bits(bits);
+            assert_eq!(printed(v), format!("{v}"), "bits {bits:#x}");
+            // Whole numbers of every magnitude, as rounded coordinates are.
+            let whole = v.round();
+            assert_eq!(printed(whole), format!("{whole}"));
+            let scaled = (rand::Rng::gen::<f64>(&mut rng) * 2e16 - 1e16).round();
+            assert_eq!(printed(scaled), format!("{scaled}"));
+        }
     }
 
     #[test]

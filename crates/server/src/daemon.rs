@@ -30,7 +30,8 @@
 //! any progress), so every other connection, the listener, the stop
 //! flag, `WAIT` deadlines and reaping still get a pass at least every
 //! 8 ms, while the connection a client is talking on is served as soon
-//! as its bytes or its job arrive.
+//! as its bytes or its job arrive. A wait on an expected event that runs
+//! to its full timeout is counted ([`DaemonHandle::idle_timeouts`]).
 //!
 //! # Overload defenses
 //!
@@ -67,9 +68,7 @@ use statim_core::options::{parse_backend, parse_value};
 use statim_core::service::{
     AnalysisService, CancelOutcome, JobSpec, ServiceConfig, ServiceStats, SubmitOptions,
 };
-use statim_core::{
-    apply_edits, EcoScript, ErrorClass, JobId, PlacementOptions, RunBudget, StatimError,
-};
+use statim_core::{EcoScript, ErrorClass, JobId, PlacementOptions, RunBudget, StatimError};
 use statim_netlist::generators::iscas85::{self, Benchmark};
 use statim_netlist::generators::sequential;
 use statim_netlist::{bench_format, Circuit, Placement, PlacementStyle};
@@ -149,6 +148,9 @@ struct Counters {
     /// Connections closed by the progress deadline or the per-client
     /// aggregate buffer cap.
     reaped: AtomicU64,
+    /// Idle waits on an expected event (a parked `WAIT`'s job, a
+    /// connection's next bytes) that ran to their full timeout.
+    idle_timeouts: AtomicU64,
 }
 
 /// Template job specs for the fixed built-in circuits — the ten ISCAS85
@@ -264,6 +266,18 @@ impl DaemonHandle {
     /// aggregate buffer cap since start.
     pub fn reaped_connections(&self) -> u64 {
         self.registry.counters.reaped.load(Ordering::SeqCst)
+    }
+
+    /// Idle waits on an expected event — the job a parked `WAIT` names,
+    /// or a connection's next request bytes — that ran to their full
+    /// backoff timeout instead of ending as the event arrived. A worker
+    /// that blocks on the event keeps this near zero while a client
+    /// talks to it; one that slept the backoff out would add one each
+    /// time a pass found the next request or the job not there yet.
+    /// Waits of a worker with no open connection are not counted: there
+    /// is nothing to expect.
+    pub fn idle_timeouts(&self) -> u64 {
+        self.registry.counters.idle_timeouts.load(Ordering::SeqCst)
     }
 
     /// Begins a graceful drain without a client connection — the
@@ -434,7 +448,12 @@ fn worker_loop(
         if busy {
             idle = IDLE_POLL_MIN;
         } else {
-            expected.wait(service, idle);
+            if expected.wait(service, idle) {
+                registry
+                    .counters
+                    .idle_timeouts
+                    .fetch_add(1, Ordering::Relaxed);
+            }
             idle = (idle * 2).min(IDLE_POLL_MAX);
         }
     }
@@ -474,26 +493,39 @@ impl Expected {
     /// waited on by a blocking peek under a read timeout and then
     /// switched back to non-blocking; one that cannot be switched back
     /// is shut down, so its next turn reads EOF and closes it instead of
-    /// stalling the worker.
-    fn wait(self, service: &AnalysisService, timeout: Duration) {
+    /// stalling the worker. Returns whether an expected event's wait ran
+    /// to the full timeout.
+    fn wait(self, service: &AnalysisService, timeout: Duration) -> bool {
         match self {
             // Whatever the wait returns, the connection's next turn
             // resolves it (an error included).
-            Expected::Job(id) => {
-                let _ = service.wait(id, timeout);
-            }
+            Expected::Job(id) => service
+                .wait(id, timeout)
+                .is_ok_and(|status| !status.state.is_terminal()),
             Expected::Bytes(socket) => {
                 let armed = socket.tcp.set_nonblocking(false).is_ok() && socket.arm(timeout);
-                if armed {
-                    let _ = socket.tcp.peek(&mut [0u8; 1]);
+                let ran_out = if armed {
+                    // A read timeout surfaces as `WouldBlock` or
+                    // `TimedOut`, depending on the platform.
+                    socket.tcp.peek(&mut [0u8; 1]).is_err_and(|e| {
+                        matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        )
+                    })
                 } else {
                     thread::sleep(timeout);
-                }
+                    true
+                };
                 if socket.tcp.set_nonblocking(true).is_err() {
                     let _ = socket.tcp.shutdown(Shutdown::Both);
                 }
+                ran_out
             }
-            Expected::Nothing => thread::sleep(timeout),
+            Expected::Nothing => {
+                thread::sleep(timeout);
+                false
+            }
         }
     }
 }
@@ -1034,7 +1066,10 @@ fn respond(
                 Ok(spec) => spec,
                 Err(e) => return (error_reply(&e), Vec::new()),
             };
-            match edited_spec(&base, &script) {
+            let edited = EcoScript::parse_compact(&script)
+                .map_err(StatimError::from)
+                .and_then(|script| base.edited(&script));
+            match edited {
                 Ok(spec) => {
                     match service.submit_with(spec, SubmitOptions::for_client(lane.clone())) {
                         Ok(receipt) => (
@@ -1251,18 +1286,6 @@ fn set_submit_option(
         }
     }
     Ok(())
-}
-
-/// Derives a new [`JobSpec`] from a base job's spec by applying a
-/// compact ECO edit script to a clone of its circuit. The placement
-/// (shared) and run options carry over unchanged, so the new job
-/// re-analyzes against the daemon's warm kernel store and path-identical
-/// kernels hit the cache.
-fn edited_spec(base: &JobSpec, script: &str) -> Result<JobSpec, StatimError> {
-    let script = EcoScript::parse_compact(script).map_err(StatimError::from)?;
-    let mut circuit = base.circuit().clone();
-    apply_edits(&mut circuit, &script).map_err(StatimError::from)?;
-    Ok(base.with_circuit(circuit))
 }
 
 /// Loads a source that is not a fixed built-in: a `.bench` file path or

@@ -5,8 +5,10 @@
 //! The table below is sync-checked against the directory so a new bad
 //! script cannot silently skip classification.
 
-use statim::core::{apply_edits, EcoScript, ErrorClass, StatimError};
+use statim::core::characterize::characterize_placed;
+use statim::core::{apply_edits, EcoScript, ErrorClass, SstaConfig, StatimError};
 use statim::netlist::generators::iscas85::{self, Benchmark};
+use statim::netlist::{Placement, PlacementStyle};
 use std::fs;
 use std::path::Path;
 
@@ -98,4 +100,43 @@ fn well_formed_scripts_still_apply() {
     let mut circuit = iscas85::generate(Benchmark::C432);
     let touched = apply_edits(&mut circuit, &script).expect("apply");
     assert!(!touched.is_empty());
+}
+
+/// Every script here that applies — the control script, and each
+/// corpus file's lines before the one that fails — recharacterizes only
+/// what it touched into exactly the timing a full pass computes.
+#[test]
+fn partial_characterization_matches_a_full_pass_on_every_valid_script() {
+    let control =
+        "resize g10 2.0\nretime g11 1e-12\nswap g1 nor2\naddwire g1 g50 0\nrmwire g50 1\n";
+    let mut scripts = vec![control.to_string()];
+    for &(file, _, line, _) in CORPUS {
+        let text = fs::read_to_string(corpus_dir().join(file)).expect("corpus file");
+        let prefix: Vec<&str> = text.lines().take(line - 1).collect();
+        scripts.push(prefix.join("\n"));
+    }
+    // Each piece of the control script alone, so the non-wire edits are
+    // checked without a rewire forcing the full pass.
+    scripts.extend(control.lines().map(str::to_string));
+    let tech = SstaConfig::date05().tech;
+    let circuit = iscas85::generate(Benchmark::C432);
+    let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+    let base = characterize_placed(&circuit, &tech, &placement).expect("base timing");
+    let mut applied = 0;
+    for text in scripts {
+        let Ok(script) = EcoScript::parse(&text) else {
+            continue;
+        };
+        let mut edited = circuit.clone();
+        let Ok(touched) = apply_edits(&mut edited, &script) else {
+            continue;
+        };
+        let partial = base
+            .recharacterize(&edited, &tech, &placement, &touched, script.rewires())
+            .expect("partial characterization");
+        let full = characterize_placed(&edited, &tech, &placement).expect("full pass");
+        assert_eq!(format!("{partial:?}"), format!("{full:?}"), "{text}");
+        applied += 1;
+    }
+    assert!(applied >= 7, "only {applied} scripts applied");
 }

@@ -5,9 +5,14 @@
 //! byte-identical to a from-scratch run of the same edited circuit.
 //! The vendored proptest has no shrinking, so failures go through a
 //! hand-written greedy minimizer first: the panic message prints the
-//! smallest edit script that still reproduces the divergence.
+//! smallest edit script that still reproduces the divergence. At every
+//! prefix, too, the partial characterization an edit takes
+//! ([`CircuitTiming::recharacterize`]) must equal a full
+//! `characterize_placed` bit for bit, as it must for a thousand seeded
+//! one-gate edits over the ten Table 2 circuits.
 
 use proptest::prelude::*;
+use statim::core::characterize::{characterize_placed, CircuitTiming};
 use statim::core::engine::{SstaConfig, SstaEngine};
 use statim::core::report::deterministic_report;
 use statim::core::{apply_edits, EcoEdit, EcoScript, IncrementalEngine};
@@ -114,6 +119,49 @@ fn random_edit(rng: &mut Rng, circuit: &Circuit) -> EcoEdit {
     }
 }
 
+/// Every bit of a circuit's timing: per gate, its kind, α, β, nominal
+/// delay and gradient.
+fn timing_bits(timing: &CircuitTiming) -> Vec<(String, Vec<u64>)> {
+    timing
+        .gates()
+        .iter()
+        .map(|g| {
+            let mut bits = vec![
+                g.ab.alpha.to_bits(),
+                g.ab.beta.to_bits(),
+                g.nominal.to_bits(),
+            ];
+            bits.extend(g.gradient.iter().map(|(_, v)| v.to_bits()));
+            (g.kind.to_string(), bits)
+        })
+        .collect()
+}
+
+/// Applies `script` to `circuit`, whose timing is `timing`, and checks
+/// that recharacterizing only what it touched equals a full pass bit for
+/// bit. Returns the touched gates and the full timing of the edit.
+fn recharacterize_like_full(
+    circuit: &mut Circuit,
+    timing: &CircuitTiming,
+    placement: &Placement,
+    script: &EcoScript,
+) -> Result<(Vec<statim::netlist::GateId>, CircuitTiming), String> {
+    let tech = &config().tech;
+    let touched = apply_edits(circuit, script).map_err(|e| format!("apply failed: {e}"))?;
+    let partial = timing
+        .recharacterize(circuit, tech, placement, &touched, script.rewires())
+        .map_err(|e| format!("partial characterization failed: {e}"))?;
+    let full =
+        characterize_placed(circuit, tech, placement).map_err(|e| format!("full pass: {e}"))?;
+    if timing_bits(&partial) != timing_bits(&full) || partial != full {
+        return Err(format!(
+            "partial characterization != full pass after\n{}",
+            script.render()
+        ));
+    }
+    Ok((touched, full))
+}
+
 fn script_of(edits: &[EcoEdit]) -> EcoScript {
     EcoScript {
         edits: edits
@@ -131,16 +179,23 @@ fn script_of(edits: &[EcoEdit]) -> EcoScript {
 fn check_prefixes(bench: Benchmark, edits: &[EcoEdit]) -> Result<(), String> {
     let circuit = iscas85::generate(bench);
     let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
-    let mut inc = IncrementalEngine::new(SstaEngine::new(config()), circuit.clone(), placement)
-        .map_err(|e| format!("base run failed: {e}"))?;
+    let mut timing = characterize_placed(&circuit, &config().tech, &placement)
+        .map_err(|e| format!("base characterization failed: {e}"))?;
+    let mut inc = IncrementalEngine::new(
+        SstaEngine::new(config()),
+        circuit.clone(),
+        placement.clone(),
+    )
+    .map_err(|e| format!("base run failed: {e}"))?;
     let mut reference = circuit;
     for (i, edit) in edits.iter().enumerate() {
         let step = script_of(std::slice::from_ref(edit));
         let outcome = inc
             .apply(&step)
             .map_err(|e| format!("incremental apply of edit {} failed: {e}", i + 1))?;
-        apply_edits(&mut reference, &step)
-            .map_err(|e| format!("reference apply of edit {} failed: {e}", i + 1))?;
+        timing = recharacterize_like_full(&mut reference, &timing, &placement, &step)
+            .map_err(|e| format!("edit {}: {e}", i + 1))?
+            .1;
         let fresh_placement =
             Placement::generate(&iscas85::generate(bench), PlacementStyle::Levelized);
         let fresh = SstaEngine::new(config())
@@ -212,4 +267,43 @@ proptest! {
             );
         }
     }
+}
+
+/// A thousand seeded one-gate resizes, retimes and swaps, a hundred on
+/// each Table 2 circuit: characterizing only the touched gate equals a
+/// full pass bit for bit, and no other gate's timing moves.
+#[test]
+fn one_gate_edits_recharacterize_like_a_full_pass() {
+    let mut rng = Rng(0x0e5e_ed5c_a1ab_1e00);
+    let mut checked = 0;
+    for bench in Benchmark::ALL {
+        let circuit = iscas85::generate(bench);
+        let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+        let base = characterize_placed(&circuit, &config().tech, &placement).expect("base timing");
+        for _ in 0..100 {
+            let edit = loop {
+                let edit = random_edit(&mut rng, &circuit);
+                if !matches!(edit, EcoEdit::AddWire { .. } | EcoEdit::RemoveWire { .. }) {
+                    break edit;
+                }
+            };
+            let script = script_of(&[edit]);
+            let mut edited = circuit.clone();
+            let (touched, full) = recharacterize_like_full(&mut edited, &base, &placement, &script)
+                .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
+            let moved: Vec<usize> = (0..circuit.gate_count())
+                .filter(|&i| full.gates()[i] != base.gates()[i])
+                .collect();
+            assert!(
+                moved
+                    .iter()
+                    .all(|&i| touched.iter().any(|g| g.index() == i)),
+                "{}: {} moved an untouched gate",
+                bench.name(),
+                script.render()
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 1000);
 }

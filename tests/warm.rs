@@ -7,9 +7,13 @@
 //! reuse is invisible in the bits: every served report here is compared
 //! with a fresh `SstaEngine` run — every scalar, every PDF cell and the
 //! label sweeps — while the `warm_runs`/`reused_paths` counters show the
-//! reuse did happen. The job table keeps a bounded number of terminal
-//! jobs and retires the least recently used past it.
+//! reuse did happen. An `EDIT` of a warm job starts from its base's
+//! front and reuses every path of the base's widest report that crosses
+//! no gate the edit moved; an `EDIT` of a base that is not warm runs
+//! cold. The job table keeps a bounded number of terminal jobs and
+//! retires the least recently used past it.
 
+use statim::core::characterize::characterize_placed;
 use statim::core::engine::{SstaConfig, SstaEngine, SstaReport};
 use statim::core::report::deterministic_report;
 use statim::core::{
@@ -17,7 +21,8 @@ use statim::core::{
     ServiceError, ServiceStats,
 };
 use statim::netlist::generators::iscas85::{self, Benchmark};
-use statim::netlist::{Circuit, Placement, PlacementStyle};
+use statim::netlist::{Circuit, GateId, Placement, PlacementStyle};
+use statim::process::GateKind;
 use statim::stats::Pdf;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -224,6 +229,216 @@ fn warm_reanalyses_match_fresh_runs_c1908() {
     warm_sequence(Benchmark::C1908, [0.02, 0.05, 0.3], 3);
 }
 
+/// The gates whose timing bits differ between a circuit and its edit.
+fn dirty(
+    before: &Circuit,
+    after: &Circuit,
+    placement: &Placement,
+    config: &SstaConfig,
+) -> Vec<bool> {
+    let timing = |c: &Circuit| characterize_placed(c, &config.tech, placement).expect("timing");
+    let (old, new) = (timing(before), timing(after));
+    old.gates()
+        .iter()
+        .zip(new.gates())
+        .map(|(a, b)| a != b)
+        .collect()
+}
+
+/// The paths of `edited` that a reuse oracle over `widest` hands back:
+/// analyzed there, and through no dirty gate.
+fn reusable(widest: &SstaReport, edited: &SstaReport, dirty: &[bool]) -> u64 {
+    let analyzed = |gates: &Vec<GateId>| widest.paths.iter().any(|q| &q.analysis.gates == gates);
+    edited
+        .paths
+        .iter()
+        .map(|p| &p.analysis.gates)
+        .filter(|gates| !gates.iter().any(|g| dirty[g.index()]) && analyzed(gates))
+        .count() as u64
+}
+
+/// A different gate kind at the same fan-in, spelled for a script.
+fn other_kind(kind: GateKind) -> String {
+    match kind {
+        GateKind::Nand(n) => format!("nor{n}"),
+        GateKind::Nor(n) => format!("nand{n}"),
+        GateKind::And(n) => format!("or{n}"),
+        GateKind::Or(n) => format!("and{n}"),
+        GateKind::Xor2 => "xnor".into(),
+        GateKind::Xnor2 => "xor".into(),
+        GateKind::Inv => "buf".into(),
+        GateKind::Buf => "inv".into(),
+    }
+}
+
+/// Submits `from.edited(script)` to a service holding `from`'s key warm
+/// with `widest` as its widest report. The report must equal a fresh run
+/// of the edited netlist bit for bit, and the counters must move by one
+/// warm run and exactly the paths an oracle over `widest` can reuse.
+fn edit_warm(
+    service: &AnalysisService,
+    from: &JobSpec,
+    widest: &SstaReport,
+    script: &str,
+    expect: &mut (u64, u64),
+) -> (JobSpec, Arc<SstaReport>) {
+    let label = format!("{}: {script}", from.circuit().name());
+    let script = EcoScript::parse(script).expect("script parses");
+    let spec = from.edited(&script).expect("edit applies");
+    let mut edited = from.circuit().clone();
+    apply_edits(&mut edited, &script).expect("edit applies");
+    let (report, hit) = served(service, spec.clone());
+    assert!(!hit, "{label}");
+    let want = fresh(&edited, from.placement(), &from.config);
+    assert_eq!(bits(&report), bits(&want), "{label}");
+    let dirty = dirty(from.circuit(), &edited, from.placement(), &from.config);
+    *expect = (expect.0 + 1, expect.1 + reusable(widest, &report, &dirty));
+    assert_eq!(counters(&service.stats()), *expect, "{label}");
+    (spec, report)
+}
+
+/// EDITs of a warm job: a resize, a swap, a retime, a rewire, and an
+/// EDIT of an EDIT, each from its base's front.
+fn warm_edits(bench: Benchmark, c: f64) {
+    let (circuit, placement) = placed(bench);
+    let service = AnalysisService::start(ServiceConfig::default()).expect("service starts");
+    let template = JobSpec::new(
+        circuit.clone(),
+        placement,
+        SstaConfig::date05().with_confidence(c),
+    );
+    let (base, _) = served(&service, template.clone());
+    assert_eq!(counters(&service.stats()), (0, 0), "the base runs cold");
+    let critical = &base.critical().analysis.gates;
+    let name = |g: GateId| circuit.gate(g).name.clone();
+    let (first, mid, last) = (
+        critical[0],
+        critical[critical.len() / 2],
+        critical[critical.len() - 1],
+    );
+    // A gate on no near-critical path: sped up, it moves no path.
+    let off_path = circuit
+        .gate_ids()
+        .find(|g| !base.paths.iter().any(|p| p.analysis.gates.contains(g)))
+        .expect("some gate is on no near-critical path");
+    let mut expect = (0, 0);
+    for script in [
+        format!("resize {} 0.5", name(first)),
+        format!("swap {} {}", name(mid), other_kind(circuit.gate(mid).kind)),
+        format!("retime {} 2e-12", name(last)),
+        format!("rmwire {} 0", name(mid)),
+        format!("resize {} 2.0", name(off_path)),
+    ] {
+        edit_warm(&service, &template, &base, &script, &mut expect);
+    }
+    assert!(expect.1 > 0, "{bench:?}: some path was reused");
+    // An EDIT of an EDIT starts from the first EDIT's front, which its
+    // own clean run seeded.
+    let resize = format!("resize {} 1.5", name(mid));
+    let (first_edit, first_report) = edit_warm(&service, &template, &base, &resize, &mut expect);
+    let retime = format!("retime {} 1e-12", name(first));
+    edit_warm(&service, &first_edit, &first_report, &retime, &mut expect);
+    service.join();
+}
+
+#[test]
+fn warm_edits_match_fresh_runs_c432() {
+    warm_edits(Benchmark::C432, 0.2);
+}
+
+#[test]
+fn warm_edits_match_fresh_runs_c499() {
+    warm_edits(Benchmark::C499, 0.05);
+}
+
+#[test]
+fn warm_edits_match_fresh_runs_c1355() {
+    warm_edits(Benchmark::C1355, 0.02);
+}
+
+#[test]
+fn warm_edits_match_fresh_runs_c1908() {
+    warm_edits(Benchmark::C1908, 0.05);
+}
+
+/// Submits `spec`, an EDIT of a base that is not warm: it must run cold,
+/// equal a fresh run of its netlist, and seed its own key, so the same
+/// netlist at a smaller `C` reuses every path.
+fn edit_cold(service: &AnalysisService, spec: JobSpec, label: &str) {
+    let before = counters(&service.stats());
+    let (report, hit) = served(service, spec.clone());
+    assert!(!hit, "{label}");
+    let want = fresh(spec.circuit(), spec.placement(), &spec.config);
+    assert_eq!(bits(&report), bits(&want), "{label}");
+    assert_eq!(counters(&service.stats()), before, "{label} runs cold");
+    let narrow = spec
+        .config
+        .clone()
+        .with_confidence(spec.config.confidence / 2.0);
+    let (again, _) = served(service, spec.with_config(narrow.clone()));
+    let want = fresh(spec.circuit(), spec.placement(), &narrow);
+    assert_eq!(bits(&again), bits(&want), "{label} at C/2");
+    let seeded = (before.0 + 1, before.1 + again.num_paths as u64);
+    assert_eq!(counters(&service.stats()), seeded, "{label} seeded its key");
+}
+
+#[test]
+fn edits_of_bases_that_are_not_warm_run_cold_and_seed() {
+    let (circuit, placement) = placed(Benchmark::C432);
+    let dir = store_dir("edit-cold");
+    let config = || ServiceConfig {
+        store_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    let mut cheap = SstaConfig::date05().with_confidence(0.2);
+    cheap.quality_intra = 24;
+    cheap.quality_inter = 12;
+    let template = JobSpec::new(circuit.clone(), placement, cheap.clone());
+    let gate = |i: usize| circuit.gates()[i].name.clone();
+    let script = |text: String| EcoScript::parse(&text).expect("script parses");
+
+    // A base whose front was evicted: 64 newer keys push it out.
+    let service = AnalysisService::start(config()).expect("service starts");
+    served(&service, template.clone());
+    for k in 0..64 {
+        let mut other = cheap.clone();
+        other.quality_inter = 13 + k;
+        served(&service, template.with_config(other));
+    }
+    let evicted = template.edited(&script(format!("resize {} 0.5", gate(40))));
+    edit_cold(&service, evicted.expect("edit applies"), "evicted base");
+
+    // A base that tripped its budget seeded nothing; its EDIT, run
+    // unbudgeted under the same key, runs cold.
+    let mut keyed = cheap.clone();
+    keyed.quality_intra = 20;
+    let budgeted = keyed.clone().with_budget(RunBudget {
+        max_paths: Some(1),
+        ..RunBudget::none()
+    });
+    let (partial, _) = served(&service, template.with_config(budgeted.clone()));
+    assert!(partial.budget_exhausted.is_some(), "the budget trips");
+    let tripped = template
+        .with_config(budgeted)
+        .edited(&script(format!(
+            "swap {} {}",
+            gate(41),
+            other_kind(circuit.gates()[41].kind)
+        )))
+        .expect("edit applies");
+    edit_cold(&service, tripped.with_config(keyed), "budget-tripped base");
+    service.join();
+
+    // A base replayed from the store after a restart seeded nothing.
+    let service = AnalysisService::start(config()).expect("service restarts");
+    let (_, hit) = served(&service, template.clone());
+    assert!(hit, "the base is replayed from the store");
+    let replayed = template.edited(&script(format!("retime {} 2e-12", gate(42))));
+    edit_cold(&service, replayed.expect("edit applies"), "replayed base");
+    service.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn job(i: u64) -> JobId {
     format!("job-{i}").parse().expect("job id")
 }
@@ -289,6 +504,41 @@ fn terminal_jobs_retire_least_recently_used_first() {
             .expect("hit")
             .from_store
     );
+    service.join();
+}
+
+/// An EDIT with a fault plan runs cold even when its base is warm, and
+/// seeds nothing.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn a_faulted_edit_of_a_warm_base_runs_cold() {
+    use statim::core::FaultPlan;
+    let (circuit, placement) = placed(Benchmark::C432);
+    let service = AnalysisService::start(ServiceConfig::default()).expect("service starts");
+    let config = SstaConfig::date05().with_confidence(0.2);
+    let template = JobSpec::new(circuit.clone(), placement.clone(), config.clone());
+    served(&service, template.clone());
+    let script = EcoScript::parse(&format!("resize {} 0.5\n", circuit.gates()[40].name))
+        .expect("script parses");
+    let faulted = config.with_faults("panic-path@1".parse::<FaultPlan>().expect("plan"));
+    let spec = template.edited(&script).expect("edit applies");
+    let (report, _) = served(&service, spec.with_config(faulted.clone()));
+    let mut edited = circuit;
+    apply_edits(&mut edited, &script).expect("edit applies");
+    assert_eq!(bits(&report), bits(&fresh(&edited, &placement, &faulted)));
+    assert!(!report.degraded.is_empty(), "the fault fired");
+    assert_eq!(
+        counters(&service.stats()),
+        (0, 0),
+        "the faulted EDIT ran cold"
+    );
+    // It seeded nothing: the clean EDIT after it starts from the base.
+    let (clean, _) = served(&service, spec);
+    assert_eq!(
+        bits(&clean),
+        bits(&fresh(&edited, &placement, &template.config))
+    );
+    assert_eq!(counters(&service.stats()).0, 1, "the clean EDIT ran warm");
     service.join();
 }
 
