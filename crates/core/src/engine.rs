@@ -14,7 +14,7 @@ use crate::analyze::{analyze_path_cached, AnalysisSettings, PathAnalysis};
 use crate::cache::{AnalysisCache, CacheStats, KernelStore};
 use crate::characterize::{characterize_placed, CircuitTiming};
 use crate::correlation::LayerModel;
-use crate::enumerate::near_critical_paths;
+use crate::enumerate::{near_critical_paths, threshold};
 use crate::error::ErrorClass;
 use crate::longest_path::{bellman_ford, critical_path, topo_labels, Labels};
 use crate::rank::{rank_paths, RankedPath};
@@ -190,6 +190,16 @@ impl SstaConfig {
     pub fn with_faults(mut self, plan: crate::faults::FaultPlan) -> Self {
         self.faults = Some(std::sync::Arc::new(plan));
         self
+    }
+
+    /// Whether a fault-injection plan is installed (never, outside
+    /// fault-injection builds).
+    pub(crate) fn has_fault_plan(&self) -> bool {
+        #[cfg(any(test, feature = "fault-injection"))]
+        if self.faults.is_some() {
+            return true;
+        }
+        false
     }
 
     pub(crate) fn settings(&self) -> AnalysisSettings {
@@ -448,12 +458,19 @@ pub(crate) type Reuse<'a> = &'a (dyn Fn(&[GateId]) -> Option<PathAnalysis> + Syn
 #[derive(Debug)]
 pub(crate) struct Front {
     pub(crate) timing: CircuitTiming,
-    labels: Labels,
-    critical_delay: f64,
-    critical_path: Vec<GateId>,
+    pub(crate) labels: Labels,
+    pub(crate) critical_delay: f64,
+    pub(crate) critical_path: Vec<GateId>,
     /// The corner critical delay, or the error computing it, which a run
     /// raises only after ranking, where it reads the delay.
-    worst_case: Result<f64>,
+    pub(crate) worst_case: Result<f64>,
+}
+
+/// Table 2's column 5: how far the corner delay overestimates the
+/// probabilistic critical path's confidence point, percent.
+pub(crate) fn overestimation_pct(worst_case_delay: f64, ranked: &[RankedPath]) -> f64 {
+    let crit_point = ranked[0].analysis.confidence_point;
+    (worst_case_delay - crit_point) / crit_point * 100.0
 }
 
 /// A clean report's path analyses, looked up by gate sequence: what a
@@ -489,6 +506,16 @@ impl RetainedPaths {
     /// The indexed report.
     pub(crate) fn report(&self) -> &Arc<SstaReport> {
         &self.report
+    }
+
+    /// This index over `report`, whose paths are the indexed report's in
+    /// the same order: a report that reused this one whole.
+    pub(crate) fn rebase(&self, report: Arc<SstaReport>) -> RetainedPaths {
+        debug_assert_eq!(report.paths.len(), self.report.paths.len());
+        RetainedPaths {
+            report,
+            index: self.index.clone(),
+        }
     }
 
     /// The retained analysis of exactly this gate sequence.
@@ -723,7 +750,7 @@ impl SstaEngine {
 
         // 4. Enumerate paths within C·σ_C.
         let t0 = Instant::now();
-        let threshold = det_critical_delay - self.config.confidence * sigma_c;
+        let threshold = threshold(det_critical_delay, self.config.confidence, sigma_c);
         let set = near_critical_paths(circuit, timing, labels, threshold, self.config.max_paths)?;
         profile.enumerate = StageProfile::serial(t0.elapsed().as_secs_f64());
 
@@ -794,8 +821,7 @@ impl SstaEngine {
         }
 
         let worst_case_delay = front.worst_case.clone()?;
-        let crit_point = ranked[0].analysis.confidence_point;
-        let overestimation_pct = (worst_case_delay - crit_point) / crit_point * 100.0;
+        let overestimation_pct = overestimation_pct(worst_case_delay, &ranked);
 
         Ok(SstaReport {
             circuit: circuit.name().to_string(),

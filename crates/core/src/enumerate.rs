@@ -24,6 +24,21 @@ pub struct PathSet {
     pub threshold: f64,
 }
 
+/// The enumeration threshold `D − C·σ_C`: the deterministic critical
+/// delay less `confidence` standard deviations of the critical path.
+pub(crate) fn threshold(critical_delay: f64, confidence: f64, sigma_c: f64) -> f64 {
+    critical_delay - confidence * sigma_c
+}
+
+/// Fig. 2's admission test against `threshold`: whether a (partial)
+/// path delay can still complete a path at least that long. The
+/// tolerance keeps floating-point noise from dropping the critical path
+/// itself.
+pub(crate) fn qualifier(threshold: f64) -> impl Fn(f64) -> bool {
+    let eps = 1e-9 * threshold.abs().max(1e-12);
+    move |x| x >= threshold - eps
+}
+
 /// Enumerates every PI→PO path whose deterministic delay is at least
 /// `threshold` seconds.
 ///
@@ -71,10 +86,7 @@ pub fn near_critical_paths(
     {
         return Err(CoreError::NonFiniteDelay { gate });
     }
-    // Tolerance: enumeration must not drop the critical path itself to
-    // floating-point noise.
-    let eps = 1e-9 * threshold.abs().max(1e-12);
-    let qualifies = |x: f64| x >= threshold - eps;
+    let qualifies = qualifier(threshold);
 
     // Unique PO driver gates.
     let mut po_gates: Vec<GateId> = circuit

@@ -18,19 +18,37 @@
 //!   base, so the dirty set is exactly what moved, however indirectly.
 //!   The whole step (`EditedFront`) is the one seam this engine and
 //!   the service's `EDIT` of a warm base job share.
-//! * **Dirty cone** — the IR's [`TimingGraph::fanout_cone`] of the dirty
-//!   and edited gates is the region the edit can reach. It is only a
-//!   counter ([`IncrementalStats::cone_gates`]): reuse is decided per path.
-//! * **Path reuse** — a near-critical path of the edited circuit whose
-//!   gate sequence was analyzed in the base run *and* contains no dirty
-//!   gate has a bit-identical [`PathAnalysis`] (path analysis is a pure
-//!   function of gate sequence, timing bits, placement and settings).
-//!   The edited circuit runs through the engine's own stages with a
-//!   reuse oracle that hands back the retained result in place of the
-//!   per-path kernel. Everything else recomputes against the still-warm
-//!   [`KernelStore`] — whose exact-bits keys need no invalidation: stale
-//!   entries can never be hit by new values. Budgets and fault plans
-//!   behave as in a full run.
+//! * **Reach check** — one forward pass over the topologically ordered
+//!   gates takes the fanout cone of the dirty and edited gates: the
+//!   region the edit can reach, also counted in
+//!   [`IncrementalStats::cone_gates`]. When no primary output in the
+//!   cone qualifies under Fig. 2's own predicate against the base
+//!   report's threshold `T = D − C·σ_C`, by its base label or its new
+//!   one, and the critical delay and path are the base's, the base
+//!   report comes back whole, with only the corner delay, the
+//!   overestimation and the label sweeps taken from the edited front.
+//!   That is exact: the cone is closed under fanout, so no gate outside
+//!   it reads one inside it, and every timing and label bit outside it
+//!   is the base's; Fig. 2 walks backward from qualifying outputs only,
+//!   so it never enters the cone; and the critical output and path lie
+//!   outside it, so σ_C, `T`, the set, its order, every analysis and the
+//!   ranking keep their bits. The check also needs a clean base report
+//!   enumerated at this run's `C` within its path caps, no fault plan,
+//!   and a supervisor that has not tripped. Rewires need no special
+//!   case: one re-characterizes every gate, so its cone covers nearly
+//!   the whole netlist and the check fails by itself, and `addwire`
+//!   keeps wires id-ordered, so the forward pass stays exact.
+//! * **Path reuse** — otherwise, a near-critical path of the edited
+//!   circuit whose gate sequence was analyzed in the base run *and*
+//!   contains no dirty gate has a bit-identical [`PathAnalysis`] (path
+//!   analysis is a pure function of gate sequence, timing bits,
+//!   placement and settings). The edited circuit runs through the
+//!   engine's own stages with a reuse oracle that hands back the
+//!   retained result in place of the per-path kernel. Everything else
+//!   recomputes against the still-warm [`KernelStore`] — whose
+//!   exact-bits keys need no invalidation: stale entries can never be
+//!   hit by new values. Budgets and fault plans behave as in a full
+//!   run.
 //!
 //! The merged [`SstaReport`] is **byte-identical** to a from-scratch run
 //! of the edited netlist at any thread count, cache state and backend —
@@ -41,8 +59,11 @@
 
 use crate::analyze::PathAnalysis;
 use crate::cache::KernelStore;
-use crate::engine::{Front, RetainedPaths, RunContext, SstaEngine, SstaReport, StageProfile};
-use crate::graph::TimingGraph;
+use crate::engine::{
+    overestimation_pct, Front, RetainedPaths, RunContext, RunProfile, SstaConfig, SstaEngine,
+    SstaReport, StageProfile,
+};
+use crate::enumerate::{qualifier, threshold};
 use crate::supervise::Supervisor;
 use crate::{CoreError, Result};
 use statim_netlist::{Circuit, GateId, Placement, Signal};
@@ -421,16 +442,53 @@ pub(crate) struct EditedFront {
     /// Gates whose [`GateTiming`](crate::GateTiming) differs bitwise
     /// from the base's.
     dirty: Vec<bool>,
+    /// Gates in the fanout cone of the dirty and touched gates: every
+    /// gate whose timing or labels the edit can move.
+    pub(crate) cone_gates: usize,
+    /// The primary-output drivers in that cone, each with its base label.
+    cone_outputs: Vec<(GateId, f64)>,
+    /// Whether the critical delay and critical path are the base's.
+    same_critical: bool,
     characterize: StageProfile,
     labels: StageProfile,
+}
+
+/// What [`EditedFront::run`] made of an edit.
+pub(crate) struct EditedRun {
+    /// The edited circuit's report.
+    pub(crate) report: Result<SstaReport>,
+    /// Path analyses handed back from the base report.
+    pub(crate) reused: usize,
+    /// Path analyses computed.
+    pub(crate) recomputed: usize,
+    /// The base report came back whole: its paths, in their order, are
+    /// this report's, so the base's index serves it too.
+    whole: bool,
+}
+
+impl EditedRun {
+    /// The report, its wall time taken from `start`, indexed for the
+    /// next run: on `base`'s index when the base report came back whole,
+    /// afresh otherwise.
+    pub(crate) fn retain(self, base: &RetainedPaths, start: Instant) -> Result<RetainedPaths> {
+        let mut report = self.report?;
+        report.runtime = start.elapsed().as_secs_f64();
+        let report = Arc::new(report);
+        Ok(if self.whole {
+            base.rebase(report)
+        } else {
+            RetainedPaths::new(report)
+        })
+    }
 }
 
 impl EditedFront {
     /// Copies the base timing, characterizes again only the gates the
     /// edit `touched` (every gate when it `rewires`), takes the dirty set
-    /// from the bitwise diff against the base timing, then labels the
-    /// edited circuit and traces its critical path. The diff is the
-    /// authority: it holds whatever the edit moved, however indirectly.
+    /// from the bitwise diff against the base timing and its fanout cone,
+    /// then labels the edited circuit and traces its critical path. The
+    /// diff is the authority: it holds whatever the edit moved, however
+    /// indirectly.
     pub(crate) fn build(
         engine: &SstaEngine,
         circuit: &Circuit,
@@ -448,16 +506,30 @@ impl EditedFront {
             rewires,
         )?;
         let characterize = StageProfile::serial(t0.elapsed().as_secs_f64());
-        let dirty = timing
+        let dirty: Vec<bool> = timing
             .gates()
             .iter()
             .zip(base.timing.gates())
             .map(|(new, old)| new != old)
             .collect();
+        let cone = fanout_cone(circuit, &dirty, touched);
+        let cone_outputs = circuit
+            .outputs()
+            .iter()
+            .filter_map(|&(_, s)| match s {
+                Signal::Gate(g) if cone[g.index()] => Some((g, base.labels.arrival[g.index()])),
+                _ => None,
+            })
+            .collect();
         let (front, labels) = engine.front(circuit, timing)?;
+        let same_critical = front.critical_delay.to_bits() == base.critical_delay.to_bits()
+            && front.critical_path == base.critical_path;
         Ok(EditedFront {
             front,
             dirty,
+            cone_gates: cone.iter().filter(|&&c| c).count(),
+            cone_outputs,
+            same_critical,
             characterize,
             labels,
         })
@@ -472,13 +544,12 @@ impl EditedFront {
             .map(|(i, _)| GateId(i as u32))
     }
 
-    /// Stages 3–6 of the edited circuit from this front, with a reuse
-    /// oracle over the base's `retained` report. Path analysis is a pure
-    /// function of gate sequence, timing bits, placement and settings,
-    /// so a retained path that crosses no dirty gate is bitwise what a
-    /// recompute would give; the oracle refuses every other path. Returns
-    /// the run, with this front's characterize and labels stages in its
-    /// profile, and the paths reused and recomputed.
+    /// Stages 3–6 of the edited circuit from this front, over the base's
+    /// `retained` report: the base report whole when the edit cannot
+    /// reach its near-critical set ([`EditedFront::unreached`]),
+    /// otherwise the engine's own stages with a reuse oracle
+    /// ([`EditedFront::run_oracle`]). Either way the report is bitwise
+    /// what a from-scratch run gives, and the counters are the oracle's.
     pub(crate) fn run(
         &self,
         engine: &SstaEngine,
@@ -487,7 +558,104 @@ impl EditedFront {
         retained: &RetainedPaths,
         store: Arc<KernelStore>,
         sup: &Supervisor,
-    ) -> (Result<SstaReport>, usize, usize) {
+    ) -> EditedRun {
+        if self.unreached(engine.config(), retained.report(), sup) {
+            self.reuse_whole(engine.config(), retained, &store)
+        } else {
+            self.run_oracle(engine, circuit, placement, retained, store, sup)
+        }
+    }
+
+    /// The reach check (see the module docs for why it is exact): whether
+    /// a run from this front would enumerate, analyze and rank exactly
+    /// what `base` holds. Beyond the cone test, the run must enumerate at
+    /// `base`'s `C` under caps that admit its paths, with no fault plan,
+    /// and nothing may have stopped it short.
+    fn unreached(&self, config: &SstaConfig, base: &SstaReport, sup: &Supervisor) -> bool {
+        let comparable = base.is_clean()
+            && base.confidence.to_bits() == config.confidence.to_bits()
+            && base.num_paths <= config.max_paths
+            && !matches!(sup.budget().max_paths, Some(cap) if base.num_paths > cap)
+            && !config.has_fault_plan();
+        if !comparable {
+            return false;
+        }
+        sup.check_wall();
+        if sup.token().cancelled().is_some() {
+            return false;
+        }
+        if !self.same_critical {
+            return false;
+        }
+        let qualifies = qualifier(threshold(
+            base.det_critical_delay,
+            base.confidence,
+            base.sigma_c,
+        ));
+        let arrival = &self.front.labels.arrival;
+        self.cone_outputs
+            .iter()
+            .all(|&(g, base_label)| !qualifies(base_label) && !qualifies(arrival[g.index()]))
+    }
+
+    /// The base report with this front's corner delay, overestimation and
+    /// label sweeps. Its profile books this front's characterize and
+    /// labels stages, nothing for the stages it skipped, and a cache that
+    /// saw no lookup. The counters are what the oracle would count: every
+    /// path handed back, and σ_C's path recomputed only if the report
+    /// does not hold it.
+    fn reuse_whole(
+        &self,
+        config: &SstaConfig,
+        retained: &RetainedPaths,
+        store: &KernelStore,
+    ) -> EditedRun {
+        let base = retained.report();
+        let report = self
+            .front
+            .worst_case
+            .clone()
+            .map(|worst_case_delay| SstaReport {
+                worst_case_delay,
+                overestimation_pct: overestimation_pct(worst_case_delay, &base.paths),
+                label_sweeps: self.front.labels.sweeps,
+                // The caller times the run.
+                runtime: 0.0,
+                profile: RunProfile {
+                    characterize: self.characterize,
+                    labels: self.labels,
+                    cache: config.cache.then(|| {
+                        let now = store.stats();
+                        now.since(&now)
+                    }),
+                    ..RunProfile::default()
+                },
+                ..SstaReport::clone(base)
+            });
+        let critical_held = retained.get(&self.front.critical_path).is_some();
+        EditedRun {
+            report,
+            reused: base.num_paths,
+            recomputed: usize::from(!critical_held),
+            whole: true,
+        }
+    }
+
+    /// Stages 3–6 through the engine, with a reuse oracle over the base's
+    /// `retained` report. Path analysis is a pure function of gate
+    /// sequence, timing bits, placement and settings, so a retained path
+    /// that crosses no dirty gate is bitwise what a recompute would give;
+    /// the oracle refuses every other path. The report's profile carries
+    /// this front's characterize and labels stages.
+    fn run_oracle(
+        &self,
+        engine: &SstaEngine,
+        circuit: &Circuit,
+        placement: &Placement,
+        retained: &RetainedPaths,
+        store: Arc<KernelStore>,
+        sup: &Supervisor,
+    ) -> EditedRun {
         let reused = AtomicUsize::new(0);
         let recomputed = AtomicUsize::new(0);
         let oracle = |path: &[GateId]| -> Option<PathAnalysis> {
@@ -500,7 +668,7 @@ impl EditedFront {
             counter.fetch_add(1, Ordering::Relaxed);
             hit
         };
-        let run = engine
+        let report = engine
             .run_characterized(
                 circuit,
                 placement,
@@ -514,8 +682,33 @@ impl EditedFront {
                 report.profile.labels = self.labels;
                 report
             });
-        (run, reused.into_inner(), recomputed.into_inner())
+        EditedRun {
+            report,
+            reused: reused.into_inner(),
+            recomputed: recomputed.into_inner(),
+            whole: false,
+        }
     }
+}
+
+/// The fanout cone of the dirty and touched gates, seeds included, in
+/// one forward pass: gates are stored in topological order (every wire,
+/// `addwire`'s included, runs from a lower id to a higher one), so a
+/// gate's drivers are settled before it is visited.
+fn fanout_cone(circuit: &Circuit, dirty: &[bool], touched: &[GateId]) -> Vec<bool> {
+    let mut cone = dirty.to_vec();
+    for g in touched {
+        cone[g.index()] = true;
+    }
+    for (i, gate) in circuit.gates().iter().enumerate() {
+        if !cone[i] {
+            cone[i] = gate
+                .inputs
+                .iter()
+                .any(|s| matches!(s, Signal::Gate(d) if cone[d.index()]));
+        }
+    }
+    cone
 }
 
 /// Counters describing how much work one [`IncrementalEngine::apply`]
@@ -561,8 +754,16 @@ pub struct EcoOutcome {
     pub stats: IncrementalStats,
 }
 
+/// Entries per kernel map of an [`IncrementalEngine`]'s store when its
+/// config sets no capacity, so an edit session's store (and memory)
+/// stays flat however many fresh kernel keys its edits make. c6288's
+/// base run, the largest built-in one, makes 429 inter and 859 intra
+/// entries, about 54 per shard of 16; this keeps 128 per shard.
+const DEFAULT_KERNEL_CAPACITY: usize = 2048;
+
 /// A resident analysis that re-runs the engine's own stages on each ECO
-/// edit script, reusing every retained path the edit cannot reach, into
+/// edit script, reusing every retained path the edit cannot reach (the
+/// whole report, when the edit cannot reach the near-critical set), into
 /// a report byte-identical to a from-scratch run of the edited netlist.
 pub struct IncrementalEngine {
     engine: SstaEngine,
@@ -575,13 +776,20 @@ pub struct IncrementalEngine {
 }
 
 impl IncrementalEngine {
-    /// Runs the base analysis and builds the resident state.
+    /// Runs the base analysis and builds the resident state. The kernel
+    /// store holds the config's `cache_capacity` entries per kernel map,
+    /// or 2048 when it sets none, so a long edit session's store stays
+    /// flat.
     ///
     /// # Errors
     ///
     /// Any base-run failure.
     pub fn new(engine: SstaEngine, circuit: Circuit, placement: Placement) -> Result<Self> {
-        let store = Arc::new(KernelStore::with_capacity(engine.config().cache_capacity));
+        let capacity = engine
+            .config()
+            .cache_capacity
+            .or(Some(DEFAULT_KERNEL_CAPACITY));
+        let store = Arc::new(KernelStore::with_capacity(capacity));
         let (front, report) = engine.run_with_front(
             &circuit,
             &placement,
@@ -620,10 +828,11 @@ impl IncrementalEngine {
         &self.store
     }
 
-    /// Applies an edit script and re-analyzes the edited circuit through
-    /// the engine's own stages, reusing retained paths. On success the
-    /// engine re-bases onto the edited circuit; on error its state is
-    /// unchanged.
+    /// Applies an edit script and re-analyzes the edited circuit: the
+    /// resident report whole when the edit cannot reach its near-critical
+    /// set, else the engine's own stages reusing retained paths. On
+    /// success the engine re-bases onto the edited circuit; on error its
+    /// state is unchanged.
     ///
     /// # Errors
     ///
@@ -643,14 +852,7 @@ impl IncrementalEngine {
             &touched,
             script.rewires(),
         )?;
-        let dirty_gates = edited.dirty_gates().count();
-        let seeds = edited.dirty_gates().chain(touched.iter().copied());
-        let cone_gates = TimingGraph::build(&circuit)?
-            .fanout_cone(seeds)
-            .iter()
-            .filter(|&&c| c)
-            .count();
-        let (run, reused_paths, recomputed_paths) = edited.run(
+        let run = edited.run(
             &self.engine,
             &circuit,
             &self.placement,
@@ -658,34 +860,29 @@ impl IncrementalEngine {
             Arc::clone(&self.store),
             &sup,
         );
-        let mut report = run?;
-        report.runtime = start.elapsed().as_secs_f64();
-
         let stats = IncrementalStats {
             edits_applied: script.edits.len(),
-            dirty_gates,
-            cone_gates,
-            reused_paths,
-            recomputed_paths,
+            dirty_gates: edited.dirty_gates().count(),
+            cone_gates: edited.cone_gates,
+            reused_paths: run.reused,
+            recomputed_paths: run.recomputed,
         };
+        let retained = run.retain(&self.retained, start)?;
+        let report = SstaReport::clone(retained.report());
 
         // Re-base so the next script edits the edited circuit.
-        let report = Arc::new(report);
         self.circuit = circuit;
         self.front = edited.front;
-        self.retained = RetainedPaths::new(Arc::clone(&report));
+        self.retained = retained;
 
-        Ok(EcoOutcome {
-            report: SstaReport::clone(&report),
-            stats,
-        })
+        Ok(EcoOutcome { report, stats })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SstaConfig;
+    use crate::graph::TimingGraph;
     use crate::report::deterministic_report;
     use statim_netlist::generators::iscas85::{self, Benchmark};
     use statim_netlist::PlacementStyle;
@@ -844,6 +1041,304 @@ rmwire g5 0
             // A partial report seeds no reuse.
             assert_eq!(outcome.stats.reused_paths, 0);
         }
+    }
+
+    /// The incremental state after `inc`'s next apply of `script` along
+    /// the oracle path alone, built from `inc`'s current state without
+    /// touching it: the edited front, its oracle run and the touched
+    /// gates.
+    fn oracle_apply(
+        inc: &IncrementalEngine,
+        script: &EcoScript,
+    ) -> (Circuit, Vec<GateId>, EditedFront, EditedRun) {
+        let mut circuit = inc.circuit.clone();
+        let touched = apply_edits(&mut circuit, script).expect("script applies");
+        let edited = EditedFront::build(
+            &inc.engine,
+            &circuit,
+            &inc.placement,
+            &inc.front,
+            &touched,
+            script.rewires(),
+        )
+        .expect("edited front");
+        let config = inc.engine.config();
+        let sup = Supervisor::new(config.budget, config.retries);
+        let run = edited.run_oracle(
+            &inc.engine,
+            &circuit,
+            &inc.placement,
+            &inc.retained,
+            Arc::clone(&inc.store),
+            &sup,
+        );
+        (circuit, touched, edited, run)
+    }
+
+    /// Every bit of a report but its wall times: scalars, label sweeps,
+    /// path ranks and analyses, PDFs included.
+    fn same_bits(a: &SstaReport, b: &SstaReport) -> bool {
+        let scalars = |r: &SstaReport| {
+            [
+                r.det_critical_delay,
+                r.worst_case_delay,
+                r.overestimation_pct,
+                r.confidence,
+                r.sigma_c,
+            ]
+            .map(f64::to_bits)
+        };
+        scalars(a) == scalars(b)
+            && (
+                a.circuit.as_str(),
+                a.gate_count,
+                a.num_paths,
+                a.label_sweeps,
+            ) == (
+                b.circuit.as_str(),
+                b.gate_count,
+                b.num_paths,
+                b.label_sweeps,
+            )
+            && a.paths == b.paths
+            && (&a.degraded, a.budget_exhausted, a.skipped_paths)
+                == (&b.degraded, b.budget_exhausted, b.skipped_paths)
+    }
+
+    /// Applies `script` to `inc` and checks it against the oracle path
+    /// from the same state and against a fresh run: the same report bits
+    /// (label sweeps included) and the same counters, with the forward
+    /// cone equal to the timing graph's. Returns whether the base report
+    /// came back whole.
+    fn apply_checked(inc: &mut IncrementalEngine, script: &EcoScript) -> bool {
+        let label = script.render();
+        let (circuit, touched, edited, oracle) = oracle_apply(inc, script);
+        let want = oracle.report.expect("oracle run");
+        let seeds = edited.dirty_gates().chain(touched.iter().copied());
+        let graph_cone = TimingGraph::build(&circuit)
+            .expect("graph")
+            .fanout_cone(seeds);
+        let cone = fanout_cone(&circuit, &edited.dirty, &touched);
+        assert_eq!(cone, graph_cone, "{label}");
+        assert_eq!(edited.cone_gates, cone.iter().filter(|&&c| c).count());
+        let outcome = inc.apply(script).expect("apply");
+        assert!(same_bits(&outcome.report, &want), "{label}");
+        let fresh = inc.engine.run(&circuit, &inc.placement).expect("fresh run");
+        assert!(same_bits(&outcome.report, &fresh), "{label}");
+        let oracle_stats = IncrementalStats {
+            edits_applied: script.edits.len(),
+            dirty_gates: edited.dirty_gates().count(),
+            cone_gates: edited.cone_gates,
+            reused_paths: oracle.reused,
+            recomputed_paths: oracle.recomputed,
+        };
+        assert_eq!(outcome.stats, oracle_stats, "{label}");
+        outcome.report.profile.enumerate == StageProfile::default()
+    }
+
+    /// The valid ECO scripts of the repository's malformed-script corpus:
+    /// each file's lines before the one that fails.
+    fn corpus_prefixes() -> Vec<EcoScript> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/eco");
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("eco corpus")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        files.sort();
+        let mut scripts = Vec::new();
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("corpus file");
+            let lines: Vec<&str> = text.lines().collect();
+            let valid = (0..=lines.len())
+                .rev()
+                .map(|n| lines[..n].join("\n"))
+                .find_map(|prefix| {
+                    let script = EcoScript::parse(&prefix).ok()?;
+                    apply_edits(&mut iscas85::generate(Benchmark::C432), &script).ok()?;
+                    Some(script)
+                })
+                .expect("the empty prefix applies");
+            scripts.push(valid);
+        }
+        scripts
+    }
+
+    /// A different gate kind at the same fan-in.
+    fn other_kind(kind: GateKind) -> GateKind {
+        match kind {
+            GateKind::Nand(n) => GateKind::Nor(n),
+            GateKind::Nor(n) => GateKind::Nand(n),
+            GateKind::And(n) => GateKind::Or(n),
+            GateKind::Or(n) => GateKind::And(n),
+            GateKind::Xor2 => GateKind::Xnor2,
+            GateKind::Xnor2 => GateKind::Xor2,
+            GateKind::Inv => GateKind::Buf,
+            GateKind::Buf => GateKind::Inv,
+        }
+    }
+
+    /// A seeded valid one-edit script of any kind on `circuit`.
+    fn random_script(state: &mut u64, circuit: &Circuit) -> EcoScript {
+        let mut next = |n: usize| {
+            *state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            ((*state >> 33) % n as u64) as usize
+        };
+        let gates = circuit.gates();
+        let g = &gates[next(gates.len())];
+        let edit = match next(5) {
+            0 => EcoEdit::ResizeGate {
+                gate: g.name.clone(),
+                drive: [0.5, 0.8, 1.25, 2.0][next(4)],
+            },
+            1 => EcoEdit::RetimeGate {
+                gate: g.name.clone(),
+                pad: [0.0, 1e-12, 5e-12][next(3)],
+            },
+            2 => EcoEdit::SwapGateType {
+                gate: g.name.clone(),
+                kind: other_kind(g.kind),
+            },
+            3 => {
+                let sink = gates.len() / 2 + next(gates.len() - gates.len() / 2);
+                EcoEdit::AddWire {
+                    driver: gates[next(sink)].name.clone(),
+                    sink: gates[sink].name.clone(),
+                    pin: next(gates[sink].inputs.len()),
+                }
+            }
+            _ => EcoEdit::RemoveWire {
+                sink: g.name.clone(),
+                pin: next(g.inputs.len()),
+            },
+        };
+        EcoScript {
+            edits: vec![(1, edit)],
+        }
+    }
+
+    fn cheap_config() -> SstaConfig {
+        let mut config = SstaConfig::date05();
+        config.quality_intra = 30;
+        config.quality_inter = 15;
+        config
+    }
+
+    /// Every valid corpus script, and every prefix of seeded random edit
+    /// sequences: an apply equals the oracle path and a fresh run bit for
+    /// bit, counts what the oracle counts, and the forward cone is the
+    /// timing graph's. Both branches of the reach check are exercised.
+    #[test]
+    fn applies_equal_the_oracle_path_on_corpus_and_random_scripts() {
+        let mut whole = [0usize; 2];
+        let engine = SstaEngine::new(cheap_config());
+        for script in corpus_prefixes() {
+            let (circuit, placement) = c432();
+            let mut inc = IncrementalEngine::new(engine.clone(), circuit, placement).expect("base");
+            whole[usize::from(apply_checked(&mut inc, &script))] += 1;
+        }
+        let mut state = 0x5eed_0ec0_u64;
+        for bench in [Benchmark::C432, Benchmark::C499, Benchmark::C880] {
+            let circuit = iscas85::generate(bench);
+            let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+            let mut inc =
+                IncrementalEngine::new(engine.clone(), circuit.clone(), placement).expect("base");
+            for _ in 0..12 {
+                let script = random_script(&mut state, &circuit);
+                whole[usize::from(apply_checked(&mut inc, &script))] += 1;
+            }
+        }
+        assert!(whole[0] > 0 && whole[1] > 0, "both branches ran: {whole:?}");
+    }
+
+    /// c1355's gates whose every cone output misses the base threshold by
+    /// a clear margin: an edit that only speeds one of them up cannot
+    /// reach the near-critical set.
+    fn cold_gates(inc: &IncrementalEngine) -> Vec<GateId> {
+        let report = inc.report();
+        let limit = threshold(report.det_critical_delay, report.confidence, report.sigma_c);
+        let graph = TimingGraph::build(&inc.circuit).expect("graph");
+        inc.circuit
+            .gate_ids()
+            .filter(|&g| {
+                let cone = graph.fanout_cone([g]);
+                inc.circuit.outputs().iter().all(|&(_, s)| match s {
+                    Signal::Gate(o) => {
+                        !cone[o.index()] || inc.front.labels.arrival[o.index()] < 0.9 * limit
+                    }
+                    Signal::Input(_) => true,
+                })
+            })
+            .collect()
+    }
+
+    fn c1355_engine() -> IncrementalEngine {
+        let circuit = iscas85::generate(Benchmark::C1355);
+        let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+        IncrementalEngine::new(SstaEngine::new(SstaConfig::date05()), circuit, placement)
+            .expect("c1355 base")
+    }
+
+    /// A resize of a cold gate takes the shortcut; a resize on the
+    /// critical path does not. Both equal the oracle path and a fresh
+    /// run.
+    #[test]
+    fn a_cold_gate_resize_reuses_the_base_whole_and_a_critical_one_does_not() {
+        let mut inc = c1355_engine();
+        let cold = cold_gates(&inc);
+        assert!(!cold.is_empty(), "c1355 has cold gates");
+        let name = |inc: &IncrementalEngine, g: GateId| inc.circuit.gate(g).name.clone();
+        let script = |text: String| EcoScript::parse(&text).expect("script");
+        let resize = script(format!("resize {} 2.0", name(&inc, cold[cold.len() / 2])));
+        let (_, _, edited, _) = oracle_apply(&inc, &resize);
+        let sup = Supervisor::unlimited();
+        assert!(edited.unreached(inc.engine.config(), inc.report(), &sup));
+        assert!(
+            apply_checked(&mut inc, &resize),
+            "the cold resize reuses the base whole"
+        );
+
+        let critical = inc.report().critical().analysis.gates[0];
+        let slow = script(format!("resize {} 0.5", name(&inc, critical)));
+        let (_, _, edited, _) = oracle_apply(&inc, &slow);
+        assert!(!edited.unreached(inc.engine.config(), inc.report(), &sup));
+        assert!(
+            !apply_checked(&mut inc, &slow),
+            "a critical resize runs the stages"
+        );
+    }
+
+    /// A report reused whole books only the work this apply did: its own
+    /// characterize and labels stages, no enumeration, analysis or
+    /// ranking, and no kernel lookup at the store's current occupancy.
+    #[test]
+    fn a_reused_report_books_only_its_own_work() {
+        let mut inc = c1355_engine();
+        let base = inc.report().profile;
+        assert!(base.enumerate.wall > 0.0 && base.cache.expect("cache").lookups() > 0);
+        let cold = cold_gates(&inc);
+        let gate = inc.circuit.gate(cold[0]).name.clone();
+        let outcome = inc
+            .apply(&EcoScript::parse(&format!("resize {gate} 1.5")).expect("script"))
+            .expect("apply");
+        let profile = outcome.report.profile;
+        assert_eq!(outcome.stats.recomputed_paths, 0);
+        assert_eq!(outcome.stats.reused_paths, outcome.report.num_paths);
+        for skipped in [profile.enumerate, profile.analyze, profile.rank] {
+            assert_eq!(skipped, StageProfile::default());
+        }
+        assert_eq!(profile.characterize.threads, 1);
+        assert_eq!(profile.labels.threads, 1);
+        assert_ne!(profile.characterize, base.characterize);
+        let cache = profile.cache.expect("cache on");
+        assert_eq!(cache.lookups(), 0);
+        assert_eq!(cache.evictions, 0);
+        assert_eq!(cache.entries, inc.store().stats().entries);
+        assert_eq!(
+            (profile.degraded, profile.retries, profile.panics),
+            (0, 0, 0)
+        );
     }
 
     #[test]

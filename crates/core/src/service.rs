@@ -1745,7 +1745,7 @@ impl Warm {
             store: Some(Arc::clone(store)),
             supervisor: Some(sup),
         };
-        if has_fault_plan(&spec.config) {
+        if spec.config.has_fault_plan() {
             return engine.run_with(circuit, placement, ctx).map(Arc::new);
         }
         let key = spec.analysis_key();
@@ -1779,7 +1779,7 @@ impl Warm {
         let base = spec
             .base_analysis_key()
             .and_then(|base_key| self.entries.get(base_key));
-        let (front, report) = match (base, &spec.origin) {
+        let (front, report, widest) = match (base, &spec.origin) {
             (Some(base), Some(origin)) => {
                 engine.check(circuit, placement)?;
                 usage.warm = true;
@@ -1791,7 +1791,7 @@ impl Warm {
                     &origin.touched,
                     origin.rewires,
                 )?;
-                let (run, reused, _) = edited.run(
+                let run = edited.run(
                     &engine,
                     circuit,
                     placement,
@@ -1799,31 +1799,21 @@ impl Warm {
                     Arc::clone(store),
                     sup,
                 );
-                usage.reused = reused;
-                let mut report = run?;
-                report.runtime = start.elapsed().as_secs_f64();
-                (edited.front, report)
+                usage.reused = run.reused;
+                let widest = run.retain(&base.widest, start)?;
+                (edited.front, Arc::clone(widest.report()), widest)
             }
-            _ => engine.run_with_front(circuit, placement, ctx)?,
+            _ => {
+                let (front, report) = engine.run_with_front(circuit, placement, ctx)?;
+                let report = Arc::new(report);
+                (front, Arc::clone(&report), RetainedPaths::new(report))
+            }
         };
-        let report = Arc::new(report);
         if report.is_clean() {
-            let widest = RetainedPaths::new(Arc::clone(&report));
             self.entries.insert(key, WarmEntry { front, widest });
         }
         Ok(report)
     }
-}
-
-/// Whether the job carries a fault-injection plan (never, outside
-/// fault-injection builds).
-fn has_fault_plan(config: &SstaConfig) -> bool {
-    #[cfg(any(test, feature = "fault-injection"))]
-    if config.faults.is_some() {
-        return true;
-    }
-    let _ = config;
-    false
 }
 
 /// The executor loop: pick (round-robin over lanes) → run under panic

@@ -18,6 +18,7 @@ use crate::error::NetlistError;
 use crate::Result;
 use statim_process::GateKind;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a gate within its circuit (dense index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -121,13 +122,17 @@ impl Default for SequentialSpec {
 /// primary inputs appended *after* all true inputs (enforced by
 /// [`Circuit::add_input`]), which keeps the input order canonical so
 /// serialization round-trips structurally.
+///
+/// The name index and the input and output lists sit behind `Arc`s: no
+/// ECO edit changes them, so a clone of a built circuit (what an edit
+/// starts from) copies only its gates.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Circuit {
     name: String,
-    input_names: Vec<String>,
+    input_names: Arc<Vec<String>>,
     gates: Vec<Gate>,
-    outputs: Vec<(String, Signal)>,
-    names: HashMap<String, Signal>,
+    outputs: Arc<Vec<(String, Signal)>>,
+    names: Arc<HashMap<String, Signal>>,
     registers: Vec<Register>,
     seq: SequentialSpec,
 }
@@ -168,8 +173,8 @@ impl Circuit {
             return Err(NetlistError::DuplicateName { name });
         }
         let sig = Signal::Input(self.input_names.len() as u32);
-        self.names.insert(name.clone(), sig);
-        self.input_names.push(name);
+        Arc::make_mut(&mut self.names).insert(name.clone(), sig);
+        Arc::make_mut(&mut self.input_names).push(name);
         Ok(sig)
     }
 
@@ -188,8 +193,8 @@ impl Circuit {
         }
         let q_input = self.input_names.len() as u32;
         let sig = Signal::Input(q_input);
-        self.names.insert(name.clone(), sig);
-        self.input_names.push(name.clone());
+        Arc::make_mut(&mut self.names).insert(name.clone(), sig);
+        Arc::make_mut(&mut self.input_names).push(name.clone());
         self.registers.push(Register {
             name,
             d: None,
@@ -348,7 +353,7 @@ impl Circuit {
         }
         let id = GateId(self.gates.len() as u32);
         let sig = Signal::Gate(id);
-        self.names.insert(name.clone(), sig);
+        Arc::make_mut(&mut self.names).insert(name.clone(), sig);
         self.gates.push(Gate {
             name,
             kind,
@@ -371,7 +376,7 @@ impl Circuit {
         if !self.signal_exists(signal) {
             return Err(NetlistError::DanglingSignal { gate: name });
         }
-        self.outputs.push((name, signal));
+        Arc::make_mut(&mut self.outputs).push((name, signal));
         Ok(())
     }
 
@@ -617,7 +622,7 @@ impl Circuit {
     pub fn dangling_gates(&self) -> Vec<GateId> {
         let pins = self.fanout_pins();
         let mut is_po = vec![false; self.gates.len()];
-        for &(_, s) in &self.outputs {
+        for &(_, s) in self.outputs.iter() {
             if let Signal::Gate(g) = s {
                 is_po[g.index()] = true;
             }
@@ -682,7 +687,7 @@ impl Circuit {
             paths[i] = total;
         }
         let mut out: u128 = 0;
-        for &(_, s) in &self.outputs {
+        for &(_, s) in self.outputs.iter() {
             let inc = match s {
                 Signal::Input(_) => 1,
                 Signal::Gate(g) => paths[g.index()],
@@ -721,6 +726,29 @@ mod tests {
         let n2 = c.add_gate("n2", GateKind::Inv, &[n1])?;
         c.mark_output("out", n2)?;
         Ok(c)
+    }
+
+    /// A clone shares the name index and the input and output lists
+    /// with its original until one of them grows, and then copies them
+    /// instead of changing the other's.
+    #[test]
+    fn clones_share_names_until_one_grows() -> Result<()> {
+        let original = tiny()?;
+        let mut edited = original.clone();
+        assert!(Arc::ptr_eq(&original.names, &edited.names));
+        assert!(Arc::ptr_eq(&original.input_names, &edited.input_names));
+        assert!(Arc::ptr_eq(&original.outputs, &edited.outputs));
+        edited.set_drive(GateId(0), 2.0)?;
+        assert!(Arc::ptr_eq(&original.names, &edited.names));
+        let c = edited.add_input("c")?;
+        let n3 = edited.add_gate("n3", GateKind::Inv, &[c])?;
+        edited.mark_output("out2", n3)?;
+        assert_eq!(original.find("c"), None);
+        assert_eq!(original.find("n3"), None);
+        assert_eq!((original.input_count(), original.output_count()), (2, 1));
+        assert_eq!(original.gate(GateId(0)).drive, 1.0);
+        assert_eq!(original, tiny()?);
+        Ok(())
     }
 
     #[test]

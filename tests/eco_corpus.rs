@@ -6,7 +6,10 @@
 //! script cannot silently skip classification.
 
 use statim::core::characterize::characterize_placed;
-use statim::core::{apply_edits, EcoScript, ErrorClass, SstaConfig, StatimError};
+use statim::core::{
+    apply_edits, EcoScript, ErrorClass, IncrementalEngine, SstaConfig, SstaEngine, SstaReport,
+    StatimError, StoredReport, TimingGraph,
+};
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::{Placement, PlacementStyle};
 use std::fs;
@@ -102,11 +105,11 @@ fn well_formed_scripts_still_apply() {
     assert!(!touched.is_empty());
 }
 
-/// Every script here that applies — the control script, and each
-/// corpus file's lines before the one that fails — recharacterizes only
-/// what it touched into exactly the timing a full pass computes.
-#[test]
-fn partial_characterization_matches_a_full_pass_on_every_valid_script() {
+/// The scripts here that can apply: the control script, each corpus
+/// file's lines before the one that fails, and each line of the control
+/// script alone (so the non-wire edits run without a rewire forcing a
+/// full characterization).
+fn candidate_scripts() -> Vec<String> {
     let control =
         "resize g10 2.0\nretime g11 1e-12\nswap g1 nor2\naddwire g1 g50 0\nrmwire g50 1\n";
     let mut scripts = vec![control.to_string()];
@@ -115,9 +118,15 @@ fn partial_characterization_matches_a_full_pass_on_every_valid_script() {
         let prefix: Vec<&str> = text.lines().take(line - 1).collect();
         scripts.push(prefix.join("\n"));
     }
-    // Each piece of the control script alone, so the non-wire edits are
-    // checked without a rewire forcing the full pass.
     scripts.extend(control.lines().map(str::to_string));
+    scripts
+}
+
+/// Every script here that applies recharacterizes only what it touched
+/// into exactly the timing a full pass computes.
+#[test]
+fn partial_characterization_matches_a_full_pass_on_every_valid_script() {
+    let scripts = candidate_scripts();
     let tech = SstaConfig::date05().tech;
     let circuit = iscas85::generate(Benchmark::C432);
     let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
@@ -136,6 +145,55 @@ fn partial_characterization_matches_a_full_pass_on_every_valid_script() {
             .expect("partial characterization");
         let full = characterize_placed(&edited, &tech, &placement).expect("full pass");
         assert_eq!(format!("{partial:?}"), format!("{full:?}"), "{text}");
+        applied += 1;
+    }
+    assert!(applied >= 7, "only {applied} scripts applied");
+}
+
+/// Every script here that applies, applied incrementally to c432: the
+/// report equals a fresh run of the edited netlist in every bit (label
+/// sweeps, every path's numbers and gates, every PDF), and the cone it
+/// counts is the timing graph's fanout cone of the dirty and touched
+/// gates.
+#[test]
+fn incremental_applies_match_fresh_runs_on_every_valid_script() {
+    let mut config = SstaConfig::date05();
+    config.quality_intra = 30;
+    config.quality_inter = 15;
+    let engine = SstaEngine::new(config);
+    let circuit = iscas85::generate(Benchmark::C432);
+    let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+    let base = characterize_placed(&circuit, &engine.config().tech, &placement).expect("timing");
+    let record = |r: &SstaReport| StoredReport::from_report(r).render_record(0);
+    let mut applied = 0;
+    for text in candidate_scripts() {
+        let Ok(script) = EcoScript::parse(&text) else {
+            continue;
+        };
+        let mut edited = circuit.clone();
+        let Ok(touched) = apply_edits(&mut edited, &script) else {
+            continue;
+        };
+        let mut inc = IncrementalEngine::new(engine.clone(), circuit.clone(), placement.clone())
+            .expect("base run");
+        let outcome = inc.apply(&script).expect("incremental apply");
+        let fresh = engine.run(&edited, &placement).expect("fresh run");
+        assert_eq!(record(&outcome.report), record(&fresh), "{text}");
+        assert_eq!(outcome.report.label_sweeps, fresh.label_sweeps, "{text}");
+        assert!(outcome.report.paths == fresh.paths, "{text}: PDFs differ");
+        let timing =
+            characterize_placed(&edited, &engine.config().tech, &placement).expect("timing");
+        let dirty = edited
+            .gate_ids()
+            .filter(|g| timing.gates()[g.index()] != base.gates()[g.index()]);
+        let cone = TimingGraph::build(&edited)
+            .expect("timing graph")
+            .fanout_cone(dirty.chain(touched));
+        assert_eq!(
+            outcome.stats.cone_gates,
+            cone.iter().filter(|&&c| c).count(),
+            "{text}"
+        );
         applied += 1;
     }
     assert!(applied >= 7, "only {applied} scripts applied");

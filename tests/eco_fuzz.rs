@@ -9,13 +9,18 @@
 //! prefix, too, the partial characterization an edit takes
 //! ([`CircuitTiming::recharacterize`]) must equal a full
 //! `characterize_placed` bit for bit, as it must for a thousand seeded
-//! one-gate edits over the ten Table 2 circuits.
+//! one-gate edits over the ten Table 2 circuits; every bit the report
+//! carries, label sweeps and PDFs included, must equal the fresh run's;
+//! and the apply's dirty and cone counts must be the bitwise timing diff
+//! and its [`TimingGraph::fanout_cone`].
 
 use proptest::prelude::*;
 use statim::core::characterize::{characterize_placed, CircuitTiming};
 use statim::core::engine::{SstaConfig, SstaEngine};
 use statim::core::report::deterministic_report;
-use statim::core::{apply_edits, EcoEdit, EcoScript, IncrementalEngine};
+use statim::core::{
+    apply_edits, EcoEdit, EcoScript, IncrementalEngine, SstaReport, StoredReport, TimingGraph,
+};
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::{Circuit, Placement, PlacementStyle};
 use statim::process::GateKind;
@@ -162,6 +167,34 @@ fn recharacterize_like_full(
     Ok((touched, full))
 }
 
+/// Whether two reports carry the same bits but their wall times: the
+/// store's record of each (scalars to the bit, label sweeps, every
+/// path's numbers and gates) and every PDF.
+fn same_bits(a: &SstaReport, b: &SstaReport) -> bool {
+    let record = |r: &SstaReport| StoredReport::from_report(r).render_record(0);
+    record(a) == record(b) && a.paths == b.paths
+}
+
+/// The dirty and cone counts an edit from `before` to `after` must
+/// report: the gates whose timing moved bitwise, and the fanout cone of
+/// those and the `touched` ones.
+fn reach(
+    circuit: &Circuit,
+    before: &CircuitTiming,
+    after: &CircuitTiming,
+    touched: &[statim::netlist::GateId],
+) -> (usize, usize) {
+    let (old, new) = (timing_bits(before), timing_bits(after));
+    let dirty: Vec<statim::netlist::GateId> = circuit
+        .gate_ids()
+        .filter(|g| old[g.index()] != new[g.index()])
+        .collect();
+    let cone = TimingGraph::build(circuit)
+        .expect("timing graph")
+        .fanout_cone(dirty.iter().chain(touched).copied());
+    (dirty.len(), cone.iter().filter(|&&c| c).count())
+}
+
 fn script_of(edits: &[EcoEdit]) -> EcoScript {
     EcoScript {
         edits: edits
@@ -193,9 +226,17 @@ fn check_prefixes(bench: Benchmark, edits: &[EcoEdit]) -> Result<(), String> {
         let outcome = inc
             .apply(&step)
             .map_err(|e| format!("incremental apply of edit {} failed: {e}", i + 1))?;
-        timing = recharacterize_like_full(&mut reference, &timing, &placement, &step)
-            .map_err(|e| format!("edit {}: {e}", i + 1))?
-            .1;
+        let (touched, next) = recharacterize_like_full(&mut reference, &timing, &placement, &step)
+            .map_err(|e| format!("edit {}: {e}", i + 1))?;
+        let (dirty, cone) = reach(&reference, &timing, &next, &touched);
+        if (outcome.stats.dirty_gates, outcome.stats.cone_gates) != (dirty, cone) {
+            return Err(format!(
+                "edit {}: {} but the timing diff dirtied {dirty} gates (cone {cone})",
+                i + 1,
+                outcome.stats.summary_line()
+            ));
+        }
+        timing = next;
         let fresh_placement =
             Placement::generate(&iscas85::generate(bench), PlacementStyle::Levelized);
         let fresh = SstaEngine::new(config())
@@ -203,7 +244,7 @@ fn check_prefixes(bench: Benchmark, edits: &[EcoEdit]) -> Result<(), String> {
             .map_err(|e| format!("fresh run after edit {} failed: {e}", i + 1))?;
         let got = deterministic_report(&outcome.report, LIMIT);
         let want = deterministic_report(&fresh, LIMIT);
-        if got != want {
+        if got != want || !same_bits(&outcome.report, &fresh) {
             return Err(format!(
                 "prefix of {} edit(s) diverged from from-scratch ({})",
                 i + 1,

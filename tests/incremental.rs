@@ -270,3 +270,70 @@ fn reuse_actually_happens_on_small_edits() {
         "sink edit diverged from from-scratch"
     );
 }
+
+/// An engine's kernel store is bounded by default: an edit session that
+/// computes ten times as many kernels as the store can hold keeps it at
+/// its bound, and the reports it serves along the way still equal fresh
+/// runs. An explicit capacity still wins.
+#[test]
+fn the_kernel_store_stays_bounded_through_a_long_edit_session() {
+    let bench = Benchmark::C499;
+    let circuit = iscas85::generate(bench);
+    let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+    let mut cfg = config(1, true, ConvolveBackend::Grid);
+    cfg.quality_intra = 8;
+    cfg.quality_inter = 4;
+    let engine = SstaEngine::new(cfg.clone());
+    let mut inc = IncrementalEngine::new(engine.clone(), circuit.clone(), placement.clone())
+        .expect("base run");
+    // Two kernel maps, each at most its capacity.
+    let bound = 2 * inc.store().capacity().expect("bounded by default");
+    // The gate on the most near-critical paths: every fresh drive gives
+    // each path through it fresh kernel keys.
+    let mut through = vec![0usize; circuit.gate_count()];
+    for p in &inc.report().paths {
+        for g in &p.analysis.gates {
+            through[g.index()] += 1;
+        }
+    }
+    let hot = (0..through.len())
+        .max_by_key(|&i| through[i])
+        .expect("gates");
+    let name = circuit.gates()[hot].name.clone();
+    let mut reference = circuit;
+    let (mut computed, mut applies) = (0usize, 0usize);
+    while computed < 10 * bound {
+        applies += 1;
+        let drive = 1.0 + applies as f64 * 1e-4;
+        let script = EcoScript::parse(&format!("resize {name} {drive}")).expect("script");
+        let outcome = inc.apply(&script).expect("apply");
+        apply_edits(&mut reference, &script).expect("reference edit");
+        let cache = outcome.report.profile.cache.expect("cache on");
+        computed += (cache.inter_misses + cache.intra_misses) as usize;
+        let stats = inc.store().stats();
+        assert!(
+            stats.entries <= bound,
+            "{} entries past {bound}",
+            stats.entries
+        );
+        if applies % 25 == 0 {
+            let fresh = engine.run(&reference, &placement).expect("fresh run");
+            assert_eq!(
+                deterministic_report(&outcome.report, usize::MAX),
+                deterministic_report(&fresh, usize::MAX),
+                "apply {applies}"
+            );
+            assert_eq!(outcome.report.label_sweeps, fresh.label_sweeps);
+        }
+    }
+    assert!(inc.store().stats().evictions > 0, "the bound evicted");
+    assert!(applies >= 25, "only {applies} applies were sampled");
+
+    let explicit = IncrementalEngine::new(
+        SstaEngine::new(cfg.with_cache_capacity(Some(64))),
+        reference,
+        placement,
+    )
+    .expect("base run");
+    assert_eq!(explicit.store().capacity(), Some(64));
+}

@@ -14,14 +14,14 @@
 //! retires the least recently used past it.
 
 use statim::core::characterize::characterize_placed;
-use statim::core::engine::{SstaConfig, SstaEngine, SstaReport};
+use statim::core::engine::{SstaConfig, SstaEngine, SstaReport, StageProfile};
 use statim::core::report::deterministic_report;
 use statim::core::{
     apply_edits, AnalysisService, EcoScript, JobId, JobSpec, JobState, RunBudget, ServiceConfig,
-    ServiceError, ServiceStats,
+    ServiceError, ServiceStats, StatimError, TimingGraph,
 };
 use statim::netlist::generators::iscas85::{self, Benchmark};
-use statim::netlist::{Circuit, GateId, Placement, PlacementStyle};
+use statim::netlist::{Circuit, GateId, Placement, PlacementStyle, Signal};
 use statim::process::GateKind;
 use statim::stats::Pdf;
 use std::path::PathBuf;
@@ -437,6 +437,94 @@ fn edits_of_bases_that_are_not_warm_run_cold_and_seed() {
     edit_cold(&service, replayed.expect("edit applies"), "replayed base");
     service.join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Gates whose fanout cone drives no output within reach of `base`'s
+/// near-critical set: every output in the cone arrives before 90% of
+/// the enumeration threshold, so speeding one of them up moves no
+/// near-critical path.
+fn cold_gates(circuit: &Circuit, placement: &Placement, base: &SstaReport) -> Vec<GateId> {
+    let tech = SstaConfig::date05().tech;
+    let timing = characterize_placed(circuit, &tech, placement).expect("timing");
+    let mut arrival = vec![0.0f64; circuit.gate_count()];
+    for (i, g) in circuit.gates().iter().enumerate() {
+        let latest = g
+            .inputs
+            .iter()
+            .filter_map(|s| match s {
+                Signal::Gate(d) => Some(arrival[d.index()]),
+                Signal::Input(_) => None,
+            })
+            .fold(0.0, f64::max);
+        arrival[i] = latest + timing.gates()[i].nominal;
+    }
+    let limit = 0.9 * (base.det_critical_delay - base.confidence * base.sigma_c);
+    let graph = TimingGraph::build(circuit).expect("timing graph");
+    circuit
+        .gate_ids()
+        .filter(|&g| {
+            let cone = graph.fanout_cone([g]);
+            circuit.outputs().iter().all(|&(_, s)| match s {
+                Signal::Gate(o) => !cone[o.index()] || arrival[o.index()] < limit,
+                Signal::Input(_) => true,
+            })
+        })
+        .collect()
+}
+
+/// A warm EDIT that speeds up a cold gate gets its base report back
+/// whole: it equals a fresh run and reuses every one of its paths. The
+/// EDITs the reach check must refuse run the engine's stages and match
+/// a fresh run too: one whose `max_paths` the base's set exceeds (it
+/// fails as the fresh run does), and one whose base's widest report was
+/// enumerated at another `C`.
+#[test]
+fn warm_edits_of_cold_gates_reuse_the_base_report_whole() {
+    let (circuit, placement) = placed(Benchmark::C1355);
+    let service = AnalysisService::start(ServiceConfig::default()).expect("service starts");
+    let template = JobSpec::new(circuit.clone(), placement.clone(), SstaConfig::date05());
+    let (base, _) = served(&service, template.clone());
+    let cold = cold_gates(&circuit, &placement, &base);
+    assert!(cold.len() >= 3, "c1355 has cold gates");
+    let resize = |g: GateId| format!("resize {} 2.0", circuit.gate(g).name);
+
+    let mut expect = (0, 0);
+    let (_, report) = edit_warm(&service, &template, &base, &resize(cold[0]), &mut expect);
+    assert_eq!(expect, (1, report.num_paths as u64), "every path came back");
+    assert_eq!(
+        report.profile.enumerate,
+        StageProfile::default(),
+        "no stage ran"
+    );
+
+    let mut capped = template.config.clone();
+    capped.max_paths = base.num_paths - 1;
+    let script = EcoScript::parse(&resize(cold[1])).expect("script parses");
+    let spec = template
+        .with_config(capped.clone())
+        .edited(&script)
+        .expect("edit applies");
+    let receipt = service.submit(spec.clone()).expect("admitted");
+    assert_eq!(wait_terminal(&service, receipt.id), JobState::Failed);
+    let want = SstaEngine::new(capped)
+        .run(spec.circuit(), spec.placement())
+        .expect_err("the capped set overflows");
+    match service.result_any(receipt.id) {
+        Err(ServiceError::JobFailed { error, .. }) => {
+            assert_eq!(error.to_string(), StatimError::from(want).to_string());
+        }
+        _ => panic!("the capped EDIT fails"),
+    }
+    expect = counters(&service.stats());
+
+    let wider = SstaConfig::date05().with_confidence(0.1);
+    let (widest, _) = served(&service, template.with_config(wider));
+    assert!(widest.num_paths > base.num_paths);
+    expect.0 += 1;
+    expect.1 += base.num_paths as u64;
+    let (_, report) = edit_warm(&service, &template, &widest, &resize(cold[2]), &mut expect);
+    assert!(report.profile.enumerate.wall > 0.0, "the stages ran");
+    service.join();
 }
 
 fn job(i: u64) -> JobId {
