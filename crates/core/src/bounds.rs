@@ -47,48 +47,6 @@ pub fn delay_cdf_bounds(paths: &[PathAnalysis], t: f64) -> CdfBounds {
     }
 }
 
-/// Sweeps the bounds over `n` epochs spanning the near-critical set's
-/// interesting range. Returns `(t, bounds)` pairs.
-pub fn bounds_curve(paths: &[PathAnalysis], n: usize) -> Vec<(f64, CdfBounds)> {
-    if paths.is_empty() {
-        return Vec::new();
-    }
-    let mean = paths[0].mean;
-    let sigma = paths[0].sigma.max(mean * 1e-6);
-    let lo = mean - 2.0 * sigma;
-    let hi = mean + 5.0 * sigma;
-    (0..n.max(2))
-        .map(|i| {
-            let t = lo + (hi - lo) * i as f64 / (n.max(2) - 1) as f64;
-            (t, delay_cdf_bounds(paths, t))
-        })
-        .collect()
-}
-
-/// The spread between the bounds at the upper bound's `target` quantile
-/// — a scalar measure of how much the unknown path correlation could
-/// matter at a given yield level.
-pub fn bound_gap_at(paths: &[PathAnalysis], target: f64) -> Option<f64> {
-    if paths.is_empty() || !(0.0..1.0).contains(&target) {
-        return None;
-    }
-    // Find t where the upper bound reaches `target` by bisection.
-    let mean = paths[0].mean;
-    let sigma = paths[0].sigma.max(mean * 1e-9);
-    let mut lo = mean - 6.0 * sigma;
-    let mut hi = mean + 10.0 * sigma;
-    for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        if delay_cdf_bounds(paths, mid).upper >= target {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    let b = delay_cdf_bounds(paths, hi);
-    Some(b.upper - b.lower)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,12 +84,16 @@ mod tests {
     fn bounds_are_ordered_and_monotone() {
         let (paths, _, _) = analyzed_paths(Benchmark::C432, 0.9);
         assert!(paths.len() >= 2);
-        let curve = bounds_curve(&paths, 20);
+        // Sweep mean + σ·[-2, 5] in 20 epochs.
+        let (mean, sigma) = (paths[0].mean, paths[0].sigma);
+        let curve: Vec<CdfBounds> = (0..20)
+            .map(|i| delay_cdf_bounds(&paths, mean + sigma * (-2.0 + 7.0 * i as f64 / 19.0)))
+            .collect();
         let mut prev = CdfBounds {
             lower: -1.0,
             upper: -1.0,
         };
-        for (_, b) in &curve {
+        for b in &curve {
             assert!(b.lower <= b.upper + 1e-12);
             assert!((0.0..=1.0).contains(&b.lower));
             assert!((0.0..=1.0).contains(&b.upper));
@@ -140,7 +102,7 @@ mod tests {
             prev = *b;
         }
         // Far right: both saturate.
-        assert!(curve.last().unwrap().1.lower > 0.99);
+        assert!(curve.last().unwrap().lower > 0.99);
     }
 
     #[test]
@@ -199,23 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn gap_reflects_path_count() {
-        let (few, _, _) = analyzed_paths(Benchmark::C432, 0.97);
-        let (many, _, _) = analyzed_paths(Benchmark::C432, 0.85);
-        assert!(many.len() > few.len());
-        let g_few = bound_gap_at(&few, 0.99).unwrap();
-        let g_many = bound_gap_at(&many, 0.99).unwrap();
-        // More paths ⇒ looser union bound ⇒ wider gap.
-        assert!(g_many >= g_few - 1e-12, "{g_many} vs {g_few}");
-        assert!(bound_gap_at(&[], 0.99).is_none());
-        assert!(bound_gap_at(&few, 1.5).is_none());
-    }
-
-    #[test]
     fn empty_paths_vacuous() {
         let b = delay_cdf_bounds(&[], 1.0);
         assert_eq!(b.lower, 1.0);
         assert_eq!(b.upper, 1.0);
-        assert!(bounds_curve(&[], 5).is_empty());
     }
 }

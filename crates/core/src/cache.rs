@@ -551,7 +551,7 @@ impl AnalysisCache {
     }
 
     /// Number of lock stripes per kernel map (the valid range for
-    /// [`AnalysisCache::poison_inter_shard`] is `0..shard_count()`).
+    /// `AnalysisCache::poison_inter_shard` is `0..shard_count()`).
     pub fn shard_count() -> usize {
         SHARD_COUNT
     }

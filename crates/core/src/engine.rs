@@ -343,17 +343,6 @@ pub struct RunProfile {
     pub panics: u64,
 }
 
-impl RunProfile {
-    /// Summed per-stage wall time, seconds.
-    pub fn total_wall(&self) -> f64 {
-        self.characterize.wall
-            + self.labels.wall
-            + self.enumerate.wall
-            + self.analyze.wall
-            + self.rank.wall
-    }
-}
-
 /// A near-critical path that was quarantined instead of ranked: its
 /// kernel produced a non-finite value or a recoverable error, so the run
 /// completed without it.
@@ -955,7 +944,8 @@ mod tests {
     fn stage_times_cover_runtime() {
         let r = run(Benchmark::C1355, SstaConfig::date05());
         let p = &r.profile;
-        let sum = p.total_wall();
+        let sum =
+            p.characterize.wall + p.labels.wall + p.enumerate.wall + p.analyze.wall + p.rank.wall;
         assert!(sum > 0.0);
         assert!(sum <= r.runtime * 1.01);
         // Per-path analysis dominates (κ·QUALITY kernels) — the paper's

@@ -5,9 +5,9 @@
 //! label solvers). This module builds that structure **once**: a
 //! levelized DAG with stable node ids (the netlist's [`GateId`]s — edits
 //! never renumber surviving gates), explicit fanin/fanout adjacency, and
-//! cone queries. The incremental engine
-//! ([`crate::incremental`]) uses the fanout cone to bound the region an
-//! ECO edit can influence, and [`crate::block_based`] drives its
+//! a fanout-cone query: the reference that the incremental engine's
+//! ([`crate::incremental`]) one-pass dirty cone is tested against.
+//! [`crate::block_based`] and the sequential flow drive their
 //! level-order propagation from the same IR.
 //!
 //! Each node can also carry a layered *arrival model* — the arrival time
@@ -135,11 +135,6 @@ impl TimingGraph {
         Ok(TimingGraph { nodes, levels })
     }
 
-    /// Number of nodes (gates).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// One node.
     pub fn node(&self, id: GateId) -> &GraphNode {
         &self.nodes[id.index()]
@@ -166,20 +161,6 @@ impl TimingGraph {
     /// ids, seeds included. This is the *dirty cone* of an ECO edit —
     /// every gate whose arrival could change when the seeds do.
     pub fn fanout_cone(&self, seeds: impl IntoIterator<Item = GateId>) -> Vec<bool> {
-        self.cone(seeds, |n| &n.fanout)
-    }
-
-    /// The backward (fanin) cone of `seeds`, seeds included — the support
-    /// of a node's arrival model.
-    pub fn fanin_cone(&self, seeds: impl IntoIterator<Item = GateId>) -> Vec<bool> {
-        self.cone(seeds, |n| &n.fanin)
-    }
-
-    fn cone(
-        &self,
-        seeds: impl IntoIterator<Item = GateId>,
-        next: impl Fn(&GraphNode) -> &Vec<GateId>,
-    ) -> Vec<bool> {
         let mut mask = vec![false; self.nodes.len()];
         let mut queue: Vec<GateId> = Vec::new();
         for s in seeds {
@@ -189,7 +170,7 @@ impl TimingGraph {
             }
         }
         while let Some(g) = queue.pop() {
-            for &succ in next(&self.nodes[g.index()]) {
+            for &succ in &self.nodes[g.index()].fanout {
                 if !mask[succ.index()] {
                     mask[succ.index()] = true;
                     queue.push(succ);
@@ -284,7 +265,7 @@ mod tests {
     fn builds_levels_and_adjacency() {
         let c = diamond();
         let g = TimingGraph::build(&c).expect("build");
-        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.nodes().len(), 4);
         assert_eq!(g.depth(), 3);
         assert_eq!(g.levels()[0], vec![GateId(0)]);
         assert_eq!(g.levels()[1], vec![GateId(1), GateId(2)]);
@@ -324,8 +305,6 @@ mod tests {
         let g = TimingGraph::build(&c).expect("build");
         let fwd = g.fanout_cone([GateId(1)]);
         assert_eq!(fwd, vec![false, true, false, true]);
-        let bwd = g.fanin_cone([GateId(3)]);
-        assert_eq!(bwd, vec![true, true, true, true]);
         let seed = g.fanout_cone([GateId(3)]);
         assert_eq!(seed, vec![false, false, false, true], "seed included");
     }

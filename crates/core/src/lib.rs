@@ -24,8 +24,7 @@
 //! [`worst_case`] (the deterministic corner analysis the paper indicts),
 //! [`block_based`] (the independence-assuming baseline of its refs 3–4),
 //! [`bounds`] (the CDF-bounds thread of its refs 2 and 8), [`slack`]
-//! (deterministic timing reports), [`attribution`] (per-parameter and
-//! per-gate variance decomposition), [`timing_yield`] (yield curves and
+//! (deterministic timing reports), [`timing_yield`] (yield curves and
 //! clock constraints), [`cache`] (bit-identical memoization of the
 //! per-path kernels), [`supervise`] (panic isolation, deterministic
 //! retry, run budgets and Monte-Carlo checkpoint/resume), [`store`]
@@ -54,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod attribution;
 pub mod block_based;
 pub mod bounds;
 pub mod cache;

@@ -171,8 +171,7 @@ where
 ///
 /// The *unsupervised* convenience: a panicking item is re-raised on the
 /// caller (there is no quarantine slot to put it in). Fan-outs that want
-/// isolation and budgets use
-/// [`supervise::supervised_map`](crate::supervise::supervised_map).
+/// isolation and budgets use [`crate::supervise::supervised_map`].
 ///
 /// # Panics
 ///

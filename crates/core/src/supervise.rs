@@ -99,11 +99,6 @@ impl RunBudget {
     pub fn none() -> Self {
         RunBudget::default()
     }
-
-    /// Whether every dimension is unlimited.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_wall_secs.is_none() && self.max_paths.is_none() && self.max_mc_samples.is_none()
-    }
 }
 
 /// A one-way, thread-safe cancellation flag recording which budget

@@ -106,7 +106,15 @@ pub fn parse(text: &str) -> Result<DefDesign> {
                         message: "DIEAREA needs two coordinate pairs".into(),
                     });
                 }
-                die_side = (nums[2] - nums[0]).max(nums[3] - nums[1]);
+                let (w, h) = (nums[2] - nums[0], nums[3] - nums[1]);
+                if w <= 0.0 || h <= 0.0 {
+                    return Err(NetlistError::Parse {
+                        line: line_no,
+                        col: crate::col_in(raw, line),
+                        message: format!("non-positive DIEAREA extent {w} x {h}"),
+                    });
+                }
+                die_side = w.max(h);
             }
             "COMPONENTS" => in_components = true,
             "END" => {
@@ -344,6 +352,24 @@ END DESIGN
             parse("DESIGN t ;\n"),
             Err(NetlistError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn inverted_or_empty_diearea_rejected_at_its_line() {
+        for area in [
+            "( 1000 1000 ) ( 0 0 )",
+            "( 0 0 ) ( 0 0 )",
+            "( 0 0 ) ( 1000 0 )",
+        ] {
+            let text = format!("DESIGN t ;\nDIEAREA {area} ;\nCOMPONENTS 0 ;\nEND COMPONENTS\n");
+            match parse(&text) {
+                Err(NetlistError::Parse { line, col, message }) => {
+                    assert_eq!((line, col), (2, 1), "{area}");
+                    assert!(message.contains("DIEAREA extent"), "{area}: {message}");
+                }
+                other => panic!("{area}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub enum NetlistError {
         /// Gate (or output) being connected.
         gate: String,
     },
-    /// A `.bench`, Verilog or DEF line could not be parsed.
+    /// A `.bench` or DEF line could not be parsed.
     Parse {
         /// 1-based line number.
         line: usize,

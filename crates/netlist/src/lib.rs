@@ -40,7 +40,6 @@ pub mod generators;
 pub mod place;
 pub mod simulate;
 pub mod stats;
-pub mod verilog;
 
 pub use circuit::{Circuit, Gate, GateId, Signal};
 pub use error::NetlistError;

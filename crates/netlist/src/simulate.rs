@@ -5,12 +5,10 @@
 //! really multiplies, parity trees really compute parity — and available
 //! to downstream users for sanity checks on parsed netlists.
 //!
-//! Sequential circuits are simulated tick-by-tick through the
-//! [`SequentialSim`] trait (digisim-style): register state advances on
-//! each [`SequentialSim::tick`], with two interchangeable engines —
-//! [`NaiveSim`] re-runs the plain combinational simulator every tick,
-//! [`FastSim`] evaluates in place over preallocated buffers — kept
-//! honest against each other by a cross-implementation equivalence test.
+//! A sequential circuit's register outputs are primary inputs after the
+//! true ones, so one clock cycle is one [`simulate`] call: the true
+//! inputs then the register state go in, and each register's next state
+//! is the value on its D pin.
 
 use crate::circuit::{Circuit, Signal};
 use crate::error::NetlistError;
@@ -98,209 +96,6 @@ pub fn simulate_once(circuit: &Circuit, inputs: &[bool]) -> Result<Vec<bool>> {
         .into_iter()
         .map(|w| w & 1 != 0)
         .collect())
-}
-
-/// Tick-based simulation of a sequential circuit: 64 independent
-/// pattern streams advance in lockstep, one clock edge per
-/// [`SequentialSim::tick`].
-///
-/// Tick semantics: with the current register state `Q` and the supplied
-/// true-input patterns, evaluate the combinational core, return the
-/// primary-output values for this cycle, then clock every register
-/// (`Q := D`). Registers reset to all-zero.
-pub trait SequentialSim {
-    /// The circuit being simulated.
-    fn circuit(&self) -> &Circuit;
-
-    /// Current register state, one [`Word`] per register in definition
-    /// order.
-    fn state(&self) -> &[Word];
-
-    /// Resets all registers to zero.
-    fn reset(&mut self);
-
-    /// Advances one clock cycle; `inputs` carries one [`Word`] per
-    /// *true* primary input. Returns the primary-output values for the
-    /// cycle (evaluated before the clock edge).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::PlacementMismatch`] if the stimulus width
-    /// differs from [`Circuit::true_input_count`].
-    fn tick(&mut self, inputs: &[Word]) -> Result<Vec<Word>>;
-}
-
-fn check_sequential(circuit: &Circuit) -> Result<()> {
-    for r in circuit.registers() {
-        if r.d.is_none() {
-            return Err(NetlistError::InvalidConfig {
-                message: format!("register `{}` has an unconnected D pin", r.name),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn check_width(circuit: &Circuit, inputs: &[Word]) -> Result<()> {
-    if inputs.len() != circuit.true_input_count() {
-        return Err(NetlistError::PlacementMismatch {
-            gates: circuit.true_input_count(),
-            placed: inputs.len(),
-        });
-    }
-    Ok(())
-}
-
-fn signal_value(all_inputs: &[Word], gates: &[Word], s: Signal) -> Word {
-    match s {
-        Signal::Input(k) => all_inputs[k as usize],
-        Signal::Gate(g) => gates[g.index()],
-    }
-}
-
-/// Reference sequential engine: each tick re-runs [`simulate`] on the
-/// full input vector (true inputs followed by register state).
-#[derive(Debug, Clone)]
-pub struct NaiveSim {
-    circuit: Circuit,
-    state: Vec<Word>,
-}
-
-impl NaiveSim {
-    /// Wraps `circuit` (cloned) with all registers reset to zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InvalidConfig`] if any register's D pin
-    /// is unconnected.
-    pub fn new(circuit: &Circuit) -> Result<Self> {
-        check_sequential(circuit)?;
-        Ok(NaiveSim {
-            state: vec![0; circuit.registers().len()],
-            circuit: circuit.clone(),
-        })
-    }
-}
-
-impl SequentialSim for NaiveSim {
-    fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    fn state(&self) -> &[Word] {
-        &self.state
-    }
-
-    fn reset(&mut self) {
-        self.state.fill(0);
-    }
-
-    fn tick(&mut self, inputs: &[Word]) -> Result<Vec<Word>> {
-        check_width(&self.circuit, inputs)?;
-        let mut all = Vec::with_capacity(inputs.len() + self.state.len());
-        all.extend_from_slice(inputs);
-        all.extend_from_slice(&self.state);
-        let gates = simulate(&self.circuit, &all)?;
-        let outs = self
-            .circuit
-            .outputs()
-            .iter()
-            .map(|&(_, s)| signal_value(&all, &gates, s))
-            .collect();
-        for (i, r) in self.circuit.registers().iter().enumerate() {
-            let d = r.d.expect("checked at construction");
-            self.state[i] = signal_value(&all, &gates, d);
-        }
-        Ok(outs)
-    }
-}
-
-/// Throughput-oriented sequential engine: evaluates the levelized gate
-/// list in place over preallocated buffers — no per-tick allocation
-/// beyond the returned output vector.
-#[derive(Debug, Clone)]
-pub struct FastSim {
-    circuit: Circuit,
-    state: Vec<Word>,
-    all_inputs: Vec<Word>,
-    values: Vec<Word>,
-}
-
-impl FastSim {
-    /// Wraps `circuit` (cloned) with all registers reset to zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InvalidConfig`] if any register's D pin
-    /// is unconnected.
-    pub fn new(circuit: &Circuit) -> Result<Self> {
-        check_sequential(circuit)?;
-        Ok(FastSim {
-            state: vec![0; circuit.registers().len()],
-            all_inputs: vec![0; circuit.input_count()],
-            values: vec![0; circuit.gate_count()],
-            circuit: circuit.clone(),
-        })
-    }
-}
-
-impl SequentialSim for FastSim {
-    fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    fn state(&self) -> &[Word] {
-        &self.state
-    }
-
-    fn reset(&mut self) {
-        self.state.fill(0);
-    }
-
-    fn tick(&mut self, inputs: &[Word]) -> Result<Vec<Word>> {
-        check_width(&self.circuit, inputs)?;
-        let true_inputs = self.circuit.true_input_count();
-        self.all_inputs[..true_inputs].copy_from_slice(inputs);
-        self.all_inputs[true_inputs..].copy_from_slice(&self.state);
-        for (i, gate) in self.circuit.gates().iter().enumerate() {
-            let fetch = |s: &Signal| -> Word {
-                match s {
-                    Signal::Input(k) => self.all_inputs[*k as usize],
-                    Signal::Gate(g) => self.values[g.index()],
-                }
-            };
-            let mut ins = gate.inputs.iter().map(fetch);
-            self.values[i] = match gate.kind {
-                GateKind::Inv => !ins.next().expect("arity checked"),
-                GateKind::Buf => ins.next().expect("arity checked"),
-                GateKind::Nand(_) => !ins.fold(!0, |acc, v| acc & v),
-                GateKind::Nor(_) => !ins.fold(0, |acc, v| acc | v),
-                GateKind::And(_) => ins.fold(!0, |acc, v| acc & v),
-                GateKind::Or(_) => ins.fold(0, |acc, v| acc | v),
-                GateKind::Xor2 => {
-                    let a = ins.next().expect("arity checked");
-                    let b = ins.next().expect("arity checked");
-                    a ^ b
-                }
-                GateKind::Xnor2 => {
-                    let a = ins.next().expect("arity checked");
-                    let b = ins.next().expect("arity checked");
-                    !(a ^ b)
-                }
-            };
-        }
-        let outs = self
-            .circuit
-            .outputs()
-            .iter()
-            .map(|&(_, s)| signal_value(&self.all_inputs, &self.values, s))
-            .collect();
-        for (i, r) in self.circuit.registers().iter().enumerate() {
-            let d = r.d.expect("checked at construction");
-            self.state[i] = signal_value(&self.all_inputs, &self.values, d);
-        }
-        Ok(outs)
-    }
 }
 
 #[cfg(test)]
@@ -580,37 +375,21 @@ mod tests {
         seed.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    #[test]
-    fn naive_and_fast_sims_agree() -> Result<()> {
-        use crate::generators::sequential;
-        for circuit in [
-            sequential::s27(),
-            sequential::pipeline(3, 5)?,
-            sequential::pipeline(1, 2)?,
-        ] {
-            let mut naive = NaiveSim::new(&circuit)?;
-            let mut fast = FastSim::new(&circuit)?;
-            let mut seed = 0x5EED_0001_u64 ^ circuit.gate_count() as u64;
-            for t in 0..64 {
-                let ins: Vec<Word> = (0..circuit.true_input_count())
-                    .map(|_| stimulus(&mut seed))
-                    .collect();
-                let a = naive.tick(&ins)?;
-                let b = fast.tick(&ins)?;
-                assert_eq!(a, b, "{} outputs diverge at tick {t}", circuit.name());
-                assert_eq!(
-                    naive.state(),
-                    fast.state(),
-                    "{} state diverges at tick {t}",
-                    circuit.name()
-                );
-            }
-            naive.reset();
-            fast.reset();
-            assert_eq!(naive.state(), vec![0; circuit.registers().len()]);
-            assert_eq!(naive.state(), fast.state());
+    /// One clock cycle of a sequential circuit: the true inputs then the
+    /// register state go in, the primary outputs come out, then every
+    /// register clocks (`Q := D`).
+    fn tick(c: &Circuit, state: &mut [Word], inputs: &[Word]) -> Result<Vec<Word>> {
+        let all = [inputs, &*state].concat();
+        let gates = simulate(c, &all)?;
+        let value = |s: Signal| match s {
+            Signal::Input(k) => all[k as usize],
+            Signal::Gate(g) => gates[g.index()],
+        };
+        let outs = c.outputs().iter().map(|&(_, s)| value(s)).collect();
+        for (q, r) in state.iter_mut().zip(c.registers()) {
+            *q = value(r.d.expect("generated registers are connected"));
         }
-        Ok(())
+        Ok(outs)
     }
 
     #[test]
@@ -618,13 +397,13 @@ mod tests {
         use crate::generators::sequential;
         let stages = 4;
         let c = sequential::pipeline(stages, 3)?;
-        let mut sim = FastSim::new(&c)?;
+        let mut state = vec![0; c.registers().len()];
         let mut seed = 0xABCD_u64;
         let mut sent: Vec<Word> = Vec::new();
         for t in 0..16 {
             let ins: Vec<Word> = (0..3).map(|_| stimulus(&mut seed)).collect();
             sent.push(ins[0]);
-            let outs = sim.tick(&ins)?;
+            let outs = tick(&c, &mut state, &ins)?;
             // out0 is in0 delayed by `stages` ticks through the buffer
             // chain (before enough ticks, the reset state 0 shows).
             let expect = if t >= stages { sent[t - stages] } else { 0 };
@@ -634,36 +413,16 @@ mod tests {
     }
 
     #[test]
-    fn sequential_sim_rejects_bad_shapes() -> Result<()> {
-        use crate::generators::sequential;
-        let c = sequential::s27();
-        let mut sim = NaiveSim::new(&c)?;
-        assert!(sim.tick(&[0; 3]).is_err());
-        assert!(sim.tick(&[0; 7]).is_err());
-        // Unconnected D pin is rejected at construction.
-        let mut dangling = crate::circuit::Circuit::new("bad");
-        let a = dangling.add_input("a")?;
-        dangling.add_register("r", 1)?;
-        let _ = a;
-        assert!(matches!(
-            NaiveSim::new(&dangling),
-            Err(NetlistError::InvalidConfig { .. })
-        ));
-        assert!(FastSim::new(&dangling).is_err());
-        Ok(())
-    }
-
-    #[test]
     fn s27_tick_simulation_is_live() -> Result<()> {
         use crate::generators::sequential;
         let c = sequential::s27();
-        let mut sim = FastSim::new(&c)?;
+        let mut state = vec![0; c.registers().len()];
         // Drive all-ones then all-zeros; the output and state must react.
         let mut distinct = std::collections::HashSet::new();
         for t in 0..8 {
             let v: Word = if t % 2 == 0 { !0 } else { 0 };
-            let outs = sim.tick(&[v; 4])?;
-            distinct.insert((outs[0], sim.state().to_vec()));
+            let outs = tick(&c, &mut state, &[v; 4])?;
+            distinct.insert((outs[0], state.clone()));
         }
         assert!(distinct.len() > 1, "state machine never moved");
         Ok(())

@@ -100,26 +100,6 @@ pub fn max_depth_path_count(circuit: &Circuit) -> u128 {
     total
 }
 
-/// Fraction of gate input pins driven by primary inputs — high values
-/// indicate shallow, wide circuits.
-pub fn pi_pin_fraction(circuit: &Circuit) -> f64 {
-    let mut pi_pins = 0usize;
-    let mut total = 0usize;
-    for g in circuit.gates() {
-        for s in &g.inputs {
-            total += 1;
-            if matches!(s, Signal::Input(_)) {
-                pi_pins += 1;
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        pi_pins as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,7 +122,6 @@ mod tests {
         assert_eq!(s.paths, 2 + 2); // a,b through g1->g3 and g1->g2->g3
         assert!((s.avg_fan_in - 5.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.max_fan_out, 2); // g1 feeds g2 and g3
-        assert!((pi_pin_fraction(&c) - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -151,6 +130,5 @@ mod tests {
         let s = analyze(&c);
         assert_eq!(s.gates, 0);
         assert_eq!(s.depth, 0);
-        assert_eq!(pi_pin_fraction(&c), 0.0);
     }
 }

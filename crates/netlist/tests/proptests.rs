@@ -116,23 +116,6 @@ proptest! {
     }
 
     #[test]
-    fn verilog_round_trip_preserves_structure_and_function(c in arb_circuit()) {
-        use statim_netlist::{simulate, verilog};
-        let text = verilog::write(&c);
-        let r = verilog::parse(&text).unwrap();
-        prop_assert_eq!(r.gate_count(), c.gate_count());
-        prop_assert_eq!(r.input_count(), c.input_count());
-        prop_assert_eq!(r.depth(), c.depth());
-        // Function identical on packed random-ish stimulus.
-        let ins: Vec<u64> = (0..c.input_count())
-            .map(|i| 0x9E37_79B9_7F4A_7C15u64.rotate_left(i as u32 * 7))
-            .collect();
-        let a = simulate::simulate_outputs(&c, &ins).unwrap();
-        let b = simulate::simulate_outputs(&r, &ins).unwrap();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
     fn simulation_packed_matches_scalar(c in arb_circuit(), seed in 0u64..1000) {
         use statim_netlist::simulate::{simulate_once, simulate_outputs};
         // One packed run vs 8 scalar runs of its low bits.

@@ -43,16 +43,6 @@ impl Param {
         }
     }
 
-    /// Parameter at canonical index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 5`.
-    #[inline]
-    pub fn from_index(i: usize) -> Param {
-        Param::ALL[i]
-    }
-
     /// Direction (+1 or −1) in which *increasing* the parameter increases
     /// gate delay, used to build the deterministic worst-case corner:
     /// thicker oxide, longer channel, higher thresholds and *lower* supply
@@ -189,7 +179,7 @@ mod tests {
     #[test]
     fn index_round_trips() {
         for p in Param::ALL {
-            assert_eq!(Param::from_index(p.index()), p);
+            assert_eq!(Param::ALL[p.index()], p);
         }
     }
 

@@ -198,7 +198,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng as _;
 
-    /// Lengths accepted by [`vec`]: a fixed `usize` or a `Range<usize>`.
+    /// Lengths accepted by [`vec()`]: a fixed `usize` or a `Range<usize>`.
     pub trait IntoLenRange {
         /// Draws a concrete length.
         fn draw_len(&self, rng: &mut TestRng) -> usize;
@@ -222,7 +222,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         len: L,

@@ -124,7 +124,7 @@ pub struct DaemonTuning {
     /// disables reaping.
     pub io_timeout: Option<Duration>,
     /// Aggregate buffered-byte cap across all of one client's
-    /// connections (the per-conn [`MAX_BUFFERED`] extended to the lane).
+    /// connections (the per-conn `MAX_BUFFERED` extended to the lane).
     pub max_client_buffered: usize,
 }
 

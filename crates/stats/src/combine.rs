@@ -452,22 +452,6 @@ pub fn max_pdf(a: &Pdf, b: &Pdf, quality: usize) -> Result<Pdf> {
     Pdf::new(grid, density)
 }
 
-/// Density of `max(X₁, X₂, …)` for independent variables.
-///
-/// # Errors
-///
-/// Returns [`StatsError::ZeroMass`] for an empty slice; otherwise
-/// propagates [`max_pdf`] failures.
-pub fn max_pdf_many(pdfs: &[Pdf], quality: usize) -> Result<Pdf> {
-    let mut iter = pdfs.iter();
-    let first = iter.next().ok_or(StatsError::ZeroMass)?;
-    let mut acc = first.clone();
-    for p in iter {
-        acc = max_pdf(&acc, p, quality)?;
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,15 +669,11 @@ mod tests {
     }
 
     #[test]
-    fn max_many_increases_mean_monotonically() {
+    fn max_of_more_operands_has_a_larger_mean() {
         let a = gaussian_pdf(5.0, 1.0, 6.0, 150);
-        let m2 = max_pdf_many(&[a.clone(), a.clone()], 150).unwrap();
-        let m4 = max_pdf_many(&[a.clone(), a.clone(), a.clone(), a.clone()], 150).unwrap();
+        let m2 = max_pdf(&a, &a, 150).unwrap();
+        let m4 = max_pdf(&m2, &m2, 150).unwrap();
         assert!(m2.mean() > a.mean());
         assert!(m4.mean() > m2.mean());
-        assert!(max_pdf_many(&[], 10).is_err());
-        // Single operand: unchanged.
-        let m1 = max_pdf_many(std::slice::from_ref(&a), 150).unwrap();
-        assert!((m1.mean() - a.mean()).abs() < 1e-9);
     }
 }

@@ -45,20 +45,6 @@ impl Pdf {
         Pdf::normalize(grid, &density)
     }
 
-    /// Creates a PDF without normalizing. The caller is responsible for
-    /// mass bookkeeping (used internally while accumulating histograms).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on length mismatch, negative or non-finite density.
-    pub fn unnormalized(grid: Grid, density: Vec<f64>) -> Result<Self> {
-        check_density(&grid, &density)?;
-        Ok(Pdf {
-            grid,
-            density: density.into(),
-        })
-    }
-
     /// Creates a PDF by evaluating `f` at each cell center, then
     /// normalizing.
     ///
@@ -223,15 +209,6 @@ impl Pdf {
             .map(|(i, d)| (self.grid.center(i) - mu).powi(k as i32) * d * step)
             .sum::<f64>()
             / self.mass()
-    }
-
-    /// Skewness `E[(X−μ)³]/σ³` (0 for symmetric distributions).
-    pub fn skewness(&self) -> f64 {
-        let sigma = self.std_dev();
-        if sigma == 0.0 {
-            return 0.0;
-        }
-        self.central_moment(3) / (sigma * sigma * sigma)
     }
 
     /// Excess kurtosis `E[(X−μ)⁴]/σ⁴ − 3` (0 for a Gaussian, negative
@@ -413,11 +390,6 @@ impl Pdf {
         Ok(self.resample(target))
     }
 
-    /// Maximum density value (the mode's density).
-    pub fn peak_density(&self) -> f64 {
-        self.density.iter().cloned().fold(0.0, f64::max)
-    }
-
     /// Location (cell center) of the maximum density.
     pub fn mode(&self) -> f64 {
         let (i, _) = self
@@ -557,17 +529,11 @@ mod tests {
 
     #[test]
     fn higher_moments() {
-        // Uniform: skewness 0, excess kurtosis −6/5.
+        // Uniform: excess kurtosis −6/5.
         let u = uniform(0.0, 1.0, 400);
-        assert!(u.skewness().abs() < 1e-9);
         assert!((u.excess_kurtosis() + 1.2).abs() < 0.01);
-        // A right-leaning triangle has positive skew.
-        let g = Grid::over(0.0, 1.0, 400).unwrap();
-        let tri = Pdf::from_fn(g, |x| 1.0 - x).unwrap();
-        assert!(tri.skewness() > 0.4);
         // Degenerate distribution: defined as zero.
         let d = Pdf::delta(Grid::new(0.0, 1.0, 4).unwrap(), 2.0).unwrap();
-        assert_eq!(d.skewness(), 0.0);
         assert_eq!(d.excess_kurtosis(), 0.0);
     }
 

@@ -69,11 +69,6 @@ impl PdfSampler {
         let frac = if c1 > c0 { (u - c0) / (c1 - c0) } else { 0.5 };
         self.edges[lo] + frac * (self.edges[hi] - self.edges[lo])
     }
-
-    /// Draws `n` values.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// Draws one standard normal variate via Box–Muller. Kept local so the
@@ -112,7 +107,7 @@ mod tests {
         let pdf = gaussian_pdf(50.0, 4.0, 6.0, 200);
         let s = PdfSampler::new(&pdf).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let xs = s.sample_n(&mut rng, 40_000);
+        let xs: Vec<f64> = (0..40_000).map(|_| s.sample(&mut rng)).collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((mean - 50.0).abs() < 0.1);

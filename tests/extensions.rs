@@ -1,8 +1,7 @@
 //! Integration tests for the extension modules working together at the
-//! facade level: baselines, bounds, attribution, yield and slack all
-//! consuming one engine run.
+//! facade level: baselines, bounds, yield and slack all consuming one
+//! engine run.
 
-use statim::core::attribution::attribute_variance;
 use statim::core::block_based::block_based_sta;
 use statim::core::bounds::delay_cdf_bounds;
 use statim::core::characterize::characterize_placed;
@@ -10,10 +9,9 @@ use statim::core::engine::{SstaConfig, SstaEngine};
 use statim::core::longest_path::topo_labels;
 use statim::core::slack::slack_report;
 use statim::core::timing_yield::{independent_yield, single_path_yield};
-use statim::core::LayerModel;
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::{Placement, PlacementStyle};
-use statim::process::{Param, Technology, Variations};
+use statim::process::{Technology, Variations};
 
 #[test]
 fn one_run_feeds_every_downstream_analysis() {
@@ -50,18 +48,6 @@ fn one_run_feeds_every_downstream_analysis() {
     // And the independent yield equals neither bound in general but sits
     // within [lower, upper] too (independence is one admissible copula).
     assert!(y_indep >= b.lower - 1e-9 && y_indep <= b.upper + 1e-9);
-
-    // Attribution: Leff dominates the critical path's variance, matching
-    // the Table 1 story.
-    let att = attribute_variance(
-        &report.critical().analysis.gates,
-        &timing,
-        &placement,
-        &LayerModel::date05(),
-        &vars,
-    )
-    .expect("attribution");
-    assert_eq!(att.dominant_param().0, Param::Leff);
 
     // Block-based baseline: underestimates the path-based σ.
     let block = block_based_sta(&circuit, &timing, &vars, 80).expect("block-based");

@@ -5,14 +5,13 @@
 //! can know one — and must never panic.
 
 use statim::core::{ErrorClass, StatimError};
-use statim::netlist::{bench_format, def_lite, verilog, NetlistError};
+use statim::netlist::{bench_format, def_lite, NetlistError};
 use std::fs;
 use std::path::Path;
 
 #[derive(Clone, Copy)]
 enum Format {
     Bench,
-    Verilog,
     Def,
 }
 
@@ -46,13 +45,27 @@ const CORPUS: &[(&str, Format, bool, &str)] = &[
         true,
         "constraint hold needs a value",
     ),
-    ("verilog_missing_paren.v", Format::Verilog, true, ""),
-    ("verilog_unknown_prim.v", Format::Verilog, false, "majority"),
-    ("verilog_empty_module.v", Format::Verilog, true, "empty"),
-    ("verilog_undefined_net.v", Format::Verilog, false, "phantom"),
     ("def_missing_diearea.def", Format::Def, false, "DIEAREA"),
     ("def_unplaced_component.def", Format::Def, true, ""),
     ("def_bad_coordinate.def", Format::Def, true, ""),
+    (
+        "def_inverted_diearea.def",
+        Format::Def,
+        true,
+        "DIEAREA extent",
+    ),
+    (
+        "def_nonpositive_units.def",
+        Format::Def,
+        true,
+        "non-positive DBU",
+    ),
+    (
+        "def_stray_component_line.def",
+        Format::Def,
+        true,
+        "unrecognized component line",
+    ),
 ];
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -62,7 +75,6 @@ fn corpus_dir() -> std::path::PathBuf {
 fn parse_file(format: Format, name: &str, text: &str) -> Result<(), NetlistError> {
     match format {
         Format::Bench => bench_format::parse(name, text).map(|_| ()),
-        Format::Verilog => verilog::parse(text).map(|_| ()),
         Format::Def => def_lite::parse(text).map(|_| ()),
     }
 }
@@ -123,8 +135,6 @@ fn well_formed_inputs_still_parse() {
     // Control: the hardened parsers haven't become over-strict.
     let bench = "INPUT(a)\nINPUT(b)\nx = NAND(a, b)\nOUTPUT(x)\n";
     assert!(bench_format::parse("ok", bench).is_ok());
-    let v = "module ok (a, x);\n  input a;\n  output x;\n  not g1 (x, a);\nendmodule\n";
-    assert!(verilog::parse(v).is_ok());
     let def = "DESIGN ok ;\nDIEAREA ( 0 0 ) ( 1000 1000 ) ;\nCOMPONENTS 0 ;\nEND COMPONENTS\n";
     assert!(def_lite::parse(def).is_ok());
 }

@@ -1765,8 +1765,10 @@ fn warm_round_trips_are_not_paced_by_the_idle_backoff() {
     // reads 0 in 200 trips, a sleeping one read 237 in a debug build.
     // Fewer than one per two trips passes. Release builds also keep the
     // wall-clock bound of 1 ms per trip, the shortest idle backoff (a
-    // paced worker takes about 3 ms per trip), best of five attempts so
-    // a neighbour test hogging a core cannot fail it.
+    // paced worker takes about 3 ms per trip). Every build makes up to
+    // five attempts and stops at the first that passes, so a slow
+    // stretch of the host or a neighbour test hogging a core cannot fail
+    // it; a sleeping worker fails every attempt.
     const TRIPS: usize = 200;
     const ATTEMPTS: usize = 5;
     const BOUND: Duration = Duration::from_millis(TRIPS as u64);
@@ -1777,10 +1779,9 @@ fn warm_round_trips_are_not_paced_by_the_idle_backoff() {
         .submit("@c432", &opts(&[("confidence", "0.05")]))
         .expect("prime");
     assert_eq!(client.wait(primed, WAIT).expect("wait"), "done");
-    let attempts = if cfg!(debug_assertions) { 1 } else { ATTEMPTS };
     let mut best = Duration::MAX;
     let mut fewest = u64::MAX;
-    for attempt in 0..attempts {
+    for attempt in 0..ATTEMPTS {
         let timeouts = handle.idle_timeouts();
         let start = Instant::now();
         for trip in 0..TRIPS {
@@ -1797,7 +1798,7 @@ fn warm_round_trips_are_not_paced_by_the_idle_backoff() {
         }
         best = best.min(start.elapsed());
         fewest = fewest.min(handle.idle_timeouts() - timeouts);
-        if best < BOUND && fewest < TIMEOUTS {
+        if fewest < TIMEOUTS && (cfg!(debug_assertions) || best < BOUND) {
             break;
         }
     }
