@@ -16,7 +16,10 @@ use crate::characterize::{characterize_placed, CircuitTiming};
 use crate::correlation::LayerModel;
 use crate::enumerate::{near_critical_paths, threshold};
 use crate::error::ErrorClass;
-use crate::longest_path::{bellman_ford, critical_path, topo_labels, Labels};
+use crate::longest_path::{
+    bellman_ford, bellman_ford_recorded, critical_path, relabel_cone, topo_labels, LabelHistory,
+    Labels,
+};
 use crate::rank::{rank_paths, RankedPath};
 use crate::supervise::{fan_out, BudgetKind, RunBudget, Supervisor};
 use crate::worst_case::worst_case_critical_delay;
@@ -444,7 +447,7 @@ pub(crate) type Reuse<'a> = &'a (dyn Fn(&[GateId]) -> Option<PathAnalysis> + Syn
 /// worst-case corner delay. None of it depends on `C`, which only sets
 /// the enumeration threshold, so one front serves a run at any `C` of
 /// the same netlist and settings.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Front {
     pub(crate) timing: CircuitTiming,
     pub(crate) labels: Labels,
@@ -453,6 +456,25 @@ pub(crate) struct Front {
     /// The corner critical delay, or the error computing it, which a run
     /// raises only after ranking, where it reads the delay.
     pub(crate) worst_case: Result<f64>,
+    /// Bellman-Ford's label history, kept when the front was built to
+    /// relabel later edits by their fanout cone ([`Labeling`]).
+    pub(crate) history: Option<LabelHistory>,
+}
+
+/// How [`SstaEngine::front`] labels a circuit under the configured
+/// solver.
+pub(crate) enum Labeling<'a> {
+    /// Over the whole graph; with `record`, Bellman-Ford also keeps its
+    /// label history.
+    Full { record: bool },
+    /// Only the gates in `cone`, the fanout cone of an edit of the
+    /// circuit a base front with these `labels` and `history` labeled;
+    /// the new front keeps the merged history.
+    Cone {
+        labels: &'a Labels,
+        history: &'a LabelHistory,
+        cone: &'a [bool],
+    },
 }
 
 /// Table 2's column 5: how far the corner delay overestimates the
@@ -572,16 +594,18 @@ impl SstaEngine {
         placement: &Placement,
         ctx: RunContext<'_>,
     ) -> Result<SstaReport> {
-        self.run_with_front(circuit, placement, ctx)
+        self.run_with_front(circuit, placement, ctx, false)
             .map(|(_, report)| report)
     }
 
-    /// [`SstaEngine::run_with`], also returning the front it built.
+    /// [`SstaEngine::run_with`], also returning the front it built, with
+    /// its label history when `record` asks for it.
     pub(crate) fn run_with_front(
         &self,
         circuit: &Circuit,
         placement: &Placement,
         ctx: RunContext<'_>,
+        record: bool,
     ) -> Result<(Front, SstaReport)> {
         let start = Instant::now();
         self.check(circuit, placement)?;
@@ -598,7 +622,7 @@ impl SstaEngine {
         let t0 = Instant::now();
         let timing = characterize_placed(circuit, &self.config.tech, placement)?;
         let characterize = StageProfile::serial(t0.elapsed().as_secs_f64());
-        let (front, labels) = self.front(circuit, timing)?;
+        let (front, labels) = self.front(circuit, timing, Labeling::Full { record })?;
         let mut report =
             self.run_characterized(circuit, placement, &front, ctx.store, sup, None)?;
         report.profile.characterize = characterize;
@@ -608,18 +632,37 @@ impl SstaEngine {
     }
 
     /// Stage 2, the deterministic analysis of a characterized circuit:
-    /// labels by the configured solver, the critical delay and the
-    /// critical path, plus the worst-case corner delay. Returns the front
-    /// and the wall time of the labels and the critical path.
+    /// labels by the configured solver, as `labeling` says, the critical
+    /// delay and the critical path, plus the worst-case corner delay.
+    /// Returns the front and the wall time of the labels and the critical
+    /// path.
     pub(crate) fn front(
         &self,
         circuit: &Circuit,
         timing: CircuitTiming,
+        labeling: Labeling<'_>,
     ) -> Result<(Front, StageProfile)> {
         let t0 = Instant::now();
-        let labels = match self.config.solver {
-            LabelSolver::BellmanFord => bellman_ford(circuit, &timing)?,
-            LabelSolver::Topological => topo_labels(circuit, &timing)?,
+        let (labels, history) = match (self.config.solver, labeling) {
+            (LabelSolver::Topological, _) => (topo_labels(circuit, &timing)?, None),
+            (LabelSolver::BellmanFord, Labeling::Full { record: false }) => {
+                (bellman_ford(circuit, &timing)?, None)
+            }
+            (LabelSolver::BellmanFord, Labeling::Full { record: true }) => {
+                let (labels, history) = bellman_ford_recorded(circuit, &timing)?;
+                (labels, Some(history))
+            }
+            (
+                LabelSolver::BellmanFord,
+                Labeling::Cone {
+                    labels,
+                    history,
+                    cone,
+                },
+            ) => {
+                let (labels, history) = relabel_cone(circuit, &timing, labels, history, cone);
+                (labels, Some(history))
+            }
         };
         let critical_delay = labels.critical_delay(circuit)?;
         let critical_path = critical_path(circuit, &timing, &labels)?;
@@ -638,6 +681,7 @@ impl SstaEngine {
             critical_delay,
             critical_path,
             worst_case,
+            history,
         };
         Ok((front, stage))
     }

@@ -319,14 +319,6 @@ impl FaultPlan {
         })
     }
 
-    /// The byte budget of a [`Fault::TruncateBenchFile`], if any.
-    pub fn truncate_bench(&self) -> Option<usize> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::TruncateBenchFile { bytes } => Some(*bytes),
-            _ => None,
-        })
-    }
-
     /// Applies [`Fault::TruncateBenchFile`] to benchmark text: returns
     /// the longest prefix of at most `bytes` bytes that ends on a char
     /// boundary. Without that fault, returns `text` unchanged.
@@ -521,7 +513,8 @@ mod tests {
         );
         assert_eq!(plan.faults()[3], Fault::ZeroVariance { paths: vec![0] });
         assert_eq!(plan.poisoned_inter_shard(), Some(3));
-        assert_eq!(plan.truncate_bench(), Some(64));
+        assert_eq!(plan.faults()[5], Fault::TruncateBenchFile { bytes: 64 });
+        assert_eq!(plan.apply_to_text(&"x".repeat(100)).len(), 64);
         Ok(())
     }
 

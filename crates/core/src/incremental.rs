@@ -18,6 +18,27 @@
 //!   base, so the dirty set is exactly what moved, however indirectly.
 //!   The whole step (`EditedFront`) is the one seam this engine and
 //!   the service's `EDIT` of a warm base job share.
+//! * **In place, with an undo** — [`IncrementalEngine::apply`] edits its
+//!   resident circuit in place, saving each gate the script names (the
+//!   only gates an edit changes) before its edit. Any error, an
+//!   inapplicable edit or a run that fails after the edits applied (say
+//!   one that trips `max_paths`), puts those gates back through the
+//!   circuit's own setters, so a failed apply leaves the engine as it
+//!   was. The report comes back as the [`Arc`] the engine keeps as its
+//!   new base, not a copy.
+//! * **Cone relabel** — Bellman-Ford sweeps visit gates in descending id
+//!   order and every wire runs from a lower id to a higher one, so each
+//!   sweep reads only the labels the sweep before it left: a Jacobi
+//!   iteration. A gate outside the fanout cone of the dirty and edited
+//!   gates therefore holds the base run's label at every sweep, not
+//!   only at the end. The engine keeps the base run's label changes as
+//!   `(sweep, label)` pairs per gate, and an apply runs the sweeps over
+//!   the cone alone, reading its boundary inputs from that history: the
+//!   labels and the sweep count (one more than the latest change over
+//!   all gates) are Bellman-Ford's, bit for bit, and the cone's new
+//!   changes replace its old ones when the apply succeeds. The
+//!   service's warm fronts keep no history, so a daemon `EDIT` labels
+//!   with Bellman-Ford over the whole graph.
 //! * **Reach check** — one forward pass over the topologically ordered
 //!   gates takes the fanout cone of the dirty and edited gates: the
 //!   region the edit can reach, also counted in
@@ -60,13 +81,13 @@
 use crate::analyze::PathAnalysis;
 use crate::cache::KernelStore;
 use crate::engine::{
-    overestimation_pct, Front, RetainedPaths, RunContext, RunProfile, SstaConfig, SstaEngine,
-    SstaReport, StageProfile,
+    overestimation_pct, Front, Labeling, RetainedPaths, RunContext, RunProfile, SstaConfig,
+    SstaEngine, SstaReport, StageProfile,
 };
 use crate::enumerate::{qualifier, threshold};
 use crate::supervise::Supervisor;
 use crate::{CoreError, Result};
-use statim_netlist::{Circuit, GateId, Placement, Signal};
+use statim_netlist::{Circuit, Gate, GateId, Placement, Signal};
 use statim_process::GateKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -350,6 +371,17 @@ fn parse_edit(body: &str, line: usize) -> Result<EcoEdit> {
 /// (arity clash, dangling driver, cycle-closing wire, bad value). The
 /// circuit is left partially edited on error; apply to a scratch clone.
 pub fn apply_edits(circuit: &mut Circuit, script: &EcoScript) -> Result<Vec<GateId>> {
+    edit_gates(circuit, script, |_, _| {})
+}
+
+/// [`apply_edits`], handing `save` each gate an edit names, as it was
+/// just before that edit: the target of `resize`, `retime` and `swap`,
+/// the sink of `addwire` and `rmwire`. Edits change only those gates.
+fn edit_gates(
+    circuit: &mut Circuit,
+    script: &EcoScript,
+    mut save: impl FnMut(GateId, &Gate),
+) -> Result<Vec<GateId>> {
     // ECO edits rewire the combinational timing graph; on a sequential
     // netlist they could silently move logic across a register boundary
     // and change which launch/capture checks exist. Until the sequential
@@ -376,9 +408,12 @@ pub fn apply_edits(circuit: &mut Circuit, script: &EcoScript) -> Result<Vec<Gate
                 message: e.to_string(),
             })
         };
-        let target = |circuit: &Circuit, name: &str| -> Result<GateId> {
+        let mut target = |circuit: &Circuit, name: &str| -> Result<GateId> {
             match circuit.find(name) {
-                Some(Signal::Gate(g)) => Ok(g),
+                Some(Signal::Gate(g)) => {
+                    save(g, circuit.gate(g));
+                    Ok(g)
+                }
                 Some(Signal::Input(_)) => Err(CoreError::EcoApply {
                     line,
                     message: format!("`{name}` is a primary input, not a gate"),
@@ -488,7 +523,9 @@ impl EditedFront {
     /// from the bitwise diff against the base timing and its fanout cone,
     /// then labels the edited circuit and traces its critical path. The
     /// diff is the authority: it holds whatever the edit moved, however
-    /// indirectly.
+    /// indirectly. Labels come from relabeling the cone when `base` kept
+    /// its label history (the new front then keeps one too), else from
+    /// Bellman-Ford over the whole graph.
     pub(crate) fn build(
         engine: &SstaEngine,
         circuit: &Circuit,
@@ -521,7 +558,15 @@ impl EditedFront {
                 _ => None,
             })
             .collect();
-        let (front, labels) = engine.front(circuit, timing)?;
+        let labeling = match &base.history {
+            Some(history) => Labeling::Cone {
+                labels: &base.labels,
+                history,
+                cone: &cone,
+            },
+            None => Labeling::Full { record: false },
+        };
+        let (front, labels) = engine.front(circuit, timing, labeling)?;
         let same_critical = front.critical_delay.to_bits() == base.critical_delay.to_bits()
             && front.critical_path == base.critical_path;
         Ok(EditedFront {
@@ -748,8 +793,9 @@ impl IncrementalStats {
 /// to a from-scratch run of the edited netlist) plus reuse counters.
 #[derive(Debug, Clone)]
 pub struct EcoOutcome {
-    /// The full report for the edited circuit.
-    pub report: SstaReport,
+    /// The full report for the edited circuit: the one the engine keeps
+    /// as its new base, shared.
+    pub report: Arc<SstaReport>,
     /// Reuse accounting for this pass.
     pub stats: IncrementalStats,
 }
@@ -797,6 +843,7 @@ impl IncrementalEngine {
                 store: Some(Arc::clone(&store)),
                 supervisor: None,
             },
+            true,
         )?;
         Ok(IncrementalEngine {
             engine,
@@ -830,23 +877,43 @@ impl IncrementalEngine {
 
     /// Applies an edit script and re-analyzes the edited circuit: the
     /// resident report whole when the edit cannot reach its near-critical
-    /// set, else the engine's own stages reusing retained paths. On
-    /// success the engine re-bases onto the edited circuit; on error its
-    /// state is unchanged.
+    /// set, else the engine's own stages reusing retained paths. The
+    /// script edits the resident circuit in place; on success the engine
+    /// re-bases onto the edited circuit, and on error it puts back every
+    /// gate the script named, so its state is unchanged.
     ///
     /// # Errors
     ///
     /// [`CoreError::EcoApply`] for an inapplicable edit; otherwise the
     /// same failure modes as a full run of the edited circuit.
     pub fn apply(&mut self, script: &EcoScript) -> Result<EcoOutcome> {
+        let mut saved = Vec::new();
+        let outcome = self.apply_in_place(script, &mut saved);
+        if outcome.is_err() {
+            // Last edit first, so a gate named twice ends as it began.
+            for (id, gate) in saved.into_iter().rev() {
+                restore(&mut self.circuit, id, gate);
+            }
+        }
+        outcome
+    }
+
+    /// [`IncrementalEngine::apply`] up to the undo: each gate the script
+    /// names goes into `saved` before its edit.
+    fn apply_in_place(
+        &mut self,
+        script: &EcoScript,
+        saved: &mut Vec<(GateId, Gate)>,
+    ) -> Result<EcoOutcome> {
         let start = Instant::now();
         let config = self.engine.config();
         let sup = Supervisor::new(config.budget, config.retries);
-        let mut circuit = self.circuit.clone();
-        let touched = apply_edits(&mut circuit, script)?;
+        let touched = edit_gates(&mut self.circuit, script, |id, gate| {
+            saved.push((id, gate.clone()));
+        })?;
         let edited = EditedFront::build(
             &self.engine,
-            &circuit,
+            &self.circuit,
             &self.placement,
             &self.front,
             &touched,
@@ -854,7 +921,7 @@ impl IncrementalEngine {
         )?;
         let run = edited.run(
             &self.engine,
-            &circuit,
+            &self.circuit,
             &self.placement,
             &self.retained,
             Arc::clone(&self.store),
@@ -868,15 +935,28 @@ impl IncrementalEngine {
             recomputed_paths: run.recomputed,
         };
         let retained = run.retain(&self.retained, start)?;
-        let report = SstaReport::clone(retained.report());
+        let report = Arc::clone(retained.report());
 
         // Re-base so the next script edits the edited circuit.
-        self.circuit = circuit;
         self.front = edited.front;
         self.retained = retained;
 
         Ok(EcoOutcome { report, stats })
     }
+}
+
+/// Puts a gate saved before an edit back through the circuit's own
+/// setters.
+fn restore(circuit: &mut Circuit, id: GateId, gate: Gate) {
+    let restored = circuit.set_gate_kind(id, gate.kind).and_then(|()| {
+        for (pin, &driver) in gate.inputs.iter().enumerate() {
+            circuit.rewire_input(id, pin, driver)?;
+        }
+        circuit.set_drive(id, gate.drive)?;
+        circuit.set_pad(id, gate.pad)
+    });
+    // Every saved value came from a valid netlist.
+    restored.expect("a saved gate passes the setters' checks");
 }
 
 #[cfg(test)]
@@ -1339,6 +1419,173 @@ rmwire g5 0
             (profile.degraded, profile.retries, profile.panics),
             (0, 0, 0)
         );
+    }
+
+    /// The cone relabel gives what Bellman-Ford over the whole graph
+    /// gives, every label bit, the sweep count and the history it leaves,
+    /// along chained seeded edits of every kind on every ISCAS85 circuit.
+    /// Each chain also resizes its lowest-id gates, whose cone covers most
+    /// of the netlist, and every rewire re-characterizes every gate.
+    #[test]
+    fn cone_relabel_matches_bellman_ford_on_every_iscas85_circuit() {
+        use crate::characterize::characterize_placed;
+        use crate::longest_path::{bellman_ford_recorded, relabel_cone};
+        let tech = SstaConfig::date05().tech;
+        let mut state = 0xc0de_7e1a_u64;
+        for bench in Benchmark::ALL {
+            let mut circuit = iscas85::generate(bench);
+            let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+            let mut timing = characterize_placed(&circuit, &tech, &placement).expect("timing");
+            let (mut labels, mut history) =
+                bellman_ford_recorded(&circuit, &timing).expect("labels");
+            let mut widest = 0;
+            for step in 0..24 {
+                let script = if step % 8 == 7 {
+                    let edits = circuit.gates()[..4]
+                        .iter()
+                        .map(|g| EcoEdit::ResizeGate {
+                            gate: g.name.clone(),
+                            drive: [0.5, 2.0][step % 2],
+                        })
+                        .enumerate()
+                        .map(|(i, e)| (i + 1, e));
+                    EcoScript {
+                        edits: edits.collect(),
+                    }
+                } else {
+                    random_script(&mut state, &circuit)
+                };
+                let label = format!("{} step {step}: {}", bench.name(), script.render());
+                let touched = apply_edits(&mut circuit, &script).expect("script applies");
+                let edited = timing
+                    .recharacterize(&circuit, &tech, &placement, &touched, script.rewires())
+                    .expect("timing");
+                let dirty: Vec<bool> = edited
+                    .gates()
+                    .iter()
+                    .zip(timing.gates())
+                    .map(|(new, old)| new != old)
+                    .collect();
+                let cone = fanout_cone(&circuit, &dirty, &touched);
+                widest = widest.max(cone.iter().filter(|&&c| c).count());
+                let got = relabel_cone(&circuit, &edited, &labels, &history, &cone);
+                let want = bellman_ford_recorded(&circuit, &edited).expect("labels");
+                let bits = |l: &crate::longest_path::Labels| {
+                    let arrival: Vec<u64> = l.arrival.iter().map(|a| a.to_bits()).collect();
+                    (l.sweeps, arrival)
+                };
+                assert_eq!(bits(&got.0), bits(&want.0), "{label}");
+                assert!(got.1 == want.1, "{label}: histories differ");
+                (labels, history) = got;
+                timing = edited;
+            }
+            assert!(
+                2 * widest > circuit.gate_count(),
+                "{}: some cone covers most of the netlist",
+                bench.name()
+            );
+        }
+    }
+
+    /// Everything an apply must leave alone when it fails.
+    fn resident_state(inc: &IncrementalEngine) -> (Circuit, Arc<SstaReport>, Front) {
+        let report = Arc::clone(inc.retained.report());
+        (inc.circuit.clone(), report, inc.front.clone())
+    }
+
+    fn assert_unchanged(inc: &IncrementalEngine, before: &(Circuit, Arc<SstaReport>, Front)) {
+        let (circuit, report, front) = before;
+        assert!(inc.circuit == *circuit, "circuit restored");
+        assert!(Arc::ptr_eq(inc.retained.report(), report), "report kept");
+        assert!(inc.front.timing == front.timing);
+        assert!(inc.front.labels == front.labels);
+        assert!(inc.front.critical_path == front.critical_path);
+        assert!(inc.front.history == front.history, "history kept");
+        assert!(inc.front.history.is_some());
+    }
+
+    /// Every corpus script that parses but does not apply, a script that
+    /// rewires and resizes before its failing line, and an apply that
+    /// fails after its edits applied leave the engine's circuit, report
+    /// and label history as they were; the next valid apply then equals
+    /// a fresh run bit for bit.
+    #[test]
+    fn failed_applies_leave_the_engine_unchanged() {
+        let (circuit, placement) = c432();
+        let mut config = cheap_config().with_confidence(0.5);
+        let fresh = SstaEngine::new(config.clone())
+            .run(&circuit, &placement)
+            .expect("base");
+        // Any edit that adds a near-critical path now fails after it
+        // applied, when enumeration runs past the cap.
+        config.max_paths = fresh.num_paths;
+        let engine = SstaEngine::new(config);
+        let mut inc = IncrementalEngine::new(engine.clone(), circuit.clone(), placement.clone())
+            .expect("base");
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/eco");
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("eco corpus")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        files.sort();
+        let mut failing: Vec<EcoScript> = files
+            .iter()
+            .filter_map(|f| EcoScript::parse(&std::fs::read_to_string(f).expect("file")).ok())
+            .filter(|s| apply_edits(&mut circuit.clone(), s).is_err())
+            .collect();
+        assert!(
+            failing.len() >= 6,
+            "{} corpus scripts fail to apply",
+            failing.len()
+        );
+        let rewired =
+            "resize g5 2.0\naddwire g3 g100 0\nswap g7 nor2\nresize g7 0.5\nresize nosuch 1";
+        failing.push(EcoScript::parse(rewired).expect("script"));
+        let overflow = circuit
+            .gates()
+            .iter()
+            .flat_map(|g| [0.25, 4.0].map(|d| format!("resize {} {d}", g.name)))
+            .map(|text| EcoScript::parse(&text).expect("script"))
+            .find(|script| {
+                let mut edited = circuit.clone();
+                apply_edits(&mut edited, script).expect("resize applies");
+                matches!(
+                    engine.run(&edited, &placement),
+                    Err(CoreError::PathBudgetExceeded { .. })
+                )
+            })
+            .expect("some resize adds a near-critical path");
+        failing.push(overflow);
+        // A valid resize and the script that restores it, both within
+        // the cap, so each failing script meets the base circuit.
+        let valid = circuit
+            .gates()
+            .iter()
+            .map(|g| {
+                let edit = |drive| EcoScript::parse(&format!("resize {} {drive}", g.name));
+                [edit(1.5), edit(g.drive)].map(|s| s.expect("script"))
+            })
+            .find(|[edit, _]| {
+                let mut edited = circuit.clone();
+                apply_edits(&mut edited, edit).expect("resize applies");
+                let fresh = engine.run(&edited, &placement);
+                fresh.is_ok_and(|r| r.paths != inc.report().paths)
+            })
+            .expect("some resize stays within the cap");
+        for script in &failing {
+            let before = resident_state(&inc);
+            let err = inc.apply(script).expect_err("the script fails");
+            assert_unchanged(&inc, &before);
+            let mut edited = circuit.clone();
+            for next in &valid {
+                let outcome = inc
+                    .apply(next)
+                    .unwrap_or_else(|e| panic!("{}: then {e}", script.render()));
+                apply_edits(&mut edited, next).expect("valid script");
+                let fresh = engine.run(&edited, &placement).expect("fresh run");
+                assert!(same_bits(&outcome.report, &fresh), "after {err}");
+            }
+        }
     }
 
     #[test]

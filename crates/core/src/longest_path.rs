@@ -61,8 +61,240 @@ impl Labels {
 ///
 /// Returns [`CoreError::EmptyCircuit`] for a gate-less circuit.
 pub fn bellman_ford(circuit: &Circuit, timing: &CircuitTiming) -> Result<Labels> {
-    let nominal: Vec<f64> = timing.gates().iter().map(|g| g.nominal).collect();
-    relax(circuit, &nominal)
+    relax(circuit, &nominal_delays(timing), |_, _, _| {})
+}
+
+fn nominal_delays(timing: &CircuitTiming) -> Vec<f64> {
+    timing.gates().iter().map(|g| g.nominal).collect()
+}
+
+/// [`bellman_ford`], also returning its [`LabelHistory`].
+pub(crate) fn bellman_ford_recorded(
+    circuit: &Circuit,
+    timing: &CircuitTiming,
+) -> Result<(Labels, LabelHistory)> {
+    let mut log = Vec::new();
+    let labels = relax(circuit, &nominal_delays(timing), |gate, sweep, value| {
+        log.push((gate as u32, sweep as u32, value));
+    })?;
+    let gates = circuit.gate_count();
+    let (start, log) = group(&log, gates, |&(g, _, _)| g as usize);
+    let mut history = LabelHistory {
+        start,
+        sweep: log.iter().map(|&(_, s, _)| s).collect(),
+        value: log.iter().map(|&(_, _, v)| v).collect(),
+        settled: Vec::new(),
+    };
+    for g in 0..gates {
+        if let Some(last) = history.last_sweep(g) {
+            history.settle(last);
+        }
+    }
+    Ok((labels, history))
+}
+
+/// `items` grouped by `key`, a value below `keys`, keeping their order
+/// within a group: the start of each group, then the items in group
+/// order. A counting sort.
+fn group<T: Copy>(items: &[T], keys: usize, key: impl Fn(&T) -> usize) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; keys + 1];
+    for item in items {
+        start[key(item) + 1] += 1;
+    }
+    for k in 0..keys {
+        start[k + 1] += start[k];
+    }
+    let mut fill = start.clone();
+    let mut grouped = items.to_vec();
+    for item in items {
+        let k = key(item);
+        grouped[fill[k] as usize] = *item;
+        fill[k] += 1;
+    }
+    (start, grouped)
+}
+
+/// Every label change a Bellman-Ford run made: per gate, the sweep of
+/// each change (the seed is sweep 0) and the label it set, in sweep
+/// order, in flat arrays.
+///
+/// A sweep visits gates in descending id order and every wire runs from
+/// a lower id to a higher one, so a sweep reads only the labels the
+/// sweep before it left: the sweeps are a Jacobi iteration. After an
+/// edit, a gate outside the fanout cone of what the edit moved therefore
+/// holds the base run's label at every sweep, and this history gives the
+/// cone's boundary inputs at any sweep ([`relabel_cone`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LabelHistory {
+    /// Gate `g`'s changes are `start[g]..start[g + 1]`.
+    start: Vec<u32>,
+    sweep: Vec<u32>,
+    value: Vec<f64>,
+    /// `settled[s]`: the gates whose last change came at sweep `s`.
+    settled: Vec<u32>,
+}
+
+impl LabelHistory {
+    fn range(&self, gate: usize) -> std::ops::Range<usize> {
+        self.start[gate] as usize..self.start[gate + 1] as usize
+    }
+
+    /// The sweep of `gate`'s last change.
+    fn last_sweep(&self, gate: usize) -> Option<u32> {
+        self.sweep[self.range(gate)].last().copied()
+    }
+
+    /// Counts one more gate whose last change came at `sweep`.
+    fn settle(&mut self, sweep: u32) {
+        let s = sweep as usize;
+        if self.settled.len() <= s {
+            self.settled.resize(s + 1, 0);
+        }
+        self.settled[s] += 1;
+    }
+
+    /// This history with the changes of the gates `cone` (ascending)
+    /// replaced by `log`'s: `(position in cone, sweep, label)` in sweep
+    /// order.
+    fn replace(&self, cone: &[usize], log: &[(u32, u32, f64)]) -> LabelHistory {
+        let (at, log) = group(log, cone.len(), |&(i, _, _)| i as usize);
+        let gates = self.start.len() - 1;
+        let mut out = LabelHistory {
+            start: Vec::with_capacity(gates + 1),
+            sweep: Vec::with_capacity(self.sweep.len() + log.len()),
+            value: Vec::with_capacity(self.value.len() + log.len()),
+            settled: self.settled.clone(),
+        };
+        // Gates `from..to` keep their changes, shifted as one run.
+        let keep = |out: &mut LabelHistory, from: usize, to: usize| {
+            let r = self.start[from] as usize..self.start[to] as usize;
+            let shift = out.sweep.len().wrapping_sub(r.start) as u32;
+            let starts = self.start[from..to].iter().map(|s| s.wrapping_add(shift));
+            out.start.extend(starts);
+            out.sweep.extend_from_slice(&self.sweep[r.clone()]);
+            out.value.extend_from_slice(&self.value[r]);
+        };
+        let mut kept = 0;
+        for (i, &c) in cone.iter().enumerate() {
+            keep(&mut out, kept, c);
+            kept = c + 1;
+            if let Some(s) = self.last_sweep(c) {
+                out.settled[s as usize] -= 1;
+            }
+            out.start.push(out.sweep.len() as u32);
+            let changes = &log[at[i] as usize..at[i + 1] as usize];
+            out.sweep.extend(changes.iter().map(|&(_, s, _)| s));
+            out.value.extend(changes.iter().map(|&(_, _, v)| v));
+            if let Some(&(_, s, _)) = changes.last() {
+                out.settle(s);
+            }
+        }
+        keep(&mut out, kept, gates);
+        out.start.push(out.sweep.len() as u32);
+        while out.settled.last() == Some(&0) {
+            out.settled.pop();
+        }
+        out
+    }
+}
+
+/// [`bellman_ford`]'s labels and sweep count for `circuit`, and its
+/// [`LabelHistory`], computed from a base run's `labels` and `history`
+/// by sweeping only the gates in `cone`. `circuit` and `timing` are the
+/// base's after an edit that moved delays or wires only inside `cone`,
+/// which must be closed under fanout.
+///
+/// Outside the cone every gate keeps its base label at every sweep (see
+/// [`LabelHistory`]). A cone gate is visited at sweep `s` when one of
+/// its inputs changed at `s − 1`: a cone input in this simulation, a
+/// boundary input by the history. The sweep count is one more than the
+/// latest change over all gates.
+pub(crate) fn relabel_cone(
+    circuit: &Circuit,
+    timing: &CircuitTiming,
+    labels: &Labels,
+    history: &LabelHistory,
+    cone: &[bool],
+) -> (Labels, LabelHistory) {
+    const NEVER: u32 = u32::MAX;
+    let gates = circuit.gates();
+    let timing = timing.gates();
+    let cone_ids: Vec<usize> = (0..gates.len()).filter(|&g| cone[g]).collect();
+    let mut arrival = labels.arrival.clone();
+    // `last[g]`: the sweep of gate g's latest change so far, for the
+    // cone and its boundary.
+    let mut last = vec![NEVER; gates.len()];
+    // The cone gates' gate inputs, flat, in cone order.
+    let mut input_start = Vec::with_capacity(cone_ids.len() + 1);
+    let mut inputs = Vec::new();
+    // The boundary's changes, `(sweep, gate, label)`, and the cone's,
+    // `(position in cone, sweep, label)`, each in sweep order.
+    let mut replay = Vec::new();
+    let mut log = Vec::new();
+    input_start.push(0);
+    for (i, &c) in cone_ids.iter().enumerate() {
+        let mut seeded = false;
+        for s in &gates[c].inputs {
+            let Signal::Gate(b) = *s else {
+                seeded = true;
+                continue;
+            };
+            let b = b.index();
+            inputs.push(b as u32);
+            if !cone[b] && arrival[b] != f64::NEG_INFINITY {
+                arrival[b] = f64::NEG_INFINITY;
+                let r = history.range(b);
+                let changes = history.sweep[r.clone()].iter().zip(&history.value[r]);
+                replay.extend(changes.map(|(&s, &v)| (s, b as u32, v)));
+            }
+        }
+        input_start.push(inputs.len() as u32);
+        arrival[c] = f64::NEG_INFINITY;
+        if seeded {
+            (arrival[c], last[c]) = (timing[c].nominal, 0);
+            log.push((i as u32, 0, arrival[c]));
+        }
+    }
+    let (_, replay) = group(&replay, history.settled.len(), |&(s, _, _)| s as usize);
+    let mut moved = !log.is_empty();
+    let (mut sweep, mut next) = (0u32, 0);
+    loop {
+        if !moved {
+            // Nothing in the cone moved: skip to the next boundary change.
+            match replay.get(next) {
+                Some(&(s, _, _)) => sweep = s,
+                None => break,
+            }
+        }
+        while let Some(&(s, b, v)) = replay.get(next).filter(|e| e.0 == sweep) {
+            (arrival[b as usize], last[b as usize]) = (v, s);
+            next += 1;
+        }
+        sweep += 1;
+        moved = false;
+        for (i, &c) in cone_ids.iter().enumerate().rev() {
+            let ins = &inputs[input_start[i] as usize..input_start[i + 1] as usize];
+            if !ins.iter().any(|&d| last[d as usize] == sweep - 1) {
+                continue;
+            }
+            let own = timing[c].nominal;
+            let mut best = arrival[c];
+            for &d in ins {
+                let a = arrival[d as usize];
+                if a.is_finite() && a + own > best {
+                    best = a + own;
+                }
+            }
+            if best > arrival[c] {
+                (arrival[c], last[c]) = (best, sweep);
+                log.push((i as u32, sweep, best));
+                moved = true;
+            }
+        }
+    }
+    let history = history.replace(&cone_ids, &log);
+    let sweeps = history.settled.len();
+    (Labels { arrival, sweeps }, history)
 }
 
 /// Gate-to-gate edges as flat arrays: each gate's gate inputs, in pin
@@ -120,8 +352,13 @@ impl FlatEdges {
 }
 
 /// The Bellman-Ford sweeps of [`bellman_ford`] over dense nominal
-/// delays, one per gate.
-fn relax(circuit: &Circuit, nominal: &[f64]) -> Result<Labels> {
+/// delays, one per gate. `record` sees every label change as `(gate,
+/// sweep, label)`, in sweep order; the seeds are sweep 0.
+fn relax(
+    circuit: &Circuit,
+    nominal: &[f64],
+    mut record: impl FnMut(usize, usize, f64),
+) -> Result<Labels> {
     let n = circuit.gate_count();
     if n == 0 {
         return Err(CoreError::EmptyCircuit);
@@ -136,6 +373,7 @@ fn relax(circuit: &Circuit, nominal: &[f64]) -> Result<Labels> {
     for (i, g) in circuit.gates().iter().enumerate() {
         if g.inputs.iter().any(|s| matches!(s, Signal::Input(_))) {
             arrival[i] = nominal[i];
+            record(i, 0, nominal[i]);
             for &sink in edges.fanouts(i) {
                 next[sink as usize] = true;
             }
@@ -163,6 +401,7 @@ fn relax(circuit: &Circuit, nominal: &[f64]) -> Result<Labels> {
             }
             if best > arrival[i] {
                 arrival[i] = best;
+                record(i, sweeps, best);
                 changed = true;
                 for &sink in edges.fanouts(i) {
                     next[sink as usize] = true;
@@ -387,7 +626,7 @@ mod tests {
                 signals.push(c.add_gate(format!("g{g}"), kind, &ins).expect("gate"));
                 nominal.push([1.0e-11, 2.0e-11, 1.5e-11][delay]);
             }
-            let got = relax(&c, &nominal).expect("labels computed");
+            let got = relax(&c, &nominal, |_, _, _| {}).expect("labels computed");
             proptest::prop_assert_eq!(label_bits(&got), label_bits(&reference(&c, &nominal)));
         }
     }

@@ -196,16 +196,6 @@ impl ClockTree {
         }
         bufs
     }
-
-    /// Number of buffers two sinks share (their common address prefix,
-    /// root included) — the portion of the clock network CPPR removes.
-    pub fn shared_prefix(&self, a: usize, b: usize) -> usize {
-        self.sink_buffers(a)
-            .iter()
-            .zip(self.sink_buffers(b))
-            .take_while(|(x, y)| **x == *y)
-            .count()
-    }
 }
 
 /// The serial, cheap part of one check: the data path and its layered
@@ -1070,9 +1060,13 @@ mod tests {
         assert_eq!(tree.depth, 3);
         // Sinks 0 and 1 differ only at the leaf; 0 and 7 share only the
         // root; a sink shares everything with itself.
-        assert_eq!(tree.shared_prefix(0, 1), 3);
-        assert_eq!(tree.shared_prefix(0, 7), 1);
-        assert_eq!(tree.shared_prefix(5, 5), 4);
+        let shared = |a, b| {
+            let (a, b) = (tree.sink_buffers(a), tree.sink_buffers(b));
+            a.iter().zip(&b).take_while(|(x, y)| x == y).count()
+        };
+        assert_eq!(shared(0, 1), 3);
+        assert_eq!(shared(0, 7), 1);
+        assert_eq!(shared(5, 5), 4);
         // With unity derates every shared buffer's coefficient is
         // exactly zero, so a self-capture (PI-launched) check carries no
         // clock variance at all: var_eff == data var, ab_eff == data ab.

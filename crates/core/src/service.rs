@@ -540,14 +540,6 @@ impl JobReport {
             JobReport::Sequential(_) => None,
         }
     }
-
-    /// The sequential report, when this is one.
-    pub fn as_sequential(&self) -> Option<&Arc<SequentialReport>> {
-        match self {
-            JobReport::Sequential(r) => Some(r),
-            JobReport::Analyze(_) => None,
-        }
-    }
 }
 
 /// Service-level configuration.
@@ -1804,7 +1796,7 @@ impl Warm {
                 (edited.front, Arc::clone(widest.report()), widest)
             }
             _ => {
-                let (front, report) = engine.run_with_front(circuit, placement, ctx)?;
+                let (front, report) = engine.run_with_front(circuit, placement, ctx, false)?;
                 let report = Arc::new(report);
                 (front, Arc::clone(&report), RetainedPaths::new(report))
             }
@@ -2789,7 +2781,9 @@ mod tests {
         let status = wait_terminal(&service, receipt.id);
         assert_eq!(status.state, JobState::Done);
         let report = service.result_any(receipt.id).expect("report available");
-        let served = report.as_sequential().expect("sequential variant").clone();
+        let JobReport::Sequential(served) = &report else {
+            panic!("sequential variant");
+        };
         assert_eq!(served.circuit, "s27");
         assert!(!served.checks.is_empty());
         assert!(served.min_period.is_some());
@@ -2829,10 +2823,10 @@ mod tests {
             .expect("admitted");
         assert!(second.from_store);
         let served = service.result_any(second.id).expect("served report");
-        let (fresh, served) = (
-            fresh.as_sequential().expect("sequential"),
-            served.as_sequential().expect("sequential"),
-        );
+        let (JobReport::Sequential(fresh), JobReport::Sequential(served)) = (&fresh, &served)
+        else {
+            panic!("sequential variants");
+        };
         assert!(Arc::ptr_eq(fresh, served), "served from the store");
         assert_eq!(service.stats().store_hits, 1);
         service.join();

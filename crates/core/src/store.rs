@@ -721,26 +721,6 @@ pub fn scan_log(
     }
 }
 
-/// Parses a whole record log's text into `(fingerprint, report)` pairs
-/// in append order (a duplicated fingerprint keeps its latest record —
-/// two daemons racing the same job write identical content anyway).
-///
-/// # Errors
-///
-/// A typed `Parse`-class [`StatimError`] with the 1-based line of the
-/// first violation: wrong magic or version, a malformed header, a
-/// truncated record (EOF before the declared body lines), a checksum
-/// mismatch, or any corrupted body line. (This is the strict view of
-/// [`scan_log`]; [`ResultLog::open`] layers torn-tail recovery on top.)
-pub fn parse_log(text: &str) -> Result<Vec<(u64, StoredReport)>, StatimError> {
-    let mut records = Vec::new();
-    let scan = scan_log(text.as_bytes(), |fp, report| records.push((fp, report)))?;
-    match scan.error {
-        Some(e) => Err(e),
-        None => Ok(records),
-    }
-}
-
 /// Durability knobs for [`ResultLog::open_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreOptions {
@@ -1067,6 +1047,14 @@ mod tests {
     use crate::report::deterministic_report;
     use statim_netlist::generators::iscas85::{self, Benchmark};
     use statim_netlist::{Placement, PlacementStyle};
+
+    /// [`scan_log`] over a whole log, refusing it at its first
+    /// violation: the records in append order.
+    fn parse_log(text: &str) -> Result<Vec<(u64, StoredReport)>, StatimError> {
+        let mut records = Vec::new();
+        let scan = scan_log(text.as_bytes(), |fp, report| records.push((fp, report)))?;
+        scan.error.map_or(Ok(records), Err)
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("statim-store-{}-{name}", std::process::id()));

@@ -298,16 +298,6 @@ pub struct SupervisedRun<U> {
     pub panics: u64,
 }
 
-impl<U> SupervisedRun<U> {
-    /// Items that completed.
-    pub fn done_count(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, ItemOutcome::Done(_)))
-            .count()
-    }
-}
-
 /// Maps `f` over `items` on `threads` workers under supervision:
 /// panics are isolated (and retried up to `sup.retries()` times),
 /// budgets are checked at every item boundary, and results merge in
@@ -823,6 +813,12 @@ mod tests {
         }
     }
 
+    /// The items of `run` that completed.
+    fn done<U>(run: &SupervisedRun<U>) -> usize {
+        let done = |o: &&ItemOutcome<U>| matches!(o, ItemOutcome::Done(_));
+        run.outcomes.iter().filter(done).count()
+    }
+
     #[test]
     fn supervised_map_quarantines_after_retry_budget() {
         let items: Vec<usize> = (0..16).collect();
@@ -833,7 +829,7 @@ mod tests {
             }
             x
         });
-        assert_eq!(run.done_count(), 15);
+        assert_eq!(done(&run), 15);
         assert_eq!(run.retries, 1);
         match &run.outcomes[5] {
             ItemOutcome::Panicked { reason } => assert!(reason.contains("item 5")),
@@ -854,7 +850,7 @@ mod tests {
                 |_, &x| x,
             );
             assert_eq!(run.exhausted, Some(BudgetKind::Paths));
-            assert_eq!(run.done_count(), 10);
+            assert_eq!(done(&run), 10);
             for o in &run.outcomes[10..] {
                 assert_eq!(*o, ItemOutcome::Skipped);
             }
@@ -876,7 +872,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let run = supervised_map(&items, 4, &sup, None, |_, &x| x);
         assert_eq!(run.exhausted, Some(BudgetKind::Wall));
-        assert_eq!(run.done_count(), 0);
+        assert_eq!(done(&run), 0);
     }
 
     /// A stand-in result borrowing `K`'s reason vocabulary.

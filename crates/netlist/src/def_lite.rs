@@ -86,7 +86,8 @@ pub fn parse(text: &str) -> Result<DefDesign> {
             "DESIGN" if toks.len() >= 2 => name = toks[1].trim_end_matches(';').to_string(),
             "UNITS" => {
                 // UNITS DISTANCE MICRONS 1000 ;
-                if let Some(v) = toks.iter().find_map(|t| t.parse::<f64>().ok()) {
+                if let Some(&t) = toks.iter().find(|t| t.parse::<f64>().is_ok()) {
+                    let v = finite(raw, t, line_no)?;
                     if v <= 0.0 {
                         return Err(NetlistError::Parse {
                             line: line_no,
@@ -98,15 +99,16 @@ pub fn parse(text: &str) -> Result<DefDesign> {
                 }
             }
             "DIEAREA" => {
-                let nums: Vec<f64> = toks.iter().filter_map(|t| t.parse::<f64>().ok()).collect();
-                if nums.len() != 4 {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        col: crate::col_in(raw, line),
-                        message: "DIEAREA needs two coordinate pairs".into(),
-                    });
-                }
-                let (w, h) = (nums[2] - nums[0], nums[3] - nums[1]);
+                let (w, h) = match points(raw, &toks, line_no)?.as_slice() {
+                    [(x0, y0), (x1, y1)] => (x1 - x0, y1 - y0),
+                    _ => {
+                        return Err(NetlistError::Parse {
+                            line: line_no,
+                            col: crate::col_in(raw, line),
+                            message: "DIEAREA needs two coordinate pairs".into(),
+                        })
+                    }
+                };
                 if w <= 0.0 || h <= 0.0 {
                     return Err(NetlistError::Parse {
                         line: line_no,
@@ -129,18 +131,14 @@ pub fn parse(text: &str) -> Result<DefDesign> {
                     col: crate::col_in(raw, line),
                     message: "component line missing name".into(),
                 })?;
-                let nums: Vec<f64> = toks.iter().filter_map(|t| t.parse::<f64>().ok()).collect();
-                if nums.len() < 2 {
+                let Some(&(x, y)) = points(raw, &toks, line_no)?.first() else {
                     return Err(NetlistError::Parse {
                         line: line_no,
                         col: crate::col_in(raw, comp),
                         message: format!("component `{comp}` has no placed coordinates"),
                     });
-                }
-                components.insert(
-                    comp.to_string(),
-                    (nums[0] / dbu_per_micron, nums[1] / dbu_per_micron),
-                );
+                };
+                components.insert(comp.to_string(), (x / dbu_per_micron, y / dbu_per_micron));
             }
             _ => {
                 // Tolerate unknown statements outside COMPONENTS (NETS,
@@ -167,6 +165,40 @@ pub fn parse(text: &str) -> Result<DefDesign> {
         die_side: die_side / dbu_per_micron,
         components,
     })
+}
+
+/// The `( x y )` points of a line, read from the tokens between each `(`
+/// and the next `)` only, so a numeric component name is never taken for
+/// a coordinate. A group that is not two tokens is left out, for the
+/// caller to refuse; a token in one that is not a finite number is a
+/// parse error at its column.
+fn points(raw: &str, toks: &[&str], line: usize) -> Result<Vec<(f64, f64)>> {
+    let mut points = Vec::new();
+    for group in toks.split(|&t| t == "(").skip(1) {
+        let Some(close) = group.iter().position(|&t| t == ")") else {
+            continue;
+        };
+        let coords = group[..close]
+            .iter()
+            .map(|t| finite(raw, t, line))
+            .collect::<Result<Vec<f64>>>()?;
+        if let [x, y] = coords[..] {
+            points.push((x, y));
+        }
+    }
+    Ok(points)
+}
+
+/// `tok` as a finite number, else a parse error at its column.
+fn finite(raw: &str, tok: &str, line: usize) -> Result<f64> {
+    match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err(NetlistError::Parse {
+            line,
+            col: crate::col_in(raw, tok),
+            message: format!("`{tok}` is not a finite number"),
+        }),
+    }
 }
 
 /// Serializes a circuit + placement as DEF-lite (1000 DBU per micron).
@@ -327,6 +359,48 @@ mod tests {
         }
         assert!((p.die_side() - p2.die_side()).abs() < 0.01);
         Ok(())
+    }
+
+    /// ISCAS85's own numeric gate names survive a round trip: a name is
+    /// never read as a coordinate.
+    #[test]
+    fn numeric_component_names_round_trip() -> Result<()> {
+        let c17 = "INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
+                   10 = NAND(1, 3)\n11 = NAND(3, 6)\n16 = NAND(2, 11)\n19 = NAND(11, 7)\n\
+                   22 = NAND(10, 16)\n23 = NAND(16, 19)\n";
+        let c = crate::bench_format::parse("c17", c17)?;
+        let p = Placement::generate(&c, PlacementStyle::Levelized);
+        let back = parse(&write(&c, &p))?.placement_for(&c)?;
+        for id in c.gate_ids() {
+            let (x, y) = p.position(id);
+            let (bx, by) = back.position(id);
+            assert!(
+                (x - bx).abs() < 1e-3 && (y - by).abs() < 1e-3,
+                "{}",
+                c.gate(id).name
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn non_finite_values_are_parse_errors_at_their_column() {
+        for (text, at) in [
+            ("DIEAREA ( 0 0 ) ( inf 1000 ) ;", (1, 19)),
+            ("UNITS DISTANCE MICRONS NaN ;", (1, 24)),
+            (
+                "DIEAREA ( 0 0 ) ( 1000 1000 ) ;\nCOMPONENTS 1 ;\n- u1 INV + PLACED ( nan 5 ) N ;",
+                (3, 21),
+            ),
+        ] {
+            match parse(text) {
+                Err(NetlistError::Parse { line, col, message }) => {
+                    assert_eq!((line, col), at, "{text}");
+                    assert!(message.contains("not a finite number"), "{message}");
+                }
+                other => panic!("{text}: {other:?}"),
+            }
+        }
     }
 
     #[test]

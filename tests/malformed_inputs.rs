@@ -49,6 +49,18 @@ const CORPUS: &[(&str, Format, bool, &str)] = &[
     ("def_unplaced_component.def", Format::Def, true, ""),
     ("def_bad_coordinate.def", Format::Def, true, ""),
     (
+        "def_nan_placed.def",
+        Format::Def,
+        true,
+        "`nan` is not a finite number",
+    ),
+    (
+        "def_inf_diearea.def",
+        Format::Def,
+        true,
+        "`inf` is not a finite number",
+    ),
+    (
         "def_inverted_diearea.def",
         Format::Def,
         true,
