@@ -16,10 +16,7 @@ use crate::characterize::{characterize_placed, CircuitTiming};
 use crate::correlation::LayerModel;
 use crate::enumerate::{near_critical_paths, threshold};
 use crate::error::ErrorClass;
-use crate::longest_path::{
-    bellman_ford, bellman_ford_recorded, critical_path, relabel_cone, topo_labels, LabelHistory,
-    Labels,
-};
+use crate::longest_path::{critical_path, label, topo_labels, LabelChanges, Labeling, Labels};
 use crate::rank::{rank_paths, RankedPath};
 use crate::supervise::{fan_out, BudgetKind, RunBudget, Supervisor};
 use crate::worst_case::worst_case_critical_delay;
@@ -456,25 +453,10 @@ pub(crate) struct Front {
     /// The corner critical delay, or the error computing it, which a run
     /// raises only after ranking, where it reads the delay.
     pub(crate) worst_case: Result<f64>,
-    /// Bellman-Ford's label history, kept when the front was built to
-    /// relabel later edits by their fanout cone ([`Labeling`]).
-    pub(crate) history: Option<LabelHistory>,
-}
-
-/// How [`SstaEngine::front`] labels a circuit under the configured
-/// solver.
-pub(crate) enum Labeling<'a> {
-    /// Over the whole graph; with `record`, Bellman-Ford also keeps its
-    /// label history.
-    Full { record: bool },
-    /// Only the gates in `cone`, the fanout cone of an edit of the
-    /// circuit a base front with these `labels` and `history` labeled;
-    /// the new front keeps the merged history.
-    Cone {
-        labels: &'a Labels,
-        history: &'a LabelHistory,
-        cone: &'a [bool],
-    },
+    /// The label changes Bellman-Ford made when the [`Labeling`] asked
+    /// for them: every gate's, or an edit's cone's, for the caller to
+    /// commit to its label history.
+    pub(crate) label_changes: Option<LabelChanges>,
 }
 
 /// Table 2's column 5: how far the corner delay overestimates the
@@ -599,7 +581,7 @@ impl SstaEngine {
     }
 
     /// [`SstaEngine::run_with`], also returning the front it built, with
-    /// its label history when `record` asks for it.
+    /// every label change when `record` asks for them.
     pub(crate) fn run_with_front(
         &self,
         circuit: &Circuit,
@@ -643,26 +625,9 @@ impl SstaEngine {
         labeling: Labeling<'_>,
     ) -> Result<(Front, StageProfile)> {
         let t0 = Instant::now();
-        let (labels, history) = match (self.config.solver, labeling) {
-            (LabelSolver::Topological, _) => (topo_labels(circuit, &timing)?, None),
-            (LabelSolver::BellmanFord, Labeling::Full { record: false }) => {
-                (bellman_ford(circuit, &timing)?, None)
-            }
-            (LabelSolver::BellmanFord, Labeling::Full { record: true }) => {
-                let (labels, history) = bellman_ford_recorded(circuit, &timing)?;
-                (labels, Some(history))
-            }
-            (
-                LabelSolver::BellmanFord,
-                Labeling::Cone {
-                    labels,
-                    history,
-                    cone,
-                },
-            ) => {
-                let (labels, history) = relabel_cone(circuit, &timing, labels, history, cone);
-                (labels, Some(history))
-            }
+        let (labels, label_changes) = match self.config.solver {
+            LabelSolver::Topological => (topo_labels(circuit, &timing)?, None),
+            LabelSolver::BellmanFord => label(circuit, &timing, labeling)?,
         };
         let critical_delay = labels.critical_delay(circuit)?;
         let critical_path = critical_path(circuit, &timing, &labels)?;
@@ -681,7 +646,7 @@ impl SstaEngine {
             critical_delay,
             critical_path,
             worst_case,
-            history,
+            label_changes,
         };
         Ok((front, stage))
     }
@@ -918,7 +883,10 @@ mod tests {
         cfg.solver = LabelSolver::Topological;
         let tp = run(Benchmark::C499, cfg);
         assert_eq!(bf.num_paths, tp.num_paths);
-        assert!((bf.det_critical_delay - tp.det_critical_delay).abs() < 1e-18);
+        assert_eq!(
+            bf.det_critical_delay.to_bits(),
+            tp.det_critical_delay.to_bits()
+        );
         assert_eq!(bf.critical().analysis.gates, tp.critical().analysis.gates);
         assert!(bf.label_sweeps >= tp.label_sweeps);
     }

@@ -120,7 +120,6 @@ impl CoreError {
             CoreError::Stats(_) => ErrorClass::Numeric,
             CoreError::Netlist(e) => match e {
                 NetlistError::Parse { .. }
-                | NetlistError::UnsupportedGate { .. }
                 | NetlistError::UndefinedName { .. }
                 | NetlistError::DuplicateName { .. }
                 | NetlistError::ArityMismatch { .. }

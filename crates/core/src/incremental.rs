@@ -31,14 +31,15 @@
 //!   sweep reads only the labels the sweep before it left: a Jacobi
 //!   iteration. A gate outside the fanout cone of the dirty and edited
 //!   gates therefore holds the base run's label at every sweep, not
-//!   only at the end. The engine keeps the base run's label changes as
-//!   `(sweep, label)` pairs per gate, and an apply runs the sweeps over
-//!   the cone alone, reading its boundary inputs from that history: the
-//!   labels and the sweep count (one more than the latest change over
-//!   all gates) are Bellman-Ford's, bit for bit, and the cone's new
-//!   changes replace its old ones when the apply succeeds. The
-//!   service's warm fronts keep no history, so a daemon `EDIT` labels
-//!   with Bellman-Ford over the whole graph.
+//!   only at the end. The engine keeps every label change of its base
+//!   run as `(sweep, label)` pairs per gate, and an apply runs the one
+//!   Bellman-Ford kernel over the cone alone, reading its inputs from
+//!   outside it from that history: the labels and the sweep count (one
+//!   more than the latest change over all gates) are Bellman-Ford's,
+//!   bit for bit. The relabel hands back only the cone's changes, which
+//!   the engine commits, in time proportional to the cone, once the
+//!   apply has succeeded. The service's warm fronts keep no history, so
+//!   a daemon `EDIT` labels with Bellman-Ford over the whole graph.
 //! * **Reach check** — one forward pass over the topologically ordered
 //!   gates takes the fanout cone of the dirty and edited gates: the
 //!   region the edit can reach, also counted in
@@ -81,10 +82,11 @@
 use crate::analyze::PathAnalysis;
 use crate::cache::KernelStore;
 use crate::engine::{
-    overestimation_pct, Front, Labeling, RetainedPaths, RunContext, RunProfile, SstaConfig,
-    SstaEngine, SstaReport, StageProfile,
+    overestimation_pct, Front, RetainedPaths, RunContext, RunProfile, SstaConfig, SstaEngine,
+    SstaReport, StageProfile,
 };
 use crate::enumerate::{qualifier, threshold};
+use crate::longest_path::{LabelHistory, Labeling};
 use crate::supervise::Supervisor;
 use crate::{CoreError, Result};
 use statim_netlist::{Circuit, Gate, GateId, Placement, Signal};
@@ -523,14 +525,16 @@ impl EditedFront {
     /// from the bitwise diff against the base timing and its fanout cone,
     /// then labels the edited circuit and traces its critical path. The
     /// diff is the authority: it holds whatever the edit moved, however
-    /// indirectly. Labels come from relabeling the cone when `base` kept
-    /// its label history (the new front then keeps one too), else from
-    /// Bellman-Ford over the whole graph.
+    /// indirectly. Labels come from relabeling the cone against
+    /// `history`, the base's label history, when there is one (the new
+    /// front then holds the cone's label changes), else from Bellman-Ford
+    /// over the whole graph.
     pub(crate) fn build(
         engine: &SstaEngine,
         circuit: &Circuit,
         placement: &Placement,
         base: &Front,
+        history: Option<&LabelHistory>,
         touched: &[GateId],
         rewires: bool,
     ) -> Result<EditedFront> {
@@ -558,7 +562,7 @@ impl EditedFront {
                 _ => None,
             })
             .collect();
-        let labeling = match &base.history {
+        let labeling = match history {
             Some(history) => Labeling::Cone {
                 labels: &base.labels,
                 history,
@@ -816,6 +820,10 @@ pub struct IncrementalEngine {
     circuit: Circuit,
     placement: Placement,
     front: Front,
+    /// Bellman-Ford's label history of the current circuit, which each
+    /// apply relabels its edit's fanout cone against (none under the
+    /// topological solver).
+    history: Option<LabelHistory>,
     store: Arc<KernelStore>,
     /// The current report, indexed for the reuse oracle.
     retained: RetainedPaths,
@@ -836,7 +844,7 @@ impl IncrementalEngine {
             .cache_capacity
             .or(Some(DEFAULT_KERNEL_CAPACITY));
         let store = Arc::new(KernelStore::with_capacity(capacity));
-        let (front, report) = engine.run_with_front(
+        let (mut front, report) = engine.run_with_front(
             &circuit,
             &placement,
             RunContext {
@@ -845,11 +853,13 @@ impl IncrementalEngine {
             },
             true,
         )?;
+        let history = front.label_changes.take().map(|c| LabelHistory::new(&c));
         Ok(IncrementalEngine {
             engine,
             circuit,
             placement,
             front,
+            history,
             store,
             retained: RetainedPaths::new(Arc::new(report)),
         })
@@ -916,6 +926,7 @@ impl IncrementalEngine {
             &self.circuit,
             &self.placement,
             &self.front,
+            self.history.as_ref(),
             &touched,
             script.rewires(),
         )?;
@@ -938,7 +949,11 @@ impl IncrementalEngine {
         let report = Arc::clone(retained.report());
 
         // Re-base so the next script edits the edited circuit.
-        self.front = edited.front;
+        let mut front = edited.front;
+        if let (Some(history), Some(changes)) = (&mut self.history, front.label_changes.take()) {
+            history.commit(&changes);
+        }
+        self.front = front;
         self.retained = retained;
 
         Ok(EcoOutcome { report, stats })
@@ -1138,6 +1153,7 @@ rmwire g5 0
             &circuit,
             &inc.placement,
             &inc.front,
+            inc.history.as_ref(),
             &touched,
             script.rewires(),
         )
@@ -1422,22 +1438,27 @@ rmwire g5 0
     }
 
     /// The cone relabel gives what Bellman-Ford over the whole graph
-    /// gives, every label bit, the sweep count and the history it leaves,
-    /// along chained seeded edits of every kind on every ISCAS85 circuit.
-    /// Each chain also resizes its lowest-id gates, whose cone covers most
-    /// of the netlist, and every rewire re-characterizes every gate.
+    /// gives, every label bit, the sweep count and the history its
+    /// committed changes leave, along chained seeded edits of every kind
+    /// on every ISCAS85 circuit. Each chain also resizes its lowest-id
+    /// gates, whose cone covers most of the netlist, and every rewire
+    /// re-characterizes every gate.
     #[test]
     fn cone_relabel_matches_bellman_ford_on_every_iscas85_circuit() {
-        use crate::characterize::characterize_placed;
-        use crate::longest_path::{bellman_ford_recorded, relabel_cone};
+        use crate::characterize::{characterize_placed, CircuitTiming};
+        use crate::longest_path::{label, Labels};
+        let recorded = |circuit: &Circuit, timing: &CircuitTiming| {
+            let (labels, changes) =
+                label(circuit, timing, Labeling::Full { record: true }).expect("labels");
+            (labels, LabelHistory::new(&changes.expect("recorded")))
+        };
         let tech = SstaConfig::date05().tech;
         let mut state = 0xc0de_7e1a_u64;
         for bench in Benchmark::ALL {
             let mut circuit = iscas85::generate(bench);
             let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
             let mut timing = characterize_placed(&circuit, &tech, &placement).expect("timing");
-            let (mut labels, mut history) =
-                bellman_ford_recorded(&circuit, &timing).expect("labels");
+            let (mut labels, mut history) = recorded(&circuit, &timing);
             let mut widest = 0;
             for step in 0..24 {
                 let script = if step % 8 == 7 {
@@ -1455,7 +1476,7 @@ rmwire g5 0
                 } else {
                     random_script(&mut state, &circuit)
                 };
-                let label = format!("{} step {step}: {}", bench.name(), script.render());
+                let name = format!("{} step {step}: {}", bench.name(), script.render());
                 let touched = apply_edits(&mut circuit, &script).expect("script applies");
                 let edited = timing
                     .recharacterize(&circuit, &tech, &placement, &touched, script.rewires())
@@ -1468,15 +1489,21 @@ rmwire g5 0
                     .collect();
                 let cone = fanout_cone(&circuit, &dirty, &touched);
                 widest = widest.max(cone.iter().filter(|&&c| c).count());
-                let got = relabel_cone(&circuit, &edited, &labels, &history, &cone);
-                let want = bellman_ford_recorded(&circuit, &edited).expect("labels");
-                let bits = |l: &crate::longest_path::Labels| {
+                let relabel = Labeling::Cone {
+                    labels: &labels,
+                    history: &history,
+                    cone: &cone,
+                };
+                let (got, changes) = label(&circuit, &edited, relabel).expect("labels");
+                history.commit(&changes.expect("the cone's changes"));
+                let (want, want_history) = recorded(&circuit, &edited);
+                let bits = |l: &Labels| {
                     let arrival: Vec<u64> = l.arrival.iter().map(|a| a.to_bits()).collect();
                     (l.sweeps, arrival)
                 };
-                assert_eq!(bits(&got.0), bits(&want.0), "{label}");
-                assert!(got.1 == want.1, "{label}: histories differ");
-                (labels, history) = got;
+                assert_eq!(bits(&got), bits(&want), "{name}");
+                assert!(history == want_history, "{name}: histories differ");
+                labels = got;
                 timing = edited;
             }
             assert!(
@@ -1488,20 +1515,23 @@ rmwire g5 0
     }
 
     /// Everything an apply must leave alone when it fails.
-    fn resident_state(inc: &IncrementalEngine) -> (Circuit, Arc<SstaReport>, Front) {
+    type Resident = (Circuit, Arc<SstaReport>, Front, Option<LabelHistory>);
+
+    fn resident_state(inc: &IncrementalEngine) -> Resident {
         let report = Arc::clone(inc.retained.report());
-        (inc.circuit.clone(), report, inc.front.clone())
+        let history = inc.history.clone();
+        (inc.circuit.clone(), report, inc.front.clone(), history)
     }
 
-    fn assert_unchanged(inc: &IncrementalEngine, before: &(Circuit, Arc<SstaReport>, Front)) {
-        let (circuit, report, front) = before;
+    fn assert_unchanged(inc: &IncrementalEngine, before: &Resident) {
+        let (circuit, report, front, history) = before;
         assert!(inc.circuit == *circuit, "circuit restored");
         assert!(Arc::ptr_eq(inc.retained.report(), report), "report kept");
         assert!(inc.front.timing == front.timing);
         assert!(inc.front.labels == front.labels);
         assert!(inc.front.critical_path == front.critical_path);
-        assert!(inc.front.history == front.history, "history kept");
-        assert!(inc.front.history.is_some());
+        assert!(inc.history == *history, "history kept");
+        assert!(inc.history.is_some());
     }
 
     /// Every corpus script that parses but does not apply, a script that

@@ -4,8 +4,15 @@
 //! each edge weighted by the delay of the gate *before* it (§3.1); the
 //! label of a node is the maximum arrival time at its output. A
 //! topological dynamic program is provided as the textbook single-pass
-//! alternative — the two must agree exactly, and the benchmark harness
+//! alternative — the two agree bit for bit, and the benchmark harness
 //! compares their run-times (ablation 1 of `DESIGN.md`).
+//!
+//! One kernel runs Bellman-Ford's sweeps over a set of gates closed
+//! under fanout, in flat arrays built for that set alone: every gate for
+//! [`bellman_ford`], optionally recording each label change, or an ECO
+//! edit's fanout cone, which reads its inputs from outside the cone,
+//! sweep by sweep, from the base run's per-gate label history and hands
+//! back only the cone's changes.
 
 use crate::characterize::CircuitTiming;
 use crate::{CoreError, Result};
@@ -55,364 +62,305 @@ impl Labels {
 /// visiting it: every label it reads is the previous sweep's. A gate
 /// whose inputs all held still would compare the same values again and
 /// keep its label, so skipping it changes no label bit and no sweep
-/// count.
+/// count, which is one more than the sweep of the last change.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyCircuit`] for a gate-less circuit.
 pub fn bellman_ford(circuit: &Circuit, timing: &CircuitTiming) -> Result<Labels> {
-    relax(circuit, &nominal_delays(timing), |_, _, _| {})
+    label(circuit, timing, Labeling::Full { record: false }).map(|(labels, _)| labels)
 }
 
-fn nominal_delays(timing: &CircuitTiming) -> Vec<f64> {
-    timing.gates().iter().map(|g| g.nominal).collect()
+/// The gates a Bellman-Ford run sweeps, and what it hands back.
+pub(crate) enum Labeling<'a> {
+    /// Every gate; with `record`, every label change too.
+    Full { record: bool },
+    /// Only `cone`, closed under fanout: the gates an edit of a circuit
+    /// labeled `labels` by a run that left `history` moved, or that read
+    /// one it moved. The run reads every input from outside the cone,
+    /// sweep by sweep, from `history`, and hands back the cone's changes.
+    Cone {
+        labels: &'a Labels,
+        history: &'a LabelHistory,
+        cone: &'a [bool],
+    },
 }
 
-/// [`bellman_ford`], also returning its [`LabelHistory`].
-pub(crate) fn bellman_ford_recorded(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-) -> Result<(Labels, LabelHistory)> {
-    let mut log = Vec::new();
-    let labels = relax(circuit, &nominal_delays(timing), |gate, sweep, value| {
-        log.push((gate as u32, sweep as u32, value));
-    })?;
-    let gates = circuit.gate_count();
-    let (start, log) = group(&log, gates, |&(g, _, _)| g as usize);
-    let mut history = LabelHistory {
-        start,
-        sweep: log.iter().map(|&(_, s, _)| s).collect(),
-        value: log.iter().map(|&(_, _, v)| v).collect(),
-        settled: Vec::new(),
-    };
-    for g in 0..gates {
-        if let Some(last) = history.last_sweep(g) {
-            history.settle(last);
-        }
-    }
-    Ok((labels, history))
+/// The label changes a run made on the gates it swept.
+#[derive(Debug, Clone)]
+pub(crate) struct LabelChanges {
+    /// The swept gates, ascending.
+    gates: Vec<u32>,
+    /// Each change as `(index into gates, sweep, label)`, in sweep order
+    /// (the seed is sweep 0).
+    log: Vec<(u32, u32, f64)>,
 }
 
-/// `items` grouped by `key`, a value below `keys`, keeping their order
-/// within a group: the start of each group, then the items in group
-/// order. A counting sort.
-fn group<T: Copy>(items: &[T], keys: usize, key: impl Fn(&T) -> usize) -> (Vec<u32>, Vec<T>) {
-    let mut start = vec![0u32; keys + 1];
-    for item in items {
-        start[key(item) + 1] += 1;
-    }
-    for k in 0..keys {
-        start[k + 1] += start[k];
-    }
-    let mut fill = start.clone();
-    let mut grouped = items.to_vec();
-    for item in items {
-        let k = key(item);
-        grouped[fill[k] as usize] = *item;
-        fill[k] += 1;
-    }
-    (start, grouped)
-}
-
-/// Every label change a Bellman-Ford run made: per gate, the sweep of
-/// each change (the seed is sweep 0) and the label it set, in sweep
-/// order, in flat arrays.
+/// Every label change of a Bellman-Ford run, per gate: `(sweep, label)`
+/// pairs in sweep order.
 ///
 /// A sweep visits gates in descending id order and every wire runs from
 /// a lower id to a higher one, so a sweep reads only the labels the
 /// sweep before it left: the sweeps are a Jacobi iteration. After an
 /// edit, a gate outside the fanout cone of what the edit moved therefore
 /// holds the base run's label at every sweep, and this history gives the
-/// cone's boundary inputs at any sweep ([`relabel_cone`]).
+/// cone's inputs from outside it at any sweep ([`Labeling::Cone`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LabelHistory {
-    /// Gate `g`'s changes are `start[g]..start[g + 1]`.
-    start: Vec<u32>,
-    sweep: Vec<u32>,
-    value: Vec<f64>,
+    changes: Vec<Vec<(u32, f64)>>,
     /// `settled[s]`: the gates whose last change came at sweep `s`.
     settled: Vec<u32>,
 }
 
 impl LabelHistory {
-    fn range(&self, gate: usize) -> std::ops::Range<usize> {
-        self.start[gate] as usize..self.start[gate + 1] as usize
-    }
-
-    /// The sweep of `gate`'s last change.
-    fn last_sweep(&self, gate: usize) -> Option<u32> {
-        self.sweep[self.range(gate)].last().copied()
-    }
-
-    /// Counts one more gate whose last change came at `sweep`.
-    fn settle(&mut self, sweep: u32) {
-        let s = sweep as usize;
-        if self.settled.len() <= s {
-            self.settled.resize(s + 1, 0);
+    /// The history of a run that swept every gate.
+    pub(crate) fn new(changes: &LabelChanges) -> LabelHistory {
+        let mut history = LabelHistory {
+            changes: vec![Vec::new(); changes.gates.len()],
+            settled: Vec::new(),
+        };
+        history.commit(changes);
+        for gate in &mut history.changes {
+            gate.shrink_to_fit();
         }
-        self.settled[s] += 1;
+        history
     }
 
-    /// This history with the changes of the gates `cone` (ascending)
-    /// replaced by `log`'s: `(position in cone, sweep, label)` in sweep
-    /// order.
-    fn replace(&self, cone: &[usize], log: &[(u32, u32, f64)]) -> LabelHistory {
-        let (at, log) = group(log, cone.len(), |&(i, _, _)| i as usize);
-        let gates = self.start.len() - 1;
-        let mut out = LabelHistory {
-            start: Vec::with_capacity(gates + 1),
-            sweep: Vec::with_capacity(self.sweep.len() + log.len()),
-            value: Vec::with_capacity(self.value.len() + log.len()),
-            settled: self.settled.clone(),
-        };
-        // Gates `from..to` keep their changes, shifted as one run.
-        let keep = |out: &mut LabelHistory, from: usize, to: usize| {
-            let r = self.start[from] as usize..self.start[to] as usize;
-            let shift = out.sweep.len().wrapping_sub(r.start) as u32;
-            let starts = self.start[from..to].iter().map(|s| s.wrapping_add(shift));
-            out.start.extend(starts);
-            out.sweep.extend_from_slice(&self.sweep[r.clone()]);
-            out.value.extend_from_slice(&self.value[r]);
-        };
-        let mut kept = 0;
-        for (i, &c) in cone.iter().enumerate() {
-            keep(&mut out, kept, c);
-            kept = c + 1;
-            if let Some(s) = self.last_sweep(c) {
-                out.settled[s as usize] -= 1;
+    /// Replaces the changes of the gates a relabel swept with its own,
+    /// in time linear in those gates and their changes. Each gate keeps
+    /// its buffer, so a commit allocates only where a gate's changes
+    /// outgrow it.
+    pub(crate) fn commit(&mut self, changes: &LabelChanges) {
+        for &g in &changes.gates {
+            let old = &mut self.changes[g as usize];
+            if let Some(&(s, _)) = old.last() {
+                self.settled[s as usize] -= 1;
             }
-            out.start.push(out.sweep.len() as u32);
-            let changes = &log[at[i] as usize..at[i + 1] as usize];
-            out.sweep.extend(changes.iter().map(|&(_, s, _)| s));
-            out.value.extend(changes.iter().map(|&(_, _, v)| v));
-            if let Some(&(_, s, _)) = changes.last() {
-                out.settle(s);
+            old.clear();
+        }
+        for &(i, s, v) in &changes.log {
+            self.changes[changes.gates[i as usize] as usize].push((s, v));
+        }
+        for &g in &changes.gates {
+            if let Some(&(s, _)) = self.changes[g as usize].last() {
+                let s = s as usize;
+                if self.settled.len() <= s {
+                    self.settled.resize(s + 1, 0);
+                }
+                self.settled[s] += 1;
             }
         }
-        keep(&mut out, kept, gates);
-        out.start.push(out.sweep.len() as u32);
-        while out.settled.last() == Some(&0) {
-            out.settled.pop();
+        while self.settled.last() == Some(&0) {
+            self.settled.pop();
         }
-        out
+    }
+
+    /// The latest sweep at which a gate outside `swept` (ascending) last
+    /// changed, 0 when none did.
+    fn latest_outside(&self, swept: &[u32]) -> u32 {
+        let mut settled = self.settled.clone();
+        for &g in swept {
+            if let Some(&(s, _)) = self.changes[g as usize].last() {
+                settled[s as usize] -= 1;
+            }
+        }
+        settled.iter().rposition(|&n| n > 0).unwrap_or(0) as u32
     }
 }
 
-/// [`bellman_ford`]'s labels and sweep count for `circuit`, and its
-/// [`LabelHistory`], computed from a base run's `labels` and `history`
-/// by sweeping only the gates in `cone`. `circuit` and `timing` are the
-/// base's after an edit that moved delays or wires only inside `cone`,
-/// which must be closed under fanout.
-///
-/// Outside the cone every gate keeps its base label at every sweep (see
-/// [`LabelHistory`]). A cone gate is visited at sweep `s` when one of
-/// its inputs changed at `s − 1`: a cone input in this simulation, a
-/// boundary input by the history. The sweep count is one more than the
-/// latest change over all gates.
-pub(crate) fn relabel_cone(
+/// [`sweeps`] with each gate's nominal delay from `timing`.
+pub(crate) fn label(
     circuit: &Circuit,
     timing: &CircuitTiming,
-    labels: &Labels,
-    history: &LabelHistory,
-    cone: &[bool],
-) -> (Labels, LabelHistory) {
-    const NEVER: u32 = u32::MAX;
-    let gates = circuit.gates();
-    let timing = timing.gates();
-    let cone_ids: Vec<usize> = (0..gates.len()).filter(|&g| cone[g]).collect();
-    let mut arrival = labels.arrival.clone();
-    // `last[g]`: the sweep of gate g's latest change so far, for the
-    // cone and its boundary.
-    let mut last = vec![NEVER; gates.len()];
-    // The cone gates' gate inputs, flat, in cone order.
-    let mut input_start = Vec::with_capacity(cone_ids.len() + 1);
-    let mut inputs = Vec::new();
-    // The boundary's changes, `(sweep, gate, label)`, and the cone's,
-    // `(position in cone, sweep, label)`, each in sweep order.
-    let mut replay = Vec::new();
-    let mut log = Vec::new();
-    input_start.push(0);
-    for (i, &c) in cone_ids.iter().enumerate() {
-        let mut seeded = false;
-        for s in &gates[c].inputs {
-            let Signal::Gate(b) = *s else {
-                seeded = true;
-                continue;
-            };
-            let b = b.index();
-            inputs.push(b as u32);
-            if !cone[b] && arrival[b] != f64::NEG_INFINITY {
-                arrival[b] = f64::NEG_INFINITY;
-                let r = history.range(b);
-                let changes = history.sweep[r.clone()].iter().zip(&history.value[r]);
-                replay.extend(changes.map(|(&s, &v)| (s, b as u32, v)));
-            }
-        }
-        input_start.push(inputs.len() as u32);
-        arrival[c] = f64::NEG_INFINITY;
-        if seeded {
-            (arrival[c], last[c]) = (timing[c].nominal, 0);
-            log.push((i as u32, 0, arrival[c]));
-        }
-    }
-    let (_, replay) = group(&replay, history.settled.len(), |&(s, _, _)| s as usize);
-    let mut moved = !log.is_empty();
-    let (mut sweep, mut next) = (0u32, 0);
-    loop {
-        if !moved {
-            // Nothing in the cone moved: skip to the next boundary change.
-            match replay.get(next) {
-                Some(&(s, _, _)) => sweep = s,
-                None => break,
-            }
-        }
-        while let Some(&(s, b, v)) = replay.get(next).filter(|e| e.0 == sweep) {
-            (arrival[b as usize], last[b as usize]) = (v, s);
-            next += 1;
-        }
-        sweep += 1;
-        moved = false;
-        for (i, &c) in cone_ids.iter().enumerate().rev() {
-            let ins = &inputs[input_start[i] as usize..input_start[i + 1] as usize];
-            if !ins.iter().any(|&d| last[d as usize] == sweep - 1) {
-                continue;
-            }
-            let own = timing[c].nominal;
-            let mut best = arrival[c];
-            for &d in ins {
-                let a = arrival[d as usize];
-                if a.is_finite() && a + own > best {
-                    best = a + own;
-                }
-            }
-            if best > arrival[c] {
-                (arrival[c], last[c]) = (best, sweep);
-                log.push((i as u32, sweep, best));
-                moved = true;
-            }
-        }
-    }
-    let history = history.replace(&cone_ids, &log);
-    let sweeps = history.settled.len();
-    (Labels { arrival, sweeps }, history)
+    labeling: Labeling<'_>,
+) -> Result<(Labels, Option<LabelChanges>)> {
+    let gates = timing.gates();
+    sweeps(circuit, |g| gates[g].nominal, labeling)
 }
 
-/// Gate-to-gate edges as flat arrays: each gate's gate inputs, in pin
-/// order, and each gate's fanout sinks.
-struct FlatEdges {
-    input_start: Vec<u32>,
-    inputs: Vec<u32>,
-    fanout_start: Vec<u32>,
-    fanouts: Vec<u32>,
-}
-
-impl FlatEdges {
-    fn new(circuit: &Circuit) -> FlatEdges {
-        let n = circuit.gate_count();
-        let mut input_start = Vec::with_capacity(n + 1);
-        let mut inputs = Vec::new();
-        let mut fanout_count = vec![0u32; n + 1];
-        input_start.push(0);
-        for g in circuit.gates() {
-            for s in &g.inputs {
-                if let Signal::Gate(src) = s {
-                    inputs.push(src.0);
-                    fanout_count[src.index() + 1] += 1;
-                }
-            }
-            input_start.push(inputs.len() as u32);
-        }
-        for i in 0..n {
-            fanout_count[i + 1] += fanout_count[i];
-        }
-        let fanout_start = fanout_count;
-        let mut fill = fanout_start.clone();
-        let mut fanouts = vec![0u32; inputs.len()];
-        for sink in 0..n {
-            for &src in &inputs[input_start[sink] as usize..input_start[sink + 1] as usize] {
-                fanouts[fill[src as usize] as usize] = sink as u32;
-                fill[src as usize] += 1;
-            }
-        }
-        FlatEdges {
-            input_start,
-            inputs,
-            fanout_start,
-            fanouts,
-        }
-    }
-
-    fn inputs(&self, gate: usize) -> &[u32] {
-        &self.inputs[self.input_start[gate] as usize..self.input_start[gate + 1] as usize]
-    }
-
-    fn fanouts(&self, gate: usize) -> &[u32] {
-        &self.fanouts[self.fanout_start[gate] as usize..self.fanout_start[gate + 1] as usize]
-    }
-}
-
-/// The Bellman-Ford sweeps of [`bellman_ford`] over dense nominal
-/// delays, one per gate. `record` sees every label change as `(gate,
-/// sweep, label)`, in sweep order; the seeds are sweep 0.
-fn relax(
+/// Bellman-Ford's sweeps (see [`bellman_ford`]) over the gates
+/// `labeling` names, gate `g` delaying by `own(g)`: the labels, and the
+/// swept gates' changes when it asks for them.
+///
+/// A swept gate is visited at sweep `s` when one of its inputs changed
+/// at `s − 1`: a swept input in this run, an input from outside by the
+/// history, whose changes at `s` land after the sweep's visits. When no
+/// swept gate is due, the run skips to the history's next change. The
+/// sweep count is one more than the latest change over all gates, swept
+/// or not.
+fn sweeps(
     circuit: &Circuit,
-    nominal: &[f64],
-    mut record: impl FnMut(usize, usize, f64),
-) -> Result<Labels> {
-    let n = circuit.gate_count();
+    own: impl Fn(usize) -> f64,
+    labeling: Labeling<'_>,
+) -> Result<(Labels, Option<LabelChanges>)> {
+    const NONE: u32 = u32::MAX;
+    let gates = circuit.gates();
+    let n = gates.len();
     if n == 0 {
         return Err(CoreError::EmptyCircuit);
     }
-    let edges = FlatEdges::new(circuit);
-    let mut arrival = vec![f64::NEG_INFINITY; n];
-    // `next[i]`: an input of gate `i` moved in the current sweep, so the
-    // next sweep visits it. Seeding is sweep 0.
-    let mut next = vec![false; n];
-    let mut visit = vec![false; n];
-    // Seed: a gate fed by at least one primary input can start a path.
-    for (i, g) in circuit.gates().iter().enumerate() {
-        if g.inputs.iter().any(|s| matches!(s, Signal::Input(_))) {
-            arrival[i] = nominal[i];
-            record(i, 0, nominal[i]);
-            for &sink in edges.fanouts(i) {
-                next[sink as usize] = true;
+    let (base, record) = match labeling {
+        Labeling::Full { record } => (None, record),
+        Labeling::Cone {
+            labels,
+            history,
+            cone,
+        } => (Some((labels, history, cone)), true),
+    };
+    let ids: Vec<u32> = match base {
+        None => (0..n as u32).collect(),
+        Some((_, _, cone)) => (0..n as u32).filter(|&g| cone[g as usize]).collect(),
+    };
+    let m = ids.len();
+    // `slot[g]`: where gate g sits in the flat arrays. The swept gates
+    // come first, in id order; then each gate outside them that feeds
+    // one, in the order they are met.
+    let mut slot = vec![NONE; n];
+    for (p, &g) in ids.iter().enumerate() {
+        slot[g as usize] = p as u32;
+    }
+    let mut outside = Vec::new();
+    let mut input_start = Vec::with_capacity(m + 1);
+    let mut inputs = Vec::new();
+    let mut delay = Vec::with_capacity(m);
+    let mut seeds = Vec::new();
+    input_start.push(0u32);
+    for (p, &g) in ids.iter().enumerate() {
+        let g = g as usize;
+        let mut seeded = false;
+        for s in &gates[g].inputs {
+            let Signal::Gate(d) = *s else {
+                seeded = true;
+                continue;
+            };
+            let d = d.index();
+            if slot[d] == NONE {
+                slot[d] = (m + outside.len()) as u32;
+                outside.push(d as u32);
             }
+            inputs.push(slot[d]);
+        }
+        if seeded {
+            seeds.push(p);
+        }
+        input_start.push(inputs.len() as u32);
+        delay.push(own(g));
+    }
+    let slots = m + outside.len();
+    // Each slot's swept fanout sinks.
+    let mut fanout_start = vec![0u32; slots + 1];
+    for &s in &inputs {
+        fanout_start[s as usize + 1] += 1;
+    }
+    for s in 0..slots {
+        fanout_start[s + 1] += fanout_start[s];
+    }
+    let mut fill = fanout_start.clone();
+    let mut fanouts = vec![0u32; inputs.len()];
+    for p in 0..m {
+        for &s in &inputs[input_start[p] as usize..input_start[p + 1] as usize] {
+            fanouts[fill[s as usize] as usize] = p as u32;
+            fill[s as usize] += 1;
         }
     }
-    let mut sweeps = 0;
+    // The outside gates' changes, `(sweep, slot, label)` in sweep order,
+    // and the latest last change outside the swept gates.
+    let (replay, latest_outside) = match base {
+        None => (Vec::new(), 0),
+        Some((_, history, _)) => {
+            let mut replay: Vec<(u32, u32, f64)> = outside
+                .iter()
+                .zip(m as u32..)
+                .flat_map(|(&g, s)| {
+                    history.changes[g as usize]
+                        .iter()
+                        .map(move |&(w, v)| (w, s, v))
+                })
+                .collect();
+            replay.sort_unstable_by_key(|&(w, ..)| w);
+            (replay, history.latest_outside(&ids))
+        }
+    };
+
+    // Each slot's label as of the sweep the loop is in.
+    let mut value = vec![f64::NEG_INFINITY; slots];
+    let mut log = Vec::new();
+    // `next[p]`: an input of swept gate p moved, so the next sweep
+    // visits it; `visit` is all clear between sweeps.
+    let mut next = vec![false; m];
+    let mut visit = vec![false; m];
+    let flag = |slot: usize, next: &mut [bool]| {
+        for &p in &fanouts[fanout_start[slot] as usize..fanout_start[slot + 1] as usize] {
+            next[p as usize] = true;
+        }
+    };
+    // Seed: a gate fed by at least one primary input can start a path.
+    for &p in &seeds {
+        value[p] = delay[p];
+        if record {
+            log.push((p as u32, 0, delay[p]));
+        }
+        flag(p, &mut next);
+    }
+    let mut pending = !seeds.is_empty();
+    let (mut sweep, mut latest, mut at) = (0u32, 0u32, 0);
     loop {
-        sweeps += 1;
-        // `visit` is all clear: every flag the last sweep read, it reset.
+        // The outside changes that end this sweep, for the next to read.
+        while let Some(&(_, s, v)) = replay.get(at).filter(|&&(w, ..)| w == sweep) {
+            value[s as usize] = v;
+            flag(s as usize, &mut next);
+            pending = true;
+            at += 1;
+        }
+        if !pending {
+            match replay.get(at) {
+                Some(&(w, ..)) => {
+                    sweep = w;
+                    continue;
+                }
+                None => break,
+            }
+        }
+        sweep += 1;
+        pending = false;
         std::mem::swap(&mut visit, &mut next);
-        let mut changed = false;
-        // Deliberately anti-topological order (see doc comment).
-        for i in (0..n).rev() {
-            if !visit[i] {
+        // Deliberately anti-topological order (see `bellman_ford`).
+        for p in (0..m).rev() {
+            if !visit[p] {
                 continue;
             }
-            visit[i] = false;
-            let own = nominal[i];
-            let mut best = arrival[i];
-            for &src in edges.inputs(i) {
-                let a = arrival[src as usize];
+            visit[p] = false;
+            let own = delay[p];
+            let mut best = value[p];
+            for &d in &inputs[input_start[p] as usize..input_start[p + 1] as usize] {
+                let a = value[d as usize];
                 if a.is_finite() && a + own > best {
                     best = a + own;
                 }
             }
-            if best > arrival[i] {
-                arrival[i] = best;
-                record(i, sweeps, best);
-                changed = true;
-                for &sink in edges.fanouts(i) {
-                    next[sink as usize] = true;
+            if best > value[p] {
+                value[p] = best;
+                if record {
+                    log.push((p as u32, sweep, best));
                 }
+                flag(p, &mut next);
+                (pending, latest) = (true, sweep);
             }
         }
-        if !changed || sweeps > n {
-            break;
-        }
     }
-    Ok(Labels { arrival, sweeps })
+    let sweeps = 1 + latest.max(latest_outside) as usize;
+    let arrival = match base {
+        None => value,
+        Some((labels, ..)) => {
+            let mut arrival = labels.arrival.clone();
+            for (&g, &v) in ids.iter().zip(&value) {
+                arrival[g as usize] = v;
+            }
+            arrival
+        }
+    };
+    let changes = record.then_some(LabelChanges { gates: ids, log });
+    Ok((Labels { arrival, sweeps }, changes))
 }
 
 /// Computes labels with a single topological pass (gates are stored in
@@ -568,6 +516,20 @@ mod tests {
         (labels.sweeps, bits)
     }
 
+    fn arrival_bits(labels: &Labels) -> Vec<u64> {
+        labels.arrival.iter().map(|a| a.to_bits()).collect()
+    }
+
+    /// Bellman-Ford over every gate of `c`, recording its history.
+    fn recorded(c: &Circuit, nominal: &[f64]) -> (Labels, LabelHistory) {
+        let (labels, changes) =
+            sweeps(c, |g| nominal[g], Labeling::Full { record: true }).expect("labels computed");
+        (labels, LabelHistory::new(&changes.expect("recorded")))
+    }
+
+    /// Bellman-Ford equals the every-gate reference loop, and the
+    /// topological labels, bit for bit on every built-in under both
+    /// placement styles.
     #[test]
     fn flat_solver_matches_the_reference_on_every_builtin() {
         use statim_netlist::generators::{iscas85, sequential};
@@ -582,16 +544,20 @@ mod tests {
         }
         let tech = Technology::cmos130();
         for c in &circuits {
-            let p = Placement::generate(c, PlacementStyle::Levelized);
-            let t = characterize_placed(c, &tech, &p).expect("characterization succeeds");
-            let nominal: Vec<f64> = t.gates().iter().map(|g| g.nominal).collect();
-            let got = bellman_ford(c, &t).expect("labels computed");
-            assert_eq!(
-                label_bits(&got),
-                label_bits(&reference(c, &nominal)),
-                "{}",
-                c.name()
-            );
+            for style in [PlacementStyle::Levelized, PlacementStyle::Random(7)] {
+                let p = Placement::generate(c, style);
+                let t = characterize_placed(c, &tech, &p).expect("characterization succeeds");
+                let nominal: Vec<f64> = t.gates().iter().map(|g| g.nominal).collect();
+                let got = bellman_ford(c, &t).expect("labels computed");
+                let name = format!("{} {style:?}", c.name());
+                assert_eq!(
+                    label_bits(&got),
+                    label_bits(&reference(c, &nominal)),
+                    "{name}"
+                );
+                let topo = topo_labels(c, &t).expect("labels computed");
+                assert_eq!(arrival_bits(&got), arrival_bits(&topo), "{name}");
+            }
         }
     }
 
@@ -599,7 +565,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         // Random DAGs whose delays come from three values, so labels tie
-        // along many paths.
+        // along many paths. Then one gate's delay moves to one of them:
+        // relabeling its fanout cone from the recorded base and committing
+        // the changes gives what a recorded run over every gate gives.
         #[test]
         fn flat_solver_matches_the_reference_on_random_dags(
             n_inputs in 1usize..5,
@@ -607,7 +575,9 @@ mod tests {
                 (0u8..4, proptest::collection::vec(0usize..1000, 3), 0usize..3),
                 1..80,
             ),
+            edit in (0usize..1000, 0usize..3),
         ) {
+            const DELAYS: [f64; 3] = [1.0e-11, 2.0e-11, 1.5e-11];
             let mut c = Circuit::new("random");
             let mut signals: Vec<Signal> = (0..n_inputs)
                 .map(|i| c.add_input(format!("i{i}")).expect("input"))
@@ -624,10 +594,27 @@ mod tests {
                     .map(|k| signals[picks[k] % signals.len()])
                     .collect();
                 signals.push(c.add_gate(format!("g{g}"), kind, &ins).expect("gate"));
-                nominal.push([1.0e-11, 2.0e-11, 1.5e-11][delay]);
+                nominal.push(DELAYS[delay]);
             }
-            let got = relax(&c, &nominal, |_, _, _| {}).expect("labels computed");
-            proptest::prop_assert_eq!(label_bits(&got), label_bits(&reference(&c, &nominal)));
+            let (base, mut history) = recorded(&c, &nominal);
+            let (plain, _) = sweeps(&c, |g| nominal[g], Labeling::Full { record: false })
+                .expect("labels computed");
+            proptest::prop_assert_eq!(label_bits(&base), label_bits(&reference(&c, &nominal)));
+            proptest::prop_assert_eq!(label_bits(&plain), label_bits(&base));
+
+            let gate = edit.0 % nominal.len();
+            nominal[gate] = DELAYS[edit.1];
+            let mut cone = vec![false; nominal.len()];
+            cone[gate] = true;
+            for (i, g) in c.gates().iter().enumerate() {
+                cone[i] |= g.inputs.iter().any(|s| matches!(s, Signal::Gate(d) if cone[d.index()]));
+            }
+            let labeling = Labeling::Cone { labels: &base, history: &history, cone: &cone };
+            let (got, changes) = sweeps(&c, |g| nominal[g], labeling).expect("labels computed");
+            history.commit(&changes.expect("the cone's changes"));
+            let (want, want_history) = recorded(&c, &nominal);
+            proptest::prop_assert_eq!(label_bits(&got), label_bits(&want));
+            proptest::prop_assert!(history == want_history, "committed history");
         }
     }
 
@@ -636,9 +623,7 @@ mod tests {
         let (c, t) = diamond();
         let bf = bellman_ford(&c, &t).expect("labels computed");
         let tp = topo_labels(&c, &t).expect("labels computed");
-        for (a, b) in bf.arrival.iter().zip(&tp.arrival) {
-            assert!((a - b).abs() < 1e-18, "{a} vs {b}");
-        }
+        assert_eq!(arrival_bits(&bf), arrival_bits(&tp));
         assert!(bf.sweeps >= 1);
         assert_eq!(tp.sweeps, 1);
     }
@@ -651,9 +636,7 @@ mod tests {
         let t = characterize(&c, &Technology::cmos130()).expect("characterization succeeds");
         let bf = bellman_ford(&c, &t).expect("labels computed");
         let tp = topo_labels(&c, &t).expect("labels computed");
-        for (a, b) in bf.arrival.iter().zip(&tp.arrival) {
-            assert!((a - b).abs() < 1e-15 * b.abs().max(1e-12));
-        }
+        assert_eq!(arrival_bits(&bf), arrival_bits(&tp));
         // Anti-topological relaxation takes several sweeps.
         assert!(bf.sweeps > 1, "sweeps = {}", bf.sweeps);
     }

@@ -1780,6 +1780,7 @@ impl Warm {
                     circuit,
                     placement,
                     &base.front,
+                    None,
                     &origin.touched,
                     origin.rewires,
                 )?;

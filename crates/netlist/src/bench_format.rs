@@ -11,10 +11,12 @@
 //! 22 = NAND(10, 16)
 //! ```
 //!
-//! The reader is two-pass (declarations may appear in any order) and maps
-//! each function name through [`GateKind::from_bench`], so any circuit in
-//! the supported gate library round-trips. Gates are emitted in
-//! topological order by the writer.
+//! Declarations may appear in any order: the reader scans the file once,
+//! orders the gate definitions by their dependencies in one walk (see
+//! [`parse`]), and maps each function name through
+//! [`GateKind::from_bench`], so any circuit in the supported gate library
+//! round-trips. Gates are emitted in topological order by the writer.
+//! Every error names its line and column.
 //!
 //! ECO overlays (per-gate drive strength and retiming pads) ride in
 //! `# statim drive <net> <factor>` / `# statim pad <net> <seconds>`
@@ -34,199 +36,297 @@ use crate::circuit::{Circuit, Signal};
 use crate::error::NetlistError;
 use crate::Result;
 use statim_process::GateKind;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Parses `.bench` text into a [`Circuit`].
 ///
+/// Definitions may come in any order. Gates are added in the order a
+/// fixpoint resolver would add them, sweeping the file until every
+/// definition resolves, so gate ids follow the file where it allows:
+/// each definition lands in the pass after any argument defined later in
+/// the file, and in the same pass as one defined earlier. Pass numbers
+/// come from one depth-first walk over the definitions, so parsing takes
+/// the same time in any definition order.
+///
 /// # Errors
 ///
-/// Returns a [`NetlistError::Parse`] (with line number) for malformed
-/// lines, [`NetlistError::UnsupportedGate`] for functions outside the
-/// delay model's library, and [`NetlistError::UndefinedName`] if a net is
-/// referenced but never defined.
+/// Returns a [`NetlistError::Parse`] at the offending line and column
+/// for malformed lines, functions outside the delay model's library, a
+/// name defined twice (at the second definition), a reference to a net
+/// that is never defined (at the reference) and a combinational cycle (at
+/// the reference that closes it).
 pub fn parse(name: &str, text: &str) -> Result<Circuit> {
-    // First pass: collect definitions.
-    struct Def<'a> {
-        line: usize,
-        out: &'a str,
-        func: &'a str,
-        args: Vec<&'a str>,
-    }
-    let mut inputs: Vec<(usize, &str)> = Vec::new();
-    let mut outputs: Vec<(usize, &str)> = Vec::new();
-    let mut defs: Vec<Def> = Vec::new();
-    // `Q = DFF(D)` cells: (line, q net, d net).
-    let mut dffs: Vec<(usize, &str, &str)> = Vec::new();
-    let mut directives: Vec<Directive<'_>> = Vec::new();
+    let netlist = Netlist::scan(text)?;
+    let order = netlist.order()?;
+    netlist.build(name, &order)
+}
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        // Statim directives live inside comments (so classic readers
-        // skip them); intercept before the comment strip.
-        if let Some(directive) = raw.trim().strip_prefix("# statim ") {
-            directives.push(parse_directive(raw, line_no, directive)?);
-            continue;
+/// A source line, for error locations.
+#[derive(Clone, Copy)]
+struct Line<'a> {
+    no: usize,
+    raw: &'a str,
+}
+
+impl Line<'_> {
+    /// A parse error at `token`, a slice of this line.
+    fn error(&self, token: &str, message: String) -> NetlistError {
+        NetlistError::Parse {
+            line: self.no,
+            col: crate::col_in(self.raw, token),
+            message,
         }
-        let line = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = strip_decl(line, "INPUT") {
-            inputs.push((line_no, rest));
-        } else if let Some(rest) = strip_decl(line, "OUTPUT") {
-            outputs.push((line_no, rest));
-        } else if let Some(eq) = line.find('=') {
-            let out = line[..eq].trim();
-            let rhs = line[eq + 1..].trim();
-            let open = rhs.find('(').ok_or_else(|| NetlistError::Parse {
-                line: line_no,
-                col: crate::col_in(raw, rhs),
-                message: format!("expected FUNC(args) after `=`, got `{rhs}`"),
-            })?;
-            if !rhs.ends_with(')') {
-                return Err(NetlistError::Parse {
-                    line: line_no,
-                    col: crate::col_in(raw, rhs) + rhs.len(),
-                    message: "missing closing parenthesis".into(),
-                });
+    }
+
+    fn undefined(&self, net: &str) -> NetlistError {
+        self.error(net, format!("undefined name `{net}`"))
+    }
+}
+
+/// Where a net is defined: its line, and the index of the gate
+/// definition that drives it (none for a primary input or register Q).
+#[derive(Clone, Copy)]
+struct Net {
+    line: usize,
+    gate: Option<usize>,
+}
+
+/// A gate definition: `out = FUNC(args)`.
+struct Def<'a> {
+    line: Line<'a>,
+    out: &'a str,
+    kind: GateKind,
+    args: Vec<&'a str>,
+}
+
+/// A `.bench` file's statements, in file order within each kind.
+struct Netlist<'a> {
+    inputs: Vec<&'a str>,
+    outputs: Vec<(Line<'a>, &'a str)>,
+    /// `Q = DFF(D)` cells: line, Q net, D net.
+    dffs: Vec<(Line<'a>, &'a str, &'a str)>,
+    defs: Vec<Def<'a>>,
+    directives: Vec<Directive<'a>>,
+    /// Every net, by where it is defined.
+    nets: HashMap<&'a str, Net>,
+}
+
+impl<'a> Netlist<'a> {
+    /// Reads the statements, refusing malformed lines, unknown functions
+    /// and names defined twice.
+    fn scan(text: &'a str) -> Result<Netlist<'a>> {
+        let mut netlist = Netlist {
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            dffs: Vec::new(),
+            defs: Vec::new(),
+            directives: Vec::new(),
+            nets: HashMap::new(),
+        };
+        for (idx, raw) in text.lines().enumerate() {
+            let at = Line { no: idx + 1, raw };
+            // Statim directives live inside comments (so classic readers
+            // skip them); intercept before the comment strip.
+            if let Some(directive) = raw.trim().strip_prefix("# statim ") {
+                netlist
+                    .directives
+                    .push(parse_directive(raw, at.no, directive)?);
+                continue;
             }
-            let func = rhs[..open].trim();
-            let args: Vec<&str> = rhs[open + 1..rhs.len() - 1]
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
-            if out.is_empty() || func.is_empty() || args.is_empty() {
-                return Err(NetlistError::Parse {
-                    line: line_no,
-                    col: crate::col_in(raw, line),
-                    message: "empty net name, function or argument list".into(),
-                });
+            let line = match raw.find('#') {
+                Some(p) => &raw[..p],
+                None => raw,
             }
-            if func == "DFF" {
-                if args.len() != 1 {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        col: crate::col_in(raw, rhs),
-                        message: format!("DFF takes exactly one D argument, got {}", args.len()),
+            .trim();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(rest) = strip_decl(line, "INPUT") {
+                netlist.define(at, rest, None)?;
+                netlist.inputs.push(rest);
+            } else if let Some(rest) = strip_decl(line, "OUTPUT") {
+                netlist.outputs.push((at, rest));
+            } else if let Some(eq) = line.find('=') {
+                let out = line[..eq].trim();
+                let rhs = line[eq + 1..].trim();
+                let open = rhs.find('(').ok_or_else(|| {
+                    at.error(rhs, format!("expected FUNC(args) after `=`, got `{rhs}`"))
+                })?;
+                if !rhs.ends_with(')') {
+                    let end = &rhs[rhs.len()..];
+                    return Err(at.error(end, "missing closing parenthesis".into()));
+                }
+                let func = rhs[..open].trim();
+                let args: Vec<&str> = rhs[open + 1..rhs.len() - 1]
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .collect();
+                if out.is_empty() || func.is_empty() || args.is_empty() {
+                    let message = "empty net name, function or argument list";
+                    return Err(at.error(line, message.into()));
+                }
+                if func == "DFF" {
+                    if args.len() != 1 {
+                        let message =
+                            format!("DFF takes exactly one D argument, got {}", args.len());
+                        return Err(at.error(rhs, message));
+                    }
+                    netlist.define(at, out, None)?;
+                    netlist.dffs.push((at, out, args[0]));
+                } else {
+                    let kind = GateKind::from_bench(func, args.len()).ok_or_else(|| {
+                        at.error(func, format!("unsupported gate {func}/{}", args.len()))
+                    })?;
+                    netlist.define(at, out, Some(netlist.defs.len()))?;
+                    netlist.defs.push(Def {
+                        line: at,
+                        out,
+                        kind,
+                        args,
                     });
                 }
-                dffs.push((line_no, out, args[0]));
             } else {
-                defs.push(Def {
-                    line: line_no,
-                    out,
-                    func,
-                    args,
-                });
+                return Err(at.error(line, format!("unrecognized line `{line}`")));
             }
-        } else {
+        }
+        if netlist.inputs.is_empty() && netlist.defs.is_empty() && netlist.dffs.is_empty() {
             return Err(NetlistError::Parse {
-                line: line_no,
-                col: crate::col_in(raw, line),
-                message: format!("unrecognized line `{line}`"),
+                line: 1,
+                col: 1,
+                message: "empty netlist: no INPUT or gate definitions".into(),
             });
         }
-    }
-    if inputs.is_empty() && defs.is_empty() && dffs.is_empty() {
-        return Err(NetlistError::Parse {
-            line: 1,
-            col: 1,
-            message: "empty netlist: no INPUT or gate definitions".into(),
-        });
+        // A gate argument must name a net defined somewhere; the first
+        // that does not, in file order, is the error.
+        for def in &netlist.defs {
+            if let Some(arg) = def.args.iter().find(|a| !netlist.nets.contains_key(*a)) {
+                return Err(def.line.undefined(arg));
+            }
+        }
+        Ok(netlist)
     }
 
-    // Build: PIs first, then register Qs (pseudo-inputs), then gates in
-    // dependency order (iterate until all resolve; the format allows
-    // forward references). Register D pins connect last — `.bench`
-    // sequential feedback means a D driver may be defined anywhere.
-    let mut circuit = Circuit::new(name);
-    for (_, pi) in &inputs {
-        circuit.add_input(*pi)?;
-    }
-    for (line, q, _) in &dffs {
-        circuit.add_register(*q, *line)?;
-    }
-    let mut pending: Vec<&Def> = defs.iter().collect();
-    let mut resolved: HashMap<&str, Signal> = HashMap::new();
-    while !pending.is_empty() {
-        let before = pending.len();
-        let mut still = Vec::new();
-        for d in pending {
-            let sigs: Option<Vec<Signal>> = d
-                .args
-                .iter()
-                .map(|a| circuit.find(a).or_else(|| resolved.get(*a).copied()))
-                .collect();
-            match sigs {
-                Some(sigs) => {
-                    let kind = GateKind::from_bench(d.func, sigs.len()).ok_or(
-                        NetlistError::UnsupportedGate {
-                            function: d.func.to_string(),
-                            arity: sigs.len(),
-                            line: d.line,
-                        },
-                    )?;
-                    let s = circuit.add_gate(d.out, kind, &sigs)?;
-                    resolved.insert(d.out, s);
-                }
-                None => still.push(d),
+    /// Records `net` as defined at `at`, driven by the gate definition
+    /// `gate`, refusing a second definition.
+    fn define(&mut self, at: Line<'a>, net: &'a str, gate: Option<usize>) -> Result<()> {
+        match self.nets.entry(net) {
+            Entry::Occupied(first) => {
+                let first = first.get().line;
+                let message = format!("duplicate name `{net}` (first defined on line {first})");
+                Err(at.error(net, message))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Net { line: at.no, gate });
+                Ok(())
             }
         }
-        if still.len() == before {
-            // No progress: an argument is genuinely undefined (or a cycle).
-            let missing = still
+    }
+
+    /// The gate definitions in the order the circuit adds them: by pass,
+    /// then by file position. A definition's pass is the largest of its
+    /// gate arguments' passes, plus one for an argument defined later in
+    /// the file, and at least 1. A depth-first walk settles every
+    /// argument before its reader and meets a cycle as an argument still
+    /// on its stack.
+    fn order(&self) -> Result<Vec<usize>> {
+        // `pass[i]`: 0 before the walk reaches definition i, OPEN while
+        // it is on the stack.
+        const OPEN: u32 = u32::MAX;
+        let n = self.defs.len();
+        let mut pass = vec![0u32; n];
+        let gate_args = |i: usize| {
+            self.defs[i]
+                .args
                 .iter()
-                .flat_map(|d| d.args.iter())
-                .find(|a| circuit.find(a).is_none())
-                .copied()
-                .unwrap_or("<cyclic definition>");
-            return Err(NetlistError::UndefinedName {
-                name: missing.to_string(),
-            });
+                .filter_map(|&a| Some((a, self.nets.get(a)?.gate?)))
+        };
+        let mut stack = Vec::new();
+        for root in 0..n {
+            if pass[root] != 0 {
+                continue;
+            }
+            pass[root] = OPEN;
+            stack.push((root, gate_args(root)));
+            while let Some((i, args)) = stack.last_mut() {
+                let i = *i;
+                match args.next() {
+                    Some((a, j)) if pass[j] == OPEN => {
+                        let line = self.nets[a].line;
+                        let message =
+                            format!("combinational cycle through `{a}` (defined on line {line})");
+                        return Err(self.defs[i].line.error(a, message));
+                    }
+                    Some((_, j)) if pass[j] == 0 => {
+                        pass[j] = OPEN;
+                        stack.push((j, gate_args(j)));
+                    }
+                    Some(_) => {}
+                    None => {
+                        let later = |(_, j): (&str, usize)| pass[j] + u32::from(j > i);
+                        pass[i] = gate_args(i).map(later).max().unwrap_or(1).max(1);
+                        stack.pop();
+                    }
+                }
+            }
         }
-        pending = still;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| (pass[i], i));
+        Ok(order)
     }
-    for (index, (line, _, d)) in dffs.iter().enumerate() {
-        let s = circuit.find(d).ok_or_else(|| NetlistError::UndefinedName {
-            name: d.to_string(),
-        })?;
-        circuit
-            .connect_register_d(index, s)
-            .map_err(|e| NetlistError::Parse {
-                line: *line,
-                col: 1,
-                message: e.to_string(),
-            })?;
+
+    /// Builds the circuit: primary inputs, then register Qs
+    /// (pseudo-inputs), then the gates in `order`. Register D pins connect
+    /// last — `.bench` sequential feedback means a D driver may be
+    /// defined anywhere — then outputs and directives.
+    fn build(&self, name: &str, order: &[usize]) -> Result<Circuit> {
+        let mut circuit = Circuit::new(name);
+        for pi in &self.inputs {
+            circuit.add_input(*pi)?;
+        }
+        for (at, q, _) in &self.dffs {
+            circuit.add_register(*q, at.no)?;
+        }
+        for &i in order {
+            let def = &self.defs[i];
+            let sigs = def
+                .args
+                .iter()
+                .map(|a| circuit.find(a).ok_or_else(|| def.line.undefined(a)))
+                .collect::<Result<Vec<Signal>>>()?;
+            circuit.add_gate(def.out, def.kind, &sigs)?;
+        }
+        for (index, (at, _, d)) in self.dffs.iter().enumerate() {
+            let s = circuit.find(d).ok_or_else(|| at.undefined(d))?;
+            circuit
+                .connect_register_d(index, s)
+                .map_err(|e| at.error(d, e.to_string()))?;
+        }
+        for (at, po) in &self.outputs {
+            let s = circuit.find(po).ok_or_else(|| at.undefined(po))?;
+            circuit.mark_output(*po, s)?;
+        }
+        for d in &self.directives {
+            apply_directive(&mut circuit, d)?;
+        }
+        Ok(circuit)
     }
-    for (_, po) in &outputs {
-        let s = circuit
-            .find(po)
-            .ok_or_else(|| NetlistError::UndefinedName {
-                name: po.to_string(),
-            })?;
-        circuit.mark_output(*po, s)?;
-    }
-    for d in directives {
-        apply_directive(&mut circuit, d)?;
-    }
-    Ok(circuit)
 }
 
 /// A parsed `# statim ...` directive.
 enum Directive<'a> {
     Drive {
         line: usize,
+        /// The column of `net`.
+        col: usize,
         net: &'a str,
         value: f64,
     },
     Pad {
         line: usize,
+        col: usize,
         net: &'a str,
         value: f64,
     },
@@ -248,7 +348,7 @@ enum Directive<'a> {
     },
 }
 
-fn apply_directive(circuit: &mut Circuit, d: Directive<'_>) -> Result<()> {
+fn apply_directive(circuit: &mut Circuit, d: &Directive<'_>) -> Result<()> {
     let as_parse = |line: usize| {
         move |e: NetlistError| NetlistError::Parse {
             line,
@@ -256,24 +356,33 @@ fn apply_directive(circuit: &mut Circuit, d: Directive<'_>) -> Result<()> {
             message: e.to_string(),
         }
     };
-    let overlay_gate = |circuit: &Circuit, line: usize, net: &str| match circuit.find(net) {
-        Some(Signal::Gate(id)) => Ok(id),
-        Some(Signal::Input(_)) => Err(NetlistError::Parse {
-            line,
-            col: 1,
-            message: format!("statim directive targets primary input `{net}`, not a gate"),
-        }),
-        None => Err(NetlistError::UndefinedName {
-            name: net.to_string(),
-        }),
+    let overlay_gate = |circuit: &Circuit, line: usize, col: usize, net: &str| {
+        let message = match circuit.find(net) {
+            Some(Signal::Gate(id)) => return Ok(id),
+            Some(Signal::Input(_)) => {
+                format!("statim directive targets primary input `{net}`, not a gate")
+            }
+            None => format!("undefined name `{net}`"),
+        };
+        Err(NetlistError::Parse { line, col, message })
     };
-    match d {
-        Directive::Drive { line, net, value } => {
-            let id = overlay_gate(circuit, line, net)?;
+    match *d {
+        Directive::Drive {
+            line,
+            col,
+            net,
+            value,
+        } => {
+            let id = overlay_gate(circuit, line, col, net)?;
             circuit.set_drive(id, value).map_err(as_parse(line))
         }
-        Directive::Pad { line, net, value } => {
-            let id = overlay_gate(circuit, line, net)?;
+        Directive::Pad {
+            line,
+            col,
+            net,
+            value,
+        } => {
+            let id = overlay_gate(circuit, line, col, net)?;
             circuit.set_pad(id, value).map_err(as_parse(line))
         }
         Directive::ClockPeriod { line, value } => {
@@ -311,10 +420,21 @@ fn parse_directive<'a>(raw: &str, line: usize, directive: &'a str) -> Result<Dir
             let value: f64 = value
                 .parse()
                 .map_err(|_| bad(format!("invalid {verb} value `{value}`")))?;
+            let col = crate::col_in(raw, net);
             if verb == "drive" {
-                Directive::Drive { line, net, value }
+                Directive::Drive {
+                    line,
+                    col,
+                    net,
+                    value,
+                }
             } else {
-                Directive::Pad { line, net, value }
+                Directive::Pad {
+                    line,
+                    col,
+                    net,
+                    value,
+                }
             }
         }
         "clock" => {
@@ -542,30 +662,69 @@ y = NOT(a)
         assert_eq!(c.gate_count(), 1);
     }
 
+    /// `text`'s parse error as `(line, col, message)`.
+    fn parse_error(text: &str) -> (usize, usize, String) {
+        match parse("t", text) {
+            Err(NetlistError::Parse { line, col, message }) => (line, col, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn error_on_unknown_function() {
         let text = "INPUT(a)\nOUTPUT(b)\nb = MAJ(a, a, a)\n";
-        match parse("t", text) {
-            Err(NetlistError::UnsupportedGate {
-                function,
-                arity,
-                line,
-            }) => {
-                assert_eq!(function, "MAJ");
-                assert_eq!(arity, 3);
-                assert_eq!(line, 3);
-            }
-            other => panic!("expected UnsupportedGate, got {other:?}"),
-        }
+        let (line, col, message) = parse_error(text);
+        assert_eq!((line, col), (3, 5));
+        assert_eq!(message, "unsupported gate MAJ/3");
     }
 
     #[test]
     fn error_on_undefined_net() {
         let text = "INPUT(a)\nOUTPUT(b)\nb = NOT(ghost)\n";
-        assert!(matches!(
-            parse("t", text),
-            Err(NetlistError::UndefinedName { .. })
-        ));
+        let (line, col, message) = parse_error(text);
+        assert_eq!((line, col), (3, 9));
+        assert_eq!(message, "undefined name `ghost`");
+    }
+
+    /// Every name-resolution error points at the reference, or at the
+    /// second definition.
+    #[test]
+    fn name_errors_carry_line_and_column() {
+        for (text, at, fragment) in [
+            // A gate argument, the first undefined one in file order.
+            ("INPUT(a)\nx = NOT(b)\ny = NAND(a, ghost)\n", (2, 9), "`b`"),
+            // A DFF D pin, an output, a directive target.
+            ("INPUT(a)\nq = DFF(ghost)\n", (2, 9), "`ghost`"),
+            ("INPUT(a)\nx = NOT(a)\nOUTPUT(ghost)\n", (3, 8), "`ghost`"),
+            (
+                "INPUT(a)\nx = NOT(a)\n# statim pad  ghost 1e-12\n",
+                (3, 15),
+                "`ghost`",
+            ),
+            // Names defined twice, in each namespace pairing.
+            ("INPUT(a)\nINPUT(a)\n", (2, 7), "first defined on line 1"),
+            (
+                "INPUT(a)\nx = NOT(a)\n  x = NOT(a)\n",
+                (3, 3),
+                "first defined on line 2",
+            ),
+            (
+                "INPUT(a)\nq = DFF(a)\nq = NOT(a)\n",
+                (3, 1),
+                "duplicate name `q`",
+            ),
+            // Cycles, through two gates and through one.
+            (
+                "INPUT(a)\nx = NAND(a, y)\ny = NOT(x)\n",
+                (3, 9),
+                "cycle through `x`",
+            ),
+            ("INPUT(a)\nx = NAND(a, x)\n", (2, 13), "(defined on line 2)"),
+        ] {
+            let (line, col, message) = parse_error(text);
+            assert_eq!((line, col), at, "{text:?}: {message}");
+            assert!(message.contains(fragment), "{text:?}: {message}");
+        }
     }
 
     #[test]
@@ -642,10 +801,9 @@ y = NOT(a)
                 other => panic!("`{extra}` should fail as Parse, got {other:?}"),
             }
         }
-        assert!(matches!(
-            parse("t", &format!("{base}# statim drive ghost 2.0\n")),
-            Err(NetlistError::UndefinedName { .. })
-        ));
+        let (line, col, message) = parse_error(&format!("{base}# statim drive ghost 2.0\n"));
+        assert_eq!((line, col), (4, 16));
+        assert_eq!(message, "undefined name `ghost`");
     }
 
     const S_TINY: &str = "\
@@ -713,15 +871,13 @@ d = XOR(x, q)
             other => panic!("expected Parse for 2-input DFF, got {other:?}"),
         }
         // Undefined D net.
-        assert!(matches!(
-            parse("t", "INPUT(a)\nOUTPUT(q)\nq = DFF(ghost)\n"),
-            Err(NetlistError::UndefinedName { .. })
-        ));
+        let (line, col, message) = parse_error("INPUT(a)\nOUTPUT(q)\nq = DFF(ghost)\n");
+        assert_eq!((line, col), (3, 9));
+        assert_eq!(message, "undefined name `ghost`");
         // Duplicate Q name.
-        assert!(matches!(
-            parse("t", "INPUT(a)\na = DFF(a)\n"),
-            Err(NetlistError::DuplicateName { .. })
-        ));
+        let (line, col, message) = parse_error("INPUT(a)\na = DFF(a)\n");
+        assert_eq!((line, col), (2, 1));
+        assert!(message.starts_with("duplicate name `a`"), "{message}");
     }
 
     #[test]
@@ -748,6 +904,78 @@ d = XOR(x, q)
                 Err(NetlistError::Parse { line: 5, .. }) => {}
                 other => panic!("`{extra}` should fail as Parse at line 5, got {other:?}"),
             }
+        }
+    }
+
+    /// The resolver `parse` used before pass numbers: sweep the pending
+    /// definitions in file order, adding each whose arguments all
+    /// resolve, until none is left. Quadratic when definitions come in
+    /// reverse, but the order it adds gates in is what `parse` keeps.
+    fn fixpoint_order(netlist: &Netlist<'_>) -> Vec<usize> {
+        let mut known: std::collections::HashSet<&str> = netlist.inputs.iter().copied().collect();
+        known.extend(netlist.dffs.iter().map(|&(_, q, _)| q));
+        let mut pending: Vec<usize> = (0..netlist.defs.len()).collect();
+        let mut order = Vec::new();
+        while !pending.is_empty() {
+            let before = pending.len();
+            pending.retain(|&i| {
+                let def = &netlist.defs[i];
+                let ready = def.args.iter().all(|a| known.contains(a));
+                if ready {
+                    known.insert(def.out);
+                    order.push(i);
+                }
+                !ready
+            });
+            assert!(pending.len() < before, "a pass resolved nothing");
+        }
+        order
+    }
+
+    /// `text` with its definition lines (gates and DFFs) shuffled among
+    /// their positions by a seeded xorshift.
+    fn shuffle_definitions(text: &str, mut seed: u64) -> String {
+        let mut lines: Vec<&str> = text.lines().collect();
+        let at: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].contains(" = "))
+            .collect();
+        let mut defs: Vec<&str> = at.iter().map(|&i| lines[i]).collect();
+        for k in (1..defs.len()).rev() {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            defs.swap(k, (seed % (k as u64 + 1)) as usize);
+        }
+        for (&i, def) in at.iter().zip(defs) {
+            lines[i] = def;
+        }
+        lines.join("\n")
+    }
+
+    #[test]
+    fn pass_order_matches_the_fixpoint_resolver_on_shuffled_builtins() {
+        use crate::generators::{iscas85, sequential};
+        let mut circuits: Vec<Circuit> = iscas85::Benchmark::ALL
+            .iter()
+            .map(|&b| iscas85::generate(b))
+            .collect();
+        circuits.push(sequential::s27());
+        for (stages, width) in [(2, 8), (4, 16), (8, 32)] {
+            circuits.push(sequential::pipeline(stages, width).unwrap());
+        }
+        for circuit in &circuits {
+            let text = write(circuit);
+            for seed in [0x9e37_79b9_7f4a_7c15, 7, 2026] {
+                let shuffled = shuffle_definitions(&text, seed);
+                let netlist = Netlist::scan(&shuffled).unwrap();
+                let want = netlist
+                    .build(circuit.name(), &fixpoint_order(&netlist))
+                    .unwrap();
+                let got = parse(circuit.name(), &shuffled).unwrap();
+                assert!(got == want, "{} seed {seed}", circuit.name());
+            }
+            // In file order every gate keeps its place.
+            assert_eq!(write(&parse(circuit.name(), &text).unwrap()), text);
         }
     }
 

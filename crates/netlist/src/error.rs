@@ -36,15 +36,6 @@ pub enum NetlistError {
         /// Description of the problem.
         message: String,
     },
-    /// A gate function name or arity is not supported by the delay model.
-    UnsupportedGate {
-        /// The function name.
-        function: String,
-        /// The arity encountered.
-        arity: usize,
-        /// 1-based line number (0 when synthesized programmatically).
-        line: usize,
-    },
     /// A referenced name was never defined.
     UndefinedName {
         /// The missing name.
@@ -71,7 +62,6 @@ impl NetlistError {
     pub fn location(&self) -> Option<(usize, usize)> {
         match self {
             NetlistError::Parse { line, col, .. } => Some((*line, *col)),
-            NetlistError::UnsupportedGate { line, .. } if *line > 0 => Some((*line, 0)),
             _ => None,
         }
     }
@@ -97,13 +87,6 @@ impl fmt::Display for NetlistError {
                 } else {
                     write!(f, "line {line}: {message}")
                 }
-            }
-            NetlistError::UnsupportedGate {
-                function,
-                arity,
-                line,
-            } => {
-                write!(f, "line {line}: unsupported gate {function}/{arity}")
             }
             NetlistError::UndefinedName { name } => write!(f, "undefined name `{name}`"),
             NetlistError::PlacementMismatch { gates, placed } => {

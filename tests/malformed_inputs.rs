@@ -16,15 +16,23 @@ enum Format {
 }
 
 /// filename → (format, expects a source location, message fragment).
-/// Errors raised while *resolving* names (undefined nets, cycles) have
-/// no single offending character, so they carry no line/col.
+/// Errors raised while *resolving* names point at the reference (an
+/// undefined net, the argument that closes a cycle) or at the second
+/// definition of a duplicate; only DEF's missing DIEAREA, a statement
+/// that is absent, has no line to point at.
 const CORPUS: &[(&str, Format, bool, &str)] = &[
     ("bench_truncated_gate.bench", Format::Bench, true, ""),
-    ("bench_unknown_gate.bench", Format::Bench, false, "MAJ"),
-    ("bench_undefined_net.bench", Format::Bench, false, "ghost"),
-    ("bench_duplicate_gate.bench", Format::Bench, false, "x"),
+    ("bench_unknown_gate.bench", Format::Bench, true, "MAJ"),
+    ("bench_undefined_net.bench", Format::Bench, true, "ghost"),
+    (
+        "bench_undefined_drive_target.bench",
+        Format::Bench,
+        true,
+        "ghost",
+    ),
+    ("bench_duplicate_gate.bench", Format::Bench, true, "x"),
     ("bench_empty.bench", Format::Bench, true, "empty"),
-    ("bench_cyclic.bench", Format::Bench, false, ""),
+    ("bench_cyclic.bench", Format::Bench, true, "cycl"),
     ("bench_garbage_line.bench", Format::Bench, true, ""),
     ("bench_missing_rhs.bench", Format::Bench, true, ""),
     (
