@@ -132,7 +132,8 @@ fn reject_mc_only_flags(a: &AnalyzeArgs, cmd: &str) -> DynResult {
 fn analyze(a: AnalyzeArgs) -> DynResult {
     reject_mc_only_flags(&a, "analyze")?;
     let top = a.top;
-    let (_, _, report) = run_engine(&a)?;
+    let (circuit, placement) = build_setup(&a)?;
+    let report = SstaEngine::new(a.config.clone()).run(&circuit, &placement)?;
     print!("{}", statim_core::report::summary(&report));
     println!("  run time                     : {:.3} s", report.runtime);
     let an = report.profile.analyze;
@@ -152,8 +153,8 @@ fn analyze(a: AnalyzeArgs) -> DynResult {
 }
 
 /// Loads the circuit and resolves its placement — the shared front half
-/// of `run_engine`, `eco`, `seq` and `mc` — then reports any option value
-/// the table refused.
+/// of every analysis command — then reports any option value the table
+/// refused.
 fn build_setup(a: &AnalyzeArgs) -> Result<(Circuit, Placement), StatimError> {
     let circuit = load_circuit(a)?;
     let placement = a.placement.resolve(&circuit)?;
@@ -161,16 +162,6 @@ fn build_setup(a: &AnalyzeArgs) -> Result<(Circuit, Placement), StatimError> {
         Some(e) => Err(e.clone()),
         None => Ok((circuit, placement)),
     }
-}
-
-/// Loads circuit and placement from analyze-style args, then runs the
-/// engine on their configuration.
-fn run_engine(
-    a: &AnalyzeArgs,
-) -> Result<(statim_netlist::Circuit, Placement, statim_core::SstaReport), StatimError> {
-    let (circuit, placement) = build_setup(a)?;
-    let report = SstaEngine::new(a.config.clone()).run(&circuit, &placement)?;
-    Ok((circuit, placement, report))
 }
 
 fn eco(a: AnalyzeArgs, script_path: &str, emit_bench: Option<String>) -> DynResult {
@@ -210,9 +201,12 @@ fn eco(a: AnalyzeArgs, script_path: &str, emit_bench: Option<String>) -> DynResu
 }
 
 fn timing_yield(a: AnalyzeArgs, target: f64) -> DynResult {
-    use statim_core::timing_yield::{period_for_yield, yield_curve};
+    use statim_core::timing_yield::{check_target, period_for_yield, yield_curve};
     reject_mc_only_flags(&a, "yield")?;
-    let (_, _, report) = run_engine(&a)?;
+    let (circuit, placement) = build_setup(&a)?;
+    // Refused before the analysis runs, as `statim seq` refuses it.
+    check_target(target)?;
+    let report = SstaEngine::new(a.config.clone()).run(&circuit, &placement)?;
     println!(
         "circuit {} — {} near-critical paths, critical 3σ point {:.3} ps",
         report.circuit,
@@ -236,7 +230,7 @@ fn timing_yield(a: AnalyzeArgs, target: f64) -> DynResult {
             t * 1e12,
             report.worst_case_delay * 1e12
         ),
-        None => println!("\ninvalid yield target {target}"),
+        None => println!("\nno period reaches {:.1}% yield", target * 100.0),
     }
     Ok(())
 }

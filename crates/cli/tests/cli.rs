@@ -263,6 +263,40 @@ fn mc_zero_samples_is_a_config_error() {
     assert!(err.contains("sample count, got 0"), "{err}");
 }
 
+#[test]
+fn yield_refuses_an_invalid_target_like_seq() {
+    // Refused as a config error (exit 3) before any analysis runs, with
+    // the message `statim seq` prints for the same target; stdout stays
+    // empty.
+    for target in ["1.5", "0", "nan"] {
+        let mut outputs = Vec::new();
+        for cmd in [
+            ["yield", "--benchmark", "c432"],
+            ["seq", "--benchmark", "s27"],
+        ] {
+            let out = statim()
+                .args(cmd)
+                .args(["--target", target])
+                .output()
+                .expect("run statim");
+            assert_eq!(out.status.code(), Some(3), "{cmd:?} {target}: {out:?}");
+            assert!(out.stdout.is_empty(), "{cmd:?} {target}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert!(err.contains("outside (0, 1]"), "{cmd:?} {target}: {err}");
+            outputs.push(err);
+        }
+        assert_eq!(outputs[0], outputs[1], "target {target}");
+    }
+    // A valid target still solves.
+    let out = statim()
+        .args(["yield", "--benchmark", "c432", "--target", "0.5"])
+        .output()
+        .expect("run statim yield");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("period for 50.0% yield"), "{text}");
+}
+
 /// A child process killed when dropped, so a failed assertion cannot
 /// leak it.
 struct Reaped(Child);

@@ -11,6 +11,7 @@ use crate::{inter, Result};
 use statim_netlist::{GateId, Placement};
 use statim_process::delay::CornerSpec;
 use statim_process::param::Variations;
+use statim_process::tech::AlphaBeta;
 use statim_process::Technology;
 use statim_stats::convolve::{sum_pdf_resampled_with, ConvolveBackend};
 use statim_stats::{Marginal, Pdf};
@@ -178,51 +179,27 @@ pub fn analyze_path_cached(
     let worst_case = worst_case_path_delay_at(path, timing, tech, &corner_pt)?;
 
     // Intra: eq. (14) variance (closed form, Gaussian inputs) or the
-    // per-RV numerical convolution (any marginal).
+    // per-RV numerical convolution (any marginal); then the inter-die
+    // PDF and the total.
     let coeffs = path_coefficients(path, timing, placement, &settings.layers);
-    let intra = match settings.intra_model {
+    let ab = timing.path_alpha_beta(path);
+    let [intra, inter, total] = match settings.intra_model {
         IntraModel::GaussianClosedForm => {
             let var_intra = intra_variance(&coeffs, &settings.layers, &settings.vars)?;
-            let compute = || intra_pdf(var_intra, settings.vars.trunc_k, settings.quality_intra);
-            match cache {
-                Some(c) => c.intra_pdf(var_intra, compute)?,
-                None => compute()?,
-            }
+            closed_form_pdfs(var_intra, &ab, tech, settings, cache)?
         }
-        IntraModel::Numerical => intra_pdf_numerical(
-            &coeffs,
-            &settings.layers,
-            &settings.vars,
-            settings.marginal,
-            settings.quality_intra,
-            settings.backend,
-        )?,
+        IntraModel::Numerical => {
+            let intra = intra_pdf_numerical(
+                &coeffs,
+                &settings.layers,
+                &settings.vars,
+                settings.marginal,
+                settings.quality_intra,
+                settings.backend,
+            )?;
+            with_inter(intra, &ab, tech, settings, cache)?
+        }
     };
-
-    // Inter: numerical non-linear PDF.
-    let ab = timing.path_alpha_beta(path);
-    let compute_inter = || {
-        inter::inter_pdf(
-            &ab,
-            tech,
-            &settings.vars,
-            &settings.layers,
-            settings.marginal,
-            settings.quality_inter,
-        )
-    };
-    let inter = match cache {
-        Some(c) => c.inter_pdf(&ab, compute_inter)?,
-        None => compute_inter()?,
-    };
-
-    // Total: convolution (paper: O(QUALITY²); O(Q log Q) on Fft).
-    let total = sum_pdf_resampled_with(
-        settings.backend,
-        &intra,
-        &inter,
-        settings.quality_intra.max(settings.quality_inter),
-    )?;
 
     let mean = total.mean();
     let sigma = total.std_dev();
@@ -239,6 +216,58 @@ pub fn analyze_path_cached(
         intra_pdf: intra,
         inter_pdf: inter,
     })
+}
+
+/// The closed-form kernels of one delay, shared by path analysis and
+/// the sequential checks: `[intra, inter, total]`, where the intra-die
+/// PDF is the Gaussian of eq. (14) variance `var_intra` (keyed in the
+/// cache by its bits) and the rest is [`with_inter`].
+pub(crate) fn closed_form_pdfs(
+    var_intra: f64,
+    ab: &AlphaBeta,
+    tech: &Technology,
+    settings: &AnalysisSettings,
+    cache: Option<&AnalysisCache>,
+) -> Result<[Pdf; 3]> {
+    let compute = || intra_pdf(var_intra, settings.vars.trunc_k, settings.quality_intra);
+    let intra = match cache {
+        Some(c) => c.intra_pdf(var_intra, compute)?,
+        None => compute()?,
+    };
+    with_inter(intra, ab, tech, settings, cache)
+}
+
+/// `[intra, inter, total]`: the numerical non-linear inter-die PDF at the
+/// summed coefficients `ab` (keyed in the cache by their bits), and its
+/// convolution with `intra` (paper: O(QUALITY²); O(Q log Q) on Fft).
+fn with_inter(
+    intra: Pdf,
+    ab: &AlphaBeta,
+    tech: &Technology,
+    settings: &AnalysisSettings,
+    cache: Option<&AnalysisCache>,
+) -> Result<[Pdf; 3]> {
+    let compute = || {
+        inter::inter_pdf(
+            ab,
+            tech,
+            &settings.vars,
+            &settings.layers,
+            settings.marginal,
+            settings.quality_inter,
+        )
+    };
+    let inter = match cache {
+        Some(c) => c.inter_pdf(ab, compute)?,
+        None => compute()?,
+    };
+    let total = sum_pdf_resampled_with(
+        settings.backend,
+        &intra,
+        &inter,
+        settings.quality_intra.max(settings.quality_inter),
+    )?;
+    Ok([intra, inter, total])
 }
 
 impl PathAnalysis {

@@ -11,11 +11,10 @@
 //! This module implements that baseline faithfully so the criticism can
 //! be measured: each gate's delay is an independent Gaussian whose σ
 //! comes from the full (unsplit) parameter variances through the gate's
-//! delay gradient; arrival PDFs propagate level by level over the
-//! [`TimingGraph`] IR with independent-sum (convolution) and
-//! independent-max (CDF product) kernels, at `O(|N|·QUALITY²)` cost.
-//! The propagation schedule comes from the IR's levelization; the
-//! per-gate MAX still folds the *raw netlist pins in pin order*
+//! delay gradient; arrival PDFs propagate over the gates in id order
+//! (the netlist's topological order) with independent-sum (convolution)
+//! and independent-max (CDF product) kernels, at `O(|N|·QUALITY²)` cost.
+//! The per-gate MAX folds the *raw netlist pins in pin order*
 //! (duplicate drivers included — the independent-max kernel is not
 //! idempotent, so collapsing duplicates would change the baseline).
 //!
@@ -26,7 +25,6 @@
 //! and this baseline cannot.
 
 use crate::characterize::CircuitTiming;
-use crate::graph::TimingGraph;
 use crate::{CoreError, Result};
 use statim_netlist::{Circuit, Signal};
 use statim_process::param::Variations;
@@ -70,75 +68,48 @@ pub fn independent_gate_sigma(timing: &CircuitTiming, gate: usize, vars: &Variat
         .sqrt()
 }
 
-/// Runs the block-based propagation at `quality` discretization points,
-/// building the [`TimingGraph`] IR internally. Callers that already hold
-/// the IR (the incremental engine) use [`block_based_on_graph`].
+/// Runs the block-based propagation at `quality` discretization points.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyCircuit`] without gate-driven outputs and
-/// propagates numerical failures.
+/// Returns [`CoreError::EmptyCircuit`] without gates or gate-driven
+/// outputs and propagates numerical failures.
 pub fn block_based_sta(
     circuit: &Circuit,
     timing: &CircuitTiming,
     vars: &Variations,
     quality: usize,
 ) -> Result<BlockBasedResult> {
-    let graph = TimingGraph::build(circuit)?;
-    block_based_on_graph(circuit, &graph, timing, vars, quality)
-}
-
-/// The block-based propagation on a pre-built [`TimingGraph`]: gates are
-/// visited level by level (the IR's schedule), which is observably
-/// identical to any topological order because each gate reads only
-/// earlier-level arrivals.
-///
-/// # Errors
-///
-/// As [`block_based_sta`].
-pub fn block_based_on_graph(
-    circuit: &Circuit,
-    graph: &TimingGraph,
-    timing: &CircuitTiming,
-    vars: &Variations,
-    quality: usize,
-) -> Result<BlockBasedResult> {
-    if circuit.gate_count() == 0 {
-        return Err(CoreError::EmptyCircuit);
-    }
-    let mut arrival: Vec<Option<Pdf>> = vec![None; circuit.gate_count()];
-    for level in graph.levels() {
-        for &g in level {
-            // Incoming arrival: independent max over the raw netlist
-            // pins in pin order, duplicates included (primary inputs
-            // arrive at t = 0 and are absorbed by the max identity).
-            let gate = circuit.gate(g);
-            let mut incoming: Option<Pdf> = None;
-            for s in &gate.inputs {
-                if let Signal::Gate(src) = s {
-                    let a = arrival[src.index()].as_ref().expect("level order");
-                    incoming = Some(match incoming {
-                        None => a.clone(),
-                        Some(acc) => max_pdf(&acc, a, quality)?,
-                    });
-                }
+    let mut arrival: Vec<Pdf> = Vec::with_capacity(circuit.gate_count());
+    for (g, gate) in circuit.gate_ids().zip(circuit.gates()) {
+        // Incoming arrival: independent max over the raw netlist pins in
+        // pin order, duplicates included (primary inputs arrive at t = 0
+        // and are absorbed by the max identity). Every gate input has a
+        // lower id, so its arrival is already computed.
+        let mut incoming: Option<Pdf> = None;
+        for s in &gate.inputs {
+            if let Signal::Gate(src) = s {
+                let a = &arrival[src.index()];
+                incoming = Some(match incoming {
+                    None => a.clone(),
+                    Some(acc) => max_pdf(&acc, a, quality)?,
+                });
             }
-            // Own delay PDF: independent Gaussian around the nominal delay.
-            let nominal = timing.gate(g).nominal;
-            let sigma = independent_gate_sigma(timing, g.index(), vars);
-            let delay =
-                try_gaussian_pdf(nominal, sigma.max(nominal * 1e-9), vars.trunc_k, quality)?;
-            arrival[g.index()] = Some(match incoming {
-                None => delay,
-                Some(inc) => sum_pdf_resampled_with(ConvolveBackend::Grid, &inc, &delay, quality)?,
-            });
         }
+        // Own delay PDF: independent Gaussian around the nominal delay.
+        let nominal = timing.gate(g).nominal;
+        let sigma = independent_gate_sigma(timing, g.index(), vars);
+        let delay = try_gaussian_pdf(nominal, sigma.max(nominal * 1e-9), vars.trunc_k, quality)?;
+        arrival.push(match incoming {
+            None => delay,
+            Some(inc) => sum_pdf_resampled_with(ConvolveBackend::Grid, &inc, &delay, quality)?,
+        });
     }
     let mut po_pdfs = Vec::new();
     let mut circuit_pdf: Option<Pdf> = None;
     for (name, s) in circuit.outputs() {
         if let Signal::Gate(g) = s {
-            let pdf = arrival[g.index()].clone().expect("computed above");
+            let pdf = arrival[g.index()].clone();
             circuit_pdf = Some(match circuit_pdf {
                 None => pdf.clone(),
                 Some(acc) => max_pdf(&acc, &pdf, quality)?,
@@ -264,21 +235,6 @@ mod tests {
         // And the whole result is bit-stable across repeat runs.
         let again = block_based_sta(&c, &t, &vars, 40).unwrap();
         assert_eq!(r, again);
-    }
-
-    #[test]
-    fn graph_schedule_matches_id_order_propagation() {
-        // Level-order (IR) and id-order propagation are the same
-        // computation: each gate only reads earlier-level arrivals.
-        // Compare against an explicitly id-ordered reference.
-        let c = iscas85::generate(Benchmark::C432);
-        let tech = Technology::cmos130();
-        let vars = Variations::date05();
-        let t = characterize(&c, &tech).unwrap();
-        let graph = TimingGraph::build(&c).unwrap();
-        let via_graph = block_based_on_graph(&c, &graph, &t, &vars, 50).unwrap();
-        let direct = block_based_sta(&c, &t, &vars, 50).unwrap();
-        assert_eq!(via_graph, direct);
     }
 
     #[test]

@@ -216,6 +216,22 @@ impl SstaConfig {
         }
     }
 
+    /// The run's kernel cache when `cache` is on: a view over `store`
+    /// when the caller shares one, else over a fresh store bounded at
+    /// `cache_capacity`. The one constructor the combinational and
+    /// sequential runs share.
+    pub(crate) fn kernel_cache(
+        &self,
+        store: Option<Arc<KernelStore>>,
+        settings: &AnalysisSettings,
+    ) -> Option<AnalysisCache> {
+        self.cache.then(|| {
+            let store =
+                store.unwrap_or_else(|| Arc::new(KernelStore::with_capacity(self.cache_capacity)));
+            AnalysisCache::with_store(store, &self.tech, settings)
+        })
+    }
+
     pub(crate) fn validate(&self) -> Result<()> {
         if self.confidence < 0.0 || !self.confidence.is_finite() {
             return Err(CoreError::InvalidConfig {
@@ -710,12 +726,7 @@ impl SstaEngine {
         //    yields σ_C. The kernel cache (when enabled) is shared with
         //    the step-5 fan-out, so anything computed here is a hit there.
         let t0 = Instant::now();
-        let cache = self.config.cache.then(|| {
-            let store = store.unwrap_or_else(|| {
-                Arc::new(KernelStore::with_capacity(self.config.cache_capacity))
-            });
-            AnalysisCache::with_store(store, &self.config.tech, &settings)
-        });
+        let cache = self.config.kernel_cache(store, &settings);
         // Snapshot the (possibly shared, already-warm) store so the
         // profile reports this run's own hits/misses/evictions, not the
         // store's lifetime totals. Occupancy stays absolute.

@@ -205,23 +205,17 @@ impl std::error::Error for StatimError {}
 
 impl From<CoreError> for StatimError {
     fn from(e: CoreError) -> Self {
-        let class = e.classify();
-        let (line, col) = match &e {
-            CoreError::Netlist(ne) => match ne.location() {
-                Some((l, c)) => (Some(l).filter(|&l| l > 0), Some(c).filter(|&c| c > 0)),
-                None => (None, None),
-            },
-            CoreError::CheckpointParse { line, .. }
-            | CoreError::EcoParse { line, .. }
-            | CoreError::EcoApply { line, .. } => (Some(*line).filter(|&l| l > 0), None),
-            _ => (None, None),
-        };
+        let location = e.location();
+        // A lifted location renders once, from the flat error's own
+        // fields; the message keeps the rest of the text.
+        let mut message = String::new();
+        let _ = e.write(&mut message, location.is_none());
         StatimError {
-            class,
-            message: e.to_string(),
+            class: e.classify(),
+            message,
             file: None,
-            line,
-            col,
+            line: location.map(|(line, _)| line),
+            col: location.map(|(_, col)| col).filter(|&c| c > 0),
         }
     }
 }
@@ -244,10 +238,35 @@ impl From<std::io::Error> for StatimError {
     }
 }
 
-impl fmt::Display for CoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl CoreError {
+    /// The 1-based `(line, col)` this error points at (`col` 0 when only
+    /// the line is known); `None` without a source line.
+    fn location(&self) -> Option<(usize, usize)> {
+        match self {
+            CoreError::Netlist(e) => e.location(),
+            CoreError::CheckpointParse { line, .. }
+            | CoreError::EcoParse { line, .. }
+            | CoreError::EcoApply { line, .. } => Some((*line, 0)),
+            _ => None,
+        }
+        .filter(|&(line, _)| line > 0)
+    }
+
+    /// Writes the error text, naming its source location only when
+    /// `with_location` asks.
+    fn write(&self, f: &mut dyn fmt::Write, with_location: bool) -> fmt::Result {
+        let at_line = |line: &usize| {
+            if with_location {
+                format!(" at line {line}")
+            } else {
+                String::new()
+            }
+        };
         match self {
             CoreError::Stats(e) => write!(f, "statistics error: {e}"),
+            CoreError::Netlist(NetlistError::Parse { message, .. }) if !with_location => {
+                write!(f, "netlist error: {message}")
+            }
             CoreError::Netlist(e) => write!(f, "netlist error: {e}"),
             CoreError::EmptyCircuit => write!(f, "circuit has no gates or outputs"),
             CoreError::InvalidConfig { message } => write!(f, "invalid config: {message}"),
@@ -270,7 +289,7 @@ impl fmt::Display for CoreError {
                 )
             }
             CoreError::CheckpointParse { line, message } => {
-                write!(f, "checkpoint parse error at line {line}: {message}")
+                write!(f, "checkpoint parse error{}: {message}", at_line(line))
             }
             CoreError::CheckpointIo { message } => {
                 write!(f, "checkpoint I/O error: {message}")
@@ -282,12 +301,18 @@ impl fmt::Display for CoreError {
                 )
             }
             CoreError::EcoParse { line, message } => {
-                write!(f, "eco script parse error at line {line}: {message}")
+                write!(f, "eco script parse error{}: {message}", at_line(line))
             }
             CoreError::EcoApply { line, message } => {
-                write!(f, "eco edit at line {line} cannot be applied: {message}")
+                write!(f, "eco edit{} cannot be applied: {message}", at_line(line))
             }
         }
+    }
+}
+
+impl fmt::Display for CoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, true)
     }
 }
 
@@ -412,6 +437,15 @@ mod tests {
         assert_eq!(e.class, ErrorClass::Parse);
         assert_eq!(e.line, Some(4));
         assert!(e.to_string().contains("line 4"), "{e}");
+        // The location renders once, from the flat error's own fields.
+        assert_eq!(
+            e.clone().with_file("fix.eco").to_string(),
+            "parse error at fix.eco:4: eco script parse error: bad float"
+        );
+        assert_eq!(
+            e.to_string(),
+            "parse error at line 4: eco script parse error: bad float"
+        );
         let e: StatimError = CoreError::EcoApply {
             line: 7,
             message: "gate `zz` not found".into(),
@@ -420,6 +454,19 @@ mod tests {
         assert_eq!(e.class, ErrorClass::Config);
         assert_eq!(e.line, Some(7));
         assert!(e.to_string().contains("cannot be applied"), "{e}");
+        assert_eq!(
+            e.with_file("fix.eco").to_string(),
+            "config error at fix.eco:7: eco edit cannot be applied: gate `zz` not found"
+        );
+        // The core error itself still names its line.
+        let core = CoreError::EcoApply {
+            line: 7,
+            message: "gate `zz` not found".into(),
+        };
+        assert_eq!(
+            core.to_string(),
+            "eco edit at line 7 cannot be applied: gate `zz` not found"
+        );
     }
 
     #[test]
@@ -432,6 +479,10 @@ mod tests {
         assert_eq!(e.class, ErrorClass::Parse);
         assert_eq!(e.line, Some(5));
         assert!(e.to_string().contains("line 5"), "{e}");
+        assert_eq!(
+            e.with_file("run.ckpt").to_string(),
+            "parse error at run.ckpt:5: checkpoint parse error: duplicate chunk"
+        );
         let b = CoreError::BudgetExhausted {
             budget: BudgetKind::McSamples,
         };
@@ -451,8 +502,24 @@ mod tests {
         assert_eq!(e.col, Some(7));
         let shown = e.clone().with_file("c432.bench").to_string();
         assert!(shown.contains("c432.bench:3:7"), "{shown}");
+        assert_eq!(
+            shown,
+            "parse error at c432.bench:3:7: netlist error: bad token"
+        );
         let no_file = e.to_string();
         assert!(no_file.contains("line 3, col 7"), "{no_file}");
+        assert_eq!(no_file.matches("line 3").count(), 1, "{no_file}");
+
+        // Without a source line there is nothing to lift: the text stays
+        // whole.
+        let e: StatimError = NetlistError::Parse {
+            line: 0,
+            col: 0,
+            message: "missing DIEAREA".into(),
+        }
+        .into();
+        assert_eq!((e.line, e.col), (None, None));
+        assert_eq!(e.message, "netlist error: line 0: missing DIEAREA");
 
         let io: StatimError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
         assert_eq!(io.class, ErrorClass::Resource);

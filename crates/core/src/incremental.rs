@@ -1,4 +1,4 @@
-//! Incremental ECO re-analysis on the timing-graph IR.
+//! Incremental ECO re-analysis on the engine's own stages.
 //!
 //! An engineering change order (ECO) edits a handful of gates; a full
 //! re-run re-characterizes, re-labels and re-analyzes everything. This

@@ -29,10 +29,11 @@
 //! per-path kernels), [`supervise`] (panic isolation, deterministic
 //! retry, run budgets and Monte-Carlo checkpoint/resume), [`store`]
 //! (the persistent on-disk result store behind [`service`]), [`graph`]
-//! (the levelized timing-graph IR), [`incremental`] (ECO edit scripts
-//! and dirty-cone incremental re-analysis), [`options`] (the option
-//! table every front end sets a configuration through) and [`report`]
-//! (text/CSV rendering).
+//! (fanout adjacency and the reference fanout cone), [`incremental`]
+//! (ECO edit scripts and dirty-cone incremental re-analysis),
+//! [`sequential`] (register-to-register setup/hold checks), [`options`]
+//! (the option table every front end sets a configuration through) and
+//! [`report`] (text/CSV rendering).
 //!
 //! # Example
 //!
@@ -88,7 +89,7 @@ pub use engine::{DegradedPath, RunContext, SstaConfig, SstaEngine, SstaReport};
 pub use error::{CoreError, ErrorClass, StatimError};
 #[cfg(any(test, feature = "fault-injection"))]
 pub use faults::{Fault, FaultPlan};
-pub use graph::{ArrivalModel, GraphNode, TimingGraph};
+pub use graph::TimingGraph;
 pub use incremental::{
     apply_edits, EcoEdit, EcoOutcome, EcoScript, IncrementalEngine, IncrementalStats,
 };

@@ -3,11 +3,12 @@
 //!
 //! The combinational flow times input-to-output paths; this module times
 //! *register-to-register* transfers. Each capture register's D pin is cut
-//! out of the levelized [`TimingGraph`] into a launch/capture timing
-//! check: the worst (setup) and best (hold) data path into the D pin, the
-//! launch and capture clock arrivals through a shared balanced clock
-//! tree, and early/late OCV derates (`set_timing_derate` semantics). The
-//! derated arrival difference
+//! out of the netlist into a launch/capture timing check: the latest
+//! (setup) and earliest (hold) data path into the D pin, both from one
+//! sweep over the gates in id (topological) order, the launch and
+//! capture clock arrivals through a shared balanced clock tree, and
+//! early/late OCV derates (`set_timing_derate` semantics). The derated
+//! arrival difference
 //!
 //! ```text
 //! setup:  X = d_late ·(clk_launch + data_max) − d_early·clk_capture
@@ -22,7 +23,8 @@
 //! coefficient `d_late − d_early` and cancels exactly at unity derates.
 //! That is common-path pessimism removal (CPPR), obtained for free from
 //! the coefficient algebra. The intra-die part is the eq. (14) variance
-//! with the same per-buffer coefficients squared.
+//! with the same per-buffer coefficients squared. Both go through the
+//! closed-form kernels and the kernel cache that path analysis uses.
 //!
 //! Registers are ideal (zero clk→Q, margins come from the netlist's
 //! `# statim constraint` directives); clock buffers are modelled as
@@ -36,30 +38,28 @@
 //! Chip-level setup yield at period `T` multiplies the per-check
 //! `P(X ≤ T − setup_margin)` (independence bound, as
 //! [`crate::timing_yield`] does for paths); hold yield is
-//! period-independent. [`min_period`] inverts the product with the same
-//! grow-then-bisect bracket the combinational
-//! [`period_for_yield`](crate::timing_yield::period_for_yield) uses.
+//! period-independent. [`min_period`] inverts the product with the
+//! grow-then-bisect solver the combinational
+//! [`period_for_yield`](crate::timing_yield::period_for_yield) runs.
 
 #![warn(clippy::unwrap_used)]
 
-use crate::cache::{AnalysisCache, KernelStore};
-use crate::characterize::characterize_placed;
+use crate::analyze::{closed_form_pdfs, AnalysisSettings};
+use crate::cache::AnalysisCache;
+use crate::characterize::{characterize_placed, CircuitTiming};
 use crate::engine::{RunContext, SstaConfig};
 use crate::error::ErrorClass;
-use crate::graph::TimingGraph;
-use crate::inter;
-use crate::intra::{intra_pdf, intra_variance, path_coefficients};
+use crate::intra::{intra_variance, path_coefficients};
 use crate::supervise::{fan_out, BudgetKind, KernelResult, Supervisor};
+use crate::timing_yield::{check_target, smallest_period};
 use crate::{CoreError, Result};
 use statim_netlist::{Circuit, GateId, Placement, Signal};
 use statim_process::deriv::delay_gradient;
 use statim_process::param::Variations;
 use statim_process::tech::AlphaBeta;
 use statim_process::{gate_delay, GateKind, Load, Param, Technology};
-use statim_stats::convolve::sum_pdf_resampled_with;
 use statim_stats::Pdf;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Which constraint a [`SequentialCheck`] verifies.
@@ -199,7 +199,7 @@ impl ClockTree {
 }
 
 /// The serial, cheap part of one check: the data path and its layered
-/// summaries, extracted from the timing graph before the kernel fan-out.
+/// summaries, extracted from the netlist before the kernel fan-out.
 #[derive(Debug, Clone, PartialEq)]
 struct CheckSpec {
     kind: CheckKind,
@@ -370,11 +370,7 @@ impl SequentialConfig {
                 });
             }
         }
-        if !(0.0 < self.target_yield && self.target_yield <= 1.0 && self.target_yield.is_finite()) {
-            return Err(CoreError::InvalidConfig {
-                message: format!("target yield {} outside (0, 1]", self.target_yield),
-            });
-        }
+        check_target(self.target_yield)?;
         if self.curve_points < 2 {
             return Err(CoreError::InvalidConfig {
                 message: "yield curve needs at least 2 points".into(),
@@ -471,73 +467,36 @@ fn total_yield_at(checks: &[SequentialCheck], period: f64) -> f64 {
     setup_yield_at(checks, period) * hold_yield(checks)
 }
 
-/// The smallest clock period achieving at least `target` total
-/// (setup × hold) yield — the sequential analogue of
-/// [`period_for_yield`](crate::timing_yield::period_for_yield), sharing
-/// its grow-then-bisect bracket. Returns `None` when `target` is outside
-/// `(0, 1]`, there is no setup check to pace, or hold violations cap the
-/// total yield below `target` at every period (hold yield does not
-/// improve with a slower clock).
-pub fn min_period(checks: &[SequentialCheck], target: f64) -> Option<f64> {
-    if !(0.0 < target && target <= 1.0) {
-        return None;
-    }
-    let crit = checks
+/// The setup check that paces the clock: the largest mean `X` plus
+/// margin (the last such check on a tie).
+fn critical_setup(checks: &[SequentialCheck]) -> Option<&SequentialCheck> {
+    checks
         .iter()
         .filter(|c| c.kind == CheckKind::Setup)
-        .max_by(|a, b| (a.x_pdf.mean() + a.margin).total_cmp(&(b.x_pdf.mean() + b.margin)))?;
-    let mean = crit.x_pdf.mean() + crit.margin;
-    let sigma = crit.x_pdf.std_dev();
-    let step0 = sigma.max(mean.abs() * 1e-6).max(f64::MIN_POSITIVE);
-    let mut lo = mean - sigma;
-    let mut hi = mean + 8.0 * sigma;
+        .max_by(|a, b| (a.x_pdf.mean() + a.margin).total_cmp(&(b.x_pdf.mean() + b.margin)))
+}
 
-    // Validate the bracket before bisecting (the bisection keeps
-    // `yield(lo) < target ≤ yield(hi)`): grow `hi` until the target is
-    // met there. A hold-capped target can never be met — report failure
-    // instead of a bogus bracket edge.
-    let mut step = step0;
-    let mut growths = 0;
-    while total_yield_at(checks, hi) < target {
-        hi += step;
-        step *= 2.0;
-        growths += 1;
-        if growths > 64 {
-            return None;
-        }
-    }
-
-    // Walk `lo` down while the target is already met there, so the
-    // search converges to the *smallest* satisfying period.
-    let mut step = step0;
-    for _ in 0..128 {
-        if total_yield_at(checks, lo) < target {
-            break;
-        }
-        hi = lo;
-        lo -= step;
-        step *= 2.0;
-    }
-
-    for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        if total_yield_at(checks, mid) >= target {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(hi)
+/// The smallest clock period achieving at least `target` total
+/// (setup × hold) yield — the sequential analogue of
+/// [`period_for_yield`](crate::timing_yield::period_for_yield), solved by
+/// the same grow-then-bisect search around the critical setup check.
+/// Returns `None` when `target` is outside `(0, 1]`, there is no setup
+/// check to pace, or hold violations cap the total yield below `target`
+/// at every period (hold yield does not improve with a slower clock).
+pub fn min_period(checks: &[SequentialCheck], target: f64) -> Option<f64> {
+    let crit = critical_setup(checks)?;
+    smallest_period(
+        crit.x_pdf.mean() + crit.margin,
+        crit.x_pdf.std_dev(),
+        target,
+        |period| total_yield_at(checks, period),
+    )
 }
 
 /// Sweeps the setup/hold yields over `n` periods covering the worst
 /// setup check's interesting range (its mean arrival to past +4σ).
 pub fn seq_yield_curve(checks: &[SequentialCheck], n: usize) -> Vec<SeqYieldPoint> {
-    let Some(crit) = checks
-        .iter()
-        .filter(|c| c.kind == CheckKind::Setup)
-        .max_by(|a, b| (a.x_pdf.mean() + a.margin).total_cmp(&(b.x_pdf.mean() + b.margin)))
-    else {
+    let Some(crit) = critical_setup(checks) else {
         return Vec::new();
     };
     let lo = crit.x_pdf.mean() + crit.margin;
@@ -605,16 +564,19 @@ impl SequentialEngine {
                 ),
             });
         }
-        for (i, r) in circuit.registers().iter().enumerate() {
-            if r.d.is_none() {
-                return Err(CoreError::InvalidConfig {
+        let d_pins = circuit
+            .registers()
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                r.d.ok_or_else(|| CoreError::InvalidConfig {
                     message: format!(
                         "register `{}` (index {i}, line {}) has an unconnected D pin",
                         r.name, r.line
                     ),
-                });
-            }
-        }
+                })
+            })
+            .collect::<Result<Vec<Signal>>>()?;
         let spec = circuit.seq_spec();
         let period =
             self.config
@@ -627,14 +589,6 @@ impl SequentialEngine {
                         circuit.name()
                     ),
                 })?;
-        if placement.len() != circuit.gate_count() {
-            return Err(CoreError::Netlist(
-                statim_netlist::NetlistError::PlacementMismatch {
-                    gates: circuit.gate_count(),
-                    placed: placement.len(),
-                },
-            ));
-        }
         let local_sup;
         let sup = match ctx.supervisor {
             Some(s) => s,
@@ -646,8 +600,8 @@ impl SequentialEngine {
         let cfg = &self.config.ssta;
         let settings = cfg.settings();
 
+        // Characterization refuses a placement of the wrong length.
         let timing = characterize_placed(circuit, &cfg.tech, placement)?;
-        let graph = TimingGraph::build(circuit)?;
         let tree = ClockTree::new(
             circuit.registers().len(),
             spec.tree_depth,
@@ -655,15 +609,9 @@ impl SequentialEngine {
             &cfg.layers,
             &cfg.vars,
         )?;
-        let specs = extract_checks(circuit, &timing, &graph, placement, cfg)?;
+        let specs = extract_checks(circuit, &d_pins, &timing, placement, cfg)?;
 
-        let cache = cfg.cache.then(|| {
-            let store = match &ctx.store {
-                Some(store) => Arc::clone(store),
-                None => Arc::new(KernelStore::with_capacity(cfg.cache_capacity)),
-            };
-            AnalysisCache::with_store(store, &cfg.tech, &settings)
-        });
+        let cache = cfg.kernel_cache(ctx.store, &settings);
         let threads = crate::parallel::effective_threads(cfg.threads);
         let derates = self.config.derates;
         let pool = fan_out(
@@ -720,43 +668,54 @@ impl SequentialEngine {
     }
 }
 
-/// Cuts the circuit at its registers into per-capture check specs:
-/// the worst (setup) and best (hold) data paths into every D pin, with
-/// the layered summaries the kernels consume. Register-major order,
+/// A gate's output arrival and the gate input that explains it (`None`
+/// when a primary input does, or the gate reads primary inputs only).
+type Arrival = (f64, Option<GateId>);
+
+/// Cuts the circuit at its registers into per-capture check specs: the
+/// latest (setup) and earliest (hold) data path into every D pin
+/// (`d_pins`, one signal per register), each with the (A, B) coefficients
+/// and eq. (14) variance the kernels consume. Register-major order,
 /// setup before hold — the deterministic fan-out order.
 fn extract_checks(
     circuit: &Circuit,
-    timing: &crate::characterize::CircuitTiming,
-    graph: &TimingGraph,
+    d_pins: &[Signal],
+    timing: &CircuitTiming,
     placement: &Placement,
     cfg: &SstaConfig,
 ) -> Result<Vec<CheckSpec>> {
-    let models = graph.arrival_models(timing, placement, &cfg.layers, &cfg.vars)?;
-
-    // Min-arrival sweep (the hold-side dual of the arrival models):
-    // earliest possible output transition per gate, with the first
-    // (lowest pin index) minimizer as the deterministic back-pointer.
+    // One sweep in id order, which is topological, so every gate's
+    // inputs are settled before it. The latest arrival takes the lowest-id
+    // gate input of maximal arrival (primary inputs arrive at 0 and
+    // never explain it); the earliest takes the first pin of minimal
+    // arrival, a primary input's 0 included.
     let n = circuit.gate_count();
-    let mut arrival_min = vec![0.0f64; n];
-    let mut min_pred: Vec<Option<GateId>> = vec![None; n];
-    for level in graph.levels() {
-        for &g in level {
-            let gate = &circuit.gates()[g.index()];
-            let mut best = f64::INFINITY;
-            let mut best_pred = None;
-            for s in &gate.inputs {
-                let (cand, cand_pred) = match s {
-                    Signal::Input(_) => (0.0, None),
-                    Signal::Gate(src) => (arrival_min[src.index()], Some(*src)),
-                };
-                if cand < best {
-                    best = cand;
-                    best_pred = cand_pred;
+    let mut latest: Vec<Arrival> = Vec::with_capacity(n);
+    let mut earliest: Vec<Arrival> = Vec::with_capacity(n);
+    for (g, gate) in circuit.gate_ids().zip(circuit.gates()) {
+        let mut late: Arrival = (0.0, None);
+        let mut early: Arrival = (f64::INFINITY, None);
+        for s in &gate.inputs {
+            match *s {
+                Signal::Input(_) => {
+                    if 0.0 < early.0 {
+                        early = (0.0, None);
+                    }
+                }
+                Signal::Gate(src) => {
+                    let (e, l) = (earliest[src.index()].0, latest[src.index()].0);
+                    if e < early.0 {
+                        early = (e, Some(src));
+                    }
+                    if l > late.0 || (l == late.0 && late.1.is_some_and(|p| src < p)) {
+                        late = (l, Some(src));
+                    }
                 }
             }
-            arrival_min[g.index()] = best + timing.gate(g).nominal;
-            min_pred[g.index()] = best_pred;
         }
+        let nominal = timing.gate(g).nominal;
+        latest.push((late.0 + nominal, late.1));
+        earliest.push((early.0 + nominal, early.1));
     }
 
     let tic = circuit.true_input_count();
@@ -771,52 +730,31 @@ fn extract_checks(
             })
             .min()
     };
-    let reg_of_input =
-        |i: u32| -> Option<usize> { ((i as usize) >= tic).then(|| i as usize - tic) };
-    let back_walk = |end: GateId, pred: &dyn Fn(GateId) -> Option<GateId>| -> Vec<GateId> {
+    let back_walk = |end: GateId, arrivals: &[Arrival]| -> Vec<GateId> {
         let mut path = vec![end];
-        let mut at = pred(end);
-        while let Some(p) = at {
+        while let Some(p) = arrivals[path[path.len() - 1].index()].1 {
             path.push(p);
-            at = pred(p);
         }
         path.reverse();
         path
     };
 
     let spec = circuit.seq_spec();
-    let mut specs = Vec::with_capacity(2 * circuit.registers().len());
-    for (r, reg) in circuit.registers().iter().enumerate() {
-        let driver = reg.d.ok_or_else(|| CoreError::InvalidConfig {
-            message: format!("register `{}` has an unconnected D pin", reg.name),
-        })?;
+    let mut specs = Vec::with_capacity(2 * d_pins.len());
+    for (r, (reg, &d)) in circuit.registers().iter().zip(d_pins).enumerate() {
         for kind in [CheckKind::Setup, CheckKind::Hold] {
-            let (data_gates, data_nominal, data_ab, data_var, launch) = match driver {
+            let (data_gates, data_nominal, data_ab, data_var, launch) = match d {
                 Signal::Gate(g) => {
-                    let (path, nominal) = match kind {
-                        CheckKind::Setup => (
-                            back_walk(g, &|x| models[x.index()].worst_pred),
-                            models[g.index()].arrival,
-                        ),
-                        CheckKind::Hold => (
-                            back_walk(g, &|x| min_pred[x.index()]),
-                            arrival_min[g.index()],
-                        ),
+                    let arrivals = match kind {
+                        CheckKind::Setup => &latest,
+                        CheckKind::Hold => &earliest,
                     };
-                    let (ab, var) = match kind {
-                        // The arrival model already summarizes the worst
-                        // path; the min path needs its own summaries.
-                        CheckKind::Setup => (models[g.index()].ab, models[g.index()].var_intra),
-                        CheckKind::Hold => {
-                            let coeffs = path_coefficients(&path, timing, placement, &cfg.layers);
-                            (
-                                timing.path_alpha_beta(&path),
-                                intra_variance(&coeffs, &cfg.layers, &cfg.vars)?,
-                            )
-                        }
-                    };
+                    let path = back_walk(g, arrivals);
+                    let coeffs = path_coefficients(&path, timing, placement, &cfg.layers);
+                    let ab = timing.path_alpha_beta(&path);
+                    let var = intra_variance(&coeffs, &cfg.layers, &cfg.vars)?;
                     let launch = launch_of_head(path[0]);
-                    (path, nominal, ab, var, launch)
+                    (path, arrivals[g.index()].0, ab, var, launch)
                 }
                 Signal::Input(i) => (
                     Vec::new(),
@@ -826,7 +764,7 @@ fn extract_checks(
                         beta: 0.0,
                     },
                     0.0,
-                    reg_of_input(i),
+                    ((i as usize) >= tic).then(|| i as usize - tic),
                 ),
             };
             specs.push(CheckSpec {
@@ -851,14 +789,14 @@ fn extract_checks(
 
 /// The per-check kernel: per-buffer CPPR coefficient accumulation, the
 /// derated effective (A, B) and intra variance, and the X/slack PDFs
-/// through the shared (cacheable) intra/inter kernels.
+/// through the closed-form (cacheable) kernels path analysis runs.
 fn analyze_check(
     spec: &CheckSpec,
     tree: &ClockTree,
     period: f64,
     derates: Derates,
     tech: &Technology,
-    settings: &crate::analyze::AnalysisSettings,
+    settings: &AnalysisSettings,
     cache: Option<&AnalysisCache>,
 ) -> Result<SequentialCheck> {
     // Setup stresses a slow launch against a fast capture; hold the
@@ -890,32 +828,7 @@ fn analyze_check(
     };
     let var_eff = f_data * f_data * spec.data_var + coef_sq * tree.buf_var;
     let nominal_x = f_data * (tree.latency() + spec.data_nominal) - f_cap * tree.latency();
-
-    let compute_intra = || intra_pdf(var_eff, settings.vars.trunc_k, settings.quality_intra);
-    let intra = match cache {
-        Some(c) => c.intra_pdf(var_eff, compute_intra)?,
-        None => compute_intra()?,
-    };
-    let compute_inter = || {
-        inter::inter_pdf(
-            &ab_eff,
-            tech,
-            &settings.vars,
-            &settings.layers,
-            settings.marginal,
-            settings.quality_inter,
-        )
-    };
-    let inter = match cache {
-        Some(c) => c.inter_pdf(&ab_eff, compute_inter)?,
-        None => compute_inter()?,
-    };
-    let x_pdf = sum_pdf_resampled_with(
-        settings.backend,
-        &intra,
-        &inter,
-        settings.quality_intra.max(settings.quality_inter),
-    )?;
+    let [_, _, x_pdf] = closed_form_pdfs(var_eff, &ab_eff, tech, settings, cache)?;
 
     let (slack_pdf, yield_at_period) = match spec.kind {
         CheckKind::Setup => (
@@ -1201,6 +1114,66 @@ mod tests {
         assert_eq!(stamped.period, 1e-9);
         // A shorter period can only lower the setup yield.
         assert!(r.setup_yield <= stamped.setup_yield);
+    }
+
+    #[test]
+    fn data_paths_follow_the_arrival_tie_breaks() {
+        // x and y are identical inverters at identical loads, so d's two
+        // inputs arrive together. The setup path takes the lowest-id
+        // input (x), the hold path the first pin (y).
+        let mut c = Circuit::new("ties");
+        let a = c.add_input("a").expect("input");
+        c.add_register("q", 1).expect("register");
+        let x = c.add_gate("x", GateKind::Inv, &[a]).expect("x");
+        let y = c.add_gate("y", GateKind::Inv, &[a]).expect("y");
+        let d = c.add_gate("d", GateKind::Nand(2), &[y, x]).expect("d");
+        c.connect_register_d(0, d).expect("D pin");
+        c.mark_output("o", d).expect("output");
+        let timing = crate::characterize::characterize(&c, &Technology::cmos130()).expect("timing");
+        assert_eq!(
+            timing.gate(GateId(0)).nominal.to_bits(),
+            timing.gate(GateId(1)).nominal.to_bits()
+        );
+        let p = Placement::generate(&c, PlacementStyle::Levelized);
+        let d_pins: Vec<Signal> = c.registers().iter().filter_map(|r| r.d).collect();
+        let specs =
+            extract_checks(&c, &d_pins, &timing, &p, &SstaConfig::date05()).expect("checks");
+        let gates = |kind| {
+            let spec = specs.iter().find(|s| s.kind == kind).expect("check");
+            spec.data_gates.clone()
+        };
+        assert_eq!(gates(CheckKind::Setup), vec![GateId(0), GateId(2)]);
+        assert_eq!(gates(CheckKind::Hold), vec![GateId(1), GateId(2)]);
+    }
+
+    #[test]
+    fn setup_paths_realize_the_topological_labels() {
+        // The setup data path into each D pin is a real path whose summed
+        // nominal delay is the D-pin gate's longest-path label, bit for
+        // bit.
+        let c = pipeline(3, 8).expect("generator");
+        let p = Placement::generate(&c, PlacementStyle::Levelized);
+        let timing = characterize_placed(&c, &Technology::cmos130(), &p).expect("timing");
+        let labels = crate::longest_path::topo_labels(&c, &timing).expect("labels");
+        let d_pins: Vec<Signal> = c.registers().iter().filter_map(|r| r.d).collect();
+        let specs =
+            extract_checks(&c, &d_pins, &timing, &p, &SstaConfig::date05()).expect("checks");
+        for spec in specs.iter().filter(|s| s.kind == CheckKind::Setup) {
+            let Some(&end) = spec.data_gates.last() else {
+                continue;
+            };
+            assert_eq!(
+                spec.data_nominal.to_bits(),
+                labels.arrival[end.index()].to_bits()
+            );
+            let sum: f64 = spec
+                .data_gates
+                .iter()
+                .map(|&g| timing.gate(g).nominal)
+                .sum();
+            assert!((sum - spec.data_nominal).abs() < 1e-18);
+            assert!(spec.data_var > 0.0);
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::engine::SstaReport;
 use crate::rank::RankedPath;
+use crate::{CoreError, Result};
 
 /// `P(critical path delay ≤ period)` from the probabilistic critical
 /// path's total PDF. An optimistic bound on the true timing yield.
@@ -71,27 +72,57 @@ pub fn yield_curve(report: &SstaReport, n: usize) -> Vec<YieldPoint> {
 /// met at any period (which cannot happen for truncated path PDFs, whose
 /// CDFs reach exactly 1 at the top of their support).
 pub fn period_for_yield(report: &SstaReport, target: f64) -> Option<f64> {
-    if !(0.0 < target && target <= 1.0) {
-        return None;
-    }
     let crit = &report.critical().analysis;
-    let step0 = crit
-        .sigma
-        .max(crit.mean.abs() * 1e-6)
-        .max(f64::MIN_POSITIVE);
-    let mut lo = crit.mean - crit.sigma;
-    let mut hi = crit.mean + 8.0 * crit.sigma;
+    smallest_period(crit.mean, crit.sigma, target, |period| {
+        independent_yield(&report.paths, period)
+    })
+}
+
+/// Refuses a yield target outside `(0, 1]`, NaN included — the targets
+/// [`period_for_yield`] and the sequential
+/// [`min_period`](crate::sequential::min_period) can solve for.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidConfig`] naming the target.
+pub fn check_target(target: f64) -> Result<()> {
+    if 0.0 < target && target <= 1.0 {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidConfig {
+            message: format!("target yield {target} outside (0, 1]"),
+        })
+    }
+}
+
+/// The smallest period at which the non-decreasing `yield_at` reaches
+/// `target`, searched around a critical delay of mean `mean` and
+/// standard deviation `sigma`: the one solver behind
+/// [`period_for_yield`] and the sequential
+/// [`min_period`](crate::sequential::min_period). `None` when `target`
+/// is outside `(0, 1]` or no period meets it.
+pub(crate) fn smallest_period(
+    mean: f64,
+    sigma: f64,
+    target: f64,
+    yield_at: impl Fn(f64) -> f64,
+) -> Option<f64> {
+    check_target(target).ok()?;
+    let step0 = sigma.max(mean.abs() * 1e-6).max(f64::MIN_POSITIVE);
+    let mut lo = mean - sigma;
+    let mut hi = mean + 8.0 * sigma;
 
     // Validate the bracket before bisecting: the bisection below keeps
     // the invariant `yield(lo) < target ≤ yield(hi)`, which the initial
     // guesses do not guarantee.
     //
     // Grow `hi` until the target is met there; if even an enormous
-    // period cannot meet it, report failure instead of silently
-    // returning the bracket edge.
+    // period cannot meet it (a sequential target above the hold-yield
+    // cap), report failure instead of silently returning the bracket
+    // edge.
     let mut step = step0;
     let mut growths = 0;
-    while independent_yield(&report.paths, hi) < target {
+    while yield_at(hi) < target {
         hi += step;
         step *= 2.0;
         growths += 1;
@@ -106,7 +137,7 @@ pub fn period_for_yield(report: &SstaReport, target: f64) -> Option<f64> {
     // exactly 0 below their support, so this terminates.
     let mut step = step0;
     for _ in 0..128 {
-        if independent_yield(&report.paths, lo) < target {
+        if yield_at(lo) < target {
             break;
         }
         hi = lo;
@@ -116,7 +147,7 @@ pub fn period_for_yield(report: &SstaReport, target: f64) -> Option<f64> {
 
     for _ in 0..80 {
         let mid = 0.5 * (lo + hi);
-        if independent_yield(&report.paths, mid) >= target {
+        if yield_at(mid) >= target {
             hi = mid;
         } else {
             lo = mid;

@@ -9,15 +9,15 @@
 //!
 //! The second half pins the inter-die kernel: `inter_pdf` against a
 //! copy of its `map3` formulation, bit for bit, and against a digest of
-//! its output bits. A last digest pins the eq. (14) intra-die variance
-//! of near-critical paths and of the sequential flow's arrival models.
+//! its output bits. Further digests pin the eq. (14) intra-die variance
+//! of near-critical paths and of every gate's latest-arriving path, and
+//! the block-based baseline's output PDFs.
 
 use statim::core::analyze::{analyze_path, AnalysisSettings};
 use statim::core::characterize::{characterize_placed, CircuitTiming};
 use statim::core::correlation::{LayerModel, VarianceSplit};
 use statim::core::engine::{SstaConfig, SstaEngine, SstaReport};
 use statim::core::enumerate::near_critical_paths;
-use statim::core::graph::TimingGraph;
 use statim::core::inter::{inter_param_pdf, inter_pdf};
 use statim::core::intra::{intra_pdf, intra_variance, path_coefficients};
 use statim::core::longest_path::{critical_path, topo_labels};
@@ -25,7 +25,7 @@ use statim::core::monte_carlo::mc_path_distribution;
 use statim::core::report::deterministic_report;
 use statim::netlist::generators::iscas85::{self, Benchmark};
 use statim::netlist::generators::sequential;
-use statim::netlist::{Circuit, GateId, Placement, PlacementStyle};
+use statim::netlist::{Circuit, GateId, Placement, PlacementStyle, Signal};
 use statim::process::delay::voltage_kernel;
 use statim::process::param::Variations;
 use statim::process::tech::{AlphaBeta, ELMORE_K};
@@ -443,9 +443,10 @@ fn inter_pdf_output_bits_are_pinned() {
 
 /// Digest of the eq. (14) intra-die variance bits over
 /// [`variance_models`] × the near-critical paths of the ten Table 2
-/// circuits, then of the `var_intra` of every arrival model of `s27` and
-/// `pipe8x32`. Taken with the per-parameter coefficient maps; a change
-/// here means the intra-die variances changed.
+/// circuits, then of the variance of every gate's latest-arriving path
+/// ([`latest_paths`]) in `s27` and `pipe8x32`. Taken with the
+/// per-parameter coefficient maps; a change here means the intra-die
+/// variances changed.
 const PINNED_INTRA_VARIANCE_DIGEST: u64 = 0xdb6c_7b53_2513_fa9d;
 
 /// The paper's per-circuit C (Table 2): c2670 at 0.1, c6288 at 0.001,
@@ -478,6 +479,45 @@ fn variance_models() -> [LayerModel; 4] {
     ]
 }
 
+/// The latest-arriving path into every gate, in gate order: one sweep in
+/// id order where each gate's worst predecessor is its lowest-id gate
+/// input of maximal nominal arrival (primary inputs arrive at 0), then a
+/// back-walk per gate. This is the setup side of the sequential flow's
+/// check extraction, taken for every gate instead of at D pins only.
+fn latest_paths(circuit: &Circuit, timing: &CircuitTiming) -> Vec<Vec<GateId>> {
+    let mut latest: Vec<(f64, Option<GateId>)> = Vec::new();
+    for (i, gate) in circuit.gates().iter().enumerate() {
+        let mut fanin: Vec<GateId> = gate
+            .inputs
+            .iter()
+            .filter_map(|s| match s {
+                Signal::Gate(g) => Some(*g),
+                Signal::Input(_) => None,
+            })
+            .collect();
+        fanin.sort_unstable();
+        fanin.dedup();
+        let (mut best, mut pred) = (0.0f64, None);
+        for g in fanin {
+            if latest[g.index()].0 > best {
+                (best, pred) = (latest[g.index()].0, Some(g));
+            }
+        }
+        latest.push((best + timing.gate(GateId(i as u32)).nominal, pred));
+    }
+    circuit
+        .gate_ids()
+        .map(|end| {
+            let mut path = vec![end];
+            while let Some(p) = latest[path[path.len() - 1].index()].1 {
+                path.push(p);
+            }
+            path.reverse();
+            path
+        })
+        .collect()
+}
+
 #[test]
 fn intra_variance_bits_are_pinned() {
     let vars = Variations::date05();
@@ -496,6 +536,7 @@ fn intra_variance_bits_are_pinned() {
         }
     }
     let tech = Technology::cmos130();
+    let layers = LayerModel::date05();
     let sequential: [Circuit; 2] = [
         sequential::s27(),
         sequential::pipeline(8, 32).expect("pipe8x32"),
@@ -503,12 +544,10 @@ fn intra_variance_bits_are_pinned() {
     for circuit in &sequential {
         let placement = Placement::generate(circuit, PlacementStyle::Levelized);
         let timing = characterize_placed(circuit, &tech, &placement).expect("characterize");
-        let models = TimingGraph::build(circuit)
-            .expect("graph")
-            .arrival_models(&timing, &placement, &LayerModel::date05(), &vars)
-            .expect("arrival models");
-        for m in &models {
-            h = fnv1a(h, m.var_intra.to_bits());
+        for path in latest_paths(circuit, &timing) {
+            let coeffs = path_coefficients(&path, &timing, &placement, &layers);
+            let var = intra_variance(&coeffs, &layers, &vars).expect("variance");
+            h = fnv1a(h, var.to_bits());
         }
     }
     assert_eq!(pairs, 4 * 2_074, "(path, layer model) pairs");
@@ -605,4 +644,42 @@ fn cold_kernel_output_bits_are_pinned() {
         "distinct keys, variances"
     );
     assert_eq!(h, PINNED_COLD_KERNEL_DIGEST, "digest {h:#018x}");
+}
+
+// ---------------------------------------------------------------------
+// The block-based baseline: one digest over its output bits.
+// ---------------------------------------------------------------------
+
+/// Digest of `block_based_sta` on c432 and c499 (unplaced timing,
+/// QUALITY = 50): the circuit PDF, then every primary-output PDF in
+/// netlist output order, each as grid `lo`, `step`, length and density
+/// bits. Taken on the level-order schedule; a change here means the
+/// baseline's propagation changed.
+const PINNED_BLOCK_BASED_DIGEST: u64 = 0x63ab_67d9_7c0c_ff3a;
+
+#[test]
+fn block_based_output_bits_are_pinned() {
+    use statim::core::block_based::block_based_sta;
+    use statim::core::characterize::characterize;
+    let tech = Technology::cmos130();
+    let vars = Variations::date05();
+    let fold = |h: u64, pdf: &Pdf| {
+        let grid = pdf.grid();
+        [grid.lo().to_bits(), grid.step().to_bits(), pdf.len() as u64]
+            .into_iter()
+            .chain(pdf.density().iter().map(|d| d.to_bits()))
+            .fold(h, fnv1a)
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for bench in [Benchmark::C432, Benchmark::C499] {
+        let circuit = iscas85::generate(bench);
+        let timing = characterize(&circuit, &tech).expect("characterize");
+        let r = block_based_sta(&circuit, &timing, &vars, 50).expect("block-based");
+        h = fold(h, &r.circuit_pdf);
+        h = fnv1a(h, r.po_pdfs.len() as u64);
+        for (_, pdf) in &r.po_pdfs {
+            h = fold(h, pdf);
+        }
+    }
+    assert_eq!(h, PINNED_BLOCK_BASED_DIGEST, "digest {h:#018x}");
 }

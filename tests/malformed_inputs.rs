@@ -2,7 +2,7 @@
 //! deliberately malformed netlist or placement. Each must come back as
 //! a **typed** error — classified `Parse` through the [`StatimError`]
 //! taxonomy, with source line/column where the table says the parser
-//! can know one — and must never panic.
+//! can know one, rendered once — and must never panic.
 
 use statim::core::{ErrorClass, StatimError};
 use statim::netlist::{bench_format, def_lite, NetlistError};
@@ -118,9 +118,21 @@ fn every_corpus_file_fails_with_a_typed_parse_error() {
                 col.is_some_and(|c| c >= 1),
                 "{file}: expected a source column, got {err:?}"
             );
-            // The rendered form points at file:line:col.
+            // The rendered form points at file:line:col, once: the
+            // message keeps the rest of the text without its location.
             let shown = flat.to_string();
-            assert!(shown.contains(&format!("{file}:")), "{file}: {shown}");
+            let (line, col) = (line.unwrap_or(0), col.unwrap_or(0));
+            let at = format!("{file}:{line}:{col}");
+            assert_eq!(shown.matches(&at).count(), 1, "{file}: {shown}");
+            assert_eq!(
+                shown.matches(&format!(":{line}:{col}")).count(),
+                1,
+                "{file}: {shown}"
+            );
+            assert!(
+                !shown.contains(&format!("line {line}, col {col}")),
+                "{file}: {shown}"
+            );
         }
         if !fragment.is_empty() {
             assert!(

@@ -352,3 +352,147 @@ fn eco_editor_rejects_register_netlists_with_a_typed_error() {
         assert!(flat.message.contains(needle), "`{needle}` in: {flat}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Pinned output bits. The digests were taken when check extraction still
+// ran on the levelized timing graph's per-gate arrival models; a change
+// here means a sequential output changed.
+// ---------------------------------------------------------------------
+
+/// FNV-1a 64 over bytes.
+fn fnv1a64_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a 64 over the little-endian bytes of each word.
+fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
+    fnv1a64_bytes(words.into_iter().flat_map(u64::to_le_bytes))
+}
+
+/// A solved period's bits; `None` (unreachable or invalid) as all ones.
+fn period_bits(period: Option<f64>) -> u64 {
+    period.map_or(u64::MAX, f64::to_bits)
+}
+
+/// The targets both smallest-period solvers are pinned at.
+const PINNED_TARGETS: [f64; 3] = [0.5, 0.99, 1.0];
+
+/// Per (circuit, early, late): the digest of the deterministic report
+/// text, and the digest of every check's data path, effective (A, B),
+/// effective variance, nominal X and X density bits, followed by
+/// `min_period` at [`PINNED_TARGETS`].
+const PINNED_SEQ_DIGESTS: &[(&str, f64, f64, u64, u64)] = &[
+    (
+        "s27",
+        1.0,
+        1.0,
+        0x5fec_2b08_8d29_31f4,
+        0x4369_a97f_8d06_d204,
+    ),
+    (
+        "s27",
+        0.9,
+        1.1,
+        0xbb8a_ce89_9133_e73c,
+        0x7943_4c54_902f_b247,
+    ),
+    (
+        "pipe4x16",
+        1.0,
+        1.0,
+        0xb6dc_c8c0_e4d8_5604,
+        0xbfdd_f9f6_f540_0f20,
+    ),
+    (
+        "pipe4x16",
+        0.9,
+        1.1,
+        0x7a6f_4b1a_569b_04e7,
+        0x7957_6668_966e_28aa,
+    ),
+    (
+        "pipe8x32",
+        1.0,
+        1.0,
+        0xea55_8d0c_41b7_43da,
+        0xe1c6_e7b3_8fd1_f30b,
+    ),
+    (
+        "pipe8x32",
+        0.9,
+        1.1,
+        0x66bc_2d68_a4ee_b877,
+        0x9842_3a37_2846_d148,
+    ),
+];
+
+fn check_words(report: &SequentialReport) -> Vec<u64> {
+    let mut words = Vec::new();
+    for c in &report.checks {
+        words.push(c.data_gates.len() as u64);
+        words.extend(c.data_gates.iter().map(|g| u64::from(g.0)));
+        words.extend([c.ab_eff.alpha, c.ab_eff.beta, c.var_eff, c.nominal_x].map(f64::to_bits));
+        let grid = c.x_pdf.grid();
+        words.extend([grid.lo(), grid.step()].map(f64::to_bits));
+        words.push(c.x_pdf.density().len() as u64);
+        words.extend(c.x_pdf.density().iter().map(|d| d.to_bits()));
+    }
+    words.extend(
+        PINNED_TARGETS
+            .iter()
+            .map(|&t| period_bits(min_period(&report.checks, t))),
+    );
+    words
+}
+
+#[test]
+fn sequential_report_and_check_bits_are_pinned() {
+    let mut got = String::new();
+    let mut want = String::new();
+    for &(name, early, late, text_digest, check_digest) in PINNED_SEQ_DIGESTS {
+        let circuit = statim::netlist::generators::sequential::from_name(name).expect(name);
+        let mut config = SequentialConfig::date05();
+        config.derates = Derates { early, late };
+        let report = run_seq(&circuit, config);
+        let text = deterministic_sequential_report(&report, usize::MAX);
+        got.push_str(&format!(
+            "(\"{name}\", {early:?}, {late:?}, {:#018x}, {:#018x}),\n",
+            fnv1a64_bytes(text.bytes()),
+            fnv1a64(check_words(&report))
+        ));
+        want.push_str(&format!(
+            "(\"{name}\", {early:?}, {late:?}, {text_digest:#018x}, {check_digest:#018x}),\n"
+        ));
+    }
+    assert_eq!(got, want, "sequential digests:\n{got}");
+}
+
+/// `period_for_yield` on the c432 and c499 reports at [`PINNED_TARGETS`].
+const PINNED_PERIOD_FOR_YIELD_DIGEST: u64 = 0x611a_2840_52b9_9bb1;
+
+#[test]
+fn period_for_yield_bits_are_pinned() {
+    use statim::core::timing_yield::period_for_yield;
+    use statim::netlist::generators::iscas85::{self, Benchmark};
+    let mut words = Vec::new();
+    for bench in [Benchmark::C432, Benchmark::C499] {
+        let circuit = iscas85::generate(bench);
+        let placement = Placement::generate(&circuit, PlacementStyle::Levelized);
+        let report = SstaEngine::new(SstaConfig::date05())
+            .run(&circuit, &placement)
+            .expect("engine run");
+        words.extend(
+            PINNED_TARGETS
+                .iter()
+                .map(|&t| period_bits(period_for_yield(&report, t))),
+        );
+    }
+    let h = fnv1a64(words.iter().copied());
+    assert!(
+        words.iter().all(|&w| w != u64::MAX),
+        "every target solves: {words:x?}"
+    );
+    assert_eq!(h, PINNED_PERIOD_FOR_YIELD_DIGEST, "digest {h:#018x}");
+}
